@@ -45,9 +45,11 @@ Result<TupleShapleyResult> BooleanQueryTupleShapley(
     const TupleShapleyConfig& config = {});
 
 /// Shapley values for a general numeric query given as a callback:
-/// `query_value(present)` recomputes the answer when endogenous tuple id e
-/// is present iff present.count(e) > 0. Used for aggregate queries (e.g.
-/// COUNT of qualifying rows). Monte-Carlo permutation sampling.
+/// `query_value(present)` recomputes the answer when exactly the
+/// endogenous tuple ids listed in `present` exist. Used for aggregate
+/// queries (e.g. COUNT of qualifying rows). Exact (subset enumeration)
+/// when |endogenous| <= exact_limit (default 20; never above 24),
+/// Monte-Carlo permutation sampling otherwise.
 Result<TupleShapleyResult> NumericQueryTupleShapley(
     const std::function<double(const std::vector<int>& present)>& query_value,
     const std::vector<int>& endogenous, const TupleShapleyConfig& config = {});

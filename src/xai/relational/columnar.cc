@@ -8,7 +8,9 @@ namespace xai::rel {
 
 ColumnarRelation::ColumnarRelation(std::string name,
                                    std::vector<std::string> columns)
-    : name_(std::move(name)), columns_(std::move(columns)) {
+    : name_(std::move(name)),
+      columns_(std::move(columns)),
+      annotations_(std::make_shared<AnnotationBlock>()) {
   cols_.resize(columns_.size());
 }
 
@@ -28,7 +30,7 @@ Relation ColumnarRelation::ToRows() const {
     Tuple t;
     t.reserve(cols_.size());
     for (const Column& c : cols_) t.push_back(c.ValueAt(i));
-    Status s = out.Append(std::move(t), annotations_[i]);
+    Status s = out.Append(std::move(t), annotation(i));
     XAI_CHECK_MSG(s.ok(), "columnar->row materialization cannot fail");
   }
   return out;
@@ -42,7 +44,9 @@ int ColumnarRelation::ColumnIndex(const std::string& column) const {
 
 void ColumnarRelation::Reserve(int64_t n) {
   for (Column& c : cols_) c.Reserve(n);
-  annotations_.reserve(n);
+  AnnotationBlock& block = MutableAnnotations();
+  block.rows.reserve(n);
+  block.owners.reserve(n);
 }
 
 Status ColumnarRelation::AppendRow(const Tuple& tuple,
@@ -54,7 +58,9 @@ Status ColumnarRelation::AppendRow(const Tuple& tuple,
   for (int c = 0; c < num_columns(); ++c) {
     XAI_RETURN_NOT_OK(cols_[c].AppendValue(tuple[c]));
   }
-  annotations_.push_back(std::move(annotation));
+  AnnotationBlock& block = MutableAnnotations();
+  block.rows.push_back(annotation.get());
+  block.owners.push_back(std::move(annotation));
   ++num_rows_;
   return Status::OK();
 }
@@ -68,10 +74,38 @@ ColumnarRelation ColumnarRelation::GatherRows(
   ColumnarRelation out(std::move(name), columns_);
   for (size_t c = 0; c < cols_.size(); ++c)
     out.cols_[c] = cols_[c].Gather(rows);
-  out.annotations_.reserve(rows.size());
-  for (int32_t r : rows) out.annotations_.push_back(annotations_[r]);
-  out.num_rows_ = static_cast<int64_t>(rows.size());
+  std::vector<const ProvExpr*> nodes;
+  nodes.reserve(rows.size());
+  for (int32_t r : rows) nodes.push_back(annotations_->rows[r]);
+  out.SetAnnotations(std::move(nodes), {annotation_block()});
   return out;
+}
+
+void ColumnarRelation::SetAnnotations(
+    std::vector<const ProvExpr*> rows,
+    std::vector<std::shared_ptr<const void>> owners) {
+  num_rows_ = static_cast<int64_t>(rows.size());
+  annotations_ = std::make_shared<AnnotationBlock>(
+      AnnotationBlock{std::move(rows), std::move(owners)});
+}
+
+void ColumnarRelation::ShareAnnotations(const ColumnarRelation& from) {
+  annotations_ = from.annotations_;
+  num_rows_ = from.num_rows_;
+}
+
+ColumnarRelation::AnnotationBlock& ColumnarRelation::MutableAnnotations() {
+  // use_count() == 1: no copy, handle or arena can see the block, and none
+  // can start to while this non-const call runs.
+  if (!annotations_) {
+    annotations_ = std::make_shared<AnnotationBlock>();
+  } else if (annotations_.use_count() > 1) {
+    auto fresh = std::make_shared<AnnotationBlock>();
+    fresh->rows = annotations_->rows;
+    fresh->owners.push_back(std::move(annotations_));
+    annotations_ = std::move(fresh);
+  }
+  return *annotations_;
 }
 
 }  // namespace xai::rel

@@ -2,6 +2,7 @@
 #define XAI_RELATIONAL_COLUMNAR_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,15 @@ inline constexpr int64_t kBatchRows = 1024;
 /// dictionary-encoded string) with per-column validity plus the same
 /// per-tuple N[X] provenance annotation side array.
 ///
+/// The side array is one shared immutable block: a node pointer per row
+/// plus the owners that keep those nodes alive (base handles, the arena of
+/// the operator that computed the relation, or the blocks of its inputs).
+/// Copies of a relation share it, an annotation handle aliases it, and
+/// the arena of every operator output computed from this relation pins it
+/// (ProvArena::Pin), so operators read row nodes without touching a
+/// reference count. A shared block is never mutated: appending to a
+/// relation whose block is shared starts a new block first.
+///
 /// The row-oriented Relation stays the API of record; this is the storage
 /// the vectorized operators (columnar_ops.h) and the shared-scan
 /// tuple-Shapley fast path run on. FromRows/ToRows convert losslessly both
@@ -38,8 +48,8 @@ class ColumnarRelation {
   static Result<ColumnarRelation> FromRows(const Relation& rows);
 
   /// Materializes back to the row representation: exact same Values
-  /// (including INT-vs-DOUBLE typing) and the same shared annotation
-  /// pointers, so round-tripping is observationally identical.
+  /// (including INT-vs-DOUBLE typing) and the same annotation nodes, so
+  /// round-tripping is observationally identical.
   Relation ToRows() const;
 
   const std::string& name() const { return name_; }
@@ -50,8 +60,15 @@ class ColumnarRelation {
 
   const Column& column(int c) const { return cols_[c]; }
   Column* mutable_column(int c) { return &cols_[c]; }
-  const ProvExprPtr& annotation(int64_t i) const { return annotations_[i]; }
-  const std::vector<ProvExprPtr>& annotations() const { return annotations_; }
+  /// Row i's annotation; the handle shares ownership of the side array.
+  ProvExprPtr annotation(int64_t i) const {
+    return ProvExprPtr(annotations_, annotations_->rows[i]);
+  }
+  /// Row i's annotation node without a handle, alive as long as the side
+  /// array (this relation, a copy, or an arena pinning annotation_block()).
+  const ProvExpr* annotation_node(int64_t i) const {
+    return annotations_->rows[i];
+  }
 
   /// Index of a column by name, or -1 (same contract as Relation).
   int ColumnIndex(const std::string& column) const;
@@ -63,24 +80,36 @@ class ColumnarRelation {
   Status AppendBaseRow(const Tuple& tuple, int base_id);
 
   /// Gathers the given row indices (in order) into a new relation with the
-  /// same schema; annotations come along by shared pointer.
+  /// same schema; its side array pins this one's.
   ColumnarRelation GatherRows(const std::vector<int32_t>& rows,
                               std::string name) const;
 
   /// \name Operator plumbing (columnar_ops.cc)
   /// @{
   void SetColumn(int c, Column column) { cols_[c] = std::move(column); }
-  void SetAnnotations(std::vector<ProvExprPtr> annotations) {
-    annotations_ = std::move(annotations);
-    num_rows_ = static_cast<int64_t>(annotations_.size());
-  }
+  /// Installs the side array: one node per row, kept alive by `owners`.
+  void SetAnnotations(std::vector<const ProvExpr*> rows,
+                      std::vector<std::shared_ptr<const void>> owners);
+  /// Shares `from`'s side array (bag projection keeps every row).
+  void ShareAnnotations(const ColumnarRelation& from);
+  /// The side array as an owner for an operator arena to pin.
+  std::shared_ptr<const void> annotation_block() const { return annotations_; }
   /// @}
 
  private:
+  struct AnnotationBlock {
+    std::vector<const ProvExpr*> rows;
+    std::vector<std::shared_ptr<const void>> owners;
+  };
+
+  /// The side array for appending: a new block when another relation, a
+  /// handle or an arena shares the current one.
+  AnnotationBlock& MutableAnnotations();
+
   std::string name_;
   std::vector<std::string> columns_;
   std::vector<Column> cols_;
-  std::vector<ProvExprPtr> annotations_;
+  std::shared_ptr<AnnotationBlock> annotations_;
   int64_t num_rows_ = 0;
 };
 

@@ -1,6 +1,7 @@
 #include "xai/relational/columnar_ops.h"
 
 #include <cstring>
+#include <memory>
 #include <unordered_map>
 #include <utility>
 
@@ -109,26 +110,26 @@ KeyedGroups BuildGroups(const ColumnarRelation& rel,
   return g;
 }
 
-/// Per-group row annotations in row order, summed with PlusAll — the
-/// provenance rule both distinct projection and group-by share.
-std::vector<ProvExprPtr> GroupAnnotations(const ColumnarRelation& rel,
-                                          const KeyedGroups& g) {
+/// Per-group sums of the row annotations in row order — the provenance
+/// rule distinct projection and group-by share — installed as `out`'s side
+/// array. One arena holds every group's sum node and a single child array
+/// in which each group's terms are one contiguous slice; it pins the
+/// input's side array, which keeps every term alive.
+void SetGroupAnnotations(const ColumnarRelation& rel, const KeyedGroups& g,
+                         ColumnarRelation* out) {
   const int64_t ng = g.num_groups();
-  std::vector<std::vector<ProvExprPtr>> per_group(ng);
+  const int64_t n = rel.num_rows();
+  auto arena = std::make_shared<ProvArena>(ng, n);
+  arena->Pin(rel.annotation_block());
+  std::vector<const ProvExpr**> terms(ng), cursor(ng);
   for (int64_t gi = 0; gi < ng; ++gi)
-    per_group[gi].reserve(g.group_size[gi]);
-  for (int64_t i = 0; i < rel.num_rows(); ++i)
-    per_group[g.group_of_row[i]].push_back(rel.annotation(i));
-  // Each group's sum tree is independent of every other group's, so the
-  // PlusAll reductions run in parallel: the trees built are identical at
-  // any thread count (the bit-identity contract), and concurrent refcount
-  // traffic on subtrees shared across groups is atomic.
-  std::vector<ProvExprPtr> out(ng);
-  ParallelFor(ng, /*grain=*/64, [&](int64_t begin, int64_t end, int64_t) {
-    for (int64_t gi = begin; gi < end; ++gi)
-      out[gi] = ProvExpr::PlusAll(std::move(per_group[gi]));
-  });
-  return out;
+    terms[gi] = cursor[gi] = arena->TermSlots(g.group_size[gi]);
+  for (int64_t i = 0; i < n; ++i)
+    *cursor[g.group_of_row[i]]++ = rel.annotation_node(i);
+  std::vector<const ProvExpr*> sums(ng);
+  for (int64_t gi = 0; gi < ng; ++gi)
+    sums[gi] = arena->Sum(terms[gi], g.group_size[gi]);
+  out->SetAnnotations(std::move(sums), {std::move(arena)});
 }
 
 /// Value::operator== between two cells of (possibly different) columns.
@@ -186,14 +187,14 @@ xai::Result<ColumnarRelation> Project(const ColumnarRelation& input,
   if (!distinct) {
     for (size_t k = 0; k < columns.size(); ++k)
       out.SetColumn(static_cast<int>(k), input.column(columns[k]));
-    out.SetAnnotations(input.annotations());
+    out.ShareAnnotations(input);
     return out;
   }
   const KeyedGroups g = BuildGroups(input, columns);
   for (size_t k = 0; k < columns.size(); ++k)
     out.SetColumn(static_cast<int>(k),
                   input.column(columns[k]).Gather(g.first_row));
-  out.SetAnnotations(GroupAnnotations(input, g));
+  SetGroupAnnotations(input, g, &out);
   return out;
 }
 
@@ -298,12 +299,21 @@ xai::Result<ColumnarRelation> EquiJoin(const ColumnarRelation& a,
     out.SetColumn(c, a.column(c).Gather(arows));
   for (int c = 0; c < b.num_columns(); ++c)
     out.SetColumn(a.num_columns() + c, b.column(c).Gather(brows));
-  std::vector<ProvExprPtr> anns;
-  anns.reserve(total);
-  for (int64_t k = 0; k < total; ++k)
-    anns.push_back(
-        ProvExpr::Times(a.annotation(arows[k]), b.annotation(brows[k])));
-  out.SetAnnotations(std::move(anns));
+  // Every product goes into one arena sized from the match count, which
+  // pins the two inputs' side arrays instead of each product pinning its
+  // operands. Match k owns product slot k, so the blocks fill in parallel
+  // with no reference counting.
+  auto arena = std::make_shared<ProvArena>(total, 2 * total);
+  arena->Pin(a.annotation_block());
+  arena->Pin(b.annotation_block());
+  std::vector<const ProvExpr*> products(total);
+  ParallelFor(total, kBatchRows, [&](int64_t begin, int64_t end, int64_t) {
+    for (int64_t k = begin; k < end; ++k) {
+      products[k] = arena->Product(k, a.annotation_node(arows[k]),
+                                   b.annotation_node(brows[k]));
+    }
+  });
+  out.SetAnnotations(std::move(products), {std::move(arena)});
   return out;
 }
 
@@ -319,9 +329,14 @@ xai::Result<ColumnarRelation> Union(const ColumnarRelation& a,
     XAI_RETURN_NOT_OK(col.AppendColumn(b.column(c)));
     out.SetColumn(c, std::move(col));
   }
-  std::vector<ProvExprPtr> anns = a.annotations();
-  anns.insert(anns.end(), b.annotations().begin(), b.annotations().end());
-  out.SetAnnotations(std::move(anns));
+  std::vector<const ProvExpr*> rows;
+  rows.reserve(a.num_rows() + b.num_rows());
+  for (int64_t i = 0; i < a.num_rows(); ++i)
+    rows.push_back(a.annotation_node(i));
+  for (int64_t i = 0; i < b.num_rows(); ++i)
+    rows.push_back(b.annotation_node(i));
+  out.SetAnnotations(std::move(rows),
+                     {a.annotation_block(), b.annotation_block()});
   return out;
 }
 
@@ -424,7 +439,7 @@ xai::Result<ColumnarRelation> GroupByAggregate(
     XAI_RETURN_NOT_OK(s);
   }
   out.SetColumn(static_cast<int>(group_columns.size()), std::move(agg_col));
-  out.SetAnnotations(GroupAnnotations(input, g));
+  SetGroupAnnotations(input, g, &out);
   return out;
 }
 

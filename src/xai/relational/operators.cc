@@ -39,8 +39,8 @@ xai::Result<Relation> Project(const Relation& input,
     }
     return out;
   }
-  // Distinct: merge equal tuples; annotations combine with a balanced sum
-  // so huge duplicate groups cannot create deep expression chains.
+  // Distinct: merge equal tuples; annotations combine into one n-ary
+  // PlusAll node, so huge duplicate groups cannot create deep chains.
   using Merged = std::pair<Tuple, std::vector<ProvExprPtr>>;
   std::map<std::vector<std::string>, Merged> merged;
   std::vector<Merged*> order;  // Map nodes are stable; no finalize re-lookup.

@@ -1,6 +1,7 @@
 #include "xai/relational/provenance.h"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 
 #include "xai/core/check.h"
@@ -8,66 +9,140 @@
 
 namespace xai::rel {
 
+const ProvExpr ProvExpr::kZeroNode(Kind::kZero, -1, nullptr, 0);
+const ProvExpr ProvExpr::kOneNode(Kind::kOne, -1, nullptr, 0);
+
+struct ProvExpr::BaseBlock {
+  explicit BaseBlock(int id) : node(Kind::kBase, id, nullptr, 0) {}
+  ProvExpr node;
+};
+
+struct ProvExpr::BinaryBlock {
+  BinaryBlock(Kind kind, ProvExprPtr a, ProvExprPtr b)
+      : node(kind, -1, children, 2),
+        children{a.get(), b.get()},
+        pins{std::move(a), std::move(b)} {}
+  ProvExpr node;
+  const ProvExpr* children[2];
+  ProvExprPtr pins[2];
+};
+
+// Aliasing an empty owner: the handle points at the static node and owns
+// nothing, so copying it never touches a reference count.
 ProvExprPtr ProvExpr::Zero() {
-  static const ProvExprPtr kZero(new ProvExpr(Kind::kZero, -1, {}));
-  return kZero;
+  return ProvExprPtr(ProvExprPtr(), &kZeroNode);
 }
 
-ProvExprPtr ProvExpr::One() {
-  static const ProvExprPtr kOne(new ProvExpr(Kind::kOne, -1, {}));
-  return kOne;
-}
+ProvExprPtr ProvExpr::One() { return ProvExprPtr(ProvExprPtr(), &kOneNode); }
 
 ProvExprPtr ProvExpr::Base(int id) {
-  // Local shim so make_shared can reach the private constructor; fusing
-  // the control block with the node halves the allocations per variable.
-  struct Node : ProvExpr {
-    explicit Node(int id) : ProvExpr(Kind::kBase, id, {}) {}
-  };
-  return std::make_shared<const Node>(id);
+  auto block = std::make_shared<const BaseBlock>(id);
+  const ProvExpr* node = &block->node;
+  return ProvExprPtr(std::move(block), node);
 }
 
 ProvExprPtr ProvExpr::MakeBinary(Kind kind, ProvExprPtr a, ProvExprPtr b) {
-  struct Node : ProvExpr {
-    Node(Kind k, std::vector<ProvExprPtr> c) : ProvExpr(k, -1, std::move(c)) {}
-  };
-  std::vector<ProvExprPtr> children;
-  children.reserve(2);
-  children.push_back(std::move(a));
-  children.push_back(std::move(b));
-  return std::make_shared<const Node>(kind, std::move(children));
+  auto block =
+      std::make_shared<const BinaryBlock>(kind, std::move(a), std::move(b));
+  const ProvExpr* node = &block->node;
+  return ProvExprPtr(std::move(block), node);
+}
+
+const ProvExpr* ProvExpr::SimplifiedTimes(const ProvExpr* a,
+                                          const ProvExpr* b) {
+  if (a->kind_ == Kind::kZero) return a;
+  if (b->kind_ == Kind::kZero) return b;
+  if (a->kind_ == Kind::kOne) return b;
+  if (b->kind_ == Kind::kOne) return a;
+  return nullptr;
+}
+
+const ProvExpr* ProvExpr::SimplifiedSum(const ProvExpr** terms, int64_t* n) {
+  int64_t kept = 0;
+  for (int64_t i = 0; i < *n; ++i) {
+    if (terms[i]->kind_ != Kind::kZero) terms[kept++] = terms[i];
+  }
+  *n = kept;
+  if (kept == 0) return &kZeroNode;
+  if (kept == 1) return terms[0];
+  return nullptr;
 }
 
 ProvExprPtr ProvExpr::Plus(ProvExprPtr a, ProvExprPtr b) {
-  if (a->kind_ == Kind::kZero) return b;
-  if (b->kind_ == Kind::kZero) return a;
+  const ProvExpr* terms[2] = {a.get(), b.get()};
+  int64_t n = 2;
+  if (const ProvExpr* sum = SimplifiedSum(terms, &n)) {
+    if (sum == a.get()) return a;
+    if (sum == b.get()) return b;
+    return Zero();
+  }
   return MakeBinary(Kind::kPlus, std::move(a), std::move(b));
 }
 
 ProvExprPtr ProvExpr::PlusAll(std::vector<ProvExprPtr> terms) {
-  // 0 + x = x, matching the binary Plus simplification.
-  terms.erase(std::remove_if(terms.begin(), terms.end(),
-                             [](const ProvExprPtr& t) {
-                               return t->kind_ == Kind::kZero;
-                             }),
-              terms.end());
-  if (terms.empty()) return Zero();
-  if (terms.size() == 1) return std::move(terms[0]);
-  // One n-ary sum node: a single allocation regardless of the group size
-  // (the evaluators iterate children, so depth is constant), instead of
-  // n-1 binary nodes. Group-by over large relations spends its time here.
-  struct Node : ProvExpr {
-    explicit Node(std::vector<ProvExprPtr> c)
-        : ProvExpr(Kind::kPlus, -1, std::move(c)) {}
-  };
-  return std::make_shared<const Node>(std::move(terms));
+  const int64_t n = static_cast<int64_t>(terms.size());
+  auto arena = std::make_shared<ProvArena>(/*max_nodes=*/1, n);
+  const ProvExpr** slots = arena->TermSlots(n);
+  for (int64_t i = 0; i < n; ++i) slots[i] = terms[i].get();
+  const ProvExpr* sum = arena->Sum(slots, n);
+  // No new node: the sum is Zero or one of the terms, which needs no arena.
+  if (sum == &kZeroNode) return Zero();
+  for (ProvExprPtr& t : terms) {
+    if (t.get() == sum) return std::move(t);
+  }
+  for (ProvExprPtr& t : terms) arena->Pin(std::move(t));
+  return ProvExprPtr(std::move(arena), sum);
 }
 
 ProvExprPtr ProvExpr::Times(ProvExprPtr a, ProvExprPtr b) {
-  if (a->kind_ == Kind::kZero || b->kind_ == Kind::kZero) return Zero();
-  if (a->kind_ == Kind::kOne) return b;
-  if (b->kind_ == Kind::kOne) return a;
-  return MakeBinary(Kind::kTimes, std::move(a), std::move(b));
+  const ProvExpr* product = SimplifiedTimes(a.get(), b.get());
+  if (!product) return MakeBinary(Kind::kTimes, std::move(a), std::move(b));
+  return product == a.get() ? std::move(a) : std::move(b);
+}
+
+ProvArena::ProvArena(int64_t max_nodes, int64_t max_children)
+    : nodes_(new ProvExpr[max_nodes]),
+      children_(std::make_unique_for_overwrite<const ProvExpr*[]>(
+          max_children)),
+      max_nodes_(max_nodes),
+      max_children_(max_children) {}
+
+void ProvArena::Pin(std::shared_ptr<const void> input) {
+  if (!pins_.empty() && !pins_.back().owner_before(input) &&
+      !input.owner_before(pins_.back()))
+    return;
+  pins_.push_back(std::move(input));
+}
+
+const ProvExpr* ProvArena::Product(int64_t k, const ProvExpr* a,
+                                   const ProvExpr* b) {
+  XAI_CHECK(k >= 0 && k < max_nodes_ && 2 * k + 2 <= max_children_ &&
+            num_nodes_ == 0 && num_children_ == 0);
+  if (const ProvExpr* product = ProvExpr::SimplifiedTimes(a, b))
+    return product;
+  const ProvExpr** children = children_.get() + 2 * k;
+  children[0] = a;
+  children[1] = b;
+  nodes_[k] = ProvExpr(ProvExpr::Kind::kTimes, -1, children, 2);
+  return &nodes_[k];
+}
+
+const ProvExpr** ProvArena::TermSlots(int64_t n) {
+  XAI_CHECK(n >= 0 && num_children_ + n <= max_children_);
+  const ProvExpr** slots = children_.get() + num_children_;
+  num_children_ += n;
+  return slots;
+}
+
+const ProvExpr* ProvArena::Sum(const ProvExpr** terms, int64_t n) {
+  XAI_CHECK(terms >= children_.get() &&
+            terms + n <= children_.get() + num_children_);
+  if (const ProvExpr* sum = ProvExpr::SimplifiedSum(terms, &n)) return sum;
+  XAI_CHECK(num_nodes_ < max_nodes_ &&
+            n <= std::numeric_limits<uint32_t>::max());
+  ProvExpr* node = &nodes_[num_nodes_++];
+  *node = ProvExpr(ProvExpr::Kind::kPlus, -1, terms, static_cast<uint32_t>(n));
+  return node;
 }
 
 bool ProvExpr::EvalBool(const std::function<bool(int)>& present) const {
@@ -79,11 +154,11 @@ bool ProvExpr::EvalBool(const std::function<bool(int)>& present) const {
     case Kind::kBase:
       return present(base_id_);
     case Kind::kPlus:
-      for (const ProvExprPtr& c : children_)
+      for (const ProvExpr* c : children())
         if (c->EvalBool(present)) return true;
       return false;
     case Kind::kTimes:
-      for (const ProvExprPtr& c : children_)
+      for (const ProvExpr* c : children())
         if (!c->EvalBool(present)) return false;
       return true;
   }
@@ -100,12 +175,12 @@ int64_t ProvExpr::EvalCount(const std::function<int64_t(int)>& mult) const {
       return mult(base_id_);
     case Kind::kPlus: {
       int64_t sum = 0;
-      for (const ProvExprPtr& c : children_) sum += c->EvalCount(mult);
+      for (const ProvExpr* c : children()) sum += c->EvalCount(mult);
       return sum;
     }
     case Kind::kTimes: {
       int64_t product = 1;
-      for (const ProvExprPtr& c : children_) product *= c->EvalCount(mult);
+      for (const ProvExpr* c : children()) product *= c->EvalCount(mult);
       return product;
     }
   }
@@ -126,14 +201,14 @@ double ProvExpr::EvalNumeric(
       return value(base_id_);
     case Kind::kPlus: {
       double acc = children_[0]->EvalNumeric(value, plus, times, zero, one);
-      for (size_t i = 1; i < children_.size(); ++i)
+      for (size_t i = 1; i < num_children_; ++i)
         acc = plus(acc,
                    children_[i]->EvalNumeric(value, plus, times, zero, one));
       return acc;
     }
     case Kind::kTimes: {
       double acc = children_[0]->EvalNumeric(value, plus, times, zero, one);
-      for (size_t i = 1; i < children_.size(); ++i)
+      for (size_t i = 1; i < num_children_; ++i)
         acc = times(acc,
                     children_[i]->EvalNumeric(value, plus, times, zero, one));
       return acc;
@@ -150,7 +225,7 @@ std::set<int> ProvExpr::Lineage() const {
       break;
     case Kind::kPlus:
     case Kind::kTimes:
-      for (const auto& child : children_) {
+      for (const ProvExpr* child : children()) {
         std::set<int> sub = child->Lineage();
         out.insert(sub.begin(), sub.end());
       }
@@ -171,7 +246,7 @@ std::set<std::set<int>> ProvExpr::WhyProvenance() const {
       return {{base_id_}};
     case Kind::kPlus: {
       std::set<std::set<int>> out;
-      for (const ProvExprPtr& c : children_) {
+      for (const ProvExpr* c : children()) {
         std::set<std::set<int>> sub = c->WhyProvenance();
         out.insert(sub.begin(), sub.end());
       }
@@ -192,7 +267,7 @@ std::set<std::set<int>> ProvExpr::WhyProvenance() const {
     }
     case Kind::kTimes: {
       std::set<std::set<int>> out = children_[0]->WhyProvenance();
-      for (size_t i = 1; i < children_.size(); ++i) {
+      for (size_t i = 1; i < num_children_; ++i) {
         std::set<std::set<int>> rhs = children_[i]->WhyProvenance();
         std::set<std::set<int>> next;
         for (const auto& a : out) {
@@ -273,18 +348,18 @@ std::string ProvExpr::ToString(
       return render(base_id_);
     case Kind::kPlus: {
       std::string s = children_[0]->ToString(name);
-      for (size_t i = 1; i < children_.size(); ++i)
+      for (size_t i = 1; i < num_children_; ++i)
         s += " + " + children_[i]->ToString(name);
       return s;
     }
     case Kind::kTimes: {
-      auto wrap = [&](const ProvExprPtr& child) {
+      auto wrap = [&](const ProvExpr* child) {
         std::string s = child->ToString(name);
         if (child->kind_ == Kind::kPlus) return "(" + s + ")";
         return s;
       };
       std::string s = wrap(children_[0]);
-      for (size_t i = 1; i < children_.size(); ++i) s += "*" + wrap(children_[i]);
+      for (size_t i = 1; i < num_children_; ++i) s += "*" + wrap(children_[i]);
       return s;
     }
   }

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "xai/core/parallel.h"
 #include "xai/core/rng.h"
@@ -57,7 +60,8 @@ void ExpectSameRelation(const Relation& a, const Relation& b) {
 // Mixed-type relation with NULLs in every column and plenty of duplicate
 // keys: k (int64, ~10% NULL), v (double, ~10% NULL), cat (string,
 // ~10% NULL), d (double, never NULL — exercises the branch-free kernels).
-Relation RandomRelation(int n, uint64_t seed, const std::string& name = "t") {
+Relation RandomRelation(int n, uint64_t seed, const std::string& name = "t",
+                        int first_id = 0) {
   Relation r(name, {"k", "v", "cat", "d"});
   Rng rng(seed);
   for (int i = 0; i < n; ++i) {
@@ -70,7 +74,7 @@ Relation RandomRelation(int n, uint64_t seed, const std::string& name = "t") {
                     ? Value::Null()
                     : Value::Str("c" + std::to_string(rng.UniformInt(3))));
     t.push_back(Value::Double(rng.Uniform(-1.0, 1.0)));
-    EXPECT_TRUE(r.AppendBase(std::move(t), i).ok());
+    EXPECT_TRUE(r.AppendBase(std::move(t), first_id + i).ok());
   }
   return r;
 }
@@ -95,6 +99,37 @@ TEST(ColumnarRelationTest, RoundTripPreservesIntOriginInDoubleColumn) {
   EXPECT_EQ(back.tuple(0)[0].type(), Value::Type::kInt);
   EXPECT_EQ(back.tuple(1)[0].type(), Value::Type::kDouble);
   EXPECT_TRUE(back.tuple(2)[0].is_null());
+}
+
+TEST(ColumnarRelationTest, AppendAfterShareLeavesSharersIntact) {
+  // The side array is shared by copies and pinned by operator outputs;
+  // appending to one relation must not show up in any of them.
+  ColumnarRelation r = Columnar(RandomRelation(20, 19));
+  ColumnarRelation copy = r;
+  auto selected =
+      Select(r, Expr::Gt(Expr::Column(3), Expr::Const(Value::Double(-2.0))))
+          .ValueOrDie();
+  ASSERT_EQ(selected.num_rows(), 20);
+  const ProvExprPtr first = r.annotation(0);
+  ASSERT_TRUE(r.AppendBaseRow({Value::Int(1), Value::Double(0.5),
+                               Value::Str("c1"), Value::Double(0.25)},
+                              99)
+                  .ok());
+  ASSERT_TRUE(copy.AppendRow({Value::Null(), Value::Null(), Value::Null(),
+                              Value::Double(0.0)},
+                             ProvExpr::One())
+                  .ok());
+  EXPECT_EQ(r.num_rows(), 21);
+  EXPECT_EQ(copy.num_rows(), 21);
+  EXPECT_EQ(r.annotation(20)->ToString(), "t99");
+  EXPECT_EQ(copy.annotation(20)->ToString(), "1");
+  EXPECT_EQ(r.annotation_node(0), first.get());
+  EXPECT_EQ(copy.annotation_node(0), first.get());
+  ExpectSameRelation(selected.ToRows(),
+                     Select(RandomRelation(20, 19),
+                            Expr::Gt(Expr::Column(3),
+                                     Expr::Const(Value::Double(-2.0))))
+                         .ValueOrDie());
 }
 
 TEST(ColumnarRelationTest, RejectsStringNumberMix) {
@@ -450,6 +485,331 @@ TEST(SharedScanAggregateTest, DrivesNumericShapleyViaAdapter) {
   ASSERT_EQ(fast.values.size(), slow.values.size());
   for (const auto& [id, value] : fast.values)
     EXPECT_EQ(Bits(value), Bits(slow.values.at(id))) << "tuple " << id;
+}
+
+// ---- Provenance lifetime: handles outlive their pipeline ----
+
+int64_t Multiplicity(int id) { return 1 + id % 3; }
+
+// Coalition outcomes of `lineage` over its first (up to) six variables,
+// one bit per mask, through a freshly compiled program.
+uint64_t CompiledOutcomes(const ProvExprPtr& lineage) {
+  const std::set<int> vars = lineage->Lineage();
+  std::vector<int> endo(vars.begin(), vars.end());
+  if (endo.size() > 6) endo.resize(6);
+  CompiledLineage compiled = CompiledLineage::Compile(lineage, endo);
+  CompiledLineage::Scratch scratch;
+  uint64_t outcomes = 0;
+  for (uint64_t mask = 0; mask < 64; ++mask)
+    outcomes |= uint64_t{compiled.Eval(mask, &scratch)} << mask;
+  return outcomes;
+}
+
+struct LineageFacts {
+  std::string text;
+  int64_t count = 0;
+  uint64_t outcomes = 0;
+};
+
+LineageFacts FactsOf(const ProvExprPtr& lineage) {
+  return {lineage->ToString(), lineage->EvalCount(Multiplicity),
+          CompiledOutcomes(lineage)};
+}
+
+TEST(ProvenanceLifetimeTest, HandlesOutliveEveryRelationOfTheirPipeline) {
+  ProvExprPtr group_lineage, join_lineage;
+  LineageFacts group_facts, join_facts;
+  {
+    Relation a = RandomRelation(300, 81, "a");
+    Relation b = RandomRelation(200, 83, "b", /*first_id=*/1000);
+    ColumnarRelation ca = Columnar(a), cb = Columnar(b);
+    auto joined = EquiJoin(ca, cb, 0, 0).ValueOrDie();
+    auto selected =
+        Select(joined,
+               Expr::Gt(Expr::Column(3), Expr::Const(Value::Double(0.0))))
+            .ValueOrDie();
+    auto grouped =
+        GroupByAggregate(selected, {2}, AggFn::kSum, 1, "s").ValueOrDie();
+    ASSERT_GT(joined.num_rows(), 0);
+    ASSERT_GT(grouped.num_rows(), 0);
+    join_lineage = joined.annotation(joined.num_rows() / 2);
+    group_lineage = grouped.annotation(0);
+    ASSERT_EQ(join_lineage->kind(), ProvExpr::Kind::kTimes);
+    ASSERT_EQ(group_lineage->kind(), ProvExpr::Kind::kPlus);
+    join_facts = FactsOf(join_lineage);
+    group_facts = FactsOf(group_lineage);
+  }
+  // Every relation above — base rows, columnar copies, operator outputs —
+  // is gone; the handles alone keep their arenas and inputs alive.
+  const LineageFacts join_after = FactsOf(join_lineage);
+  const LineageFacts group_after = FactsOf(group_lineage);
+  EXPECT_EQ(join_after.text, join_facts.text);
+  EXPECT_EQ(join_after.count, join_facts.count);
+  EXPECT_EQ(join_after.outcomes, join_facts.outcomes);
+  EXPECT_EQ(group_after.text, group_facts.text);
+  EXPECT_EQ(group_after.count, group_facts.count);
+  EXPECT_EQ(group_after.outcomes, group_facts.outcomes);
+  // Dropping one handle leaves the other intact.
+  join_lineage.reset();
+  EXPECT_EQ(FactsOf(group_lineage).text, group_facts.text);
+}
+
+TEST(ProvenanceLifetimeTest, HandlesOfOneArenaCopiedAndDroppedInParallel) {
+  const int saved = GetNumThreads();
+  SetNumThreads(8);
+  ColumnarRelation joined =
+      EquiJoin(Columnar(RandomRelation(400, 87, "a")),
+               Columnar(RandomRelation(300, 89, "b", /*first_id=*/1000)), 0,
+               0)
+          .ValueOrDie();
+  const int64_t n = joined.num_rows();
+  ASSERT_GT(n, 0);
+  std::vector<int64_t> expected(n);
+  for (int64_t i = 0; i < n; ++i)
+    expected[i] = joined.annotation(i)->EvalCount(Multiplicity);
+
+  // Every handle of the join aliases one arena: copies from concurrent
+  // bodies share its counter, and the relation is dropped while they live.
+  std::vector<ProvExprPtr> kept(n);
+  ParallelFor(n, 16, [&](int64_t begin, int64_t end, int64_t) {
+    for (int64_t i = begin; i < end; ++i) {
+      ProvExprPtr handle = joined.annotation(i);
+      ProvExprPtr copy = handle;
+      kept[i] = std::move(copy);
+    }
+  });
+  joined = ColumnarRelation();
+  std::vector<int64_t> counts(n);
+  ParallelFor(n, 16, [&](int64_t begin, int64_t end, int64_t) {
+    for (int64_t i = begin; i < end; ++i) {
+      counts[i] = kept[i]->EvalCount(Multiplicity);
+      kept[i].reset();  // Whichever body drops last frees the arena.
+    }
+  });
+  EXPECT_EQ(counts, expected);
+  SetNumThreads(saved);
+}
+
+// ---- Generated differential test: row vs columnar engine ----
+
+enum class GenKind { kInt, kDouble, kStr };
+
+struct GenColumn {
+  GenKind kind;
+  double null_rate;
+  int domain;   // Distinct non-NULL values; small means duplicate keys.
+  int offset;   // Shifts the value domain (disjoint join keys).
+};
+
+Value GenValue(Rng& rng, const GenColumn& c) {
+  if (rng.Uniform() < c.null_rate) return Value::Null();
+  const int v = c.offset + rng.UniformInt(c.domain);
+  switch (c.kind) {
+    case GenKind::kInt:
+      return Value::Int(v);
+    case GenKind::kDouble:
+      // Half the doubles are integral, so they render like int keys.
+      return rng.Bernoulli(0.5) ? Value::Double(v)
+                                : Value::Double(v + rng.Uniform(-0.5, 0.5));
+    case GenKind::kStr:
+      return Value::Str("s" + std::to_string(v));
+  }
+  return Value::Null();
+}
+
+GenColumn RandomPayload(Rng& rng) {
+  const GenKind kind = static_cast<GenKind>(rng.UniformInt(3));
+  return {kind, rng.Uniform(0.0, 0.3), 1 + rng.UniformInt(8), 0};
+}
+
+// Column 0 is the join key; base ids start at `*next_id`. About a tenth
+// of the rows carry One() and a tenth Zero() instead of a base variable.
+Relation GenRelation(Rng& rng, const std::string& name, const GenColumn& key,
+                     int* next_id) {
+  std::vector<GenColumn> cols = {key};
+  const int payload = 1 + rng.UniformInt(3);
+  for (int c = 0; c < payload; ++c) cols.push_back(RandomPayload(rng));
+  std::vector<std::string> names;
+  for (size_t c = 0; c < cols.size(); ++c)
+    names.push_back(name + std::to_string(c));
+  Relation r(name, names);
+  const int rows = rng.Bernoulli(0.05) ? 0 : rng.UniformInt(1, 40);
+  for (int i = 0; i < rows; ++i) {
+    Tuple t;
+    for (const GenColumn& c : cols) t.push_back(GenValue(rng, c));
+    const double u = rng.Uniform();
+    if (u < 0.1) {
+      EXPECT_TRUE(r.Append(std::move(t), ProvExpr::One()).ok());
+    } else if (u < 0.2) {
+      EXPECT_TRUE(r.Append(std::move(t), ProvExpr::Zero()).ok());
+    } else {
+      EXPECT_TRUE(r.AppendBase(std::move(t), (*next_id)++).ok());
+    }
+  }
+  return r;
+}
+
+ExprPtr RandomPredicate(Rng& rng, const Relation& rel) {
+  const int c = rng.UniformInt(rel.num_columns());
+  Value probe = Value::Null();
+  for (const Tuple& t : rel.tuples()) {
+    if (!t[c].is_null()) probe = t[c];
+  }
+  if (probe.type() == Value::Type::kString) {
+    ExprPtr eq = Expr::Eq(Expr::Column(c), Expr::Const(probe));
+    return rng.Bernoulli(0.5) ? eq : Expr::Not(eq);
+  }
+  const Value bound = Value::Double(rng.Uniform(-2.0, 6.0));
+  return rng.Bernoulli(0.5) ? Expr::Gt(Expr::Column(c), Expr::Const(bound))
+                            : Expr::Le(Expr::Column(c), Expr::Const(bound));
+}
+
+// The rows of `input` each output group merges, by the row engine's rule
+// (rendered keys, first-appearance order).
+std::vector<std::vector<int>> GroupRows(const Relation& input,
+                                        const std::vector<int>& cols) {
+  std::map<std::vector<std::string>, int> index;
+  std::vector<std::vector<int>> groups;
+  for (int i = 0; i < input.num_tuples(); ++i) {
+    std::vector<std::string> key;
+    for (int c : cols) key.push_back(input.tuple(i)[c].ToString());
+    auto [it, inserted] =
+        index.try_emplace(key, static_cast<int>(groups.size()));
+    if (inserted) groups.emplace_back();
+    groups[it->second].push_back(i);
+  }
+  return groups;
+}
+
+void ExpectSameCounts(const Relation& a, const Relation& b) {
+  ASSERT_EQ(a.num_tuples(), b.num_tuples());
+  for (int i = 0; i < a.num_tuples(); ++i) {
+    EXPECT_EQ(a.annotation(i)->EvalCount(Multiplicity),
+              b.annotation(i)->EvalCount(Multiplicity))
+        << "row " << i;
+  }
+}
+
+struct EdgeCases {
+  int empty_joins = 0;      // Both inputs non-empty, no match.
+  int null_key_joins = 0;   // Join outputs holding a NULL-key match.
+  int one_term_sums = 0;    // Groups whose sum is a single term.
+  int zero_dropped = 0;     // ... of which some Zero terms dropped out.
+  int unit_products = 0;    // Join rows whose product was simplified.
+};
+
+TEST(GeneratedDifferentialTest, RowAndColumnarPipelinesAgree) {
+  const int saved = GetNumThreads();
+  EdgeCases seen;
+  for (uint64_t seed = 1; seed <= 120; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed * 7919);
+    // Join keys: int/int, string/string or int/double (rendering
+    // collisions), with NULLs and duplicates; a few cases shift one side's
+    // domain and drop its NULLs so nothing can match.
+    const int pair = rng.UniformInt(3);
+    const GenKind ka = pair == 1 ? GenKind::kStr : GenKind::kInt;
+    const GenKind kb = pair == 0   ? GenKind::kInt
+                       : pair == 1 ? GenKind::kStr
+                                   : GenKind::kDouble;
+    const bool disjoint = rng.Bernoulli(0.15);
+    const int domain = 1 + rng.UniformInt(6);
+    const GenColumn key_a{ka, disjoint ? 0.0 : rng.Uniform(0.0, 0.3), domain,
+                          0};
+    const GenColumn key_b{kb, disjoint ? 0.0 : rng.Uniform(0.0, 0.3), domain,
+                          disjoint ? 100 : 0};
+    int next_id = 0;
+    const Relation a = GenRelation(rng, "a", key_a, &next_id);
+    const Relation b = GenRelation(rng, "b", key_b, &next_id);
+
+    const Relation row_join = EquiJoin(a, b, 0, 0).ValueOrDie();
+    const ExprPtr pred = RandomPredicate(rng, row_join);
+    const Relation row_sel = Select(row_join, pred).ValueOrDie();
+    const bool group_by = rng.Bernoulli(0.5);
+    std::vector<int> cols;
+    for (int c = 0; c < row_sel.num_columns(); ++c) {
+      if (rng.Bernoulli(0.3)) cols.push_back(c);
+    }
+    if (!group_by && cols.empty()) cols.push_back(0);
+    const AggFn fn = static_cast<AggFn>(rng.UniformInt(5));
+    int agg_col = -1;
+    for (int c = row_sel.num_columns() - 1; c >= 0 && fn != AggFn::kCount;
+         --c) {
+      bool numeric = true;
+      for (const Tuple& t : row_sel.tuples())
+        numeric &= t[c].type() != Value::Type::kString;
+      if (numeric) agg_col = c;
+    }
+    const AggFn used = agg_col < 0 ? AggFn::kCount : fn;
+    auto run_row = [&](const Relation& in) {
+      return group_by ? GroupByAggregate(in, cols, used, agg_col, "agg")
+                      : Project(in, cols, /*distinct=*/true);
+    };
+    const Relation row_out = run_row(row_sel).ValueOrDie();
+
+    if (a.num_tuples() > 0 && b.num_tuples() > 0 &&
+        row_join.num_tuples() == 0)
+      ++seen.empty_joins;
+    for (int i = 0; i < row_join.num_tuples(); ++i) {
+      if (row_join.tuple(i)[0].is_null()) {
+        ++seen.null_key_joins;
+        break;
+      }
+    }
+
+    const ColumnarRelation ca = Columnar(a), cb = Columnar(b);
+    for (int threads : {1, 4, 8}) {
+      SetNumThreads(threads);
+      auto col_join = EquiJoin(ca, cb, 0, 0).ValueOrDie();
+      auto col_sel = Select(col_join, pred).ValueOrDie();
+      auto col_out = (group_by ? GroupByAggregate(col_sel, cols, used,
+                                                  agg_col, "agg")
+                               : Project(col_sel, cols, true))
+                         .ValueOrDie();
+      for (const auto& [row, col] :
+           {std::pair{&row_join, &col_join}, std::pair{&row_sel, &col_sel},
+            std::pair{&row_out, &col_out}}) {
+        const Relation back = col->ToRows();
+        ExpectSameRelation(back, *row);
+        ExpectSameCounts(back, *row);
+      }
+      // A product with a One or Zero factor is that factor's partner or
+      // Zero itself, not a new node, in both engines.
+      for (int64_t i = 0; i < col_join.num_rows(); ++i) {
+        if (col_join.annotation_node(i)->kind() != ProvExpr::Kind::kTimes) {
+          if (threads == 1) ++seen.unit_products;
+        }
+      }
+      // A group whose sum keeps one term is that term's node in both
+      // engines: same pointer, no new node.
+      const auto groups = GroupRows(row_sel, cols);
+      ASSERT_EQ(static_cast<int64_t>(groups.size()), col_out.num_rows());
+      for (size_t g = 0; g < groups.size(); ++g) {
+        int kept = 0, last = -1;
+        for (int r : groups[g]) {
+          if (row_sel.annotation(r)->kind() != ProvExpr::Kind::kZero) {
+            ++kept;
+            last = r;
+          }
+        }
+        if (kept != 1) continue;
+        EXPECT_EQ(col_out.annotation_node(static_cast<int64_t>(g)),
+                  col_sel.annotation_node(last));
+        EXPECT_EQ(row_out.annotation(static_cast<int>(g)).get(),
+                  row_sel.annotation(last).get());
+        if (threads == 1) {
+          ++seen.one_term_sums;
+          if (groups[g].size() > 1) ++seen.zero_dropped;
+        }
+      }
+    }
+  }
+  SetNumThreads(saved);
+  EXPECT_GT(seen.empty_joins, 0);
+  EXPECT_GT(seen.null_key_joins, 0);
+  EXPECT_GT(seen.one_term_sums, 0);
+  EXPECT_GT(seen.zero_dropped, 0);
+  EXPECT_GT(seen.unit_products, 0);
 }
 
 }  // namespace

@@ -63,9 +63,8 @@ TEST(CsvTest, HugeFieldHandled) {
 }
 
 TEST(ProvenanceScaleTest, MillionTupleAggregateDoesNotOverflowStack) {
-  // A group-by over 1M tuples used to create a 1M-deep Plus chain; the
-  // balanced PlusAll keeps the depth logarithmic, so evaluation recursion
-  // is safe.
+  // A group-by over 1M tuples sums 1M terms; PlusAll builds one n-ary
+  // node of depth 1, so evaluation recursion cannot overflow the stack.
   std::vector<rel::ProvExprPtr> terms;
   const int kN = 1000000;
   terms.reserve(kN);
