@@ -9,16 +9,6 @@ namespace xai {
 namespace serve {
 namespace async {
 
-namespace {
-
-/// Mirrors ExplainServer's tenant normalization: SLO and admission cells
-/// must agree on the key for unlabeled traffic.
-std::string TenantKey(const std::string& tenant) {
-  return tenant.empty() ? "default" : tenant;
-}
-
-}  // namespace
-
 AsyncFrontEnd::AsyncFrontEnd(ExplainServer* server, const Config& config)
     : server_(server),
       config_(config),
@@ -118,6 +108,41 @@ Status AsyncFrontEnd::CloseSession(uint64_t session_id) {
   return sessions_.CloseSession(session_id);
 }
 
+template <typename Reply>
+void AsyncFrontEnd::RunStateless(ExplainRequest request,
+                                 ExplainServer::AsyncHints hints,
+                                 const Reply& reply) {
+  const std::string tenant = TenantOf(request.tenant);
+  const std::string model = request.model;
+  const ExplainerKind kind = request.kind;
+  const FidelityTier fidelity = request.fidelity;
+  const uint64_t trace_id = request.trace.trace_id;
+  Status submitted =
+      server_->ExplainAsync(std::move(request), reply, std::move(hints));
+  if (!submitted.ok()) {
+    // `reply` never ran. A full batcher queue is a shed like any other —
+    // record and charge it; other codes (NotFound, InvalidArgument,
+    // OutOfRange) are the client's error to see.
+    if (submitted.code() == StatusCode::kOverloaded) {
+      RecordShed(tenant, model, kind, fidelity, trace_id);
+    }
+    reply(submitted);
+  }
+}
+
+template <typename Reply>
+void AsyncFrontEnd::RunSessionTurn(uint64_t session_id,
+                                   const Result<ExplainRequest>& request,
+                                   const Reply& reply) {
+  if (!request.ok()) {
+    reply(request.status());
+    return;
+  }
+  const int64_t now_ns = clock_->NowNanos();
+  sessions_.ExpireIdle(now_ns);
+  reply(sessions_.Explain(session_id, request.ValueUnsafe(), now_ns));
+}
+
 FrameFuture AsyncFrontEnd::SubmitWire(std::string frame) {
   // Header decode and admission on the submitting thread: a malformed or
   // shed request never costs a loop hop (and never decodes its instance).
@@ -126,7 +151,7 @@ FrameFuture AsyncFrontEnd::SubmitWire(std::string frame) {
     return FrameFuture::Ready(EncodeError(header_or.status(), 0));
   }
   WireRequestHeader header = std::move(header_or).ValueUnsafe();
-  const std::string tenant = TenantKey(header.tenant);
+  const std::string tenant = TenantOf(header.tenant);
 
   Status admitted = AdmitOrShed(tenant, header.model, header.kind,
                                 header.fidelity, header.trace_id);
@@ -136,105 +161,51 @@ FrameFuture AsyncFrontEnd::SubmitWire(std::string frame) {
 
   FramePromise promise;
   FrameFuture future = promise.GetFuture();
+  const uint64_t trace_id = header.trace_id;
+  auto reply = [this, tenant, promise = std::move(promise),
+                trace_id](Result<ExplainResponse> result) {
+    std::string out = result.ok() ? EncodeResponse(result.ValueUnsafe())
+                                  : EncodeError(result.status(), trace_id);
+    Complete(tenant);
+    promise.Set(std::move(out));
+  };
   auto shared = std::make_shared<const std::string>(std::move(frame));
-  EventLoop* lane = header.session_id != 0 ? session_lane_.get() : loop_.get();
-  const bool session_turn = header.session_id != 0;
-  Status posted = lane->Post(
-      [this, shared, header, promise, session_turn]() mutable {
-        if (session_turn) {
-          RunSessionTurn(shared, std::move(header), std::move(promise));
-        } else {
-          RunStateless(shared, std::move(header), std::move(promise));
-        }
-      });
+  Status posted =
+      header.session_id != 0
+          ? session_lane_->Post([this, shared, header = std::move(header),
+                                 reply = std::move(reply)] {
+              // Session turns consult per-session state keyed on the
+              // instance, so the payload is materialized (and
+              // integrity-checked) up front.
+              RunSessionTurn(header.session_id,
+                             DecodeRequestBody(*shared, header), reply);
+            })
+          : loop_->Post([this, shared, header = std::move(header),
+                         reply = std::move(reply)] {
+              // The instance stays encoded until the server proves it
+              // needs the bytes (cache miss).
+              ExplainServer::AsyncHints hints;
+              hints.instance_hash = header.instance_hash;
+              hints.deferred_count =
+                  static_cast<int64_t>(header.instance_count);
+              hints.materialize = [shared, header](Vector* out) -> Status {
+                XAI_ASSIGN_OR_RETURN(ExplainRequest decoded,
+                                     DecodeRequestBody(*shared, header));
+                *out = std::move(decoded.instance);
+                return Status::OK();
+              };
+              RunStateless(RequestFromHeader(header), std::move(hints), reply);
+            });
   if (!posted.ok()) {
     Complete(tenant);
-    return FrameFuture::Ready(EncodeError(posted, header.trace_id));
+    return FrameFuture::Ready(EncodeError(posted, trace_id));
   }
   return future;
 }
 
-void AsyncFrontEnd::RunStateless(std::shared_ptr<const std::string> frame,
-                                 WireRequestHeader header,
-                                 FramePromise promise) {
-  const std::string tenant = TenantKey(header.tenant);
-  const uint64_t trace_id = header.trace_id;
-
-  // Request skeleton from the header alone — the instance stays encoded
-  // until the server proves it needs the bytes (cache miss).
-  ExplainRequest request;
-  request.model = header.model;
-  request.kind = header.kind;
-  request.fidelity = header.fidelity;
-  request.deadline_ms = header.deadline_ms;
-  request.seed = header.seed;
-  request.allow_degradation = header.allow_degradation;
-  request.use_cache = header.use_cache;
-  request.desired_class = header.desired_class;
-  request.tenant = header.tenant;
-  request.trace.trace_id = header.trace_id;
-
-  ExplainServer::AsyncHints hints;
-  hints.instance_hash = header.instance_hash;
-  hints.deferred_count = static_cast<int64_t>(header.instance_count);
-  hints.materialize = [frame, header](Vector* out) -> Status {
-    auto decoded = DecodeRequestBody(*frame, header);
-    XAI_RETURN_NOT_OK(decoded.status());
-    *out = std::move(decoded.ValueUnsafe().instance);
-    return Status::OK();
-  };
-
-  const ExplainerKind kind = header.kind;
-  const FidelityTier fidelity = header.fidelity;
-  const std::string model = header.model;
-  Status submitted = server_->ExplainAsync(
-      std::move(request),
-      [this, promise, tenant, trace_id](Result<ExplainResponse> result) {
-        std::string out = result.ok()
-                              ? EncodeResponse(result.ValueUnsafe())
-                              : EncodeError(result.status(), trace_id);
-        Complete(tenant);
-        promise.Set(std::move(out));
-      },
-      std::move(hints));
-  if (!submitted.ok()) {
-    // `done` never ran. A full batcher queue is a shed like any other —
-    // record and charge it; other codes (NotFound, InvalidArgument,
-    // OutOfRange) are the client's error to see.
-    if (submitted.code() == StatusCode::kOverloaded) {
-      RecordShed(tenant, model, kind, fidelity, trace_id);
-    }
-    Complete(tenant);
-    promise.Set(EncodeError(submitted, trace_id));
-  }
-}
-
-void AsyncFrontEnd::RunSessionTurn(std::shared_ptr<const std::string> frame,
-                                   WireRequestHeader header,
-                                   FramePromise promise) {
-  const std::string tenant = TenantKey(header.tenant);
-  // Session turns consult per-session state keyed on the instance, so the
-  // payload is materialized (and integrity-checked) up front.
-  Result<ExplainRequest> request_or = DecodeRequestBody(*frame, header);
-  if (!request_or.ok()) {
-    Complete(tenant);
-    promise.Set(EncodeError(request_or.status(), header.trace_id));
-    return;
-  }
-  const int64_t now_ns = clock_->NowNanos();
-  sessions_.ExpireIdle(now_ns);
-  Result<ExplainResponse> result = sessions_.Explain(
-      header.session_id, request_or.ValueUnsafe(), now_ns);
-  std::string out = result.ok()
-                        ? EncodeResponse(result.ValueUnsafe())
-                        : EncodeError(result.status(), header.trace_id);
-  Complete(tenant);
-  promise.Set(std::move(out));
-}
-
 ResponseFuture AsyncFrontEnd::Submit(ExplainRequest request,
                                      uint64_t session_id) {
-  const std::string tenant = TenantKey(request.tenant);
+  const std::string tenant = TenantOf(request.tenant);
   Status admitted = AdmitOrShed(tenant, request.model, request.kind,
                                 request.fidelity, request.trace.trace_id);
   if (!admitted.ok()) {
@@ -243,43 +214,22 @@ ResponseFuture AsyncFrontEnd::Submit(ExplainRequest request,
 
   ResponsePromise promise;
   ResponseFuture future = promise.GetFuture();
-
-  if (session_id != 0) {
-    Status posted = session_lane_->Post([this, request, session_id, promise,
-                                         tenant]() mutable {
-      const int64_t now_ns = clock_->NowNanos();
-      sessions_.ExpireIdle(now_ns);
-      Result<ExplainResponse> result =
-          sessions_.Explain(session_id, request, now_ns);
-      Complete(tenant);
-      promise.Set(std::move(result));
-    });
-    if (!posted.ok()) {
-      Complete(tenant);
-      return ResponseFuture::Ready(Result<ExplainResponse>(posted));
-    }
-    return future;
-  }
-
-  Status posted = loop_->Post([this, request, promise, tenant]() mutable {
-    const ExplainerKind kind = request.kind;
-    const FidelityTier fidelity = request.fidelity;
-    const uint64_t trace_id = request.trace.trace_id;
-    const std::string model = request.model;
-    Status submitted = server_->ExplainAsync(
-        std::move(request),
-        [this, promise, tenant](Result<ExplainResponse> result) {
-          Complete(tenant);
-          promise.Set(std::move(result));
-        });
-    if (!submitted.ok()) {
-      if (submitted.code() == StatusCode::kOverloaded) {
-        RecordShed(tenant, model, kind, fidelity, trace_id);
-      }
-      Complete(tenant);
-      promise.Set(Result<ExplainResponse>(submitted));
-    }
-  });
+  auto reply = [this, tenant,
+                promise = std::move(promise)](Result<ExplainResponse> result) {
+    Complete(tenant);
+    promise.Set(std::move(result));
+  };
+  Status posted =
+      session_id != 0
+          ? session_lane_->Post([this, session_id, request = std::move(request),
+                                 reply = std::move(reply)]() mutable {
+              RunSessionTurn(session_id, std::move(request), reply);
+            })
+          : loop_->Post([this, request = std::move(request),
+                         reply = std::move(reply)]() mutable {
+              RunStateless(std::move(request), ExplainServer::AsyncHints(),
+                           reply);
+            });
   if (!posted.ok()) {
     Complete(tenant);
     return ResponseFuture::Ready(Result<ExplainResponse>(posted));

@@ -118,12 +118,23 @@ class AsyncFrontEnd {
   /// admitted request. Called exactly once per admitted request, on
   /// whatever thread delivers its response or error.
   void Complete(const std::string& tenant);
+
+  // The two runners serve both entry points, which differ only in `reply`,
+  // a copyable callable taking Result<ExplainResponse>: it calls Complete()
+  // and delivers a frame (SubmitWire) or the result (Submit). Each runner
+  // calls it exactly once, now or later. (Templates, so a reply is
+  // type-erased only where the server takes it.)
+
   /// Stateless execution on the control loop (cache probe -> batcher).
-  void RunStateless(std::shared_ptr<const std::string> frame,
-                    WireRequestHeader header, FramePromise promise);
-  /// One dialogue turn on the session lane.
-  void RunSessionTurn(std::shared_ptr<const std::string> frame,
-                      WireRequestHeader header, FramePromise promise);
+  template <typename Reply>
+  void RunStateless(ExplainRequest request, ExplainServer::AsyncHints hints,
+                    const Reply& reply);
+  /// One dialogue turn on the session lane; `request` carries the body
+  /// decode's error, if any.
+  template <typename Reply>
+  void RunSessionTurn(uint64_t session_id,
+                      const Result<ExplainRequest>& request,
+                      const Reply& reply);
 
   ExplainServer* const server_;
   const Config config_;

@@ -1,19 +1,15 @@
 #include "xai/serve/async/session.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <utility>
 
 #include "xai/core/check.h"
 #include "xai/core/rng.h"
-#include "xai/core/simd.h"
 #include "xai/core/telemetry.h"
+#include "xai/core/timer.h"
 #include "xai/explain/counterfactual/counterfactual.h"
 #include "xai/explain/counterfactual/dice.h"
-#include "xai/explain/shapley/exact_shapley.h"
-#include "xai/explain/shapley/kernel_shap.h"
-#include "xai/explain/shapley/sampling_shapley.h"
 #include "xai/explain/shapley/value_function.h"
 #include "xai/model/serialization.h"
 
@@ -21,25 +17,6 @@ namespace xai {
 namespace serve {
 namespace async {
 namespace {
-
-double ElapsedMs(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-std::vector<std::string> FeatureNames(const Dataset& background) {
-  std::vector<std::string> names;
-  names.reserve(background.schema().features.size());
-  for (const auto& feature : background.schema().features)
-    names.push_back(feature.name);
-  return names;
-}
-
-const std::string& TenantOf(const ExplainRequest& request) {
-  static const std::string kDefault = "default";
-  return request.tenant.empty() ? kDefault : request.tenant;
-}
 
 /// \brief Cross-instance coalition memo around any CoalitionGame.
 ///
@@ -120,50 +97,6 @@ class SessionMemoGame : public CoalitionGame {
   int64_t* misses_;
 };
 
-/// Same (key, config) identity the server's cache uses, mixed to one word
-/// for the session's exact-repeat response memo.
-uint64_t ResponseMemoKey(const ExplainRequest& request,
-                         const ModelEntry& entry, FidelityTier tier) {
-  const uint64_t fields[] = {
-      entry.fingerprint,
-      ContentHash64(request.instance),
-      static_cast<uint64_t>(request.kind),
-      static_cast<uint64_t>(tier),
-      request.seed,
-      entry.background_fingerprint,
-      static_cast<uint64_t>(static_cast<int64_t>(request.desired_class)),
-  };
-  return ContentHash64(fields, sizeof(fields));
-}
-
-void StampProvenance(const ExplainRequest& request, const TierPlan& plan,
-                     bool degraded, ExplainResponse* response) {
-  ExplanationProvenance& prov = response->provenance;
-  prov.trace_id = request.trace.trace_id;
-  prov.root_span_id = request.trace.span_id;
-  prov.tenant = TenantOf(request);
-  prov.model = request.model;
-  prov.kind = ExplainerKindName(request.kind);
-  prov.requested_tier = FidelityTierName(request.fidelity);
-  prov.served_tier = FidelityTierName(plan.tier);
-  prov.algorithm = ExplainerKindName(plan.algorithm);
-  prov.degraded = degraded;
-  prov.planned_evals = plan.planned_evals;
-  prov.simd_backend = simd::BackendName(simd::Active());
-  prov.batch_size = 1;
-}
-
-void FinalizeTiming(const ExplainRequest& request,
-                    std::chrono::steady_clock::time_point start,
-                    ExplainResponse* response) {
-  response->latency_ms = ElapsedMs(start);
-  response->deadline_met = request.deadline_ms <= 0.0 ||
-                           response->latency_ms <= request.deadline_ms;
-  response->provenance.total_ms = response->latency_ms;
-  response->provenance.deadline_met = response->deadline_met;
-  response->provenance.complete = true;
-}
-
 }  // namespace
 
 SessionManager::SessionManager(ExplainServer* server, const Config& config)
@@ -238,40 +171,17 @@ Result<ExplainResponse> SessionManager::Explain(
   }
   Session* session = session_ref.get();
 
-  auto entry = server_->registry().Find(request.model);
-  if (entry == nullptr)
-    return Status::NotFound("no registered model named " + request.model);
-  const int num_features = entry->num_features();
-  if (static_cast<int>(request.instance.size()) != num_features)
-    return Status::InvalidArgument(
-        "instance has " + std::to_string(request.instance.size()) +
-        " features; model " + request.model + " expects " +
-        std::to_string(num_features));
-
-  const DegradationPolicy& policy = server_->policy();
-  const int background_rows = entry->background->num_rows();
-  const int64_t tree_nodes =
-      entry->flat != nullptr ? entry->flat->num_nodes() : 0;
-  const TierPlan plan =
-      policy.Choose(request.kind, request.fidelity, num_features,
-                    background_rows, request.deadline_ms, tree_nodes);
-  const FidelityTier reference =
-      policy
-          .Choose(request.kind, request.fidelity, num_features,
-                  background_rows, /*deadline_ms=*/0.0, tree_nodes)
-          .tier;
-  const bool degraded = plan.tier != reference;
-  if (degraded && !request.allow_degradation)
-    return Status::OutOfRange(
-        "deadline of " + std::to_string(request.deadline_ms) +
-        " ms cannot fund tier " + FidelityTierName(reference) +
-        " and the request forbids degradation");
+  // The stateless pipeline's admission (registry, schema, tier, key), but
+  // no trace id and no accounting: a turn the session answers itself
+  // records no SLO entry or root span.
+  BatchJob job;
+  job.request = request;
+  XAI_RETURN_NOT_OK(server_->Admit(&job, /*hints=*/nullptr));
 
   // Exact repeat within the dialogue: answer from the session's own
   // response memo (the global cache is deliberately not consulted).
-  const uint64_t memo_key = ResponseMemoKey(request, *entry, plan.tier);
   if (request.use_cache) {
-    auto it = session->responses.find(memo_key);
+    auto it = session->responses.find(job.key);
     if (it != session->responses.end()) {
       ExplainResponse response = *it->second;
       response.cache_hit = true;
@@ -284,16 +194,16 @@ Result<ExplainResponse> SessionManager::Explain(
     }
   }
 
+  const int64_t start_ns = MonotonicNanos();
   Result<ExplainResponse> result = Status::Internal("unreachable");
-  switch (plan.algorithm) {
+  switch (job.plan.algorithm) {
     case ExplainerKind::kKernelShap:
     case ExplainerKind::kSamplingShapley:
     case ExplainerKind::kExactShapley:
-      result = ExplainShapley(session, request, plan, degraded, *entry);
+      result = ExplainShapley(session, job);
       break;
     case ExplainerKind::kCounterfactual:
-      result = ExplainCounterfactual(session, request, plan, degraded,
-                                     *entry);
+      result = ExplainCounterfactual(session, job);
       break;
     default:
       // TreeSHAP / LIME / Anchors have no cross-turn state worth keeping;
@@ -303,26 +213,21 @@ Result<ExplainResponse> SessionManager::Explain(
   if (!result.ok()) return result.status();
 
   ExplainResponse response = std::move(result).ValueOrDie();
+  ExplainServer::FinalizeTiming(request, MonotonicNanos() - start_ns,
+                                &response);
+  // The turn ran inline: its compute time is its whole latency.
+  response.provenance.compute_ms = response.latency_ms;
   if (request.use_cache)
     session->responses.emplace(
-        memo_key, std::make_shared<const ExplainResponse>(response));
+        job.key, std::make_shared<const ExplainResponse>(response));
   return response;
 }
 
-Result<ExplainResponse> SessionManager::ExplainShapley(
-    Session* session, const ExplainRequest& request, const TierPlan& plan,
-    bool degraded, const ModelEntry& entry) {
-  const auto start = std::chrono::steady_clock::now();
-  ExplainResponse response;
-  response.kind = request.kind;
-  response.served_tier = plan.tier;
-  response.degraded = degraded;
-  response.model_fingerprint = entry.fingerprint;
-  response.planned_evals = plan.planned_evals;
-  StampProvenance(request, plan, degraded, &response);
-
-  const PredictFn predict = AsPredictFn(*entry.model);
-  const int64_t background_rows = entry.background->num_rows();
+Result<ExplainResponse> SessionManager::ExplainShapley(Session* session,
+                                                       const BatchJob& job) {
+  const ExplainRequest& request = job.request;
+  const ModelEntry& entry = *job.entry;
+  ExplainResponse response = ExplainServer::NewResponse(job);
   MarginalFeatureGame inner(*entry.model, request.instance,
                             entry.background->x());
   SessionMemoGame game(&inner, entry.fingerprint,
@@ -330,54 +235,19 @@ Result<ExplainResponse> SessionManager::ExplainShapley(
                        &session->memo, &session->memo_mu,
                        config_.max_memo_entries, &session->memo_hits,
                        &session->memo_misses);
-  Rng rng(request.seed);
-
-  switch (plan.algorithm) {
-    case ExplainerKind::kExactShapley: {
-      XAI_ASSIGN_OR_RETURN(Vector values, ExactShapley(game));
-      response.attribution.attributions = std::move(values);
-      response.attribution.base_value = game.Value(0);
-      response.attribution.prediction = predict(request.instance);
-      response.attribution.feature_names = FeatureNames(*entry.background);
-      break;
-    }
-    case ExplainerKind::kKernelShap: {
-      XAI_ASSIGN_OR_RETURN(response.attribution,
-                           KernelShap(game, plan.kernel_config, &rng));
-      break;
-    }
-    case ExplainerKind::kSamplingShapley: {
-      SamplingShapleyResult sampled =
-          SamplingShapley(game, plan.sampling_permutations, &rng);
-      response.attribution.attributions = std::move(sampled.values);
-      response.attribution.base_value = game.Value(0);
-      response.attribution.prediction = predict(request.instance);
-      response.attribution.feature_names = FeatureNames(*entry.background);
-      break;
-    }
-    default:
-      return Status::Internal("non-Shapley plan in ExplainShapley");
-  }
-
+  XAI_RETURN_NOT_OK(ExplainServer::ExplainShapley(job, game, &response));
   // Only coalitions the memo could not answer touched the model.
   response.provenance.used_evals =
-      inner.num_evaluations() * background_rows;
-  response.provenance.compute_ms = ElapsedMs(start);
-  FinalizeTiming(request, start, &response);
+      inner.num_evaluations() * entry.background->num_rows();
   return response;
 }
 
 Result<ExplainResponse> SessionManager::ExplainCounterfactual(
-    Session* session, const ExplainRequest& request, const TierPlan& plan,
-    bool degraded, const ModelEntry& entry) {
-  const auto start = std::chrono::steady_clock::now();
-  ExplainResponse response;
-  response.kind = request.kind;
-  response.served_tier = plan.tier;
-  response.degraded = degraded;
-  response.model_fingerprint = entry.fingerprint;
-  response.planned_evals = plan.planned_evals;
-  StampProvenance(request, plan, degraded, &response);
+    Session* session, const BatchJob& job) {
+  const ExplainRequest& request = job.request;
+  const ModelEntry& entry = *job.entry;
+  const TierPlan& plan = job.plan;
+  ExplainResponse response = ExplainServer::NewResponse(job);
 
   const PredictFn predict = AsPredictFn(*entry.model);
   CounterfactualEvaluator evaluator(*entry.background);
@@ -412,8 +282,6 @@ Result<ExplainResponse> SessionManager::ExplainCounterfactual(
       ++reuse_answers_;
     }
     XAI_COUNTER_INC("serve/session_reuse_answers");
-    response.provenance.compute_ms = ElapsedMs(start);
-    FinalizeTiming(request, start, &response);
     return response;
   }
 
@@ -439,8 +307,6 @@ Result<ExplainResponse> SessionManager::ExplainCounterfactual(
   }
   response.counterfactuals = std::move(dice.counterfactuals);
   response.provenance.used_evals = pool_calls + plan.planned_evals;
-  response.provenance.compute_ms = ElapsedMs(start);
-  FinalizeTiming(request, start, &response);
   return response;
 }
 

@@ -123,8 +123,9 @@ class SessionManager {
     /// Coalition memo: key -> v(S). Shared across instances (see file
     /// comment for the key construction).
     std::unordered_map<uint64_t, double> memo;
-    /// Exact-repeat response memo: CacheKey-mix -> response.
-    std::unordered_map<uint64_t, std::shared_ptr<const ExplainResponse>>
+    /// Exact-repeat response memo, keyed like the server's cache.
+    std::unordered_map<CacheKey, std::shared_ptr<const ExplainResponse>,
+                       CacheKeyHash>
         responses;
     /// Counterfactual candidates per model fingerprint.
     std::unordered_map<uint64_t, std::vector<PooledCandidate>> pool;
@@ -133,13 +134,12 @@ class SessionManager {
     int64_t memo_misses = 0;
   };
 
+  /// Turn bodies for an admitted job; SessionManager::Explain finalizes
+  /// their timing.
   Result<ExplainResponse> ExplainShapley(Session* session,
-                                         const ExplainRequest& request,
-                                         const TierPlan& plan, bool degraded,
-                                         const ModelEntry& entry);
-  Result<ExplainResponse> ExplainCounterfactual(
-      Session* session, const ExplainRequest& request, const TierPlan& plan,
-      bool degraded, const ModelEntry& entry);
+                                         const BatchJob& job);
+  Result<ExplainResponse> ExplainCounterfactual(Session* session,
+                                                const BatchJob& job);
   /// Folds a dying session's memo counters into the lifetime totals.
   /// Caller holds mu_; takes session.memo_mu for the counter reads.
   void RetireLocked(Session& session);

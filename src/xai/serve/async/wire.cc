@@ -265,10 +265,7 @@ Result<WireRequestHeader> DecodeRequestHeader(const std::string& frame) {
   return header;
 }
 
-Result<ExplainRequest> DecodeRequestBody(const std::string& frame,
-                                         const WireRequestHeader& header) {
-  if (header.instance_offset + header.instance_count * 8 > frame.size())
-    return Status::InvalidArgument("wire: truncated instance payload");
+ExplainRequest RequestFromHeader(const WireRequestHeader& header) {
   ExplainRequest request;
   request.model = header.model;
   request.tenant = header.tenant;
@@ -280,6 +277,14 @@ Result<ExplainRequest> DecodeRequestBody(const std::string& frame,
   request.deadline_ms = header.deadline_ms;
   request.seed = header.seed;
   request.trace.trace_id = header.trace_id;
+  return request;
+}
+
+Result<ExplainRequest> DecodeRequestBody(const std::string& frame,
+                                         const WireRequestHeader& header) {
+  if (header.instance_offset + header.instance_count * 8 > frame.size())
+    return Status::InvalidArgument("wire: truncated instance payload");
+  ExplainRequest request = RequestFromHeader(header);
   request.instance.resize(header.instance_count);
   const char* base = frame.data() + header.instance_offset;
   for (size_t i = 0; i < header.instance_count; ++i) {

@@ -87,6 +87,10 @@ std::string EncodeRequest(const ExplainRequest& request,
 /// materialization time).
 Result<WireRequestHeader> DecodeRequestHeader(const std::string& frame);
 
+/// The request a header describes, with its instance still encoded (left
+/// empty).
+ExplainRequest RequestFromHeader(const WireRequestHeader& header);
+
 /// Materializes the full ExplainRequest from a previously decoded header.
 /// Verifies the instance against `header.instance_hash` — the cache-miss
 /// integrity gate described in the file comment.

@@ -26,51 +26,17 @@ RequestBatcher::~RequestBatcher() {
     stopping_ = true;
   }
   work_cv_.notify_all();
-  space_cv_.notify_all();
   worker_.join();
 }
 
-Result<std::future<Result<ExplainResponse>>> RequestBatcher::Submit(
-    BatchJob job) {
-  Pending pending;
-  pending.job = std::move(job);
-  pending.promise =
-      std::make_shared<std::promise<Result<ExplainResponse>>>();
-  pending.enqueue_ns = MonotonicNanos();
-  auto future = pending.promise->get_future();
-
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (static_cast<int>(queue_.size()) >= config_.max_queue) {
-      if (!config_.block_when_full) {
-        XAI_COUNTER_INC("serve/batcher_overloaded");
-        return Status::Overloaded("serving queue full");
-      }
-      space_cv_.wait(lock, [this] {
-        return stopping_ ||
-               static_cast<int>(queue_.size()) < config_.max_queue;
-      });
-    }
-    if (stopping_) return Status::Internal("batcher is shutting down");
-    queue_.push_back(std::move(pending));
-    XAI_HISTOGRAM_RECORD("serve/queue_depth",
-                         static_cast<int64_t>(queue_.size()));
-  }
-  work_cv_.notify_one();
-  return future;
-}
-
-Status RequestBatcher::SubmitCallback(BatchJob job, Callback done) {
+Status RequestBatcher::Submit(BatchJob job, Callback done) {
   Pending pending;
   pending.job = std::move(job);
   pending.done = std::move(done);
   pending.enqueue_ns = MonotonicNanos();
 
   {
-    std::unique_lock<std::mutex> lock(mu_);
-    // Try-enqueue only: an event loop must shed here, never park. The
-    // blocking branch of Submit() is deliberately unreachable from this
-    // entry point.
+    std::lock_guard<std::mutex> lock(mu_);
     if (static_cast<int>(queue_.size()) >= config_.max_queue) {
       XAI_COUNTER_INC("serve/batcher_overloaded");
       return Status::Overloaded("serving queue full");
@@ -86,14 +52,10 @@ Status RequestBatcher::SubmitCallback(BatchJob job, Callback done) {
 
 void RequestBatcher::Deliver(Pending* pending,
                              Result<ExplainResponse> result) {
-  if (pending->done) {
-    // The callback continues the request on this worker thread: install the
-    // request's trace identity so any spans it opens stay causally linked.
-    telemetry::ScopedTraceContext scope(pending->job.request.trace);
-    pending->done(std::move(result));
-  } else {
-    pending->promise->set_value(std::move(result));
-  }
+  // The callback continues the request on this worker thread: install the
+  // request's trace identity so any spans it opens stay causally linked.
+  telemetry::ScopedTraceContext scope(pending->job.request.trace);
+  pending->done(std::move(result));
 }
 
 void RequestBatcher::Pause() {
@@ -144,7 +106,6 @@ void RequestBatcher::WorkerLoop() {
     }
     in_flight_ = true;
     lock.unlock();
-    space_cv_.notify_all();
 
     ExecuteBatch(std::move(batch));
 
@@ -153,9 +114,9 @@ void RequestBatcher::WorkerLoop() {
     if (queue_.empty()) idle_cv_.notify_all();
   }
   // Shutdown: fail whatever never ran. Move the entries out and deliver
-  // after unlocking, mirroring ExecuteBatch — Deliver runs callbacks and
-  // future continuations that may re-enter the batcher (Submit,
-  // queue_depth, Flush), which would deadlock under mu_.
+  // after unlocking, mirroring ExecuteBatch — Deliver runs callbacks that
+  // may re-enter the batcher (Submit, queue_depth, Flush), which would
+  // deadlock under mu_.
   std::vector<Pending> orphans(std::make_move_iterator(queue_.begin()),
                                std::make_move_iterator(queue_.end()));
   queue_.clear();
@@ -217,9 +178,10 @@ void RequestBatcher::ExecuteBatch(std::vector<Pending> batch) {
       info.done_ns = done_ns;
       info.batch_size = n;
       info.coalesced = leader_of[i] != i;
-      const BatchJob& leader = batch[leader_of[i]].job;
-      info.leader_trace_id = leader.request.trace.trace_id;
-      info.leader_span_id = leader.root_span_id;
+      const telemetry::TraceContext& leader =
+          batch[leader_of[i]].job.request.trace;
+      info.leader_trace_id = leader.trace_id;
+      info.leader_span_id = leader.span_id;
       on_complete_(batch[i].job, info, &result);
     }
     Deliver(&batch[i], std::move(result));

@@ -4,7 +4,6 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -32,9 +31,9 @@ struct BatchJob {
   /// server sets this from `request.use_cache`: a caller opting out of the
   /// cache also opts out of result sharing.
   bool coalescable = true;
-  /// Root span of this request's trace (assigned at admission); coalesced
-  /// followers parent-link their root to the leader's.
-  uint64_t root_span_id = 0;
+  /// When the request entered the serving pipeline (monotonic ns): its
+  /// latency and its root span (`request.trace.span_id`) start here.
+  int64_t start_ns = 0;
 };
 
 /// \brief Coalescing batch scheduler in front of the explainer executor.
@@ -47,13 +46,11 @@ struct BatchJob {
 /// inner explainer parallelism then runs inline in its chunk, so responses
 /// are bit-identical to unbatched execution at any thread count.
 ///
-/// Backpressure: the queue is bounded at `max_queue`. `Submit` either
-/// blocks until there is room (default) or fails fast with a typed
-/// Overloaded status when `block_when_full` is false. Async callers must
-/// never block an event loop on queue space, so `SubmitCallback` is always
-/// try-enqueue: it returns Overloaded immediately and the admission layer
-/// converts that into a shed (or degrade-and-retry) decision — load sheds
-/// at admission, not mid-flight.
+/// Backpressure: the queue is bounded at `max_queue` and `Submit` is
+/// try-enqueue only — a full queue returns a typed Overloaded status at
+/// once, and the caller converts it into a shed. No submitter ever parks on
+/// queue space (an event loop must not), and load sheds at admission, not
+/// mid-flight.
 ///
 /// Telemetry: serve/batches, serve/batched_requests,
 /// serve/coalesced_requests; histograms serve/batch_size,
@@ -65,9 +62,6 @@ class RequestBatcher {
     int max_batch = 8;
     /// Queue bound; admission control beyond it.
     int max_queue = 256;
-    /// Block submitters when the queue is full (false: fail fast with
-    /// Overloaded).
-    bool block_when_full = true;
   };
 
   /// Executes one unique job (the server's explainer dispatch). Called from
@@ -89,7 +83,7 @@ class RequestBatcher {
   };
 
   /// Runs on the batch worker for every job, after its result is known and
-  /// before its future resolves — the server's hook for stamping
+  /// before its callback runs — the server's hook for stamping
   /// per-request provenance (queue/batch breakdown, coalesced-onto
   /// linkage) and SLO accounting. May mutate the result. Must not call
   /// back into the batcher.
@@ -101,23 +95,17 @@ class RequestBatcher {
   /// Fails queued jobs and joins the worker.
   ~RequestBatcher();
 
-  /// Enqueues a job; the future resolves with the response (or the
-  /// executor's error). Overloaded if the queue is full and
-  /// `block_when_full` is off.
-  Result<std::future<Result<ExplainResponse>>> Submit(BatchJob job);
-
-  /// Completion-callback delivery for one job. `done` runs on the batch
-  /// worker after the completion hook, under the job's TraceContext (spans
-  /// opened inside the callback parent-link to the request's trace).
+  /// Delivers one job's result. Runs on the batch worker after the
+  /// completion hook, under the job's TraceContext (spans opened inside the
+  /// callback parent-link to the request's trace).
   using Callback = std::function<void(Result<ExplainResponse>)>;
 
-  /// Try-enqueue variant for asynchronous callers: never blocks, regardless
-  /// of `block_when_full`. Returns Overloaded when the queue is full (the
-  /// job was NOT accepted; `done` will never run) and Internal during
-  /// shutdown. On OK, `done` is guaranteed to run exactly once — with the
-  /// response, the executor's error, or an Internal status if the batcher
-  /// stops first.
-  Status SubmitCallback(BatchJob job, Callback done);
+  /// Enqueues a job; never blocks. Returns Overloaded when the queue is
+  /// full (the job was NOT accepted; `done` will never run) and Internal
+  /// during shutdown. On OK, `done` is guaranteed to run exactly once —
+  /// with the response, the executor's error, or an Internal status if the
+  /// batcher stops first.
+  Status Submit(BatchJob job, Callback done);
 
   /// Holds the worker between batches so tests can pile up concurrent
   /// submissions and observe them coalesce into one batch.
@@ -132,14 +120,11 @@ class RequestBatcher {
  private:
   struct Pending {
     BatchJob job;
-    /// Exactly one of the two delivery channels is set: a promise for
-    /// Submit(), a callback for SubmitCallback().
-    std::shared_ptr<std::promise<Result<ExplainResponse>>> promise;
     Callback done;
     int64_t enqueue_ns = 0;
   };
 
-  /// Delivers `result` through whichever channel `pending` carries.
+  /// Runs `pending`'s callback under its request's trace context.
   static void Deliver(Pending* pending, Result<ExplainResponse> result);
 
   void WorkerLoop();
@@ -150,9 +135,8 @@ class RequestBatcher {
   const Completion on_complete_;
 
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;   // Queue non-empty / stop / resume.
-  std::condition_variable space_cv_;  // Queue has room again.
-  std::condition_variable idle_cv_;   // Queue drained and worker idle.
+  std::condition_variable work_cv_;  // Queue non-empty / stop / resume.
+  std::condition_variable idle_cv_;  // Queue drained and worker idle.
   std::deque<Pending> queue_;
   bool paused_ = false;
   bool stopping_ = false;

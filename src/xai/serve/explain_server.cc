@@ -1,6 +1,7 @@
 #include "xai/serve/explain_server.h"
 
-#include <chrono>
+#include <future>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -28,41 +29,12 @@ namespace xai {
 namespace serve {
 namespace {
 
-double ElapsedMs(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
 std::vector<std::string> FeatureNames(const Dataset& background) {
   std::vector<std::string> names;
   names.reserve(background.schema().features.size());
   for (const auto& feature : background.schema().features)
     names.push_back(feature.name);
   return names;
-}
-
-const std::string& TenantOf(const ExplainRequest& request) {
-  static const std::string kDefault = "default";
-  return request.tenant.empty() ? kDefault : request.tenant;
-}
-
-/// `count_miss` is set only at the end-to-end (queue wait included) layer,
-/// so a synchronous request never counts a miss twice. Also finalizes the
-/// provenance fields that depend on total latency: every exit from the
-/// serving path funnels through here, which is what makes provenance
-/// coverage a structural property instead of a per-path checklist.
-void FinalizeTiming(const ExplainRequest& request,
-                    std::chrono::steady_clock::time_point start,
-                    ExplainResponse* response, bool count_miss) {
-  response->latency_ms = ElapsedMs(start);
-  response->deadline_met =
-      request.deadline_ms <= 0.0 || response->latency_ms <= request.deadline_ms;
-  if (count_miss && !response->deadline_met)
-    XAI_COUNTER_INC("serve/deadline_misses");
-  response->provenance.total_ms = response->latency_ms;
-  response->provenance.deadline_met = response->deadline_met;
-  response->provenance.complete = true;
 }
 
 }  // namespace
@@ -73,17 +45,14 @@ ExplainServer::ExplainServer(const Config& config)
       slo_(config.slo),
       trace_stream_seed_(
           Rng(ContentHash64("xai.serve/trace_ids") ^ config.trace_seed)
-              .NextU64()) {
-  if (config.enable_batching) {
-    batcher_ = std::make_unique<RequestBatcher>(
-        config.batcher, [this](const BatchJob& job) { return Execute(job); },
-        [this](const BatchJob& job,
-               const RequestBatcher::CompletionInfo& info,
-               Result<ExplainResponse>* result) {
-          OnBatchComplete(job, info, result);
-        });
-  }
-}
+              .NextU64()),
+      batcher_(
+          config.batcher, [this](const BatchJob& job) { return Execute(job); },
+          [this](const BatchJob& job,
+                 const RequestBatcher::CompletionInfo& info,
+                 Result<ExplainResponse>* result) {
+            Finish(job, &info, result);
+          }) {}
 
 void ExplainServer::AssignTrace(ExplainRequest* request) const {
   if (request->trace.trace_id == 0) {
@@ -101,13 +70,13 @@ void ExplainServer::AssignTrace(ExplainRequest* request) const {
   request->trace.span_id = telemetry::NextSpanId();
 }
 
-Result<BatchJob> ExplainServer::Admit(const ExplainRequest& request,
-                                      const AsyncHints* hints) const {
-  BatchJob job;
-  job.entry = registry_.Find(request.model);
-  if (job.entry == nullptr)
+Status ExplainServer::Admit(BatchJob* job, const AsyncHints* hints) const {
+  const ExplainRequest& request = job->request;
+  job->entry = registry_.Find(request.model);
+  if (job->entry == nullptr)
     return Status::NotFound("no registered model named " + request.model);
-  const int num_features = job.entry->num_features();
+  const ModelEntry& entry = *job->entry;
+  const int num_features = entry.num_features();
   // A deferred instance is schema-checked against the count its wire
   // header promised; the bytes themselves are only decoded on a cache
   // miss (and verified against the carried hash there).
@@ -121,13 +90,13 @@ Result<BatchJob> ExplainServer::Admit(const ExplainRequest& request,
         " features; model " + request.model + " expects " +
         std::to_string(num_features));
 
-  const int background_rows = job.entry->background->num_rows();
+  const int background_rows = entry.background->num_rows();
   // Tree-based snapshots carry their compiled kernel; its node count prices
   // a TreeSHAP request in eval-equivalents (ignored for other kinds).
   const int64_t tree_nodes =
-      job.entry->flat != nullptr ? job.entry->flat->num_nodes() : 0;
-  job.plan = policy_.Choose(request.kind, request.fidelity, num_features,
-                            background_rows, request.deadline_ms, tree_nodes);
+      entry.flat != nullptr ? entry.flat->num_nodes() : 0;
+  job->plan = policy_.Choose(request.kind, request.fidelity, num_features,
+                             background_rows, request.deadline_ms, tree_nodes);
   // The undegraded reference is what Choose picks with no deadline (the
   // requested tier clamped to the kind's natural top).
   const FidelityTier reference =
@@ -135,305 +104,198 @@ Result<BatchJob> ExplainServer::Admit(const ExplainRequest& request,
           .Choose(request.kind, request.fidelity, num_features,
                   background_rows, /*deadline_ms=*/0.0, tree_nodes)
           .tier;
-  job.degraded = job.plan.tier != reference;
-  if (job.degraded && !request.allow_degradation)
+  job->degraded = job->plan.tier != reference;
+  if (job->degraded && !request.allow_degradation)
     return Status::OutOfRange(
         "deadline of " + std::to_string(request.deadline_ms) +
         " ms cannot fund tier " + FidelityTierName(reference) +
         " and the request forbids degradation");
-  if (job.degraded) XAI_COUNTER_INC("serve/degraded_requests");
 
-  job.request = request;
-  job.coalescable = request.use_cache;
-  job.root_span_id = request.trace.span_id;
-  job.key.model_fingerprint = job.entry->fingerprint;
-  job.key.instance_hash = (hints != nullptr && hints->instance_hash != 0)
-                              ? hints->instance_hash
-                              : ContentHash64(request.instance);
+  job->coalescable = request.use_cache;
+  job->key.model_fingerprint = entry.fingerprint;
+  job->key.instance_hash = (hints != nullptr && hints->instance_hash != 0)
+                               ? hints->instance_hash
+                               : ContentHash64(request.instance);
   const uint64_t config_fields[] = {
       static_cast<uint64_t>(request.kind),
-      static_cast<uint64_t>(job.plan.tier),
+      static_cast<uint64_t>(job->plan.tier),
       request.seed,
-      job.entry->background_fingerprint,
+      entry.background_fingerprint,
       static_cast<uint64_t>(static_cast<int64_t>(request.desired_class)),
       // Tenant scoping: on the deferred wire path the instance_hash is
       // client-supplied and a hit is served without materializing the
       // payload, so a guessed/replayed hash must only ever reach entries
       // the same tenant produced. Cross-tenant sharing is deliberately
       // given up for that isolation.
-      ContentHash64(TenantOf(request)),
+      ContentHash64(TenantOf(request.tenant)),
   };
-  job.key.config_hash = ContentHash64(config_fields, sizeof(config_fields));
-  return job;
-}
-
-void ExplainServer::RecordCompletion(const ExplainRequest& request,
-                                     const ExplainResponse& response,
-                                     int64_t start_ns) {
-  slo_.Record(TenantOf(request), request.model, response.latency_ms,
-              response.deadline_met, response.degraded, response.cache_hit,
-              /*coalesced=*/false);
-  // Tail retention: the root span of a deadline-missed or degraded request
-  // survives any head-sampling rate.
-  telemetry::RecordRequestSpan(
-      "serve/request", request.trace, request.trace.span_id,
-      /*parent_span_id=*/0, start_ns,
-      static_cast<int64_t>(response.latency_ms * 1e6),
-      /*force_retain=*/!response.deadline_met || response.degraded);
+  job->key.config_hash = ContentHash64(config_fields, sizeof(config_fields));
+  return Status::OK();
 }
 
 Result<ExplainResponse> ExplainServer::Explain(const ExplainRequest& request) {
-  const auto start = std::chrono::steady_clock::now();
-  const int64_t start_ns = MonotonicNanos();
-  XAI_COUNTER_INC("serve/requests");
-  ExplainRequest req = request;
-  AssignTrace(&req);
-
-  Result<BatchJob> admitted = Admit(req);
-  if (!admitted.ok()) {
-    slo_.RecordError(TenantOf(req), req.model);
-    telemetry::RecordRequestSpan("serve/request_error", req.trace,
-                                 req.trace.span_id, /*parent_span_id=*/0,
-                                 start_ns, MonotonicNanos() - start_ns,
-                                 /*force_retain=*/true);
-    return admitted.status();
-  }
-  BatchJob job = std::move(admitted).ValueOrDie();
-
-  if (req.use_cache) {
-    if (auto hit = cache_.Get(job.key)) {
-      ExplainResponse response = *hit;
-      response.cache_hit = true;
-      StampCacheHit(req, job, &response);
-      FinalizeTiming(req, start, &response, /*count_miss=*/true);
-      RecordCompletion(req, response, start_ns);
-      return response;
-    }
-  }
-
-  Result<ExplainResponse> result =
-      batcher_ != nullptr
-          ? [&]() -> Result<ExplainResponse> {
-              XAI_ASSIGN_OR_RETURN(auto future,
-                                   batcher_->Submit(std::move(job)));
-              return future.get();
-            }()
-          : Execute(job);
-  if (!result.ok()) {
-    if (batcher_ == nullptr) {
-      // The batcher completion hook records errors for batched jobs;
-      // inline execution accounts for itself.
-      slo_.RecordError(TenantOf(req), req.model);
-      telemetry::RecordRequestSpan("serve/request_error", req.trace,
-                                   req.trace.span_id, /*parent_span_id=*/0,
-                                   start_ns, MonotonicNanos() - start_ns,
-                                   /*force_retain=*/true);
-    }
-    return result.status();
-  }
-
-  ExplainResponse response = std::move(result).ValueOrDie();
-  FinalizeTiming(req, start, &response, /*count_miss=*/true);
-  if (batcher_ == nullptr) RecordCompletion(req, response, start_ns);
-  return response;
-}
-
-Result<std::future<Result<ExplainResponse>>> ExplainServer::SubmitAsync(
-    const ExplainRequest& request) {
-  const auto start = std::chrono::steady_clock::now();
-  const int64_t start_ns = MonotonicNanos();
-  XAI_COUNTER_INC("serve/requests");
-  ExplainRequest req = request;
-  AssignTrace(&req);
-
-  Result<BatchJob> admitted = Admit(req);
-  if (!admitted.ok()) {
-    slo_.RecordError(TenantOf(req), req.model);
-    telemetry::RecordRequestSpan("serve/request_error", req.trace,
-                                 req.trace.span_id, /*parent_span_id=*/0,
-                                 start_ns, MonotonicNanos() - start_ns,
-                                 /*force_retain=*/true);
-    return admitted.status();
-  }
-  BatchJob job = std::move(admitted).ValueOrDie();
-
-  if (req.use_cache) {
-    if (auto hit = cache_.Get(job.key)) {
-      ExplainResponse response = *hit;
-      response.cache_hit = true;
-      StampCacheHit(req, job, &response);
-      FinalizeTiming(req, start, &response, /*count_miss=*/false);
-      RecordCompletion(req, response, start_ns);
-      std::promise<Result<ExplainResponse>> ready;
-      ready.set_value(std::move(response));
-      return ready.get_future();
-    }
-  }
-  if (batcher_ == nullptr) {
-    Result<ExplainResponse> result = Execute(job);
-    if (result.ok()) {
-      RecordCompletion(req, result.ValueOrDie(), start_ns);
-    } else {
-      slo_.RecordError(TenantOf(req), req.model);
-      telemetry::RecordRequestSpan("serve/request_error", req.trace,
-                                   req.trace.span_id, /*parent_span_id=*/0,
-                                   start_ns, MonotonicNanos() - start_ns,
-                                   /*force_retain=*/true);
-    }
-    std::promise<Result<ExplainResponse>> ready;
-    ready.set_value(std::move(result));
-    return ready.get_future();
-  }
-  return batcher_->Submit(std::move(job));
+  // Shared with the callback: it may outlive this frame's wait by the few
+  // instructions set_value takes after waking us.
+  auto delivered = std::make_shared<std::promise<Result<ExplainResponse>>>();
+  std::future<Result<ExplainResponse>> response = delivered->get_future();
+  XAI_RETURN_NOT_OK(
+      ExplainAsync(request, [delivered](Result<ExplainResponse> result) {
+        delivered->set_value(std::move(result));
+      }));
+  return response.get();
 }
 
 Status ExplainServer::ExplainAsync(ExplainRequest request,
                                    RequestBatcher::Callback done,
                                    AsyncHints hints) {
-  const auto start = std::chrono::steady_clock::now();
-  const int64_t start_ns = MonotonicNanos();
+  BatchJob job;
+  job.start_ns = MonotonicNanos();
+  job.request = std::move(request);
   XAI_COUNTER_INC("serve/requests");
-  AssignTrace(&request);
+  AssignTrace(&job.request);
 
-  Result<BatchJob> admitted = Admit(request, &hints);
-  if (!admitted.ok()) {
-    slo_.RecordError(TenantOf(request), request.model);
-    telemetry::RecordRequestSpan("serve/request_error", request.trace,
-                                 request.trace.span_id,
-                                 /*parent_span_id=*/0, start_ns,
-                                 MonotonicNanos() - start_ns,
-                                 /*force_retain=*/true);
-    return admitted.status();
-  }
-  BatchJob job = std::move(admitted).ValueOrDie();
-
-  if (request.use_cache) {
+  Status status = Admit(&job, &hints);
+  if (status.ok() && job.degraded) XAI_COUNTER_INC("serve/degraded_requests");
+  if (status.ok() && job.request.use_cache) {
     if (auto hit = cache_.Get(job.key)) {
       // The wire-format payoff: for a deferred instance this path never
       // materialized the feature vector at all.
-      ExplainResponse response = *hit;
-      response.cache_hit = true;
-      StampCacheHit(request, job, &response);
-      FinalizeTiming(request, start, &response, /*count_miss=*/false);
-      RecordCompletion(request, response, start_ns);
+      Result<ExplainResponse> response = *hit;
+      response.ValueOrDie().cache_hit = true;
+      Finish(job, /*batch=*/nullptr, &response);
       done(std::move(response));
       return Status::OK();
     }
   }
-
-  if (hints.materialize != nullptr) {
-    Status materialized = hints.materialize(&job.request.instance);
-    if (!materialized.ok()) {
-      slo_.RecordError(TenantOf(request), request.model);
-      telemetry::RecordRequestSpan("serve/request_error", request.trace,
-                                   request.trace.span_id,
-                                   /*parent_span_id=*/0, start_ns,
-                                   MonotonicNanos() - start_ns,
-                                   /*force_retain=*/true);
-      return materialized;
-    }
+  if (status.ok() && hints.materialize != nullptr)
+    status = hints.materialize(&job.request.instance);
+  if (!status.ok()) {
+    Result<ExplainResponse> failed = status;
+    Finish(job, /*batch=*/nullptr, &failed);
+    return status;
   }
-
-  if (batcher_ != nullptr)
-    // Try-enqueue only: Overloaded propagates to the caller, which sheds.
-    return batcher_->SubmitCallback(std::move(job), std::move(done));
-
-  Result<ExplainResponse> result = Execute(job);
-  if (result.ok()) {
-    RecordCompletion(request, result.ValueOrDie(), start_ns);
-  } else {
-    slo_.RecordError(TenantOf(request), request.model);
-    telemetry::RecordRequestSpan("serve/request_error", request.trace,
-                                 request.trace.span_id,
-                                 /*parent_span_id=*/0, start_ns,
-                                 MonotonicNanos() - start_ns,
-                                 /*force_retain=*/true);
-  }
-  done(std::move(result));
-  return Status::OK();
+  // Try-enqueue only: Overloaded propagates to the caller, which sheds.
+  return batcher_.Submit(std::move(job), std::move(done));
 }
 
-void ExplainServer::StampCacheHit(const ExplainRequest& request,
-                                  const BatchJob& job,
-                                  ExplainResponse* response) const {
-  // The cached payload (and its producing-execution facts: served tier,
-  // algorithm, simd backend) is shared; everything request-scoped is
-  // rewritten for *this* request. used_evals/compute are zero — a hit
-  // spends nothing.
-  ExplanationProvenance& prov = response->provenance;
-  prov.trace_id = request.trace.trace_id;
-  prov.root_span_id = request.trace.span_id;
-  prov.tenant = TenantOf(request);
-  prov.model = request.model;
-  prov.kind = ExplainerKindName(request.kind);
-  prov.requested_tier = FidelityTierName(request.fidelity);
-  prov.served_tier = FidelityTierName(job.plan.tier);
-  prov.algorithm = ExplainerKindName(job.plan.algorithm);
-  prov.degraded = job.degraded;
-  prov.cache_hit = true;
-  prov.coalesced = false;
-  prov.coalesced_onto = 0;
-  prov.planned_evals = job.plan.planned_evals;
-  prov.used_evals = 0;
-  prov.batch_size = 0;
-  prov.queue_ms = 0.0;
-  prov.compute_ms = 0.0;
-}
-
-void ExplainServer::OnBatchComplete(
-    const BatchJob& job, const RequestBatcher::CompletionInfo& info,
-    Result<ExplainResponse>* result) {
-  const ExplainRequest& req = job.request;
-  const int64_t total_ns = info.done_ns - info.enqueue_ns;
+void ExplainServer::Finish(const BatchJob& job,
+                           const RequestBatcher::CompletionInfo* batch,
+                           Result<ExplainResponse>* result) {
+  const ExplainRequest& request = job.request;
+  const std::string& tenant = TenantOf(request.tenant);
+  // A batched request is answered when its batch finishes, not when the
+  // worker reaches its bookkeeping after delivering the jobs before it.
+  const int64_t latency_ns =
+      (batch != nullptr ? batch->done_ns : MonotonicNanos()) - job.start_ns;
   if (!result->ok()) {
-    slo_.RecordError(TenantOf(req), req.model);
-    telemetry::RecordRequestSpan("serve/request_error", req.trace,
-                                 job.root_span_id, /*parent_span_id=*/0,
-                                 info.enqueue_ns, total_ns,
+    slo_.RecordError(tenant, request.model);
+    telemetry::RecordRequestSpan("serve/request_error", request.trace,
+                                 request.trace.span_id, /*parent_span_id=*/0,
+                                 job.start_ns, latency_ns,
                                  /*force_retain=*/true);
     return;
   }
 
+  // Cache hits and coalesced followers hold a copy of another request's
+  // response: re-stamp everything request-scoped (own ids, tier ask, queue
+  // timing) and link the payload back to the execution that produced it.
   ExplainResponse& response = result->ValueOrDie();
-  const double total_ms = static_cast<double>(total_ns) / 1e6;
-  response.latency_ms = total_ms;
-  response.deadline_met =
-      req.deadline_ms <= 0.0 || total_ms <= req.deadline_ms;
-
-  // Followers hold a copy of the leader's response: re-stamp everything
-  // request-scoped (their own ids, tier ask, queue timing) and link the
-  // payload back to the execution that produced it.
   ExplanationProvenance& prov = response.provenance;
-  prov.trace_id = req.trace.trace_id;
-  prov.root_span_id = job.root_span_id;
-  prov.tenant = TenantOf(req);
-  prov.model = req.model;
-  prov.kind = ExplainerKindName(req.kind);
-  prov.requested_tier = FidelityTierName(req.fidelity);
-  prov.degraded = job.degraded;
-  prov.coalesced = info.coalesced;
-  prov.coalesced_onto = info.coalesced ? info.leader_trace_id : 0;
-  if (info.coalesced) {
-    prov.used_evals = 0;     // This request ran nothing...
-    prov.compute_ms = 0.0;   // ...the leader's execution is billed once.
+  StampProvenance(job, &prov);
+  const bool coalesced = batch != nullptr && batch->coalesced;
+  prov.cache_hit = response.cache_hit;
+  prov.coalesced = coalesced;
+  prov.coalesced_onto = coalesced ? batch->leader_trace_id : 0;
+  if (batch == nullptr || coalesced) {
+    prov.used_evals = 0;    // This request ran nothing...
+    prov.compute_ms = 0.0;  // ...the producing execution is billed once.
   }
+  prov.batch_size = batch != nullptr ? batch->batch_size : 0;
   prov.queue_ms =
-      static_cast<double>(info.batch_start_ns - info.enqueue_ns) / 1e6;
-  prov.batch_size = info.batch_size;
-  prov.total_ms = total_ms;
-  prov.deadline_met = response.deadline_met;
-  prov.complete = true;
+      batch != nullptr
+          ? static_cast<double>(batch->batch_start_ns - batch->enqueue_ns) / 1e6
+          : 0.0;
+  FinalizeTiming(request, latency_ns, &response);
+  if (!response.deadline_met) XAI_COUNTER_INC("serve/deadline_misses");
 
-  slo_.Record(TenantOf(req), req.model, total_ms, response.deadline_met,
-              job.degraded, /*cache_hit=*/false, info.coalesced);
+  slo_.Record(tenant, request.model, response.latency_ms,
+              response.deadline_met, job.degraded, response.cache_hit,
+              coalesced);
   // The request root span. A coalesced follower parent-links to the
   // leader's root, so the trace shows N requests hanging off one
   // execution. Tail retention keeps every missed/degraded request.
   telemetry::RecordRequestSpan(
-      "serve/request", req.trace, job.root_span_id,
-      /*parent_span_id=*/info.coalesced ? info.leader_span_id : 0,
-      info.enqueue_ns, total_ns,
-      /*force_retain=*/!response.deadline_met || job.degraded);
+      "serve/request", request.trace, request.trace.span_id,
+      /*parent_span_id=*/coalesced ? batch->leader_span_id : 0, job.start_ns,
+      latency_ns, /*force_retain=*/!response.deadline_met || job.degraded);
+}
+
+ExplainResponse ExplainServer::NewResponse(const BatchJob& job) {
+  ExplainResponse response;
+  response.kind = job.request.kind;
+  response.served_tier = job.plan.tier;
+  response.degraded = job.degraded;
+  response.model_fingerprint = job.entry->fingerprint;
+  response.planned_evals = job.plan.planned_evals;
+  StampProvenance(job, &response.provenance);
+  response.provenance.simd_backend = simd::BackendName(simd::Active());
+  response.provenance.batch_size = 1;  // Overwritten by the funnel.
+  return response;
+}
+
+void ExplainServer::StampProvenance(const BatchJob& job,
+                                    ExplanationProvenance* prov) {
+  const ExplainRequest& request = job.request;
+  prov->trace_id = request.trace.trace_id;
+  prov->root_span_id = request.trace.span_id;
+  prov->tenant = TenantOf(request.tenant);
+  prov->model = request.model;
+  prov->kind = ExplainerKindName(request.kind);
+  prov->requested_tier = FidelityTierName(request.fidelity);
+  prov->served_tier = FidelityTierName(job.plan.tier);
+  prov->algorithm = ExplainerKindName(job.plan.algorithm);
+  prov->degraded = job.degraded;
+  prov->planned_evals = job.plan.planned_evals;
+}
+
+void ExplainServer::FinalizeTiming(const ExplainRequest& request,
+                                   int64_t latency_ns,
+                                   ExplainResponse* response) {
+  response->latency_ms = static_cast<double>(latency_ns) / 1e6;
+  response->deadline_met =
+      request.deadline_ms <= 0.0 || response->latency_ms <= request.deadline_ms;
+  response->provenance.total_ms = response->latency_ms;
+  response->provenance.deadline_met = response->deadline_met;
+  response->provenance.complete = true;
+}
+
+Status ExplainServer::ExplainShapley(const BatchJob& job,
+                                     const CoalitionGame& game,
+                                     ExplainResponse* response) {
+  const ExplainRequest& request = job.request;
+  AttributionExplanation& attribution = response->attribution;
+  Rng rng(request.seed);
+  switch (job.plan.algorithm) {
+    case ExplainerKind::kKernelShap: {
+      XAI_ASSIGN_OR_RETURN(attribution,
+                           KernelShap(game, job.plan.kernel_config, &rng));
+      return Status::OK();
+    }
+    case ExplainerKind::kExactShapley: {
+      XAI_ASSIGN_OR_RETURN(attribution.attributions, ExactShapley(game));
+      break;
+    }
+    case ExplainerKind::kSamplingShapley:
+      attribution.attributions =
+          SamplingShapley(game, job.plan.sampling_permutations, &rng).values;
+      break;
+    default:
+      return Status::Internal("non-Shapley plan in ExplainShapley");
+  }
+  attribution.base_value = game.Value(0);
+  attribution.prediction = AsPredictFn(*job.entry->model)(request.instance);
+  attribution.feature_names = FeatureNames(*job.entry->background);
+  return Status::OK();
 }
 
 namespace {
@@ -526,33 +388,13 @@ Result<ExplainResponse> ExplainServer::Execute(const BatchJob& job) {
   // request's trace_id with the root span as ancestor.
   XAI_TRACE_CONTEXT(job.request.trace);
   XAI_SPAN("serve/execute");
-  const auto start = std::chrono::steady_clock::now();
+  const WallTimer timer;
   const ExplainRequest& request = job.request;
   const ModelEntry& entry = *job.entry;
   const TierPlan& plan = job.plan;
 
-  ExplainResponse response;
-  response.kind = request.kind;
-  response.served_tier = plan.tier;
-  response.degraded = job.degraded;
-  response.model_fingerprint = entry.fingerprint;
-  response.planned_evals = plan.planned_evals;
-
+  ExplainResponse response = NewResponse(job);
   ExplanationProvenance& prov = response.provenance;
-  prov.trace_id = request.trace.trace_id;
-  prov.root_span_id = job.root_span_id;
-  prov.tenant = TenantOf(request);
-  prov.model = request.model;
-  prov.kind = ExplainerKindName(request.kind);
-  prov.requested_tier = FidelityTierName(request.fidelity);
-  prov.served_tier = FidelityTierName(plan.tier);
-  prov.algorithm = ExplainerKindName(plan.algorithm);
-  prov.degraded = job.degraded;
-  prov.planned_evals = plan.planned_evals;
-  prov.simd_backend = simd::BackendName(simd::Active());
-  prov.batch_size = 1;  // Overwritten by the batch completion hook.
-
-  Rng rng(request.seed);
   const PredictFn predict = AsPredictFn(*entry.model);
   const int64_t background_rows = entry.background->num_rows();
 
@@ -567,36 +409,14 @@ Result<ExplainResponse> ExplainServer::Execute(const BatchJob& job) {
       prov.used_evals = 0;
       break;
     }
-    case ExplainerKind::kExactShapley: {
+    case ExplainerKind::kExactShapley:
+    case ExplainerKind::kKernelShap:
+    case ExplainerKind::kSamplingShapley: {
       // Model-aware game: coalition sweeps run one batched call through the
       // entry's compiled flat kernel instead of a PredictFn call per row.
       MarginalFeatureGame game(*entry.model, request.instance,
                                entry.background->x());
-      XAI_ASSIGN_OR_RETURN(Vector values, ExactShapley(game));
-      response.attribution.attributions = std::move(values);
-      response.attribution.base_value = game.Value(0);
-      response.attribution.prediction = predict(request.instance);
-      response.attribution.feature_names = FeatureNames(*entry.background);
-      prov.used_evals = game.num_evaluations() * background_rows;
-      break;
-    }
-    case ExplainerKind::kKernelShap: {
-      MarginalFeatureGame game(*entry.model, request.instance,
-                               entry.background->x());
-      XAI_ASSIGN_OR_RETURN(response.attribution,
-                           KernelShap(game, plan.kernel_config, &rng));
-      prov.used_evals = game.num_evaluations() * background_rows;
-      break;
-    }
-    case ExplainerKind::kSamplingShapley: {
-      MarginalFeatureGame game(*entry.model, request.instance,
-                               entry.background->x());
-      SamplingShapleyResult sampled =
-          SamplingShapley(game, plan.sampling_permutations, &rng);
-      response.attribution.attributions = std::move(sampled.values);
-      response.attribution.base_value = game.Value(0);
-      response.attribution.prediction = predict(request.instance);
-      response.attribution.feature_names = FeatureNames(*entry.background);
+      XAI_RETURN_NOT_OK(ExplainShapley(job, game, &response));
       prov.used_evals = game.num_evaluations() * background_rows;
       break;
     }
@@ -624,6 +444,7 @@ Result<ExplainResponse> ExplainServer::Execute(const BatchJob& job) {
     case ExplainerKind::kCounterfactual: {
       CounterfactualEvaluator evaluator(*entry.background);
       ActionabilitySpec spec = ActionabilitySpec::AllFree(*entry.background);
+      Rng rng(request.seed);
       XAI_ASSIGN_OR_RETURN(
           DiceResult dice,
           DiceCounterfactuals(predict, request.instance,
@@ -635,8 +456,7 @@ Result<ExplainResponse> ExplainServer::Execute(const BatchJob& job) {
     }
   }
 
-  prov.compute_ms = ElapsedMs(start);
-  FinalizeTiming(request, start, &response, /*count_miss=*/false);
+  prov.compute_ms = timer.Millis();
   if (request.use_cache)
     cache_.Put(job.key, std::make_shared<const ExplainResponse>(response));
   return response;

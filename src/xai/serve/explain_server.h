@@ -3,8 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <future>
-#include <memory>
+#include <functional>
 #include <string>
 
 #include "xai/core/status.h"
@@ -16,6 +15,9 @@
 #include "xai/serve/slo.h"
 
 namespace xai {
+
+class CoalitionGame;
+
 namespace serve {
 
 namespace async {
@@ -44,6 +46,12 @@ class SessionManager;
 ///      thread count; only `latency_ms` / `deadline_met` / `cache_hit` /
 ///      `provenance` vary (and PayloadHash excludes them).
 ///
+/// Every request runs that one pipeline (ExplainAsync; Explain blocks on
+/// it) and ends in one completion funnel, whatever its outcome — cache
+/// hit, executed miss, coalesced follower or error: latency from pipeline
+/// entry, `serve/deadline_misses`, the provenance stamp, one SloTracker
+/// entry and one root span.
+///
 /// Observability: every request gets a trace_id (caller-provided, or drawn
 /// from a deterministic ContentHash64-seeded stream) and a root span; the
 /// TraceContext rides the request through the cache, the batcher, the
@@ -59,9 +67,6 @@ class ExplainServer {
     RequestBatcher::Config batcher;
     CostModel cost_model;
     SloTracker::Config slo;
-    /// When false, requests execute inline on the calling thread (no
-    /// worker, no coalescing) — handy for tests and single-client tools.
-    bool enable_batching = true;
     /// Seed of the server-assigned trace_id stream (ids are ContentHash64
     /// over a per-server sequence — deterministic for a fixed seed,
     /// distinct across servers with different seeds).
@@ -71,17 +76,12 @@ class ExplainServer {
   ExplainServer() : ExplainServer(Config()) {}
   explicit ExplainServer(const Config& config);
 
-  /// Serves one request synchronously: cache hit, or batched execution.
-  /// NotFound for an unknown model name; InvalidArgument on a schema
-  /// mismatch; OutOfRange when the deadline cannot fund the requested
-  /// fidelity and the request forbids degradation.
+  /// Serves one request and waits for it: ExplainAsync's result, or the
+  /// status it returned. NotFound for an unknown model name;
+  /// InvalidArgument on a schema mismatch; OutOfRange when the deadline
+  /// cannot fund the requested fidelity and the request forbids
+  /// degradation; Overloaded when the batcher queue is full.
   Result<ExplainResponse> Explain(const ExplainRequest& request);
-
-  /// Asynchronous variant: admission (registry lookup, tier pricing, cache
-  /// probe) happens now, the returned future resolves when the batch runs.
-  /// Cache hits resolve immediately.
-  Result<std::future<Result<ExplainResponse>>> SubmitAsync(
-      const ExplainRequest& request);
 
   /// \brief Wire-layer hooks for ExplainAsync: a precomputed instance hash
   /// and an optional deferred instance payload.
@@ -98,13 +98,15 @@ class ExplainServer {
     std::function<Status(Vector*)> materialize;
   };
 
-  /// Completion-callback serving path for the event-loop front end. Never
-  /// blocks: cache hits invoke `done` inline on the calling thread;
-  /// misses go through the batcher's try-enqueue (`done` then runs on the
-  /// batch worker under the request's TraceContext). A non-OK return
-  /// (NotFound / InvalidArgument / OutOfRange at admission, Overloaded
-  /// from a full queue) means `done` will never run — the caller answers
-  /// the client itself (e.g. converts Overloaded into a shed).
+  /// The serving pipeline: trace id, admission, cache probe, deferred
+  /// instance, batcher. Never blocks: cache hits invoke `done` inline on
+  /// the calling thread; misses go through the batcher's try-enqueue
+  /// (`done` then runs on the batch worker under the request's
+  /// TraceContext). A non-OK return (NotFound / InvalidArgument /
+  /// OutOfRange at admission, InvalidArgument from `materialize`,
+  /// Overloaded from a full queue) means `done` will never run — the
+  /// caller answers the client itself (e.g. converts Overloaded into a
+  /// shed, which it also records: the server records nothing for it).
   Status ExplainAsync(ExplainRequest request, RequestBatcher::Callback done,
                       AsyncHints hints);
   Status ExplainAsync(ExplainRequest request, RequestBatcher::Callback done) {
@@ -116,8 +118,8 @@ class ExplainServer {
   ExplanationCache& cache() { return cache_; }
   const ExplanationCache& cache() const { return cache_; }
   const DegradationPolicy& policy() const { return policy_; }
-  /// Null when batching is disabled.
-  RequestBatcher* batcher() { return batcher_.get(); }
+  /// The batching scheduler every cache miss runs through. Never null.
+  RequestBatcher* batcher() { return &batcher_; }
 
   SloTracker& slo() { return slo_; }
   const SloTracker& slo() const { return slo_; }
@@ -143,35 +145,40 @@ class ExplainServer {
   }
 
  private:
-  /// Registry lookup, validation, tier choice, cache-key construction.
-  /// `hints` (nullable) supplies the wire layer's precomputed instance
-  /// hash and deferred-payload promise.
-  Result<BatchJob> Admit(const ExplainRequest& request,
-                         const AsyncHints* hints) const;
-  Result<BatchJob> Admit(const ExplainRequest& request) const {
-    return Admit(request, nullptr);
-  }
+  /// Session turns share admission, the provenance stamp, the timing
+  /// finalizer and the Shapley dispatch with the stateless pipeline.
+  friend class async::SessionManager;
+
+  /// Fills in `job` from `job->request`: registry lookup, validation, tier
+  /// choice, cache-key construction. `hints` (nullable) supplies the wire
+  /// layer's precomputed instance hash and deferred-payload promise.
+  Status Admit(BatchJob* job, const AsyncHints* hints) const;
   /// Runs the chosen plan. Called from pool workers via the batcher.
   Result<ExplainResponse> Execute(const BatchJob& job);
+  /// The one completion funnel. `batch` is null for requests that never
+  /// reached the batcher (cache hits, pipeline errors).
+  void Finish(const BatchJob& job, const RequestBatcher::CompletionInfo* batch,
+              Result<ExplainResponse>* result);
 
   /// Fills in request.trace when the caller left trace_id == 0 and stamps
   /// the head-sampling decision.
   void AssignTrace(ExplainRequest* request) const;
-  /// Rewrites the request-scoped provenance fields on a cached response
-  /// copy (the payload and its producing-execution facts are shared).
-  void StampCacheHit(const ExplainRequest& request, const BatchJob& job,
-                     ExplainResponse* response) const;
-  /// SLO accounting + root-span emission for requests completed on the
-  /// synchronous / cache-hit / inline paths (batched jobs go through the
-  /// batcher completion hook instead).
-  void RecordCompletion(const ExplainRequest& request,
-                        const ExplainResponse& response, int64_t start_ns);
-  /// The RequestBatcher completion hook: rewrites follower provenance
-  /// (own ids, coalesced-onto linkage), stamps the queue/batch breakdown,
-  /// records SLO standing, and emits the request root span.
-  void OnBatchComplete(const BatchJob& job,
-                       const RequestBatcher::CompletionInfo& info,
-                       Result<ExplainResponse>* result);
+  /// A response to `job` before any explainer ran: the payload header and
+  /// the request-scoped provenance.
+  static ExplainResponse NewResponse(const BatchJob& job);
+  /// The request-scoped provenance fields: who asked, for what, and the
+  /// plan admission chose. Rewritten on every shared copy (cache hits,
+  /// coalesced followers); the payload's producing-execution facts stay.
+  static void StampProvenance(const BatchJob& job,
+                              ExplanationProvenance* provenance);
+  /// The latency, the deadline verdict, and the provenance fields that
+  /// depend on them.
+  static void FinalizeTiming(const ExplainRequest& request, int64_t latency_ns,
+                             ExplainResponse* response);
+  /// Runs the plan's Shapley-family algorithm on `game` (the entry's
+  /// marginal game, or a session's memo around it) into the attribution.
+  static Status ExplainShapley(const BatchJob& job, const CoalitionGame& game,
+                               ExplainResponse* response);
 
   ModelRegistry registry_;
   ExplanationCache cache_;
@@ -181,7 +188,7 @@ class ExplainServer {
   const async::SessionManager* sessions_ = nullptr;
   uint64_t trace_stream_seed_ = 0;
   mutable std::atomic<uint64_t> trace_seq_{0};
-  std::unique_ptr<RequestBatcher> batcher_;  // Last member: dies first.
+  RequestBatcher batcher_;  // Last member: its worker stops first.
 };
 
 }  // namespace serve

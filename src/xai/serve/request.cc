@@ -62,6 +62,11 @@ const char* FidelityTierName(FidelityTier tier) {
   return "unknown";
 }
 
+const std::string& TenantOf(const std::string& tenant) {
+  static const std::string kDefault = "default";
+  return tenant.empty() ? kDefault : tenant;
+}
+
 uint64_t PayloadHash(const ExplainResponse& r) {
   uint64_t h = kContentHashSeed;
   h = HashInt(static_cast<int64_t>(r.kind), h);

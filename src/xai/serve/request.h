@@ -69,8 +69,8 @@ struct ExplainRequest {
   /// Counterfactual requests only: the class to reach.
   int desired_class = 1;
   /// Tenant this request bills against in the SLO tracker; empty maps to
-  /// "default". Not part of the cache key — tenants asking the same
-  /// question share the cached answer.
+  /// "default" (see TenantOf). Part of the cache key: a tenant only ever
+  /// reads cached answers it produced itself.
   std::string tenant;
   /// Request-scoped trace identity. trace_id == 0 (the default) lets the
   /// server assign one from its deterministic ContentHash64-seeded stream;
@@ -109,6 +109,13 @@ struct ExplainResponse {
   /// contract across cache hits, coalescing, or thread counts.
   ExplanationProvenance provenance;
 };
+
+/// The tenant a request bills against: `tenant`, or "default" when it is
+/// empty. The one normalization the cache key, the SLO cells and the
+/// admission cells share, so unlabeled traffic lands in one cell of each.
+const std::string& TenantOf(const std::string& tenant);
+/// The result may be `tenant` itself, so a temporary would dangle.
+const std::string& TenantOf(std::string&& tenant) = delete;
 
 /// Stable 64-bit digest of a response's deterministic content (payload,
 /// kind, tier, fingerprint — not latency or cache flags). Two responses to

@@ -263,6 +263,49 @@ TEST_F(AsyncFrontEndTest, AdmissionShedsAreTypedRecordedAndCharged) {
   EXPECT_NE(jsonl.find("\"type\":\"admission\""), std::string::npos);
 }
 
+TEST_F(AsyncFrontEndTest, FullBatcherQueueIsAShedLikeAnyOther) {
+  ExplainServer::Config server_config;
+  server_config.batcher.max_queue = 1;
+  ExplainServer server(server_config);
+  RegisterLoans(&server);
+  AsyncFrontEnd frontend(&server);
+  auto pending_of = [&](const std::string& tenant) {
+    for (const auto& [name, stats] : frontend.admission().Snapshot())
+      if (name == tenant) return stats.pending;
+    return -1;
+  };
+
+  // The first request takes the only queue slot; with the worker held,
+  // the second finds the queue full after passing admission.
+  server.batcher()->Pause();
+  const ExplainRequest request = Request(ExplainerKind::kTreeShap);
+  FrameFuture queued = frontend.SubmitWire(EncodeRequest(request));
+  FrameFuture shed = frontend.SubmitWire(EncodeRequest(request));
+
+  const std::string& shed_frame = shed.Get();
+  ASSERT_EQ(PeekFrameType(shed_frame).ValueOrDie(), FrameType::kError);
+  EXPECT_EQ(DecodeError(shed_frame).ValueOrDie().code, StatusCode::kOverloaded);
+
+  const auto records = frontend.DrainShedRecords();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_TRUE(records[0].shed);
+  EXPECT_FALSE(records[0].complete);
+  EXPECT_EQ(records[0].tenant, "acme");
+  EXPECT_EQ(records[0].model, "loans");
+  int64_t slo_shed = -1;
+  for (const auto& s : server.slo().Snapshot())
+    if (s.tenant == "acme" && s.model == "loans") slo_shed = s.shed;
+  EXPECT_EQ(slo_shed, 1);
+
+  // The shed released its own slot; the queued request still holds one.
+  EXPECT_EQ(pending_of("acme"), 1);
+  EXPECT_FALSE(queued.Ready());
+  server.batcher()->Resume();
+  EXPECT_EQ(PeekFrameType(queued.Get()).ValueOrDie(), FrameType::kResponse);
+  frontend.Drain();
+  EXPECT_EQ(pending_of("acme"), 0);
+}
+
 TEST_F(AsyncFrontEndTest, AdmissionErrorsDoNotLeakPendingSlots) {
   ExplainServer server;
   RegisterLoans(&server);

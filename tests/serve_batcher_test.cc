@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <future>
+#include <memory>
 #include <thread>
 #include <vector>
+
+#include "xai/core/trace.h"
 
 namespace xai {
 namespace serve {
@@ -39,14 +41,44 @@ class CountingExecutor {
   std::atomic<int> calls_{0};
 };
 
-TEST(RequestBatcherTest, ExecutesAndResolvesFutures) {
+/// Submits `job` and returns a future for the result its callback
+/// delivers (or for the status Submit refused it with).
+std::future<Result<ExplainResponse>> SubmitForFuture(RequestBatcher* batcher,
+                                                     BatchJob job) {
+  auto delivered = std::make_shared<std::promise<Result<ExplainResponse>>>();
+  auto future = delivered->get_future();
+  Status submitted =
+      batcher->Submit(std::move(job), [delivered](Result<ExplainResponse> r) {
+        delivered->set_value(std::move(r));
+      });
+  if (!submitted.ok()) delivered->set_value(submitted);
+  return future;
+}
+
+TEST(RequestBatcherTest, ExecutesAndDeliversOnWorker) {
   CountingExecutor executor;
   RequestBatcher batcher(RequestBatcher::Config{}, executor.AsFn());
-  auto future = batcher.Submit(JobFor("m", 42)).ValueOrDie();
-  auto result = future.get();
+  BatchJob job = JobFor("m", 42);
+  job.request.trace = telemetry::TraceContext{777, 5, true};
+  std::promise<std::thread::id> worker;
+  std::promise<uint64_t> trace_seen;
+  std::promise<Result<ExplainResponse>> delivered;
+  ASSERT_TRUE(batcher
+                  .Submit(std::move(job),
+                          [&](Result<ExplainResponse> result) {
+                            worker.set_value(std::this_thread::get_id());
+                            trace_seen.set_value(
+                                telemetry::CurrentTraceContext().trace_id);
+                            delivered.set_value(std::move(result));
+                          })
+                  .ok());
+  auto result = delivered.get_future().get();
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.ValueOrDie().model_fingerprint, 42u);
   EXPECT_EQ(executor.calls(), 1);
+  EXPECT_NE(worker.get_future().get(), std::this_thread::get_id());
+  // The callback continues the request under its own trace identity.
+  EXPECT_EQ(trace_seen.get_future().get(), 777u);
 }
 
 TEST(RequestBatcherTest, CoalescesIdenticalKeysIntoOneExecution) {
@@ -59,8 +91,8 @@ TEST(RequestBatcherTest, CoalescesIdenticalKeysIntoOneExecution) {
   batcher.Pause();
   std::vector<std::future<Result<ExplainResponse>>> futures;
   for (int i = 0; i < 4; ++i)
-    futures.push_back(batcher.Submit(JobFor("m", 7)).ValueOrDie());
-  futures.push_back(batcher.Submit(JobFor("m", 9)).ValueOrDie());
+    futures.push_back(SubmitForFuture(&batcher, JobFor("m", 7)));
+  futures.push_back(SubmitForFuture(&batcher, JobFor("m", 9)));
   EXPECT_EQ(batcher.queue_depth(), 5);
   batcher.Resume();
 
@@ -80,55 +112,30 @@ TEST(RequestBatcherTest, NonCoalescableJobsAlwaysRun) {
   std::vector<std::future<Result<ExplainResponse>>> futures;
   for (int i = 0; i < 3; ++i)
     futures.push_back(
-        batcher.Submit(JobFor("m", 7, /*coalescable=*/false)).ValueOrDie());
+        SubmitForFuture(&batcher, JobFor("m", 7, /*coalescable=*/false)));
   batcher.Resume();
   for (auto& future : futures) EXPECT_TRUE(future.get().ok());
   EXPECT_EQ(executor.calls(), 3);
 }
 
-TEST(RequestBatcherTest, FailsFastWhenQueueFullAndNonBlocking) {
+TEST(RequestBatcherTest, FullQueueFailsFastAndNeverRunsTheRejectedCallback) {
   CountingExecutor executor;
   RequestBatcher::Config config;
   config.max_queue = 2;
-  config.block_when_full = false;
   RequestBatcher batcher(config, executor.AsFn());
 
   batcher.Pause();
-  auto f1 = batcher.Submit(JobFor("m", 1));
-  auto f2 = batcher.Submit(JobFor("m", 2));
-  ASSERT_TRUE(f1.ok());
-  ASSERT_TRUE(f2.ok());
-  auto rejected = batcher.Submit(JobFor("m", 3));
-  EXPECT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kOverloaded);
+  auto f1 = SubmitForFuture(&batcher, JobFor("m", 1));
+  auto f2 = SubmitForFuture(&batcher, JobFor("m", 2));
+  std::atomic<bool> ran{false};
+  Status rejected = batcher.Submit(
+      JobFor("m", 3), [&](Result<ExplainResponse>) { ran = true; });
+  EXPECT_EQ(rejected.code(), StatusCode::kOverloaded);
   batcher.Resume();
-  EXPECT_TRUE(f1.ValueOrDie().get().ok());
-  EXPECT_TRUE(f2.ValueOrDie().get().ok());
-}
-
-TEST(RequestBatcherTest, BlocksSubmittersUntilSpaceWhenConfigured) {
-  CountingExecutor executor;
-  RequestBatcher::Config config;
-  config.max_queue = 1;
-  config.block_when_full = true;
-  RequestBatcher batcher(config, executor.AsFn());
-
-  batcher.Pause();
-  auto f1 = batcher.Submit(JobFor("m", 1)).ValueOrDie();
-
-  std::atomic<bool> submitted{false};
-  std::thread blocked([&] {
-    auto f2 = batcher.Submit(JobFor("m", 2)).ValueOrDie();
-    submitted = true;
-    EXPECT_TRUE(f2.get().ok());
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(submitted) << "second submit must block on the full queue";
-
-  batcher.Resume();
-  blocked.join();
-  EXPECT_TRUE(submitted);
   EXPECT_TRUE(f1.get().ok());
+  EXPECT_TRUE(f2.get().ok());
+  batcher.Flush();
+  EXPECT_FALSE(ran) << "rejected callback must never run";
   EXPECT_EQ(executor.calls(), 2);
 }
 
@@ -138,9 +145,9 @@ TEST(RequestBatcherTest, BatchesDrainOneModelAtATime) {
   batcher.Pause();
   std::vector<std::future<Result<ExplainResponse>>> futures;
   for (uint64_t i = 0; i < 3; ++i)
-    futures.push_back(batcher.Submit(JobFor("a", 10 + i)).ValueOrDie());
+    futures.push_back(SubmitForFuture(&batcher, JobFor("a", 10 + i)));
   for (uint64_t i = 0; i < 3; ++i)
-    futures.push_back(batcher.Submit(JobFor("b", 20 + i)).ValueOrDie());
+    futures.push_back(SubmitForFuture(&batcher, JobFor("b", 20 + i)));
   batcher.Resume();
   batcher.Flush();
   for (auto& future : futures) EXPECT_TRUE(future.get().ok());
@@ -161,10 +168,10 @@ TEST(RequestBatcherTest, ConcurrentSubmittersAllGetAnswers) {
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       for (int i = 0; i < kPerClient; ++i) {
-        auto future =
-            batcher.Submit(JobFor("m", static_cast<uint64_t>(c * 100 + i)))
-                .ValueOrDie();
-        auto result = future.get();
+        auto result =
+            SubmitForFuture(&batcher,
+                            JobFor("m", static_cast<uint64_t>(c * 100 + i)))
+                .get();
         if (result.ok() &&
             result.ValueOrDie().model_fingerprint ==
                 static_cast<uint64_t>(c * 100 + i))
@@ -176,72 +183,20 @@ TEST(RequestBatcherTest, ConcurrentSubmittersAllGetAnswers) {
   EXPECT_EQ(answered, kClients * kPerClient);
 }
 
-TEST(RequestBatcherTest, SubmitCallbackDeliversOnWorker) {
-  CountingExecutor executor;
-  RequestBatcher batcher(RequestBatcher::Config{}, executor.AsFn());
-  std::promise<Result<ExplainResponse>> delivered;
-  auto future = delivered.get_future();
-  ASSERT_TRUE(batcher
-                  .SubmitCallback(JobFor("m", 42),
-                                  [&](Result<ExplainResponse> result) {
-                                    delivered.set_value(std::move(result));
-                                  })
-                  .ok());
-  auto result = future.get();
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result.ValueOrDie().model_fingerprint, 42u);
-}
-
-TEST(RequestBatcherTest, SubmitCallbackNeverBlocksOnFullQueue) {
-  CountingExecutor executor;
-  RequestBatcher::Config config;
-  config.max_queue = 1;
-  config.block_when_full = true;  // SubmitCallback must ignore this.
-  RequestBatcher batcher(config, executor.AsFn());
-
-  batcher.Pause();
-  ASSERT_TRUE(
-      batcher.SubmitCallback(JobFor("m", 1), [](Result<ExplainResponse>) {})
-          .ok());
-  std::atomic<bool> ran{false};
-  Status rejected = batcher.SubmitCallback(
-      JobFor("m", 2), [&](Result<ExplainResponse>) { ran = true; });
-  EXPECT_EQ(rejected.code(), StatusCode::kOverloaded);
-  batcher.Resume();
-  batcher.Flush();
-  EXPECT_FALSE(ran) << "rejected callback must never run";
-  EXPECT_EQ(executor.calls(), 1);
-}
-
-TEST(RequestBatcherTest, ShutdownFailsQueuedCallbacks) {
-  std::promise<Result<ExplainResponse>> delivered;
-  auto future = delivered.get_future();
+TEST(RequestBatcherTest, ShutdownFailsQueuedJobs) {
+  std::vector<std::future<Result<ExplainResponse>>> orphans;
   {
     CountingExecutor executor;
     RequestBatcher batcher(RequestBatcher::Config{}, executor.AsFn());
     batcher.Pause();
-    ASSERT_TRUE(batcher
-                    .SubmitCallback(JobFor("m", 1),
-                                    [&](Result<ExplainResponse> result) {
-                                      delivered.set_value(std::move(result));
-                                    })
-                    .ok());
+    orphans.push_back(SubmitForFuture(&batcher, JobFor("m", 1)));
+    orphans.push_back(SubmitForFuture(&batcher, JobFor("m", 2)));
   }
-  auto result = future.get();
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInternal);
-}
-
-TEST(RequestBatcherTest, ShutdownFailsQueuedJobs) {
-  CountingExecutor executor;
-  std::future<Result<ExplainResponse>> orphan;
-  {
-    RequestBatcher batcher(RequestBatcher::Config{}, executor.AsFn());
-    batcher.Pause();
-    orphan = batcher.Submit(JobFor("m", 1)).ValueOrDie();
+  for (auto& orphan : orphans) {
+    auto result = orphan.get();
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInternal);
   }
-  auto result = orphan.get();
-  EXPECT_FALSE(result.ok());
 }
 
 }  // namespace

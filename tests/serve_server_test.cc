@@ -3,13 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "xai/core/parallel.h"
 #include "xai/core/rng.h"
+#include "xai/core/telemetry.h"
+#include "xai/core/trace.h"
 #include "xai/data/synthetic.h"
 #include "xai/explain/shapley/kernel_shap.h"
 #include "xai/explain/shapley/tree_shap.h"
@@ -55,6 +60,23 @@ class ExplainServerTest : public ::testing::Test {
   std::string gbdt_text_;
   Vector instance_;
 };
+
+/// ExplainAsync as a blocking call: a non-OK return is the result (the
+/// callback then never runs).
+Result<ExplainResponse> ExplainAsyncAndWait(
+    ExplainServer* server, const ExplainRequest& request,
+    ExplainServer::AsyncHints hints = ExplainServer::AsyncHints()) {
+  auto delivered = std::make_shared<std::promise<Result<ExplainResponse>>>();
+  auto future = delivered->get_future();
+  Status submitted = server->ExplainAsync(
+      request,
+      [delivered](Result<ExplainResponse> result) {
+        delivered->set_value(std::move(result));
+      },
+      std::move(hints));
+  if (!submitted.ok()) return submitted;
+  return future.get();
+}
 
 TEST_F(ExplainServerTest, TreeShapMatchesDirectCall) {
   ExplainServer server;
@@ -257,8 +279,7 @@ TEST_F(ExplainServerTest, AsyncPathMatchesSync) {
   request.use_cache = false;
 
   auto sync = server.Explain(request).ValueOrDie();
-  auto future = server.SubmitAsync(request).ValueOrDie();
-  auto async = future.get().ValueOrDie();
+  auto async = ExplainAsyncAndWait(&server, request).ValueOrDie();
   EXPECT_EQ(PayloadHash(sync), PayloadHash(async));
 }
 
@@ -442,6 +463,176 @@ TEST_F(ExplainServerTest, TenantSloAccountsMissesDegradationAndErrors) {
   EXPECT_GT(missing.deadline_budget_used, 1.0);
 }
 
+// ---- One accounting rule for every entry point and outcome ---------------
+
+enum class Entry { kExplain, kExplainAsync };
+enum class Outcome {
+  kMiss,
+  kHit,
+  kCoalescedFollower,
+  kUnknownModel,
+  kTreeShapOnNonTree,
+  kCorruptDeferred,
+};
+
+struct AccountingRow {
+  Entry entry;
+  Outcome outcome;
+};
+
+std::string RowName(const AccountingRow& row) {
+  static const char* const kOutcomes[] = {
+      "miss", "hit", "coalesced_follower", "unknown_model",
+      "tree_shap_on_non_tree", "corrupt_deferred"};
+  return std::string(row.entry == Entry::kExplain ? "Explain/"
+                                                  : "ExplainAsync/") +
+         kOutcomes[static_cast<int>(row.outcome)];
+}
+
+TenantSloStats SloCell(const ExplainServer& server, const std::string& tenant,
+                       const std::string& model) {
+  for (const auto& s : server.slo().Snapshot())
+    if (s.tenant == tenant && s.model == model) return s;
+  return TenantSloStats();
+}
+
+int64_t DeadlineMissCounter() {
+  return telemetry::Registry::Global()
+      .GetCounter("serve/deadline_misses")
+      ->Get();
+}
+
+TEST_F(ExplainServerTest, EveryEntryAndOutcomeAccountsExactlyOnce) {
+  const AccountingRow rows[] = {
+      {Entry::kExplain, Outcome::kMiss},
+      {Entry::kExplain, Outcome::kHit},
+      {Entry::kExplain, Outcome::kCoalescedFollower},
+      {Entry::kExplain, Outcome::kUnknownModel},
+      {Entry::kExplain, Outcome::kTreeShapOnNonTree},
+      {Entry::kExplainAsync, Outcome::kMiss},
+      {Entry::kExplainAsync, Outcome::kHit},
+      {Entry::kExplainAsync, Outcome::kCoalescedFollower},
+      {Entry::kExplainAsync, Outcome::kUnknownModel},
+      {Entry::kExplainAsync, Outcome::kTreeShapOnNonTree},
+      {Entry::kExplainAsync, Outcome::kCorruptDeferred},
+  };
+  auto logistic = LogisticRegressionModel::Train(train_).ValueOrDie();
+  const std::string logit_text = SerializeModel(logistic);
+  uint64_t next_trace_id = 9001;
+
+  for (const AccountingRow& row : rows) {
+    SCOPED_TRACE(RowName(row));
+    ExplainServer server;
+    RegisterGbdt(&server);
+    server.registry().Register("logit", logit_text, background_).ValueOrDie();
+
+    // TreeSHAP never degrades, so a 100 ns deadline makes every request
+    // that completes miss it without changing what is served.
+    ExplainRequest request = Request(ExplainerKind::kTreeShap);
+    request.tenant = "acme";
+    request.deadline_ms = 1e-4;
+    if (row.outcome == Outcome::kUnknownModel) request.model = "missing";
+    if (row.outcome == Outcome::kTreeShapOnNonTree) request.model = "logit";
+    if (row.outcome == Outcome::kHit) {
+      ASSERT_TRUE(server.Explain(request).ok());  // Warm the cache.
+    }
+
+    const bool fails = row.outcome == Outcome::kUnknownModel ||
+                       row.outcome == Outcome::kTreeShapOnNonTree ||
+                       row.outcome == Outcome::kCorruptDeferred;
+    const TenantSloStats before = SloCell(server, "acme", request.model);
+    const int64_t misses_before = DeadlineMissCounter();
+#if XAI_TELEMETRY
+    telemetry::internal::ClearTraceEvents();
+#endif
+
+    // The follower row also runs its leader: both requests are accounted.
+    std::vector<ExplainRequest> sent;
+    sent.push_back(request);
+    if (row.outcome == Outcome::kCoalescedFollower) sent.push_back(request);
+    for (ExplainRequest& r : sent) r.trace.trace_id = next_trace_id++;
+
+    std::vector<Result<ExplainResponse>> results;
+    if (row.outcome == Outcome::kCoalescedFollower) {
+      server.batcher()->Pause();
+      std::vector<std::thread> clients;
+      std::vector<std::promise<Result<ExplainResponse>>> delivered(2);
+      for (int i = 0; i < 2; ++i) {
+        clients.emplace_back([&, i] {
+          delivered[i].set_value(row.entry == Entry::kExplain
+                                     ? server.Explain(sent[i])
+                                     : ExplainAsyncAndWait(&server, sent[i]));
+        });
+      }
+      while (server.batcher()->queue_depth() < 2)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      server.batcher()->Resume();
+      for (auto& client : clients) client.join();
+      for (auto& d : delivered) results.push_back(d.get_future().get());
+    } else if (row.outcome == Outcome::kCorruptDeferred) {
+      // Header-only request: the instance stays deferred, and the payload
+      // fails its integrity check when the miss needs it.
+      ExplainRequest deferred = sent[0];
+      deferred.instance.clear();
+      ExplainServer::AsyncHints hints;
+      hints.instance_hash = ContentHash64(instance_);
+      hints.deferred_count = static_cast<int64_t>(instance_.size());
+      hints.materialize = [](Vector*) {
+        return Status::InvalidArgument("corrupt instance payload");
+      };
+      results.push_back(ExplainAsyncAndWait(&server, deferred, hints));
+    } else {
+      results.push_back(row.entry == Entry::kExplain
+                            ? server.Explain(sent[0])
+                            : ExplainAsyncAndWait(&server, sent[0]));
+    }
+
+    const int64_t n = static_cast<int64_t>(sent.size());
+    int64_t missed = 0;
+    for (const auto& result : results) {
+      ASSERT_EQ(result.ok(), !fails) << result.status().ToString();
+      if (fails) continue;
+      const ExplainResponse& response = result.ValueOrDie();
+      EXPECT_FALSE(response.deadline_met);
+      EXPECT_FALSE(response.degraded);
+      EXPECT_EQ(response.latency_ms, response.provenance.total_ms);
+      EXPECT_EQ(response.cache_hit, row.outcome == Outcome::kHit);
+      if (!response.deadline_met) ++missed;
+    }
+
+    // Exactly one SloTracker entry per request, in the right column.
+    const TenantSloStats after = SloCell(server, "acme", request.model);
+    EXPECT_EQ(after.requests - before.requests, n);
+    EXPECT_EQ(after.errors - before.errors, fails ? n : 0);
+    EXPECT_EQ(after.shed - before.shed, 0);
+    EXPECT_EQ(after.deadline_misses - before.deadline_misses, missed);
+    EXPECT_EQ(after.cache_hits - before.cache_hits,
+              row.outcome == Outcome::kHit ? n : 0);
+    EXPECT_EQ(after.coalesced - before.coalesced,
+              row.outcome == Outcome::kCoalescedFollower ? 1 : 0);
+
+#if XAI_TELEMETRY
+    EXPECT_EQ(DeadlineMissCounter() - misses_before, missed);
+    // Exactly one root span per request, named for its outcome.
+    std::vector<telemetry::TraceEvent> events;
+    telemetry::internal::CollectTraceEvents(&events);
+    for (const ExplainRequest& r : sent) {
+      int ok_roots = 0;
+      int error_roots = 0;
+      for (const auto& e : events) {
+        if (e.trace_id != r.trace.trace_id) continue;
+        if (std::string(e.name) == "serve/request") ++ok_roots;
+        if (std::string(e.name) == "serve/request_error") ++error_roots;
+      }
+      EXPECT_EQ(ok_roots, fails ? 0 : 1) << "trace " << r.trace.trace_id;
+      EXPECT_EQ(error_roots, fails ? 1 : 0) << "trace " << r.trace.trace_id;
+    }
+#else
+    (void)misses_before;
+#endif
+  }
+}
+
 TEST_F(ExplainServerTest, CoalescedFollowersLinkToLeaderTrace) {
   ExplainServer server;
   RegisterGbdt(&server);
@@ -452,13 +643,20 @@ TEST_F(ExplainServerTest, CoalescedFollowersLinkToLeaderTrace) {
   // into one batch (and one execution).
   constexpr int kDuplicates = 3;
   server.batcher()->Pause();
-  std::vector<std::future<Result<ExplainResponse>>> futures;
-  for (int i = 0; i < kDuplicates; ++i)
-    futures.push_back(server.SubmitAsync(request).ValueOrDie());
+  std::vector<std::promise<Result<ExplainResponse>>> delivered(kDuplicates);
+  for (int i = 0; i < kDuplicates; ++i) {
+    ASSERT_TRUE(server
+                    .ExplainAsync(request,
+                                  [&delivered, i](Result<ExplainResponse> r) {
+                                    delivered[i].set_value(std::move(r));
+                                  })
+                    .ok());
+  }
   server.batcher()->Resume();
 
   std::vector<ExplainResponse> responses;
-  for (auto& f : futures) responses.push_back(f.get().ValueOrDie());
+  for (auto& d : delivered)
+    responses.push_back(d.get_future().get().ValueOrDie());
 
   int leaders = 0;
   uint64_t leader_trace = 0;
