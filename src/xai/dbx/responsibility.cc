@@ -16,14 +16,14 @@ Result<ResponsibilityResult> TupleResponsibility(
 
   const CompiledLineage compiled = CompiledLineage::Compile(lineage,
                                                             endogenous);
-  CompiledLineage::Scratch scratch;
+  LineageTruthTable table(compiled, n);
+  const uint64_t all = (uint64_t{1} << n) - 1;
 
   // holds(removed_mask): does the answer hold when the endogenous tuples in
   // the mask are removed (all others present)? Presence is the complement
-  // of removal, so the compiled program evaluates the inverted mask (bits
-  // beyond n are ignored by the program).
+  // of removal within the n players.
   auto holds = [&](uint64_t removed_mask) {
-    return compiled.Eval(~removed_mask, &scratch);
+    return table.Holds(all & ~removed_mask);
   };
 
   ResponsibilityResult result;

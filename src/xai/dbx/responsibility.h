@@ -28,6 +28,10 @@ struct ResponsibilityResult {
 
 /// Exact responsibility by subset search over contingency sets (endogenous
 /// count <= 20; the problem is NP-hard in general, §3's point exactly).
+/// Contingency sets are tried smallest first, in lexicographic order of
+/// tuple position, up to `max_contingency_size`. Each probe reads the
+/// lineage's truth table (LineageTruthTable), which evaluates a block of
+/// 64 coalitions in one program pass the first time a probe lands in it.
 Result<ResponsibilityResult> TupleResponsibility(
     const rel::ProvExprPtr& lineage, const std::vector<int>& endogenous,
     int max_contingency_size = 6);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "xai/core/check.h"
+#include "xai/core/telemetry.h"
 #include "xai/relational/agg_kernels.h"
 
 namespace xai {
@@ -27,6 +29,9 @@ struct PartialValue {
 
 CompiledLineage CompiledLineage::Compile(const ProvExprPtr& lineage,
                                          const std::vector<int>& endogenous) {
+  XAI_CHECK_MSG(endogenous.size() <= 64,
+                "coalition masks are 64 bits wide; lineage over more than 64 "
+                "endogenous tuples is not representable");
   CompiledLineage out;
   // First occurrence wins, matching the linear scan in the naive path.
   std::unordered_map<int, int> bit_of;
@@ -228,10 +233,31 @@ bool CompiledLineage::IsConst(bool* value) const {
   return true;
 }
 
-bool CompiledLineage::IsSingleVar(int* bit) const {
-  if (root_is_const_ || nodes_[root_slot_].op != Node::Op::kVar) return false;
-  *bit = nodes_[root_slot_].bit;
+bool CompiledLineage::IsConjunction(uint64_t* bits) const {
+  if (root_is_const_) return false;
+  // Flattening splices nested ANDs, so a conjunction is a variable or one
+  // AND node over variables.
+  const Node& root = nodes_[root_slot_];
+  if (root.op == Node::Op::kVar) {
+    *bits = uint64_t{1} << root.bit;
+    return true;
+  }
+  if (root.op != Node::Op::kAnd) return false;
+  uint64_t vars = 0;
+  for (int a : root.args) {
+    if (nodes_[a].op != Node::Op::kVar) return false;
+    vars |= uint64_t{1} << nodes_[a].bit;
+  }
+  *bits = vars;
   return true;
+}
+
+LineageTruthTable::LineageTruthTable(const CompiledLineage& lineage, int n)
+    : lineage_(lineage) {
+  XAI_CHECK(n >= 0 && n <= 24);
+  const size_t blocks = ((uint64_t{1} << n) + 63) / 64;
+  words_.resize(blocks);
+  filled_.resize(blocks);
 }
 
 Result<SharedScanAggregate> SharedScanAggregate::Build(
@@ -240,6 +266,8 @@ Result<SharedScanAggregate> SharedScanAggregate::Build(
   if (fn != rel::AggFn::kCount &&
       (agg_column < 0 || agg_column >= rows.num_columns()))
     return Status::OutOfRange("aggregate column out of range");
+  if (endogenous.size() > 63)
+    return Status::Unimplemented("more than 63 endogenous tuples");
   SharedScanAggregate s;
   s.fn_ = fn;
   for (size_t i = 0; i < endogenous.size(); ++i)
@@ -247,8 +275,7 @@ Result<SharedScanAggregate> SharedScanAggregate::Build(
 
   const int n = rows.num_tuples();
   s.values_.reserve(n);
-  s.presence_.reserve(n);
-  s.detail_.reserve(n);
+  s.need_.reserve(n);
   for (int i = 0; i < n; ++i) {
     s.values_.push_back(fn == rel::AggFn::kCount
                             ? 1.0
@@ -256,20 +283,20 @@ Result<SharedScanAggregate> SharedScanAggregate::Build(
     CompiledLineage compiled =
         CompiledLineage::Compile(rows.annotation(i), endogenous);
     bool cval = false;
-    int bit = -1;
+    uint64_t bits = 0;
     if (compiled.IsConst(&cval)) {
-      s.presence_.push_back(cval ? Presence::kAlways : Presence::kNever);
-      s.detail_.push_back(0);
-    } else if (compiled.IsSingleVar(&bit)) {
-      s.presence_.push_back(Presence::kVar);
-      s.detail_.push_back(bit);
+      s.need_.push_back(cval ? 0 : kNever);
+    } else if (compiled.IsConjunction(&bits)) {
+      s.need_.push_back(bits);
     } else {
-      s.presence_.push_back(Presence::kProgram);
-      s.detail_.push_back(static_cast<int32_t>(s.programs_.size()));
-      s.programs_.push_back(std::move(compiled));
+      s.need_.push_back(kNever);  // Eval sets it per coalition.
+      s.programs_.push_back({i, std::move(compiled)});
     }
   }
-  s.gather_.reserve(n);
+  s.gather_.resize(n);
+  XAI_COUNTER_ADD("dbx/shared_scan_rows", n);
+  XAI_COUNTER_ADD("dbx/shared_scan_program_rows",
+                  static_cast<int64_t>(s.programs_.size()));
   return s;
 }
 
@@ -279,27 +306,20 @@ Result<SharedScanAggregate> SharedScanAggregate::Build(
 // independent of the rest of the binary.
 __attribute__((aligned(64))) double SharedScanAggregate::Eval(
     uint64_t mask) {
-  gather_.clear();
+  for (const ProgramRow& p : programs_)
+    need_[p.row] = p.lineage.Eval(mask, &scratch_) ? 0 : kNever;
+  // A row is present when it needs no bit the coalition lacks. Bit 63 is
+  // no player's, so it counts as lacking whatever the caller passed.
+  const uint64_t lacking = ~mask | kNever;
   const int64_t n = num_rows();
+  const uint64_t* need = need_.data();
+  const double* values = values_.data();
+  double* out = gather_.data();
+  int64_t len = 0;
   for (int64_t i = 0; i < n; ++i) {
-    bool present = false;
-    switch (presence_[i]) {
-      case Presence::kAlways:
-        present = true;
-        break;
-      case Presence::kNever:
-        present = false;
-        break;
-      case Presence::kVar:
-        present = (mask >> detail_[i]) & 1;
-        break;
-      case Presence::kProgram:
-        present = programs_[detail_[i]].Eval(mask, &scratch_);
-        break;
-    }
-    if (present) gather_.push_back(values_[i]);
+    out[len] = values[i];
+    len += (need[i] & lacking) == 0;
   }
-  const int64_t len = static_cast<int64_t>(gather_.size());
   switch (fn_) {
     case rel::AggFn::kCount:
       return static_cast<double>(len);

@@ -29,7 +29,8 @@ namespace xai {
 /// Eval is exactly ProvExpr::EvalBool with
 ///   present(id) = id not endogenous ? true : mask bit of id,
 /// where duplicate ids in `endogenous` resolve to their first bit, like
-/// the linear scan they replace.
+/// the linear scan they replace. Masks are 64 bits wide, so Compile
+/// refuses (XAI_CHECK) more than 64 endogenous ids.
 class CompiledLineage {
  public:
   /// Reusable per-evaluator buffer (one per thread when evaluating
@@ -60,8 +61,9 @@ class CompiledLineage {
   /// is derivable from exogenous tuples alone, or not derivable at all);
   /// `*value` receives the constant.
   bool IsConst(bool* value) const;
-  /// True when the result is exactly one mask bit; `*bit` receives it.
-  bool IsSingleVar(int* bit) const;
+  /// True when the result is the AND of one or more mask bits (a single
+  /// variable, or a conjunction of variables); `*bits` receives them.
+  bool IsConjunction(uint64_t* bits) const;
 
   /// Number of program ops Eval executes (0 when constant).
   int num_ops() const { return static_cast<int>(nodes_.size()); }
@@ -80,16 +82,48 @@ class CompiledLineage {
   int root_slot_ = -1;
 };
 
+/// \brief Truth table of a compiled lineage over the masks below 2^n
+/// (n <= 24), filled lazily: the first lookup in a 64-coalition block
+/// evaluates the whole block with one Eval64 pass. Exact boolean
+/// tuple-Shapley reads every entry; the responsibility search reads the
+/// blocks its probes reach, so it never makes more program passes than
+/// probes.
+class LineageTruthTable {
+ public:
+  /// Borrows `lineage`: keep it alive while the table is in use.
+  LineageTruthTable(const CompiledLineage& lineage, int n);
+
+  /// CompiledLineage::Eval(mask) for mask < 2^n.
+  bool Holds(uint64_t mask) {
+    const uint64_t block = mask >> 6;
+    if (!filled_[block]) {
+      words_[block] = lineage_.Eval64(mask, &scratch_);
+      filled_[block] = 1;
+    }
+    return (words_[block] >> (mask & 63)) & 1;
+  }
+
+ private:
+  const CompiledLineage& lineage_;
+  CompiledLineage::Scratch scratch_;
+  std::vector<uint64_t> words_;
+  std::vector<uint8_t> filled_;
+};
+
 /// \brief Shared-scan evaluator for aggregate coalition games over a query
 /// result: v(S) = aggregate over the result rows whose lineage is
 /// derivable from S plus the exogenous tuples.
 ///
 /// One pass over the result relation precomputes, per row, its aggregate
 /// contribution (Value::AsDouble of the aggregate column; 1.0 for COUNT)
-/// and its compiled presence condition. Eval(mask) gathers the present
-/// rows' values *in row order* and finalizes through the canonical
-/// aggregation kernels of rel/agg_kernels.h — the same kernels
-/// GroupByAggregate uses — so the value equals, bit for bit, what
+/// and its presence condition as a need mask: the coalition bits the row
+/// needs (0 for a row exogenous tuples derive, the bits of a conjunctive
+/// lineage, or a bit no coalition sets for an underivable row). Rows whose
+/// lineage contains an OR keep a compiled program, which Eval runs first
+/// to set their need word. Eval(mask) then makes one branch-free pass that
+/// gathers the present rows' values *in row order* and finalizes through
+/// the canonical aggregation kernels of rel/agg_kernels.h — the same
+/// kernels GroupByAggregate uses — so the value equals, bit for bit, what
 /// re-running the query pipeline on the reduced sub-instance produces
 /// (operators preserve relative row order under tuple removal).
 ///
@@ -99,7 +133,10 @@ class CompiledLineage {
 class SharedScanAggregate {
  public:
   /// `rows` is the materialized query result whose annotations carry the
-  /// lineage. `agg_column` is ignored for kCount.
+  /// lineage. `agg_column` is ignored for kCount. At most 63 endogenous
+  /// tuples (bit 63 marks underivable rows). Adds the row count to the
+  /// `dbx/shared_scan_rows` counter and the rows that keep a program to
+  /// `dbx/shared_scan_program_rows`.
   static Result<SharedScanAggregate> Build(const rel::Relation& rows,
                                            rel::AggFn fn, int agg_column,
                                            const std::vector<int>& endogenous);
@@ -117,13 +154,19 @@ class SharedScanAggregate {
   int64_t num_rows() const { return static_cast<int64_t>(values_.size()); }
 
  private:
-  enum class Presence : uint8_t { kAlways, kNever, kVar, kProgram };
+  /// Need bit of an underivable row: no player has bit 63.
+  static constexpr uint64_t kNever = uint64_t{1} << 63;
+
+  struct ProgramRow {
+    int64_t row;
+    CompiledLineage lineage;
+  };
 
   rel::AggFn fn_ = rel::AggFn::kCount;
   std::vector<double> values_;
-  std::vector<Presence> presence_;
-  std::vector<int32_t> detail_;  // kVar: bit; kProgram: programs_ index.
-  std::vector<CompiledLineage> programs_;
+  // Row i is present iff (need_[i] & ~(mask & ~kNever)) == 0.
+  std::vector<uint64_t> need_;
+  std::vector<ProgramRow> programs_;
   std::unordered_map<int, int> bit_of_;
   CompiledLineage::Scratch scratch_;
   std::vector<double> gather_;

@@ -33,6 +33,10 @@ struct TupleShapleyConfig {
 /// Result values are keyed by endogenous tuple id.
 struct TupleShapleyResult {
   std::map<int, double> values;
+  /// Distinct coalitions evaluated: 2^n when exact; when sampling, each
+  /// coalition the permutations visit is evaluated once and memoized (the
+  /// memo holds at most permutations·n + 1 values), and revisits add to
+  /// the `dbx/coalition_memo_hits` counter.
   int game_evaluations = 0;
   bool exact = false;
 };
@@ -46,10 +50,11 @@ Result<TupleShapleyResult> BooleanQueryTupleShapley(
 
 /// Shapley values for a general numeric query given as a callback:
 /// `query_value(present)` recomputes the answer when exactly the
-/// endogenous tuple ids listed in `present` exist. Used for aggregate
-/// queries (e.g. COUNT of qualifying rows). Exact (subset enumeration)
-/// when |endogenous| <= exact_limit (default 20; never above 24),
-/// Monte-Carlo permutation sampling otherwise.
+/// endogenous tuple ids listed in `present` exist; it must be a function
+/// of `present` alone, since each coalition is asked once. Used for
+/// aggregate queries (e.g. COUNT of qualifying rows). Exact (subset
+/// enumeration) when |endogenous| <= exact_limit (default 20; never above
+/// 24), Monte-Carlo permutation sampling otherwise.
 Result<TupleShapleyResult> NumericQueryTupleShapley(
     const std::function<double(const std::vector<int>& present)>& query_value,
     const std::vector<int>& endogenous, const TupleShapleyConfig& config = {});

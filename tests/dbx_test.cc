@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <map>
+#include <numeric>
 
+#include "xai/core/rng.h"
 #include "xai/dbx/responsibility.h"
+#include "xai/dbx/shared_scan.h"
 #include "xai/dbx/tuple_shapley.h"
 #include "xai/relational/provenance.h"
 
@@ -68,6 +73,16 @@ TEST(TupleShapleyTest, RejectsEmptyPlayers) {
   EXPECT_FALSE(BooleanQueryTupleShapley(AndOrLineage(), {}).ok());
 }
 
+TEST(TupleShapleyTest, CompileRefusesMoreThan64Players) {
+  // Coalitions are 64-bit masks; a 65th player would have no bit.
+  std::vector<int> endo(65);
+  std::iota(endo.begin(), endo.end(), 0);
+  EXPECT_DEATH(CompiledLineage::Compile(ProvExpr::Base(0), endo),
+               "64 bits wide");
+  endo.pop_back();
+  EXPECT_EQ(CompiledLineage::Compile(ProvExpr::Base(63), endo).num_ops(), 1);
+}
+
 TEST(NumericTupleShapleyTest, CountQuery) {
   // Query = number of derivable answers among two answers with lineages
   // a1 = t1, a2 = t2*t3. phi(t1) = 1; phi(t2) = phi(t3) = 1/2.
@@ -88,6 +103,75 @@ TEST(NumericTupleShapleyTest, CountQuery) {
   EXPECT_NEAR(result.values[1], 1.0, 1e-12);
   EXPECT_NEAR(result.values[2], 0.5, 1e-12);
   EXPECT_NEAR(result.values[3], 0.5, 1e-12);
+}
+
+uint64_t Bits(double d) {
+  uint64_t u;
+  std::memcpy(&u, &d, sizeof(u));
+  return u;
+}
+
+// Permutation sampling as it ran before coalition values were memoized:
+// the same RNG stream and accumulation chain, every visit evaluated.
+std::map<int, double> UnmemoizedSampling(
+    const std::function<double(const std::vector<int>&)>& query_value,
+    const std::vector<int>& endogenous, const TupleShapleyConfig& config) {
+  const int n = static_cast<int>(endogenous.size());
+  auto value_of_mask = [&](uint64_t mask) {
+    std::vector<int> present;
+    for (int i = 0; i < n; ++i)
+      if (mask & (1ULL << i)) present.push_back(endogenous[i]);
+    return query_value(present);
+  };
+  Rng rng(config.seed);
+  std::vector<double> acc(n, 0.0);
+  for (int p = 0; p < config.permutations; ++p) {
+    std::vector<int> perm = rng.Permutation(n);
+    uint64_t mask = 0;
+    double prev = value_of_mask(0);
+    for (int i : perm) {
+      mask |= 1ULL << i;
+      double cur = value_of_mask(mask);
+      acc[i] += cur - prev;
+      prev = cur;
+    }
+  }
+  std::map<int, double> values;
+  for (int i = 0; i < n; ++i)
+    values[endogenous[i]] = acc[i] / config.permutations;
+  return values;
+}
+
+TEST(NumericTupleShapleyTest, SamplingEvaluatesEachCoalitionOnce) {
+  // A non-additive game, so the accumulation order shows in the bits.
+  auto game = [](const std::vector<int>& present) {
+    double v = 0.0;
+    for (int id : present) v += std::sqrt(static_cast<double>(id)) * 0.37;
+    return v * v / (1.0 + static_cast<double>(present.size()));
+  };
+  std::map<std::vector<int>, int> calls;
+  auto counting_game = [&](const std::vector<int>& present) {
+    ++calls[present];
+    return game(present);
+  };
+  const std::vector<int> endo = {3, 8, 5, 21, 13, 2};
+  TupleShapleyConfig config;
+  config.exact_limit = 0;
+  config.permutations = 300;
+  config.seed = 77;
+  auto result =
+      NumericQueryTupleShapley(counting_game, endo, config).ValueOrDie();
+  EXPECT_FALSE(result.exact);
+  for (const auto& [present, count] : calls)
+    EXPECT_EQ(count, 1) << "coalition of " << present.size() << " tuples";
+  EXPECT_EQ(result.game_evaluations, static_cast<int>(calls.size()));
+  EXPECT_LT(result.game_evaluations, 300 * 7);
+
+  const std::map<int, double> reference =
+      UnmemoizedSampling(game, endo, config);
+  ASSERT_EQ(result.values.size(), reference.size());
+  for (const auto& [id, value] : reference)
+    EXPECT_EQ(Bits(result.values.at(id)), Bits(value)) << "tuple " << id;
 }
 
 TEST(ResponsibilityTest, CounterfactualCauseHasFullResponsibility) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 #include <map>
 #include <set>
@@ -8,8 +10,11 @@
 
 #include "xai/core/parallel.h"
 #include "xai/core/rng.h"
+#include "xai/core/telemetry.h"
+#include "xai/dbx/responsibility.h"
 #include "xai/dbx/shared_scan.h"
 #include "xai/dbx/tuple_shapley.h"
+#include "xai/relational/agg_kernels.h"
 #include "xai/relational/columnar.h"
 #include "xai/relational/columnar_ops.h"
 #include "xai/relational/operators.h"
@@ -399,12 +404,21 @@ TEST(CompiledLineageTest, Eval64LanesMatchScalarEval) {
 
 TEST(CompiledLineageTest, SingleVarAndConstantClassification) {
   std::vector<int> endo = {4, 6};
-  int bit = -1;
+  uint64_t bits = 0;
   bool cval = true;
   CompiledLineage var = CompiledLineage::Compile(
       ProvExpr::Times(ProvExpr::Base(4), ProvExpr::Base(80)), endo);
-  EXPECT_TRUE(var.IsSingleVar(&bit));
-  EXPECT_EQ(bit, 0);
+  EXPECT_TRUE(var.IsConjunction(&bits));
+  EXPECT_EQ(bits, uint64_t{1} << 0);
+  CompiledLineage both = CompiledLineage::Compile(
+      ProvExpr::Times(ProvExpr::Base(6),
+                      ProvExpr::Times(ProvExpr::Base(80), ProvExpr::Base(4))),
+      endo);
+  EXPECT_TRUE(both.IsConjunction(&bits));
+  EXPECT_EQ(bits, uint64_t{3});
+  CompiledLineage either = CompiledLineage::Compile(
+      ProvExpr::Plus(ProvExpr::Base(4), ProvExpr::Base(6)), endo);
+  EXPECT_FALSE(either.IsConjunction(&bits));
   CompiledLineage zero = CompiledLineage::Compile(ProvExpr::Zero(), endo);
   EXPECT_TRUE(zero.IsConst(&cval));
   EXPECT_FALSE(cval);
@@ -485,6 +499,60 @@ TEST(SharedScanAggregateTest, DrivesNumericShapleyViaAdapter) {
   ASSERT_EQ(fast.values.size(), slow.values.size());
   for (const auto& [id, value] : fast.values)
     EXPECT_EQ(Bits(value), Bits(slow.values.at(id))) << "tuple " << id;
+}
+
+TEST(SharedScanAggregateTest, RejectsMoreThan63Players) {
+  // Bit 63 marks underivable rows and coalitions are 64-bit masks, so a
+  // 64th player has no bit of its own.
+  Relation rows("r", {"v"});
+  ASSERT_TRUE(rows.AppendBase({Value::Double(1.0)}, 0).ok());
+  std::vector<int> endo(64);
+  for (int i = 0; i < 64; ++i) endo[i] = i;
+  EXPECT_FALSE(SharedScanAggregate::Build(rows, AggFn::kSum, 0, endo).ok());
+  endo.pop_back();
+  EXPECT_TRUE(SharedScanAggregate::Build(rows, AggFn::kSum, 0, endo).ok());
+}
+
+TEST(SharedScanDecisionRecordTest, CountsRowClassesAndMemoHits) {
+  // Under XAI_TELEMETRY=0 the counters compile away and stay put.
+  constexpr bool kCompiled = XAI_TELEMETRY != 0;
+  telemetry::Registry& registry = telemetry::Registry::Global();
+  telemetry::Counter* rows_seen = registry.GetCounter("dbx/shared_scan_rows");
+  telemetry::Counter* program_rows =
+      registry.GetCounter("dbx/shared_scan_program_rows");
+  telemetry::Counter* memo_hits =
+      registry.GetCounter("dbx/coalition_memo_hits");
+
+  // One row of each class: one variable, a conjunction with an exogenous
+  // factor, always (exogenous), never (Zero), and one OR program.
+  Relation r("r", {"v"});
+  const std::vector<ProvExprPtr> lineages = {
+      ProvExpr::Base(0),
+      ProvExpr::Times(ProvExpr::Base(1),
+                      ProvExpr::Times(ProvExpr::Base(2), ProvExpr::Base(9))),
+      ProvExpr::Base(9), ProvExpr::Zero(),
+      ProvExpr::Plus(ProvExpr::Base(1), ProvExpr::Base(3))};
+  for (size_t i = 0; i < lineages.size(); ++i)
+    ASSERT_TRUE(r.Append({Value::Double(1.25 * i)}, lineages[i]).ok());
+  const std::vector<int> endo = {0, 1, 2, 3};
+
+  const int64_t rows_before = rows_seen->Get();
+  const int64_t programs_before = program_rows->Get();
+  const int64_t hits_before = memo_hits->Get();
+  auto scan = SharedScanAggregate::Build(r, AggFn::kSum, 0, endo).ValueOrDie();
+  EXPECT_EQ(rows_seen->Get() - rows_before, kCompiled ? 5 : 0);
+  EXPECT_EQ(program_rows->Get() - programs_before, kCompiled ? 1 : 0);
+
+  TupleShapleyConfig config;
+  config.exact_limit = 0;
+  config.permutations = 12;
+  auto result =
+      NumericQueryTupleShapley(scan.AsQueryValue(), endo, config).ValueOrDie();
+  // Every permutation visits 5 coalitions; each revisit is a hit.
+  const int64_t visits = 12 * 5;
+  EXPECT_LE(result.game_evaluations, 16);
+  EXPECT_EQ(memo_hits->Get() - hits_before,
+            kCompiled ? visits - result.game_evaluations : 0);
 }
 
 // ---- Provenance lifetime: handles outlive their pipeline ----
@@ -810,6 +878,257 @@ TEST(GeneratedDifferentialTest, RowAndColumnarPipelinesAgree) {
   EXPECT_GT(seen.one_term_sums, 0);
   EXPECT_GT(seen.zero_dropped, 0);
   EXPECT_GT(seen.unit_products, 0);
+}
+
+// ---- Generated lineage formulas: compiled, shared-scan and
+// responsibility paths vs ProvExpr::EvalBool ----
+
+// 1-9 players, drawn from 12 ids with replacement, so some repeat.
+std::vector<int> RandomPlayers(Rng& rng) {
+  std::vector<int> endo(rng.UniformInt(1, 10));
+  for (int& id : endo) id = rng.UniformInt(12);
+  return endo;
+}
+
+// A seeded random positive lineage over the players `endo`: a DAG whose
+// inner nodes take earlier nodes as children (shared subtrees), over
+// leaves that are mostly players, some exogenous ids, Zero and One.
+// `conjunctive` keeps to products, so every row it annotates compiles to
+// a constant or a conjunction of player bits.
+ProvExprPtr RandomLineage(Rng& rng, const std::vector<int>& endo,
+                          bool conjunctive) {
+  auto leaf = [&]() -> ProvExprPtr {
+    const double u = rng.Uniform();
+    if (u < 0.03) return ProvExpr::Zero();
+    if (u < 0.06) return ProvExpr::One();
+    if (u < 0.12) return ProvExpr::Base(100 + rng.UniformInt(4));
+    return ProvExpr::Base(endo[rng.UniformInt(static_cast<int>(endo.size()))]);
+  };
+  std::vector<ProvExprPtr> pool = {leaf()};
+  auto pick = [&]() -> ProvExprPtr {
+    if (rng.Bernoulli(0.4)) return leaf();
+    return pool[rng.UniformInt(static_cast<int>(pool.size()))];
+  };
+  const int inner = rng.UniformInt(1, 10);
+  for (int i = 0; i < inner; ++i) {
+    const double u = conjunctive ? 0.0 : rng.Uniform();
+    if (u < 0.8) {
+      ProvExprPtr a = pick();
+      ProvExprPtr b = pick();
+      pool.push_back(u < 0.4 ? ProvExpr::Times(std::move(a), std::move(b))
+                             : ProvExpr::Plus(std::move(a), std::move(b)));
+    } else {
+      std::vector<ProvExprPtr> terms(rng.UniformInt(1, 5));
+      for (ProvExprPtr& t : terms) t = pick();
+      pool.push_back(ProvExpr::PlusAll(std::move(terms)));
+    }
+  }
+  return pool.back();
+}
+
+// EvalBool under a coalition: a player is present when the mask has the
+// bit of its first occurrence; every other id is exogenous (present).
+bool EvalBoolAt(const ProvExprPtr& lineage, const std::vector<int>& endo,
+                uint64_t mask) {
+  return lineage->EvalBool([&](int id) {
+    for (size_t i = 0; i < endo.size(); ++i)
+      if (endo[i] == id) return ((mask >> i) & 1) != 0;
+    return true;
+  });
+}
+
+// EvalBoolAt for every mask of the players' bits.
+std::vector<bool> TruthTable(const ProvExprPtr& lineage,
+                             const std::vector<int>& endo) {
+  std::vector<bool> truth(uint64_t{1} << endo.size());
+  for (uint64_t m = 0; m < truth.size(); ++m)
+    truth[m] = EvalBoolAt(lineage, endo, m);
+  return truth;
+}
+
+// Bits a coalition mask may carry beyond the players': none, all of them,
+// and bit 63 alone.
+std::vector<uint64_t> HighBits(int n) {
+  return {0, ~uint64_t{0} << std::max(n, 6), uint64_t{1} << 63};
+}
+
+TEST(GeneratedLineageTest, CompiledEvaluationMatchesEvalBool) {
+  int consts = 0, conjunctions = 0, programs = 0, duplicates = 0;
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed * 104729);
+    const std::vector<int> endo = RandomPlayers(rng);
+    const ProvExprPtr lineage = RandomLineage(rng, endo, rng.Bernoulli(0.3));
+    const int n = static_cast<int>(endo.size());
+    if (std::set<int>(endo.begin(), endo.end()).size() < endo.size())
+      ++duplicates;
+    const std::vector<bool> truth = TruthTable(lineage, endo);
+    const uint64_t players = truth.size() - 1;
+
+    const CompiledLineage compiled = CompiledLineage::Compile(lineage, endo);
+    CompiledLineage::Scratch scratch;
+    bool cval = false;
+    uint64_t bits = 0;
+    const bool is_const = compiled.IsConst(&cval);
+    const bool is_conjunction = compiled.IsConjunction(&bits);
+    consts += is_const;
+    conjunctions += is_conjunction;
+    programs += !is_const && !is_conjunction;
+    for (uint64_t base = 0; base < truth.size(); base += 64) {
+      for (uint64_t high : HighBits(n)) {
+        const uint64_t lanes = compiled.Eval64(base | high, &scratch);
+        for (uint64_t j = 0; j < 64; ++j) {
+          const uint64_t mask = base | high | j;
+          const bool want = truth[mask & players];
+          ASSERT_EQ(((lanes >> j) & 1) != 0, want) << "mask " << mask;
+          ASSERT_EQ(compiled.Eval(mask, &scratch), want) << "mask " << mask;
+          if (is_const) {
+            ASSERT_EQ(cval, want);
+          }
+          if (is_conjunction) {
+            ASSERT_EQ((bits & ~mask) == 0, want);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(consts, 0);
+  EXPECT_GT(conjunctions, 0);
+  EXPECT_GT(programs, 0);
+  EXPECT_GT(duplicates, 0);
+}
+
+TEST(GeneratedLineageTest, SharedScanMatchesGatherThenCanonicalKernels) {
+  int program_rows = 0;
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed * 7907);
+    // Odd seeds: every row is a constant or a conjunction, so Eval is the
+    // mask-only scan. Even seeds mix in OR programs.
+    const bool mixed = seed % 2 == 0;
+    const std::vector<int> endo = RandomPlayers(rng);
+    const int n = static_cast<int>(endo.size());
+    Relation rows("r", {"v"});
+    std::vector<std::vector<bool>> truth;
+    const int num_rows = rng.UniformInt(0, 40);
+    for (int r = 0; r < num_rows; ++r) {
+      // Some repeated small values, some arbitrary ones.
+      const double v = rng.Bernoulli(0.2) ? rng.UniformInt(4)
+                                          : rng.Uniform(-50.0, 50.0);
+      ProvExprPtr lineage =
+          RandomLineage(rng, endo, !mixed || rng.Bernoulli(0.5));
+      truth.push_back(TruthTable(lineage, endo));
+      const CompiledLineage compiled = CompiledLineage::Compile(lineage, endo);
+      bool cval = false;
+      uint64_t bits = 0;
+      const bool program =
+          !compiled.IsConst(&cval) && !compiled.IsConjunction(&bits);
+      if (!mixed) {
+        ASSERT_FALSE(program) << "row " << r;
+      }
+      program_rows += program;
+      ASSERT_TRUE(rows.Append({Value::Double(v)}, std::move(lineage)).ok());
+    }
+    const uint64_t players = (uint64_t{1} << n) - 1;
+    for (AggFn fn : {AggFn::kCount, AggFn::kSum, AggFn::kAvg, AggFn::kMin,
+                     AggFn::kMax}) {
+      auto scan = SharedScanAggregate::Build(rows, fn, 0, endo).ValueOrDie();
+      for (uint64_t m = 0; m <= players; ++m) {
+        std::vector<double> present;
+        for (int r = 0; r < num_rows; ++r)
+          if (truth[r][m]) present.push_back(rows.tuple(r)[0].AsDouble());
+        const int64_t len = static_cast<int64_t>(present.size());
+        double want = 0.0;
+        switch (fn) {
+          case AggFn::kCount:
+            want = static_cast<double>(len);
+            break;
+          case AggFn::kSum:
+            want = CanonicalSum(present.data(), len);
+            break;
+          case AggFn::kAvg:
+            want = len ? CanonicalSum(present.data(), len) / len : 0.0;
+            break;
+          case AggFn::kMin:
+            want = CanonicalMin(present.data(), len);
+            break;
+          case AggFn::kMax:
+            want = CanonicalMax(present.data(), len);
+            break;
+        }
+        for (uint64_t high : HighBits(n)) {
+          ASSERT_EQ(Bits(scan.Eval(m | high)), Bits(want))
+              << "fn " << static_cast<int>(fn) << " mask " << (m | high);
+        }
+      }
+    }
+  }
+  EXPECT_GT(program_rows, 0);
+}
+
+// Responsibility by exhaustive search from EvalBool: per player t, the
+// smallest contingency set Gamma (ties: the lexicographically first list
+// of player indexes) such that the answer holds with Gamma removed but
+// not with Gamma and t removed.
+ResponsibilityResult ExhaustiveResponsibility(const ProvExprPtr& lineage,
+                                              const std::vector<int>& endo,
+                                              int max_size) {
+  const int n = static_cast<int>(endo.size());
+  const uint64_t players = (uint64_t{1} << n) - 1;
+  const std::vector<bool> truth = TruthTable(lineage, endo);
+  auto holds = [&](uint64_t removed) { return truth[players & ~removed]; };
+  ResponsibilityResult out;
+  if (!holds(0)) {
+    for (int id : endo) out.responsibility[id] = 0.0;
+    return out;
+  }
+  for (int t = 0; t < n; ++t) {
+    const uint64_t t_bit = uint64_t{1} << t;
+    bool found = false;
+    std::vector<int> best;
+    for (uint64_t gamma = 0; gamma <= players; ++gamma) {
+      if ((gamma & t_bit) || std::popcount(gamma) > max_size) continue;
+      if (!holds(gamma) || holds(gamma | t_bit)) continue;
+      std::vector<int> set;
+      for (int i = 0; i < n; ++i)
+        if ((gamma >> i) & 1) set.push_back(i);
+      if (!found || set.size() < best.size() ||
+          (set.size() == best.size() && set < best)) {
+        best = set;
+        found = true;
+      }
+    }
+    std::vector<int> ids;
+    for (int i : best) ids.push_back(endo[i]);
+    out.responsibility[endo[t]] = found ? 1.0 / (1.0 + best.size()) : 0.0;
+    out.contingency[endo[t]] = ids;
+  }
+  return out;
+}
+
+TEST(GeneratedLineageTest, ResponsibilityMatchesExhaustiveSearch) {
+  int causes = 0, with_contingency = 0, capped = 0;
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed * 31337);
+    const std::vector<int> endo = RandomPlayers(rng);
+    const ProvExprPtr lineage = RandomLineage(rng, endo, false);
+    const int max_size = rng.UniformInt(0, 8);
+    const ResponsibilityResult got =
+        TupleResponsibility(lineage, endo, max_size).ValueOrDie();
+    const ResponsibilityResult want =
+        ExhaustiveResponsibility(lineage, endo, max_size);
+    EXPECT_EQ(got.responsibility, want.responsibility);
+    EXPECT_EQ(got.contingency, want.contingency);
+    for (const auto& [id, r] : want.responsibility) {
+      causes += r > 0.0;
+      with_contingency += r > 0.0 && r < 1.0;
+    }
+    capped += max_size < static_cast<int>(endo.size()) - 1;
+  }
+  EXPECT_GT(causes, 0);
+  EXPECT_GT(with_contingency, 0);
+  EXPECT_GT(capped, 0);
 }
 
 }  // namespace
