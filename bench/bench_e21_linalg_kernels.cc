@@ -7,8 +7,8 @@
 //      weighted least-squares solve over the perturbation design).
 //  (2) Accuracy: results differ from the pre-kernel textbook loops only by
 //      summation order — max |delta| on WLS/GEMM outputs vs faithful
-//      replicas of the seed implementations stays < 1e-9 — while scalar,
-//      SSE2, and AVX2 backends are BIT-identical among themselves (the
+//      replicas of the seed implementations stays < 1e-9 — while the scalar
+//      and AVX2 backends are BIT-identical to each other (the
 //      striped-accumulator contract of core/simd.h).
 //
 // The "pre" numbers come from in-bench replicas of the seed loops (same
@@ -200,18 +200,17 @@ void Run(int argc, char** argv) {
       "E21: SIMD math-kernel layer (dot/axpy/GEMM under WLS, Newton, "
       "batch predict)",
       "dispatched kernels give >= 2x serial GEMM / WLS-assembly speedup "
-      "with bit-identical results across scalar/sse2/avx2 backends and "
+      "with bit-identical results across the scalar and avx2 backends and "
       "< 1e-9 drift vs the pre-kernel loops; the packed/tiled GEMM adds "
-      ">= 2x over the direct kernel at 512^3 and the fused LIME/KernelSHAP "
-      "pipelines beat the materialized paths bit-identically",
+      ">= 2x over the direct kernel at 512^3",
       "GEMM 256^3 + packed 512^3 (+ opt-in fma tier); WLS 6000x64; LIME "
       "d=128 n=4000 and KernelSHAP d=64 end-to-end A/B between scalar and "
-      "dispatched backends and fused vs materialized pipelines");
+      "dispatched backends");
   bench::RunReport report(
       "e21",
       "SIMD kernel layer: >=2x serial GEMM/WLS-assembly speedup, "
       "bit-identical across backends, <1e-9 vs pre-kernel loops; packed "
-      "GEMM >=2x over direct; fused explainer pipelines bit-identical");
+      "GEMM >=2x over direct");
   report.Note("simd_best_backend", simd::BackendName(best));
   report.Note("mode", smoke ? "smoke" : "full");
   report.Metric("threads", threads);
@@ -491,30 +490,6 @@ void Run(int argc, char** argv) {
     double checksum = 0.0;
     for (double v : e_simd.attributions) checksum += v;
     report.Metric("lime_attribution_checksum", checksum);
-
-    // Fused streaming pipeline vs the materialized design-matrix path
-    // (both on the dispatched backend, serial — the PR5 baseline is the
-    // materialized path).
-    LimeConfig mat_config = config;
-    mat_config.fused = false;
-    LimeExplainer lime_mat(train, mat_config);
-    SetNumThreads(1);
-    simd::SetBackend(best);
-    LimeExplanation e_mat = lime_mat.Explain(f, train.Row(0), 1).ValueOrDie();
-    double mat_sec = BestOf(kReps, [&] {
-      auto e = lime_mat.Explain(f, train.Row(0), 1);
-      (void)e;
-    });
-    SetNumThreads(threads);
-    bool fused_identical =
-        BitIdentical(e_mat.attributions, e_simd.attributions);
-    std::printf("fused=%.2f ms  materialized=%.2f ms  speedup=%.2fx  "
-                "attributions bit-identical=%s\n",
-                simd_sec * 1e3, mat_sec * 1e3, mat_sec / simd_sec,
-                fused_identical ? "yes" : "NO");
-    report.Metric("lime_materialized_ms", mat_sec * 1e3);
-    report.Metric("lime_fused_speedup", mat_sec / simd_sec);
-    report.Metric("lime_fused_bit_identical", fused_identical ? 1 : 0);
   }
 
   // -- End-to-end: KernelSHAP ------------------------------------------------
@@ -561,34 +536,6 @@ void Run(int argc, char** argv) {
     double checksum = 0.0;
     for (double v : ks_simd.attributions) checksum += v;
     report.Metric("kernelshap_attribution_checksum", checksum);
-
-    // Fused streaming pipeline vs the materialized design + constrained
-    // solve (both dispatched backend, serial).
-    KernelShapConfig mat_config = config;
-    mat_config.fused = false;
-    SetNumThreads(1);
-    simd::SetBackend(best);
-    auto run_mat = [&] {
-      MarginalFeatureGame game(AsPredictFn(model), instance, data.x(),
-                               /*background_rows=*/16);
-      Rng r(99);
-      return KernelShap(game, mat_config, &r).ValueOrDie();
-    };
-    AttributionExplanation ks_mat = run_mat();
-    double mat_sec = BestOf(kReps, [&] {
-      auto e = run_mat();
-      (void)e;
-    });
-    SetNumThreads(threads);
-    bool fused_identical =
-        BitIdentical(ks_mat.attributions, ks_simd.attributions);
-    std::printf("fused=%.2f ms  materialized=%.2f ms  speedup=%.2fx  "
-                "attributions bit-identical=%s\n",
-                simd_sec * 1e3, mat_sec * 1e3, mat_sec / simd_sec,
-                fused_identical ? "yes" : "NO");
-    report.Metric("kernelshap_materialized_ms", mat_sec * 1e3);
-    report.Metric("kernelshap_fused_speedup", mat_sec / simd_sec);
-    report.Metric("kernelshap_fused_bit_identical", fused_identical ? 1 : 0);
   }
 
   simd::SetBackend(best);

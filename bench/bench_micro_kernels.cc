@@ -99,7 +99,7 @@ BENCHMARK(BM_GemmKernel)
     ->Args({192, 1});
 
 // Packed GEMM flop-rate sweep: range(0) = n (C += A*B at n^3), range(1) =
-// the Backend enum value (0 scalar, 1 sse2, 2 avx2, 3 fma — fma is opt-in
+// the Backend enum value (0 scalar, 2 avx2, 3 fma — fma is opt-in
 // and skipped when the host lacks it), range(2) = thread count.
 // items_per_second == FLOP/s (2 n^3 per iteration).
 void BM_GemmPackedFlopRate(benchmark::State& state) {
@@ -132,7 +132,7 @@ void BM_GemmPackedFlopRate(benchmark::State& state) {
 }
 void GemmPackedSweepArgs(benchmark::internal::Benchmark* bench) {
   for (int size : {64, 128, 256, 512, 1024})
-    for (int backend : {0, 1, 2, 3})
+    for (int backend : {0, 2, 3})
       for (int threads : {1, 4, 8}) bench->Args({size, backend, threads});
 }
 BENCHMARK(BM_GemmPackedFlopRate)->Apply(GemmPackedSweepArgs);

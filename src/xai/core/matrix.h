@@ -51,10 +51,13 @@ class Matrix {
     return data_[static_cast<size_t>(r) * cols_ + c];
   }
 
-  /// Raw pointer to row r (cols() contiguous doubles).
-  double* RowPtr(int r) { return &data_[static_cast<size_t>(r) * cols_]; }
+  /// Raw pointer to row r (cols() contiguous doubles). Pointer arithmetic,
+  /// not &data_[i]: a zero-column matrix has no element to reference.
+  double* RowPtr(int r) {
+    return data_.data() + static_cast<size_t>(r) * cols_;
+  }
   const double* RowPtr(int r) const {
-    return &data_[static_cast<size_t>(r) * cols_];
+    return data_.data() + static_cast<size_t>(r) * cols_;
   }
 
   /// Copies row r into a Vector.

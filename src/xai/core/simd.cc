@@ -32,8 +32,6 @@ const char* BackendName(Backend backend) {
       return "fma";
     case Backend::kAvx2:
       return "avx2";
-    case Backend::kSse2:
-      return "sse2";
     case Backend::kScalar:
       return "scalar";
   }
@@ -42,14 +40,11 @@ const char* BackendName(Backend backend) {
 
 Backend MaxSupported() {
 #if XAI_SIMD_X86
-  // SSE2 is architectural on x86-64; AVX2 needs a CPUID probe. kFma is
-  // opt-in only, so the auto-detected ceiling stops at the bit-identical
-  // tiers even on FMA-capable hardware.
+  // kFma is opt-in only, so the auto-detected ceiling stops at the
+  // bit-identical tiers even on FMA-capable hardware.
   if (__builtin_cpu_supports("avx2")) return Backend::kAvx2;
-  return Backend::kSse2;
-#else
-  return Backend::kScalar;
 #endif
+  return Backend::kScalar;
 }
 
 bool FmaSupported() {
@@ -63,7 +58,6 @@ bool FmaSupported() {
 Backend ParseBackendName(const char* name) {
   XAI_CHECK_MSG(name != nullptr, "XAI_SIMD backend name is null");
   if (std::strcmp(name, "scalar") == 0) return Backend::kScalar;
-  if (std::strcmp(name, "sse2") == 0) return Backend::kSse2;
   if (std::strcmp(name, "avx2") == 0) return Backend::kAvx2;
   if (std::strcmp(name, "fma") == 0) return Backend::kFma;
   // A typo must not silently fall back to auto-detection: whoever set
@@ -96,7 +90,7 @@ Backend InitialBackend() {
 //
 // Auto-vectorization is disabled on these functions: the stripe layout is
 // exactly what the compiler's vectorizer looks for, and letting it fire
-// would silently turn the "scalar" backend into an unlabeled SSE2 backend —
+// would silently turn the "scalar" backend into an unlabeled vector backend —
 // the XAI_SIMD=scalar CI job and the scalar-vs-dispatched A/B in bench_e21
 // both need a genuinely scalar baseline. Results are unaffected either way
 // (same IEEE operations in the same order).
@@ -259,185 +253,6 @@ XAI_SIMD_NOVEC void GemmMicroEdgeScalar(int kc, int mr, int nr,
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// SSE2 backend: the 4-wide stripe as two 2-lane halves. SSE2 is baseline on
-// x86-64, so these functions need no target attribute.
-// ---------------------------------------------------------------------------
-
-#if XAI_SIMD_X86
-namespace {
-
-double DotSse2(const double* a, const double* b, size_t n) {
-  __m128d acc01 = _mm_setzero_pd();  // Stripe lanes 0, 1.
-  __m128d acc23 = _mm_setzero_pd();  // Stripe lanes 2, 3.
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc01 = _mm_add_pd(acc01, _mm_mul_pd(_mm_loadu_pd(a + i),
-                                         _mm_loadu_pd(b + i)));
-    acc23 = _mm_add_pd(acc23, _mm_mul_pd(_mm_loadu_pd(a + i + 2),
-                                         _mm_loadu_pd(b + i + 2)));
-  }
-  double acc[4];
-  _mm_storeu_pd(acc, acc01);
-  _mm_storeu_pd(acc + 2, acc23);
-  for (size_t r = 0; i + r < n; ++r) acc[r] += a[i + r] * b[i + r];
-  return (acc[0] + acc[1]) + (acc[2] + acc[3]);
-}
-
-void AxpySse2(double s, const double* x, double* y, size_t n) {
-  __m128d vs = _mm_set1_pd(s);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm_storeu_pd(y + i, _mm_add_pd(_mm_loadu_pd(y + i),
-                                    _mm_mul_pd(vs, _mm_loadu_pd(x + i))));
-    _mm_storeu_pd(
-        y + i + 2,
-        _mm_add_pd(_mm_loadu_pd(y + i + 2),
-                   _mm_mul_pd(vs, _mm_loadu_pd(x + i + 2))));
-  }
-  for (; i < n; ++i) y[i] += s * x[i];
-}
-
-double SsdSse2(const double* a, const double* b, size_t n, const double* w) {
-  __m128d acc01 = _mm_setzero_pd();
-  __m128d acc23 = _mm_setzero_pd();
-  size_t i = 0;
-  if (w == nullptr) {
-    for (; i + 4 <= n; i += 4) {
-      __m128d d01 = _mm_sub_pd(_mm_loadu_pd(a + i), _mm_loadu_pd(b + i));
-      __m128d d23 =
-          _mm_sub_pd(_mm_loadu_pd(a + i + 2), _mm_loadu_pd(b + i + 2));
-      acc01 = _mm_add_pd(acc01, _mm_mul_pd(d01, d01));
-      acc23 = _mm_add_pd(acc23, _mm_mul_pd(d23, d23));
-    }
-  } else {
-    for (; i + 4 <= n; i += 4) {
-      __m128d d01 = _mm_sub_pd(_mm_loadu_pd(a + i), _mm_loadu_pd(b + i));
-      __m128d d23 =
-          _mm_sub_pd(_mm_loadu_pd(a + i + 2), _mm_loadu_pd(b + i + 2));
-      acc01 = _mm_add_pd(
-          acc01, _mm_mul_pd(_mm_mul_pd(d01, d01), _mm_loadu_pd(w + i)));
-      acc23 = _mm_add_pd(
-          acc23, _mm_mul_pd(_mm_mul_pd(d23, d23), _mm_loadu_pd(w + i + 2)));
-    }
-  }
-  double acc[4];
-  _mm_storeu_pd(acc, acc01);
-  _mm_storeu_pd(acc + 2, acc23);
-  for (size_t r = 0; i + r < n; ++r) {
-    double d = a[i + r] - b[i + r];
-    double sq = d * d;
-    acc[r] += w == nullptr ? sq : sq * w[i + r];
-  }
-  return (acc[0] + acc[1]) + (acc[2] + acc[3]);
-}
-
-void GemmSse2(int m, int n, int k, const double* a, int lda, const double* b,
-              int ldb, double* c, int ldc) {
-  // 2 rows x 4 cols register tile; k ascending per C element.
-  const int m2 = m & ~1;
-  const int n4 = n & ~3;
-  for (int i = 0; i < m2; i += 2) {
-    const double* a0 = a + static_cast<size_t>(i) * lda;
-    const double* a1 = a0 + lda;
-    double* c0 = c + static_cast<size_t>(i) * ldc;
-    double* c1 = c0 + ldc;
-    for (int j = 0; j < n4; j += 4) {
-      __m128d c00 = _mm_loadu_pd(c0 + j);
-      __m128d c01 = _mm_loadu_pd(c0 + j + 2);
-      __m128d c10 = _mm_loadu_pd(c1 + j);
-      __m128d c11 = _mm_loadu_pd(c1 + j + 2);
-      for (int p = 0; p < k; ++p) {
-        const double* brow = b + static_cast<size_t>(p) * ldb + j;
-        __m128d b0 = _mm_loadu_pd(brow);
-        __m128d b1 = _mm_loadu_pd(brow + 2);
-        __m128d va0 = _mm_set1_pd(a0[p]);
-        __m128d va1 = _mm_set1_pd(a1[p]);
-        c00 = _mm_add_pd(c00, _mm_mul_pd(va0, b0));
-        c01 = _mm_add_pd(c01, _mm_mul_pd(va0, b1));
-        c10 = _mm_add_pd(c10, _mm_mul_pd(va1, b0));
-        c11 = _mm_add_pd(c11, _mm_mul_pd(va1, b1));
-      }
-      _mm_storeu_pd(c0 + j, c00);
-      _mm_storeu_pd(c0 + j + 2, c01);
-      _mm_storeu_pd(c1 + j, c10);
-      _mm_storeu_pd(c1 + j + 2, c11);
-    }
-  }
-  // Edges: leftover columns for the blocked rows, then leftover rows.
-  if (n4 < n) GemmEdgeScalar(0, m2, n4, n, k, a, lda, b, ldb, c, ldc);
-  if (m2 < m) GemmEdgeScalar(m2, m, 0, n, k, a, lda, b, ldb, c, ldc);
-}
-
-void GemmTNSse2(int m, int n, int k, const double* a, int lda,
-                const double* b, int ldb, double* c, int ldc) {
-  for (int p = 0; p < k; ++p) {
-    const double* arow = a + static_cast<size_t>(p) * lda;
-    const double* brow = b + static_cast<size_t>(p) * ldb;
-    for (int i = 0; i < m; ++i) {
-      AxpySse2(arow[i], brow, c + static_cast<size_t>(i) * ldc, n);
-    }
-  }
-}
-
-void WeightedOuterSse2(double w, const double* row, int d, double* g,
-                       int stride) {
-  for (int a = 0; a < d; ++a) {
-    double s = w * row[a];
-    AxpySse2(s, row + a, g + static_cast<size_t>(a) * stride + a, d - a);
-  }
-}
-
-// Packed 4x8 micro-kernel as two sequential 4x4 halves (8 xmm accumulators
-// each — the full tile would need 16 and spill). Each half runs the whole
-// kc loop, so every C element still carries one ascending-p chain.
-void GemmMicroSse2(int kc, const double* ap, const double* bp, double* c,
-                   int ldc) {
-  double* c0 = c;
-  double* c1 = c0 + ldc;
-  double* c2 = c1 + ldc;
-  double* c3 = c2 + ldc;
-  for (int h = 0; h < kGemmNR; h += 4) {
-    __m128d c00 = _mm_loadu_pd(c0 + h);
-    __m128d c01 = _mm_loadu_pd(c0 + h + 2);
-    __m128d c10 = _mm_loadu_pd(c1 + h);
-    __m128d c11 = _mm_loadu_pd(c1 + h + 2);
-    __m128d c20 = _mm_loadu_pd(c2 + h);
-    __m128d c21 = _mm_loadu_pd(c2 + h + 2);
-    __m128d c30 = _mm_loadu_pd(c3 + h);
-    __m128d c31 = _mm_loadu_pd(c3 + h + 2);
-    for (int p = 0; p < kc; ++p) {
-      const double* brow = bp + static_cast<size_t>(p) * kGemmNR + h;
-      const double* acol = ap + static_cast<size_t>(p) * kGemmMR;
-      __m128d b0 = _mm_loadu_pd(brow);
-      __m128d b1 = _mm_loadu_pd(brow + 2);
-      __m128d va = _mm_set1_pd(acol[0]);
-      c00 = _mm_add_pd(c00, _mm_mul_pd(va, b0));
-      c01 = _mm_add_pd(c01, _mm_mul_pd(va, b1));
-      va = _mm_set1_pd(acol[1]);
-      c10 = _mm_add_pd(c10, _mm_mul_pd(va, b0));
-      c11 = _mm_add_pd(c11, _mm_mul_pd(va, b1));
-      va = _mm_set1_pd(acol[2]);
-      c20 = _mm_add_pd(c20, _mm_mul_pd(va, b0));
-      c21 = _mm_add_pd(c21, _mm_mul_pd(va, b1));
-      va = _mm_set1_pd(acol[3]);
-      c30 = _mm_add_pd(c30, _mm_mul_pd(va, b0));
-      c31 = _mm_add_pd(c31, _mm_mul_pd(va, b1));
-    }
-    _mm_storeu_pd(c0 + h, c00);
-    _mm_storeu_pd(c0 + h + 2, c01);
-    _mm_storeu_pd(c1 + h, c10);
-    _mm_storeu_pd(c1 + h + 2, c11);
-    _mm_storeu_pd(c2 + h, c20);
-    _mm_storeu_pd(c2 + h + 2, c21);
-    _mm_storeu_pd(c3 + h, c30);
-    _mm_storeu_pd(c3 + h + 2, c31);
-  }
-}
-
-}  // namespace
-#endif  // XAI_SIMD_X86
 
 // ---------------------------------------------------------------------------
 // AVX2 backend. Per-function target attribute so the rest of the binary
@@ -874,10 +689,6 @@ constexpr KernelTable kScalarTable = {
     WeightedOuterScalar, GemmScalar, GemmTNScalar, GemmMicroScalar};
 
 #if XAI_SIMD_X86
-constexpr KernelTable kSse2Table = {
-    Backend::kSse2,     DotSse2,  AxpySse2,   SsdSse2,
-    WeightedOuterSse2, GemmSse2, GemmTNSse2, GemmMicroSse2};
-
 constexpr KernelTable kAvx2Table = {
     Backend::kAvx2,     DotAvx2,  AxpyAvx2,   SsdAvx2,
     WeightedOuterAvx2, GemmAvx2, GemmTNAvx2, GemmMicroAvx2};
@@ -894,8 +705,6 @@ const KernelTable* TableFor(Backend backend) {
       return &kFmaTable;
     case Backend::kAvx2:
       return &kAvx2Table;
-    case Backend::kSse2:
-      return &kSse2Table;
     case Backend::kScalar:
       return &kScalarTable;
   }
@@ -1051,9 +860,6 @@ void CountGemmFlops(Backend backend, int m, int n, int k) {
       break;
     case Backend::kAvx2:
       XAI_COUNTER_ADD("linalg/gemm_flops_avx2", flops);
-      break;
-    case Backend::kSse2:
-      XAI_COUNTER_ADD("linalg/gemm_flops_sse2", flops);
       break;
     case Backend::kScalar:
       XAI_COUNTER_ADD("linalg/gemm_flops_scalar", flops);

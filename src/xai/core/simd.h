@@ -7,15 +7,15 @@
 /// Portable vectorized math kernels — the dense-linear-algebra core under
 /// Matrix, the WLS solvers, Newton steps, and batch prediction.
 ///
-/// Four backends are compiled into every binary and selected behind one
+/// Three backends are compiled into every binary and selected behind one
 /// dispatch point (a function-pointer table resolved per SetBackend() /
 /// environment read — kernels never branch on the backend internally):
 ///   - kFma:    4-wide AVX2 with fused multiply-add (OPT-IN, see below),
 ///   - kAvx2:   4-wide AVX2 (+FMA-capable hardware, but FMA unused),
-///   - kSse2:   2x 2-wide SSE2 (baseline on x86-64),
-///   - kScalar: plain doubles.
+///   - kScalar: plain doubles, the reference and the fallback on hosts
+///              without AVX2.
 /// The active backend is chosen at startup from CPUID, overridable with the
-/// environment variable `XAI_SIMD=fma|avx2|sse2|scalar` (for A/B testing and
+/// environment variable `XAI_SIMD=fma|avx2|scalar` (for A/B testing and
 /// the scalar/fma CI jobs) and at runtime with SetBackend (tests and benches
 /// only — not thread-safe against concurrent kernel calls). Unknown XAI_SIMD
 /// values abort: a typo silently falling back to auto-detection would
@@ -29,12 +29,12 @@
 ///   tail elements r go into acc[r]
 ///   result = (acc[0] + acc[1]) + (acc[2] + acc[3])
 ///
-/// — which the SSE2 backend executes as two 2-lane halves and the scalar
-/// backend emulates with four named doubles. Elementwise kernels (Axpy,
+/// — which the AVX2 backend holds in one register and the scalar backend
+/// emulates with four named doubles. Elementwise kernels (Axpy,
 /// WeightedOuterAccumulate, Gemm) carry one independent accumulation chain
 /// per output element, ordered by the contraction index. Because each IEEE
 /// lane operation is identical across widths, every kernel is bit-identical
-/// across the scalar/sse2/avx2 backends and any thread count — including
+/// across the scalar and avx2 backends and any thread count — including
 /// the packed, cache-blocked, multithreaded GEMM path: KC blocks are
 /// processed serially in ascending contraction order, row panels partition C
 /// disjointly across threads, and edge micro-kernels only touch valid panel
@@ -54,7 +54,8 @@
 namespace xai {
 namespace simd {
 
-enum class Backend { kScalar = 0, kSse2 = 1, kAvx2 = 2, kFma = 3 };
+/// Values order the tiers by capability; SetBackend clamps by comparing them.
+enum class Backend { kScalar = 0, kAvx2 = 2, kFma = 3 };
 
 /// Register-tile shape of the packed GEMM micro-kernel: each call updates an
 /// MR x NR block of C over a KC-long contraction. Exposed so tests can probe
@@ -62,17 +63,18 @@ enum class Backend { kScalar = 0, kSse2 = 1, kAvx2 = 2, kFma = 3 };
 inline constexpr int kGemmMR = 4;
 inline constexpr int kGemmNR = 8;
 
-/// Name for logs/benches: "scalar", "sse2", "avx2", "fma".
+/// Name for logs/benches: "scalar", "avx2", "fma".
 const char* BackendName(Backend backend);
 
-/// Best *bit-identical* backend this CPU can execute (compile-time capped on
-/// non-x86). Never returns kFma — the FMA tier is opt-in only.
+/// Best *bit-identical* backend this CPU can execute: kAvx2 when the CPU has
+/// AVX2, else kScalar (always kScalar on non-x86). Never returns kFma — the
+/// FMA tier is opt-in only.
 Backend MaxSupported();
 
 /// True when the CPU can execute the opt-in FMA tier (AVX2 + FMA3).
 bool FmaSupported();
 
-/// Parses an XAI_SIMD value ("scalar" | "sse2" | "avx2" | "fma") into a
+/// Parses an XAI_SIMD value ("scalar" | "avx2" | "fma") into a
 /// Backend. Aborts via XAI_CHECK on nullptr or any other string — a typo'd
 /// backend name must not silently fall back to auto-detection.
 Backend ParseBackendName(const char* name);
@@ -141,7 +143,7 @@ void GemmTNDirect(int m, int n, int k, const double* a, int lda,
 /// unit stride regardless of the leading dimensions; KC x NC blocks of B are
 /// shared across a ParallelFor over MC-row blocks of C (disjoint C rows per
 /// chunk — deterministic and race-free at any thread count). Bit-identical
-/// to GemmDirect on the scalar/sse2/avx2 tiers.
+/// to GemmDirect on the scalar and avx2 tiers.
 void GemmPacked(int m, int n, int k, const double* a, int lda,
                 const double* b, int ldb, double* c, int ldc);
 

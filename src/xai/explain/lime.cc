@@ -78,65 +78,65 @@ Result<LimeExplanation> LimeExplainer::Explain(const PredictFn& f,
     }
   };
 
+  // One pass per row block: sample→interpretable row→predict→kernel
+  // weight. Block-wise Sample calls reproduce the one-shot RNG stream
+  // exactly (Sample consumes the shared Rng strictly row-major), and model
+  // evaluations fan out within each block; f must be const-reentrant (see
+  // the Model threading contract). Rows carry a trailing intercept column.
+  // Without forward selection each block folds into the accumulator in
+  // ascending row order, so the (n+1) x d design is never materialized.
+  // Forward selection refits candidate subsets of the design, so there the
+  // blocks are kept, side by side, as one (n+1)-row design.
   const bool forward_selection = config_.top_k > 0 && config_.top_k < d;
-  if (config_.fused && !forward_selection) {
-    // Fused pipeline: sample→predict→weight→accumulate per row block, so
-    // the (n+1) x d design is never materialized and WLS assembly streams
-    // through cache. Block-wise Sample calls reproduce the one-shot RNG
-    // stream exactly (Sample consumes the shared Rng strictly row-major),
-    // model evaluations fan out within each block, and blocks fold into
-    // the accumulator serially in ascending row order — so attributions
-    // and intercept match the materialized path bit-for-bit on the default
-    // SIMD tiers.
-    WlsAccumulator acc(d + 1, /*fit_intercept=*/true);
-    constexpr int kBlockRows = 1024;
-    std::vector<double> zblock(static_cast<size_t>(kBlockRows) * (d + 1));
-    Vector target(kBlockRows);
-    Vector weight(kBlockRows);
-    double instance_pred = 0.0;
-    {
-      XAI_SPAN("lime/neighborhood");
-      for (int base = 0; base < n + 1; base += kBlockRows) {
-        const int bn = std::min(kBlockRows, n + 1 - base);
-        // Row 0 is the instance itself, so the first block draws one fewer
-        // perturbed sample.
-        Matrix raw = perturber_.Sample(instance, base == 0 ? bn - 1 : bn,
-                                       &rng);
-        ParallelFor(bn, /*grain=*/64,
-                    [&](int64_t begin, int64_t end, int64_t) {
-                      XAI_COUNTER_ADD("model/evals", end - begin);
-                      for (int64_t i = begin; i < end; ++i) {
-                        const bool is_instance = base == 0 && i == 0;
-                        Vector sample =
-                            is_instance
-                                ? instance
-                                : raw.Row(static_cast<int>(i) -
-                                          (base == 0 ? 1 : 0));
-                        double* zr =
-                            zblock.data() + static_cast<size_t>(i) * (d + 1);
-                        fill_row(sample, zr);
-                        zr[d] = 1.0;
-                        target[i] = f(sample);
-                        double dist = perturber_.Distance(instance, sample);
-                        weight[i] = std::exp(-dist * dist / (width * width));
-                      }
-                    });
-        if (base == 0) instance_pred = target[0];
-        acc.AddBlock(zblock.data(), target.data(), weight.data(), bn);
-      }
+  constexpr int kBlockRows = 1024;
+  const int kept_rows = forward_selection ? n + 1 : std::min(kBlockRows, n + 1);
+  Matrix z(kept_rows, d + 1);
+  Vector target(kept_rows);
+  Vector weight(kept_rows);
+  WlsAccumulator acc(d + 1, /*fit_intercept=*/true);
+  double instance_pred = 0.0;
+  {
+    XAI_SPAN("lime/neighborhood");
+    for (int base = 0; base < n + 1; base += kBlockRows) {
+      const int bn = std::min(kBlockRows, n + 1 - base);
+      const int row0 = forward_selection ? base : 0;
+      // Row 0 is the instance itself, so the first block draws one fewer
+      // perturbed sample.
+      Matrix raw = perturber_.Sample(instance, base == 0 ? bn - 1 : bn, &rng);
+      ParallelFor(bn, /*grain=*/64, [&](int64_t begin, int64_t end, int64_t) {
+        XAI_COUNTER_ADD("model/evals", end - begin);
+        for (int64_t i = begin; i < end; ++i) {
+          const bool is_instance = base == 0 && i == 0;
+          Vector sample =
+              is_instance
+                  ? instance
+                  : raw.Row(static_cast<int>(i) - (base == 0 ? 1 : 0));
+          const int r = row0 + static_cast<int>(i);
+          double* zr = z.RowPtr(r);
+          fill_row(sample, zr);
+          zr[d] = 1.0;
+          target[r] = f(sample);
+          double dist = perturber_.Distance(instance, sample);
+          weight[r] = std::exp(-dist * dist / (width * width));
+        }
+      });
+      if (base == 0) instance_pred = target[0];
+      if (!forward_selection)
+        acc.AddBlock(z.RowPtr(0), target.data(), weight.data(), bn);
     }
-    XAI_ASSIGN_OR_RETURN(Vector coef, acc.Solve(config_.ridge));
+  }
 
-    LimeExplanation exp;
+  LimeExplanation exp;
+  exp.prediction = instance_pred;
+  for (int j = 0; j < d; ++j)
+    exp.feature_names.push_back(schema_.features[j].name);
+  if (!forward_selection) {
+    XAI_ASSIGN_OR_RETURN(Vector coef, acc.Solve(config_.ridge));
     exp.attributions.assign(coef.begin(), coef.begin() + d);
     exp.intercept = coef.back();
     exp.base_value = coef.back();
-    exp.prediction = instance_pred;
-    for (int j = 0; j < d; ++j)
-      exp.feature_names.push_back(schema_.features[j].name);
-    // Weighted R^2 from the accumulated moments: identical up to summation
-    // order to the materialized row-by-row pass (documented tolerance
-    // carve-out — the coefficients above are still bitwise).
+    // Weighted R^2 from the accumulated moments: exact up to summation
+    // order, not bitwise against a row-by-row residual pass.
     double wsum = acc.weight_sum();
     if (wsum <= 0.0) {
       exp.local_r2 = 0.0;
@@ -149,75 +149,51 @@ Result<LimeExplanation> LimeExplainer::Explain(const PredictFn& f,
     return exp;
   }
 
-  Matrix raw = perturber_.Sample(instance, n, &rng);
-  Matrix z(n + 1, d);
-  Vector target(n + 1);
-  Vector weight(n + 1);
-  // Sampling above consumed the RNG serially; scoring the neighborhood is
-  // RNG-free and dominated by the n+1 black-box calls, so it fans out over
-  // the pool. Every row of z/target/weight is written by exactly one chunk;
-  // f must be const-reentrant (see the Model threading contract).
-  XAI_SPAN("lime/neighborhood");
-  ParallelFor(n + 1, /*grain=*/64, [&](int64_t begin, int64_t end, int64_t) {
-    XAI_COUNTER_ADD("model/evals", end - begin);
-    for (int64_t i = begin; i < end; ++i) {
-      Vector sample = i == 0 ? instance : raw.Row(static_cast<int>(i) - 1);
-      fill_row(sample, z.RowPtr(static_cast<int>(i)));
-      target[i] = f(sample);
-      double dist = perturber_.Distance(instance, sample);
-      weight[i] = std::exp(-dist * dist / (width * width));
-    }
-  });
-
-  // Optional forward selection of top_k interpretable features.
+  // Weighted forward selection of top_k interpretable features.
   std::vector<int> selected;
-  if (config_.top_k > 0 && config_.top_k < d) {
-    std::set<int> remaining;
-    for (int j = 0; j < d; ++j) remaining.insert(j);
-    while (static_cast<int>(selected.size()) < config_.top_k) {
-      // Score every remaining candidate independently in parallel, then
-      // pick the winner in candidate order (strict >), which reproduces the
-      // serial scan exactly.
-      std::vector<int> candidates(remaining.begin(), remaining.end());
-      std::vector<double> r2s(candidates.size(), -1e18);
-      ParallelFor(static_cast<int64_t>(candidates.size()), /*grain=*/1,
-                  [&](int64_t begin, int64_t end, int64_t) {
-                    for (int64_t q = begin; q < end; ++q) {
-                      std::vector<int> cand = selected;
-                      cand.push_back(candidates[q]);
-                      Matrix sub(n + 1, static_cast<int>(cand.size()));
-                      for (int i = 0; i <= n; ++i) {
-                        const double* zr = z.RowPtr(i);
-                        double* sr = sub.RowPtr(i);
-                        for (size_t c = 0; c < cand.size(); ++c)
-                          sr[c] = zr[cand[c]];
-                      }
-                      auto coef = WeightedRidgeRegression(
-                          sub, target, weight, config_.ridge, true);
-                      if (!coef.ok()) continue;
-                      const Vector& cf = coef.ValueUnsafe();
-                      Vector pred(n + 1);
-                      for (int i = 0; i <= n; ++i)
-                        pred[i] = cf.back() + simd::Dot(cf.data(),
-                                                        sub.RowPtr(i),
-                                                        cand.size());
-                      r2s[q] = WeightedR2(pred, target, weight);
+  std::set<int> remaining;
+  for (int j = 0; j < d; ++j) remaining.insert(j);
+  while (static_cast<int>(selected.size()) < config_.top_k) {
+    // Score every remaining candidate independently in parallel, then
+    // pick the winner in candidate order (strict >), which reproduces the
+    // serial scan exactly.
+    std::vector<int> candidates(remaining.begin(), remaining.end());
+    std::vector<double> r2s(candidates.size(), -1e18);
+    ParallelFor(static_cast<int64_t>(candidates.size()), /*grain=*/1,
+                [&](int64_t begin, int64_t end, int64_t) {
+                  for (int64_t q = begin; q < end; ++q) {
+                    std::vector<int> cand = selected;
+                    cand.push_back(candidates[q]);
+                    Matrix sub(n + 1, static_cast<int>(cand.size()));
+                    for (int i = 0; i <= n; ++i) {
+                      const double* zr = z.RowPtr(i);
+                      double* sr = sub.RowPtr(i);
+                      for (size_t c = 0; c < cand.size(); ++c)
+                        sr[c] = zr[cand[c]];
                     }
-                  });
-      int best = -1;
-      double best_r2 = -1e18;
-      for (size_t q = 0; q < candidates.size(); ++q) {
-        if (r2s[q] > best_r2) {
-          best_r2 = r2s[q];
-          best = candidates[q];
-        }
+                    auto coef = WeightedRidgeRegression(
+                        sub, target, weight, config_.ridge, true);
+                    if (!coef.ok()) continue;
+                    const Vector& cf = coef.ValueUnsafe();
+                    Vector pred(n + 1);
+                    for (int i = 0; i <= n; ++i)
+                      pred[i] = cf.back() + simd::Dot(cf.data(),
+                                                      sub.RowPtr(i),
+                                                      cand.size());
+                    r2s[q] = WeightedR2(pred, target, weight);
+                  }
+                });
+    int best = -1;
+    double best_r2 = -1e18;
+    for (size_t q = 0; q < candidates.size(); ++q) {
+      if (r2s[q] > best_r2) {
+        best_r2 = r2s[q];
+        best = candidates[q];
       }
-      if (best < 0) break;
-      selected.push_back(best);
-      remaining.erase(best);
     }
-  } else {
-    for (int j = 0; j < d; ++j) selected.push_back(j);
+    if (best < 0) break;
+    selected.push_back(best);
+    remaining.erase(best);
   }
 
   Matrix design(n + 1, static_cast<int>(selected.size()));
@@ -230,15 +206,11 @@ Result<LimeExplanation> LimeExplainer::Explain(const PredictFn& f,
                        WeightedRidgeRegression(design, target, weight,
                                                config_.ridge, true));
 
-  LimeExplanation exp;
   exp.attributions.assign(d, 0.0);
   for (size_t c = 0; c < selected.size(); ++c)
     exp.attributions[selected[c]] = coef[c];
   exp.intercept = coef.back();
   exp.base_value = coef.back();
-  exp.prediction = target[0];
-  for (int j = 0; j < d; ++j)
-    exp.feature_names.push_back(schema_.features[j].name);
 
   Vector pred(n + 1);
   for (int i = 0; i <= n; ++i)

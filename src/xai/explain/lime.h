@@ -17,7 +17,10 @@ struct LimeConfig {
   int num_samples = 1000;
   /// Number of features in the explanation; -1 = all (plain ridge fit).
   /// When positive, features are chosen by weighted forward selection, as in
-  /// the reference implementation.
+  /// the reference implementation. Forward selection refits candidate
+  /// subsets, so it keeps the whole (num_samples + 1) x d design in memory;
+  /// the plain fit streams the design through a WlsAccumulator in row
+  /// blocks and never holds it.
   int top_k = -1;
   /// Exponential kernel width; <= 0 means the LIME default 0.75 * sqrt(d).
   double kernel_width = -1.0;
@@ -26,20 +29,13 @@ struct LimeConfig {
   /// Neighborhood sampling strategy.
   Perturber::Strategy strategy = Perturber::Strategy::kDiscretized;
   int discretizer_bins = 4;
-  /// Stream sample→predict→weight→accumulate through a WlsAccumulator in
-  /// row blocks instead of materializing the num_samples x d design matrix.
-  /// Attributions and intercept are bit-identical to the materialized path
-  /// on the default SIMD tiers; local_r2 is computed algebraically from the
-  /// accumulated moments and may differ in the last ulps. Ignored (the
-  /// materialized path runs) when top_k forward selection is active, which
-  /// needs the full design for its candidate refits.
-  bool fused = true;
 };
 
 /// \brief LIME explanation: surrogate coefficients plus fit diagnostics.
 struct LimeExplanation : AttributionExplanation {
   /// Weighted R^2 of the surrogate on the neighborhood — LIME's own
-  /// faithfulness score.
+  /// faithfulness score. The plain fit computes it from the accumulated
+  /// moments, exact up to summation order.
   double local_r2 = 0.0;
   /// Surrogate intercept.
   double intercept = 0.0;

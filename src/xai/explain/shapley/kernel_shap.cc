@@ -129,63 +129,34 @@ Result<AttributionExplanation> KernelShap(const CoalitionGame& game,
   if (masks.empty())
     return Status::InvalidArgument("coalition budget too small");
 
+  // Mask→evaluate→weight→accumulate per row block. Each block's rows and
+  // targets are filled in parallel (coalition evaluations dominate — each
+  // is B model calls and the games' memoization is thread-safe), then
+  // folded serially in ascending row order into the streaming constrained
+  // solver, so nothing ever holds the full budget x d design matrix and
+  // the result is identical at any thread count.
   const int num_masks = static_cast<int>(masks.size());
-  Vector ones(d, 1.0);
-  Vector phi;
-  if (config.fused) {
-    // Fused pipeline: mask→evaluate→weight→accumulate per row block. Each
-    // block's rows and targets are filled in parallel (coalition
-    // evaluations dominate — each is B model calls and the games'
-    // memoization is thread-safe), then folded serially in ascending row
-    // order into the streaming constrained solver, so nothing ever holds
-    // the full budget x d design matrix and the accumulation chains match
-    // the materialized path bit-for-bit.
-    CwlsAccumulator acc(d, ones, vn - v0);
-    constexpr int kBlockRows = 1024;
-    std::vector<double> rows(static_cast<size_t>(kBlockRows) * d);
-    Vector target(kBlockRows);
-    {
-      XAI_SPAN("kernel_shap/eval_coalitions");
-      for (int base = 0; base < num_masks; base += kBlockRows) {
-        const int bn = std::min(kBlockRows, num_masks - base);
-        ParallelFor(bn, /*grain=*/16,
-                    [&](int64_t begin, int64_t end, int64_t) {
-                      for (int64_t r = begin; r < end; ++r) {
-                        double* row = rows.data() + static_cast<size_t>(r) * d;
-                        uint64_t mask = masks[base + r];
-                        for (int j = 0; j < d; ++j)
-                          row[j] = (mask >> j) & 1ULL ? 1.0 : 0.0;
-                        target[r] = game.Value(mask) - v0;
-                      }
-                    });
-        acc.AddBlock(rows.data(), target.data(), weights.data() + base, bn);
-      }
+  CwlsAccumulator acc(d, Vector(d, 1.0), vn - v0);
+  constexpr int kBlockRows = 1024;
+  std::vector<double> rows(static_cast<size_t>(kBlockRows) * d);
+  Vector target(kBlockRows);
+  {
+    XAI_SPAN("kernel_shap/eval_coalitions");
+    for (int base = 0; base < num_masks; base += kBlockRows) {
+      const int bn = std::min(kBlockRows, num_masks - base);
+      ParallelFor(bn, /*grain=*/16, [&](int64_t begin, int64_t end, int64_t) {
+        for (int64_t r = begin; r < end; ++r) {
+          double* row = rows.data() + static_cast<size_t>(r) * d;
+          uint64_t mask = masks[base + r];
+          for (int j = 0; j < d; ++j) row[j] = (mask >> j) & 1ULL ? 1.0 : 0.0;
+          target[r] = game.Value(mask) - v0;
+        }
+      });
+      acc.AddBlock(rows.data(), target.data(), weights.data() + base, bn);
     }
-    XAI_SPAN("kernel_shap/solve");
-    XAI_ASSIGN_OR_RETURN(phi, acc.Solve(config.ridge));
-  } else {
-    // Materialized pipeline (A/B baseline): build the full design matrix,
-    // then solve. Every design row / target entry is written by exactly one
-    // chunk, so the result is identical at any thread count.
-    Matrix design(num_masks, d);
-    Vector target(masks.size());
-    {
-      XAI_SPAN("kernel_shap/eval_coalitions");
-      ParallelFor(static_cast<int64_t>(masks.size()), /*grain=*/16,
-                  [&](int64_t begin, int64_t end, int64_t) {
-                    for (int64_t r = begin; r < end; ++r) {
-                      double* row = design.RowPtr(static_cast<int>(r));
-                      for (int j = 0; j < d; ++j)
-                        row[j] = (masks[r] >> j) & 1ULL ? 1.0 : 0.0;
-                      target[r] = game.Value(masks[r]) - v0;
-                    }
-                  });
-    }
-    XAI_SPAN("kernel_shap/solve");
-    XAI_ASSIGN_OR_RETURN(
-        phi, ConstrainedWeightedLeastSquares(design, target, weights, ones,
-                                             vn - v0, config.ridge));
   }
+  XAI_SPAN("kernel_shap/solve");
+  XAI_ASSIGN_OR_RETURN(Vector phi, acc.Solve(config.ridge));
   AttributionExplanation exp;
   exp.attributions = std::move(phi);
   exp.base_value = v0;

@@ -22,12 +22,6 @@ struct KernelShapConfig {
   /// ablation: sampled middle sizes then dwarf the enumerated tails and the
   /// estimator becomes visibly biased (see bench_a01).
   bool normalize_sampled_mass = true;
-  /// Stream mask→evaluate→weight→accumulate through a CwlsAccumulator in
-  /// row blocks instead of materializing the budget x d coalition design
-  /// matrix. Bit-identical attributions on the default SIMD tiers (the
-  /// accumulator replays the materialized solve's operation chains);
-  /// disable only to A/B against the materialized path.
-  bool fused = true;
 };
 
 /// \brief Kernel SHAP (Lundberg & Lee 2017, §2.1.2): estimates Shapley

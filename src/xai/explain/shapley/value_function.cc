@@ -21,6 +21,39 @@ void CheckCoalitionWidth(const Vector& instance) {
 
 }  // namespace
 
+double CoalitionMemo::Get(uint64_t coalition,
+                          const std::function<double()>& compute) {
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    auto it = cache_.find(coalition);
+    if (it != cache_.end()) {
+      // Count after dropping the lock: telemetry must not lengthen the
+      // critical section other threads are waiting on.
+      const double cached = it->second;
+      lock.unlock();
+      XAI_COUNTER_INC("shap/cache_hits");
+      return cached;
+    }
+  }
+  // Compute outside the lock: values are deterministic per coalition, so if
+  // two threads race on the same mask they produce the same value and the
+  // duplicate work is the only cost. entries_ counts cache insertions, i.e.
+  // distinct coalitions, which stays deterministic; the miss counter counts
+  // computed coalitions (race duplicates included), so hits + misses equals
+  // the number of Get() calls exactly.
+  XAI_COUNTER_INC("shap/cache_misses");
+  const double value = compute();
+  std::unique_lock<std::mutex> lock(mu_);
+  auto [it, inserted] = cache_.emplace(coalition, value);
+  const double stored = it->second;
+  lock.unlock();
+  if (inserted) {
+    entries_.fetch_add(1, std::memory_order_relaxed);
+    XAI_COUNTER_INC("shap/cache_entries");
+  }
+  return stored;
+}
+
 MarginalFeatureGame::MarginalFeatureGame(PredictFn f, Vector instance,
                                          Matrix background,
                                          int max_background)
@@ -51,61 +84,35 @@ int MarginalFeatureGame::num_players() const {
 }
 
 double MarginalFeatureGame::Value(uint64_t coalition) const {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    auto it = cache_.find(coalition);
-    if (it != cache_.end()) {
-      // Count after dropping the lock: telemetry must not lengthen the
-      // critical section other threads are waiting on.
-      const double cached = it->second;
-      lock.unlock();
-      XAI_COUNTER_INC("shap/cache_hits");
-      return cached;
+  return memo_.Get(coalition, [&] {
+    int d = num_players();
+    double acc = 0.0;
+    if (batch_f_) {
+      // One batched model call for the whole background sweep. Rows are
+      // filled in the same order as the scalar path and the predictions are
+      // summed serially in row order, so the value is bit-identical; the
+      // model's PredictBatch owns the model/evals accounting on this path.
+      Matrix rows(background_.rows(), d);
+      for (int b = 0; b < background_.rows(); ++b) {
+        const double* bg = background_.RowPtr(b);
+        double* out = rows.RowPtr(b);
+        for (int j = 0; j < d; ++j)
+          out[j] = (coalition & (1ULL << j)) ? instance_[j] : bg[j];
+      }
+      const Vector preds = batch_f_(rows);
+      for (double p : preds) acc += p;
+    } else {
+      Vector row(d);
+      for (int b = 0; b < background_.rows(); ++b) {
+        const double* bg = background_.RowPtr(b);
+        for (int j = 0; j < d; ++j)
+          row[j] = (coalition & (1ULL << j)) ? instance_[j] : bg[j];
+        acc += f_(row);
+      }
+      XAI_COUNTER_ADD("model/evals", background_.rows());
     }
-  }
-  // Compute outside the lock: Value() is deterministic per coalition, so if
-  // two threads race on the same mask they produce the same value and the
-  // duplicate work is the only cost. evaluations_ counts cache insertions,
-  // i.e. distinct coalitions, which stays deterministic; the miss counter
-  // counts computed coalitions (race duplicates included), so hits + misses
-  // equals the number of Value() calls exactly.
-  XAI_COUNTER_INC("shap/cache_misses");
-  int d = num_players();
-  double acc = 0.0;
-  if (batch_f_) {
-    // One batched model call for the whole background sweep. Rows are
-    // filled in the same order as the scalar path and the predictions are
-    // summed serially in row order, so the value is bit-identical; the
-    // model's PredictBatch owns the model/evals accounting on this path.
-    Matrix rows(background_.rows(), d);
-    for (int b = 0; b < background_.rows(); ++b) {
-      const double* bg = background_.RowPtr(b);
-      double* out = rows.RowPtr(b);
-      for (int j = 0; j < d; ++j)
-        out[j] = (coalition & (1ULL << j)) ? instance_[j] : bg[j];
-    }
-    const Vector preds = batch_f_(rows);
-    for (double p : preds) acc += p;
-  } else {
-    Vector row(d);
-    for (int b = 0; b < background_.rows(); ++b) {
-      const double* bg = background_.RowPtr(b);
-      for (int j = 0; j < d; ++j)
-        row[j] = (coalition & (1ULL << j)) ? instance_[j] : bg[j];
-      acc += f_(row);
-    }
-    XAI_COUNTER_ADD("model/evals", background_.rows());
-  }
-  double value = acc / background_.rows();
-  std::unique_lock<std::mutex> lock(mu_);
-  auto [it, inserted] = cache_.emplace(coalition, value);
-  const double stored = it->second;
-  lock.unlock();
-  if (inserted) {
-    evaluations_.fetch_add(1, std::memory_order_relaxed);
-    XAI_COUNTER_INC("shap/cache_entries");
-  }
-  return stored;
+    return acc / background_.rows();
+  });
 }
 
 ConditionalFeatureGame::ConditionalFeatureGame(PredictFn f, Vector instance,
@@ -150,70 +157,53 @@ int ConditionalFeatureGame::num_players() const {
 }
 
 double ConditionalFeatureGame::Value(uint64_t coalition) const {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    auto it = cache_.find(coalition);
-    if (it != cache_.end()) {
-      // Count after dropping the lock: telemetry must not lengthen the
-      // critical section other threads are waiting on.
-      const double cached = it->second;
-      lock.unlock();
-      XAI_COUNTER_INC("shap/cache_hits");
-      return cached;
-    }
-  }
-  XAI_COUNTER_INC("shap/cache_misses");
-  int d = num_players();
-  int n = background_.rows();
-  int k = std::min(k_, n);
+  return memo_.Get(coalition, [&] {
+    int d = num_players();
+    int n = background_.rows();
+    int k = std::min(k_, n);
 
-  // Rank background rows by distance to the instance over the coalition's
-  // features (empty coalition: every row is equally close).
-  std::vector<std::pair<double, int>> by_dist(n);
-  for (int i = 0; i < n; ++i) {
+    // Rank background rows by distance to the instance over the coalition's
+    // features (empty coalition: every row is equally close).
+    std::vector<std::pair<double, int>> by_dist(n);
+    for (int i = 0; i < n; ++i) {
+      double acc = 0.0;
+      for (int j = 0; j < d; ++j) {
+        if (!(coalition & (1ULL << j))) continue;
+        double diff = (background_(i, j) - instance_[j]) / stddevs_[j];
+        acc += diff * diff;
+      }
+      by_dist[i] = {acc, i};
+    }
+    std::nth_element(by_dist.begin(), by_dist.begin() + (k - 1),
+                     by_dist.end());
+
     double acc = 0.0;
-    for (int j = 0; j < d; ++j) {
-      if (!(coalition & (1ULL << j))) continue;
-      double diff = (background_(i, j) - instance_[j]) / stddevs_[j];
-      acc += diff * diff;
+    if (batch_f_) {
+      // Batched: same k rows in the same neighbor order, summed serially
+      // (bit-identical to the scalar loop); PredictBatch counts model/evals.
+      Matrix rows(k, d);
+      for (int q = 0; q < k; ++q) {
+        int i = by_dist[q].second;
+        double* out = rows.RowPtr(q);
+        for (int j = 0; j < d; ++j)
+          out[j] = (coalition & (1ULL << j)) ? instance_[j]
+                                             : background_(i, j);
+      }
+      const Vector preds = batch_f_(rows);
+      for (double p : preds) acc += p;
+    } else {
+      Vector row(d);
+      for (int q = 0; q < k; ++q) {
+        int i = by_dist[q].second;
+        for (int j = 0; j < d; ++j)
+          row[j] = (coalition & (1ULL << j)) ? instance_[j]
+                                             : background_(i, j);
+        acc += f_(row);
+      }
+      XAI_COUNTER_ADD("model/evals", k);
     }
-    by_dist[i] = {acc, i};
-  }
-  std::nth_element(by_dist.begin(), by_dist.begin() + (k - 1),
-                   by_dist.end());
-
-  double acc = 0.0;
-  if (batch_f_) {
-    // Batched: same k rows in the same neighbor order, summed serially
-    // (bit-identical to the scalar loop); PredictBatch counts model/evals.
-    Matrix rows(k, d);
-    for (int q = 0; q < k; ++q) {
-      int i = by_dist[q].second;
-      double* out = rows.RowPtr(q);
-      for (int j = 0; j < d; ++j)
-        out[j] = (coalition & (1ULL << j)) ? instance_[j]
-                                           : background_(i, j);
-    }
-    const Vector preds = batch_f_(rows);
-    for (double p : preds) acc += p;
-  } else {
-    Vector row(d);
-    for (int q = 0; q < k; ++q) {
-      int i = by_dist[q].second;
-      for (int j = 0; j < d; ++j)
-        row[j] = (coalition & (1ULL << j)) ? instance_[j]
-                                           : background_(i, j);
-      acc += f_(row);
-    }
-    XAI_COUNTER_ADD("model/evals", k);
-  }
-  double value = acc / k;
-  std::unique_lock<std::mutex> lock(mu_);
-  auto [it, inserted] = cache_.emplace(coalition, value);
-  const double stored = it->second;
-  lock.unlock();
-  if (inserted) XAI_COUNTER_INC("shap/cache_entries");
-  return stored;
+    return acc / k;
+  });
 }
 
 InterventionalScmGame::InterventionalScmGame(const LinearScm* scm,
@@ -243,43 +233,27 @@ int InterventionalScmGame::num_players() const {
 }
 
 double InterventionalScmGame::Value(uint64_t coalition) const {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    auto it = cache_.find(coalition);
-    if (it != cache_.end()) {
-      // Count after dropping the lock: telemetry must not lengthen the
-      // critical section other threads are waiting on.
-      const double cached = it->second;
-      lock.unlock();
-      XAI_COUNTER_INC("shap/cache_hits");
-      return cached;
+  return memo_.Get(coalition, [&] {
+    std::map<int, double> interventions;
+    for (int j = 0; j < num_players(); ++j)
+      if (coalition & (1ULL << j)) interventions[j] = instance_[j];
+    // Common random numbers: the same seed for every coalition.
+    Rng rng(seed_);
+    Matrix samples =
+        scm_->SampleInterventional(interventions, mc_samples_, &rng);
+    double acc = 0.0;
+    if (batch_f_) {
+      // The sampled matrix is already materialized: score it in one batched
+      // model call and sum serially in sample order (bit-identical to the
+      // scalar loop); PredictBatch counts model/evals.
+      const Vector preds = batch_f_(samples);
+      for (double p : preds) acc += p;
+    } else {
+      for (int i = 0; i < samples.rows(); ++i) acc += f_(samples.Row(i));
+      XAI_COUNTER_ADD("model/evals", samples.rows());
     }
-  }
-  XAI_COUNTER_INC("shap/cache_misses");
-  std::map<int, double> interventions;
-  for (int j = 0; j < num_players(); ++j)
-    if (coalition & (1ULL << j)) interventions[j] = instance_[j];
-  // Common random numbers: the same seed for every coalition.
-  Rng rng(seed_);
-  Matrix samples = scm_->SampleInterventional(interventions, mc_samples_, &rng);
-  double acc = 0.0;
-  if (batch_f_) {
-    // The sampled matrix is already materialized: score it in one batched
-    // model call and sum serially in sample order (bit-identical to the
-    // scalar loop); PredictBatch counts model/evals.
-    const Vector preds = batch_f_(samples);
-    for (double p : preds) acc += p;
-  } else {
-    for (int i = 0; i < samples.rows(); ++i) acc += f_(samples.Row(i));
-    XAI_COUNTER_ADD("model/evals", samples.rows());
-  }
-  double value = acc / mc_samples_;
-  std::unique_lock<std::mutex> lock(mu_);
-  auto [it, inserted] = cache_.emplace(coalition, value);
-  const double stored = it->second;
-  lock.unlock();
-  if (inserted) XAI_COUNTER_INC("shap/cache_entries");
-  return stored;
+    return acc / mc_samples_;
+  });
 }
 
 }  // namespace xai

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <unordered_map>
 
@@ -38,6 +39,25 @@ class CoalitionGame {
   virtual double Value(uint64_t coalition) const = 0;
 };
 
+/// \brief The coalition → value memo of the built-in games below. Counts
+/// `shap/cache_hits` per memoized answer, `shap/cache_misses` per computed
+/// value and `shap/cache_entries` per distinct coalition stored.
+class CoalitionMemo {
+ public:
+  /// The memoized value of `coalition`; on a miss, runs `compute` outside
+  /// the lock and stores its result.
+  double Get(uint64_t coalition, const std::function<double()>& compute);
+
+  /// Distinct coalitions stored so far. Atomic: exact and safely readable
+  /// while pool workers are inside Get().
+  int64_t entries() const { return entries_.load(std::memory_order_relaxed); }
+
+ private:
+  std::mutex mu_;  // Guards cache_.
+  std::unordered_map<uint64_t, double> cache_;
+  std::atomic<int64_t> entries_{0};
+};
+
 /// \brief The (marginal / interventional-by-independence) SHAP game:
 ///
 ///   v(S) = (1/B) sum_b f(x_S ; background_b restricted to ~S)
@@ -65,13 +85,9 @@ class MarginalFeatureGame : public CoalitionGame {
   int num_players() const override;
   double Value(uint64_t coalition) const override;
 
-  /// Number of distinct coalition evaluations so far (for cost accounting).
-  /// Atomic: exact and safely readable while pool workers are inside
-  /// Value() — the pre-telemetry version read a plain int that concurrent
-  /// inserters were mutating under the cache mutex.
-  int64_t num_evaluations() const {
-    return evaluations_.load(std::memory_order_relaxed);
-  }
+  /// Number of distinct coalition evaluations so far (for cost accounting);
+  /// safely readable while pool workers are inside Value().
+  int64_t num_evaluations() const { return memo_.entries(); }
 
  private:
   PredictFn f_;
@@ -80,9 +96,7 @@ class MarginalFeatureGame : public CoalitionGame {
   BatchPredictFn batch_f_;
   Vector instance_;
   Matrix background_;
-  mutable std::mutex mu_;  // Guards cache_.
-  mutable std::unordered_map<uint64_t, double> cache_;
-  mutable std::atomic<int64_t> evaluations_{0};
+  mutable CoalitionMemo memo_;
 };
 
 /// \brief The *conditional* (on-manifold) SHAP game (Aas et al.'s empirical
@@ -118,8 +132,7 @@ class ConditionalFeatureGame : public CoalitionGame {
   Matrix background_;
   int k_;
   Vector stddevs_;  // Per-feature scale for the conditioning distance.
-  mutable std::mutex mu_;  // Guards cache_.
-  mutable std::unordered_map<uint64_t, double> cache_;
+  mutable CoalitionMemo memo_;
 };
 
 /// \brief The causal Shapley game of Heskes et al. (§2.1.3):
@@ -150,8 +163,7 @@ class InterventionalScmGame : public CoalitionGame {
   Vector instance_;
   int mc_samples_;
   uint64_t seed_;
-  mutable std::mutex mu_;  // Guards cache_.
-  mutable std::unordered_map<uint64_t, double> cache_;
+  mutable CoalitionMemo memo_;
 };
 
 }  // namespace xai

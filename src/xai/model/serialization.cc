@@ -59,6 +59,16 @@ class Reader {
     if (!(in_ >> v)) return Status::InvalidArgument("expected integer");
     return v;
   }
+  /// A count of `what`, bounded by the bytes left in the text before the
+  /// caller allocates for it: every counted item takes at least two bytes
+  /// (a separator and a digit).
+  Result<int> Count(const std::string& what) {
+    XAI_ASSIGN_OR_RETURN(int n, Int());
+    if (n < 0) return Status::InvalidArgument("negative " + what + " count");
+    if (n > in_.rdbuf()->in_avail() / 2)
+      return Status::InvalidArgument(what + " count exceeds the text");
+    return n;
+  }
   Status Expect(const std::string& token) {
     XAI_ASSIGN_OR_RETURN(std::string w, Word());
     if (w != token)
@@ -68,8 +78,7 @@ class Reader {
   }
   Result<Vector> NamedVector(const std::string& name) {
     XAI_RETURN_NOT_OK(Expect(name));
-    XAI_ASSIGN_OR_RETURN(int n, Int());
-    if (n < 0) return Status::InvalidArgument("negative vector size");
+    XAI_ASSIGN_OR_RETURN(int n, Count(name));
     Vector v(n);
     for (int i = 0; i < n; ++i) {
       XAI_ASSIGN_OR_RETURN(v[i], Double());
@@ -78,8 +87,8 @@ class Reader {
   }
   Result<Tree> ReadTree() {
     XAI_RETURN_NOT_OK(Expect("tree"));
-    XAI_ASSIGN_OR_RETURN(int count, Int());
-    if (count < 0) return Status::InvalidArgument("negative node count");
+    XAI_ASSIGN_OR_RETURN(int count, Count("node"));
+    if (count == 0) return Status::InvalidArgument("tree has no nodes");
     std::vector<TreeNode> nodes(count);
     for (int i = 0; i < count; ++i) {
       XAI_RETURN_NOT_OK(Expect("node"));
@@ -93,6 +102,20 @@ class Reader {
       if (!n.IsLeaf() &&
           (n.left < 0 || n.left >= count || n.right < 0 || n.right >= count))
         return Status::InvalidArgument("tree child index out of range");
+    }
+    // A tree, not a graph: walking from the root must reach no node twice,
+    // which rules out cycles and shared subtrees alike.
+    std::vector<bool> seen(count, false);
+    std::vector<int> stack = {0};
+    while (!stack.empty()) {
+      const int i = stack.back();
+      stack.pop_back();
+      if (seen[i]) return Status::InvalidArgument("tree node reached twice");
+      seen[i] = true;
+      if (!nodes[i].IsLeaf()) {
+        stack.push_back(nodes[i].left);
+        stack.push_back(nodes[i].right);
+      }
     }
     return Tree(std::move(nodes));
   }
@@ -205,7 +228,7 @@ Result<RandomForestModel> DeserializeRandomForest(const std::string& text) {
   std::string task;
   XAI_RETURN_NOT_OK(r.Header("random_forest", &task));
   XAI_RETURN_NOT_OK(r.Expect("trees"));
-  XAI_ASSIGN_OR_RETURN(int count, r.Int());
+  XAI_ASSIGN_OR_RETURN(int count, r.Count("tree"));
   std::vector<Tree> trees;
   for (int t = 0; t < count; ++t) {
     XAI_ASSIGN_OR_RETURN(Tree tree, r.ReadTree());
@@ -235,7 +258,7 @@ Result<GbdtModel> DeserializeGbdt(const std::string& text) {
   XAI_RETURN_NOT_OK(r.Expect("learning_rate"));
   XAI_ASSIGN_OR_RETURN(double lr, r.Double());
   XAI_RETURN_NOT_OK(r.Expect("trees"));
-  XAI_ASSIGN_OR_RETURN(int count, r.Int());
+  XAI_ASSIGN_OR_RETURN(int count, r.Count("tree"));
   std::vector<Tree> trees;
   for (int t = 0; t < count; ++t) {
     XAI_ASSIGN_OR_RETURN(Tree tree, r.ReadTree());

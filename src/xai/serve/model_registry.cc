@@ -1,6 +1,8 @@
 #include "xai/serve/model_registry.h"
 
 #include <algorithm>
+#include <span>
+#include <string>
 #include <type_traits>
 #include <utility>
 
@@ -44,29 +46,57 @@ Loaded Hold(M model) {
   return loaded;
 }
 
-Result<Loaded> Load(const std::string& kind, const std::string& serialized) {
+// A served model reads rows as wide as its background: one weight per
+// feature, or split features inside [0, width). Anything else would index
+// past every request row.
+Status CheckWidth(const Vector& weights, int width) {
+  if (static_cast<int>(weights.size()) == width) return Status::OK();
+  return Status::InvalidArgument(
+      "model has " + std::to_string(weights.size()) +
+      " weights but the background has " + std::to_string(width) +
+      " features");
+}
+
+Status CheckWidth(std::span<const Tree> trees, int width) {
+  for (const Tree& tree : trees)
+    for (const TreeNode& node : tree.nodes())
+      if (!node.IsLeaf() && node.feature >= width)
+        return Status::InvalidArgument(
+            "tree splits on feature " + std::to_string(node.feature) +
+            " but the background has " + std::to_string(width) +
+            " features");
+  return Status::OK();
+}
+
+Result<Loaded> Load(const std::string& kind, const std::string& serialized,
+                    int width) {
   if (kind == "linear_regression") {
     XAI_ASSIGN_OR_RETURN(LinearRegressionModel m,
                          DeserializeLinearRegression(serialized));
+    XAI_RETURN_NOT_OK(CheckWidth(m.weights(), width));
     return Hold(std::move(m));
   }
   if (kind == "logistic_regression") {
     XAI_ASSIGN_OR_RETURN(LogisticRegressionModel m,
                          DeserializeLogisticRegression(serialized));
+    XAI_RETURN_NOT_OK(CheckWidth(m.weights(), width));
     return Hold(std::move(m));
   }
   if (kind == "decision_tree") {
     XAI_ASSIGN_OR_RETURN(DecisionTreeModel m,
                          DeserializeDecisionTree(serialized));
+    XAI_RETURN_NOT_OK(CheckWidth({&m.tree(), 1}, width));
     return Hold(std::move(m));
   }
   if (kind == "random_forest") {
     XAI_ASSIGN_OR_RETURN(RandomForestModel m,
                          DeserializeRandomForest(serialized));
+    XAI_RETURN_NOT_OK(CheckWidth(m.trees(), width));
     return Hold(std::move(m));
   }
   if (kind == "gbdt") {
     XAI_ASSIGN_OR_RETURN(GbdtModel m, DeserializeGbdt(serialized));
+    XAI_RETURN_NOT_OK(CheckWidth(m.trees(), width));
     return Hold(std::move(m));
   }
   return Status::InvalidArgument("unsupported model kind for serving: " +
@@ -84,7 +114,8 @@ Result<uint64_t> ModelRegistry::Register(const std::string& name,
     return Status::InvalidArgument(
         "serving background dataset must be non-empty");
   XAI_ASSIGN_OR_RETURN(std::string kind, PeekModelKind(serialized));
-  XAI_ASSIGN_OR_RETURN(Loaded loaded, Load(kind, serialized));
+  XAI_ASSIGN_OR_RETURN(Loaded loaded,
+                       Load(kind, serialized, background.num_features()));
 
   auto entry = std::make_shared<ModelEntry>();
   entry->name = name;

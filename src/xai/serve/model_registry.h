@@ -58,7 +58,8 @@ class ModelRegistry {
  public:
   /// Deserializes and publishes a snapshot under `name`, replacing any
   /// previous entry (a reload). Returns the content fingerprint.
-  /// InvalidArgument on malformed text or an unsupported kind.
+  /// InvalidArgument on malformed text, an unsupported kind, or a model
+  /// whose input width differs from `background`'s feature count.
   Result<uint64_t> Register(const std::string& name,
                             const std::string& serialized,
                             Dataset background);

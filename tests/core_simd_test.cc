@@ -26,8 +26,6 @@ namespace {
 
 std::vector<simd::Backend> AvailableBackends() {
   std::vector<simd::Backend> out = {simd::Backend::kScalar};
-  if (simd::MaxSupported() >= simd::Backend::kSse2)
-    out.push_back(simd::Backend::kSse2);
   if (simd::MaxSupported() >= simd::Backend::kAvx2)
     out.push_back(simd::Backend::kAvx2);
   return out;
@@ -90,8 +88,6 @@ TEST(SimdKernelTest, EnvVariableSteersDispatch) {
   if (env == nullptr) GTEST_SKIP() << "XAI_SIMD not set";
   std::string want(env);
   if (want == "scalar") EXPECT_EQ(simd::Active(), simd::Backend::kScalar);
-  if (want == "sse2" && simd::MaxSupported() >= simd::Backend::kSse2)
-    EXPECT_EQ(simd::Active(), simd::Backend::kSse2);
   if (want == "avx2" && simd::MaxSupported() >= simd::Backend::kAvx2)
     EXPECT_EQ(simd::Active(), simd::Backend::kAvx2);
   if (want == "fma" && simd::FmaSupported())
@@ -100,12 +96,10 @@ TEST(SimdKernelTest, EnvVariableSteersDispatch) {
 
 TEST(SimdKernelTest, ParseBackendNameRoundTrips) {
   EXPECT_EQ(simd::ParseBackendName("scalar"), simd::Backend::kScalar);
-  EXPECT_EQ(simd::ParseBackendName("sse2"), simd::Backend::kSse2);
   EXPECT_EQ(simd::ParseBackendName("avx2"), simd::Backend::kAvx2);
   EXPECT_EQ(simd::ParseBackendName("fma"), simd::Backend::kFma);
   for (simd::Backend be :
-       {simd::Backend::kScalar, simd::Backend::kSse2, simd::Backend::kAvx2,
-        simd::Backend::kFma}) {
+       {simd::Backend::kScalar, simd::Backend::kAvx2, simd::Backend::kFma}) {
     EXPECT_EQ(simd::ParseBackendName(simd::BackendName(be)), be);
   }
 }
@@ -116,6 +110,7 @@ TEST(SimdKernelDeathTest, UnknownBackendNameAborts) {
   // for). The env parsing itself runs once per process inside a function-
   // local static, so the death test exercises the parse function directly.
   EXPECT_DEATH(simd::ParseBackendName("turbo"), "XAI_CHECK failed");
+  EXPECT_DEATH(simd::ParseBackendName("sse2"), "XAI_CHECK failed");
   EXPECT_DEATH(simd::ParseBackendName(""), "XAI_CHECK failed");
   EXPECT_DEATH(simd::ParseBackendName(nullptr), "XAI_CHECK failed");
 }

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 
+#include "xai/core/linalg.h"
 #include "xai/core/parallel.h"
 #include "xai/core/simd.h"
 #include "xai/data/synthetic.h"
@@ -170,9 +173,13 @@ TEST(LimeStabilityTest, RejectsSingleRun) {
           .ok());
 }
 
-// --- Fused pipeline: the streaming sample→predict→weight→accumulate path
-// must reproduce the materialized design-matrix path bit-for-bit on the
-// default SIMD tiers, at any thread count. ---
+// --- The streamed pipeline against a test-local materialized reference:
+// the whole (n+1) x d design built at once from the explainer's public
+// pieces (Perturber::Sample with the same seed, the interpretable row, the
+// kernel weight) and fitted with WeightedRidgeRegression. The explainer
+// must reproduce it bit for bit on the default SIMD tiers at any thread
+// count. Row blocks hold 1024 rows, so 2100 samples cross two block
+// boundaries. ---
 
 ::testing::AssertionResult SameBits(const Vector& a, const Vector& b) {
   if (a.size() != b.size())
@@ -188,69 +195,226 @@ TEST(LimeStabilityTest, RejectsSingleRun) {
 
 std::vector<simd::Backend> DefaultBackends() {
   std::vector<simd::Backend> out = {simd::Backend::kScalar};
-  if (simd::MaxSupported() >= simd::Backend::kSse2)
-    out.push_back(simd::Backend::kSse2);
   if (simd::MaxSupported() >= simd::Backend::kAvx2)
     out.push_back(simd::Backend::kAvx2);
   return out;
 }
 
-TEST(LimeFusedTest, BitIdenticalToMaterializedAcrossBackendsAndThreads) {
+struct Neighborhood {
+  Matrix z;       // (n+1) x d interpretable design; row 0 is the instance.
+  Vector target;  // f on each row.
+  Vector weight;  // Exponential kernel weight of each row.
+};
+
+Neighborhood MaterializedNeighborhood(const Dataset& train,
+                                      const LimeExplainer& lime,
+                                      const LimeConfig& config,
+                                      const PredictFn& f,
+                                      const Vector& instance, uint64_t seed) {
+  const Perturber& p = lime.perturber();
+  const int d = static_cast<int>(instance.size());
+  const int n = config.num_samples;
+  const double width = 0.75 * std::sqrt(static_cast<double>(d));
+  Rng rng(seed);
+  Matrix raw = p.Sample(instance, n, &rng);
+  Neighborhood out{Matrix(n + 1, d), Vector(n + 1), Vector(n + 1)};
+  for (int i = 0; i <= n; ++i) {
+    Vector sample = i == 0 ? instance : raw.Row(i - 1);
+    double* zr = out.z.RowPtr(i);
+    if (config.strategy == Perturber::Strategy::kDiscretized) {
+      std::vector<int> zi = p.Interpretable(instance, sample);
+      for (int j = 0; j < d; ++j) zr[j] = zi[j];
+    } else {
+      for (int j = 0; j < d; ++j) {
+        if (train.schema().features[j].is_categorical()) {
+          zr[j] = static_cast<int>(sample[j]) == static_cast<int>(instance[j])
+                      ? 1.0
+                      : 0.0;
+        } else {
+          zr[j] = (sample[j] - p.means()[j]) / p.stddevs()[j];
+        }
+      }
+    }
+    out.target[i] = f(sample);
+    const double dist = p.Distance(instance, sample);
+    out.weight[i] = std::exp(-dist * dist / (width * width));
+  }
+  return out;
+}
+
+Matrix Columns(const Matrix& z, const std::vector<int>& cols) {
+  Matrix out(z.rows(), static_cast<int>(cols.size()));
+  for (int i = 0; i < z.rows(); ++i)
+    for (size_t c = 0; c < cols.size(); ++c)
+      out(i, static_cast<int>(c)) = z(i, cols[c]);
+  return out;
+}
+
+// Weighted R^2 of a ridge fit (intercept last) over `x`, row by row.
+double FitR2(const Matrix& x, const Vector& coef, const Neighborhood& nb) {
+  const int rows = x.rows();
+  Vector pred(rows);
+  for (int i = 0; i < rows; ++i)
+    pred[i] = coef.back() + simd::Dot(coef.data(), x.RowPtr(i), x.cols());
+  double wsum = 0.0, mean = 0.0;
+  for (int i = 0; i < rows; ++i) {
+    wsum += nb.weight[i];
+    mean += nb.weight[i] * nb.target[i];
+  }
+  if (wsum <= 0.0) return 0.0;
+  mean /= wsum;
+  double ss_res = 0.0, ss_tot = 0.0;
+  for (int i = 0; i < rows; ++i) {
+    ss_res += nb.weight[i] * (nb.target[i] - pred[i]) *
+              (nb.target[i] - pred[i]);
+    ss_tot += nb.weight[i] * (nb.target[i] - mean) * (nb.target[i] - mean);
+  }
+  if (ss_tot <= 1e-12) return 1.0;
+  return 1.0 - ss_res / ss_tot;
+}
+
+// LIME on the materialized design: with top_k, weighted forward selection
+// (each step keeps the first candidate, in index order, with the strictly
+// best R^2); then one ridge fit on the chosen columns in selection order.
+LimeExplanation MaterializedLime(const Neighborhood& nb,
+                                 const LimeConfig& config) {
+  const int d = nb.z.cols();
+  std::vector<int> selected;
+  if (config.top_k > 0 && config.top_k < d) {
+    while (static_cast<int>(selected.size()) < config.top_k) {
+      int best = -1;
+      double best_r2 = -1e18;
+      for (int j = 0; j < d; ++j) {
+        if (std::find(selected.begin(), selected.end(), j) != selected.end())
+          continue;
+        std::vector<int> cand = selected;
+        cand.push_back(j);
+        Matrix sub = Columns(nb.z, cand);
+        auto coef = WeightedRidgeRegression(sub, nb.target, nb.weight,
+                                            config.ridge, true);
+        if (!coef.ok()) continue;
+        const double r2 = FitR2(sub, coef.ValueUnsafe(), nb);
+        if (r2 > best_r2) {
+          best_r2 = r2;
+          best = j;
+        }
+      }
+      if (best < 0) break;
+      selected.push_back(best);
+    }
+  } else {
+    for (int j = 0; j < d; ++j) selected.push_back(j);
+  }
+  Matrix design = Columns(nb.z, selected);
+  Vector coef = WeightedRidgeRegression(design, nb.target, nb.weight,
+                                        config.ridge, true)
+                    .ValueOrDie();
+  LimeExplanation exp;
+  exp.attributions.assign(d, 0.0);
+  for (size_t c = 0; c < selected.size(); ++c)
+    exp.attributions[selected[c]] = coef[c];
+  exp.intercept = coef.back();
+  exp.base_value = coef.back();
+  exp.prediction = nb.target[0];
+  exp.local_r2 = FitR2(design, coef, nb);
+  return exp;
+}
+
+// The reference, computed on the scalar tier with one thread.
+LimeExplanation ReferenceLime(const Dataset& train, const LimeConfig& config,
+                              const PredictFn& f, const Vector& instance,
+                              uint64_t seed) {
+  simd::Backend prev = simd::Active();
+  int prev_threads = GetNumThreads();
+  simd::SetBackend(simd::Backend::kScalar);
+  SetNumThreads(1);
+  LimeExplainer lime(train, config);
+  LimeExplanation ref = MaterializedLime(
+      MaterializedNeighborhood(train, lime, config, f, instance, seed),
+      config);
+  simd::SetBackend(prev);
+  SetNumThreads(prev_threads);
+  return ref;
+}
+
+TEST(LimeStreamedTest, MatchesMaterializedReferenceAcrossTiersAndThreads) {
+  Dataset d = MakeLoans(400, 14);
+  auto model = LogisticRegressionModel::Train(d).ValueOrDie();
+  PredictFn f = AsPredictFn(model);
+  Vector instance = d.Row(2);
   for (auto strategy : {Perturber::Strategy::kDiscretized,
                         Perturber::Strategy::kGaussian}) {
-    Dataset d = MakeLoans(400, 14);
-    auto model = LogisticRegressionModel::Train(d).ValueOrDie();
-    LimeConfig materialized_cfg;
-    materialized_cfg.strategy = strategy;
-    materialized_cfg.num_samples = 600;
-    materialized_cfg.fused = false;
-    LimeConfig fused_cfg = materialized_cfg;
-    fused_cfg.fused = true;
-    LimeExplainer materialized(d, materialized_cfg), fused(d, fused_cfg);
-    Vector instance = d.Row(2);
+    for (int num_samples : {600, 2100}) {
+      LimeConfig config;
+      config.strategy = strategy;
+      config.num_samples = num_samples;
+      LimeExplanation ref = ReferenceLime(d, config, f, instance, 7);
+      LimeExplainer lime(d, config);
+      simd::Backend prev = simd::Active();
+      int prev_threads = GetNumThreads();
+      for (simd::Backend be : DefaultBackends()) {
+        for (int threads : {1, 4, 8}) {
+          simd::SetBackend(be);
+          SetNumThreads(threads);
+          LimeExplanation got = lime.Explain(f, instance, 7).ValueOrDie();
+          const std::string where =
+              std::string("backend=") + simd::BackendName(be) +
+              " threads=" + std::to_string(threads) +
+              " samples=" + std::to_string(num_samples);
+          EXPECT_TRUE(SameBits(ref.attributions, got.attributions)) << where;
+          EXPECT_TRUE(
+              SameBits({ref.intercept, ref.base_value, ref.prediction},
+                       {got.intercept, got.base_value, got.prediction}))
+              << where;
+          // The streamed fit computes local_r2 from the accumulated
+          // moments — tolerance, not bitwise.
+          EXPECT_NEAR(got.local_r2, ref.local_r2, 1e-9) << where;
+        }
+      }
+      simd::SetBackend(prev);
+      SetNumThreads(prev_threads);
+    }
+  }
+}
 
+TEST(LimeStreamedTest, TopKMatchesReferenceAcrossTiersAndThreads) {
+  // Forward selection keeps the whole design. The selected features and
+  // their coefficients must not depend on the tier or the thread count, and
+  // must equal WeightedRidgeRegression on the reference design restricted
+  // to the features the reference selection picks.
+  Dataset d = MakeLoans(300, 15);
+  auto model = LogisticRegressionModel::Train(d).ValueOrDie();
+  PredictFn f = AsPredictFn(model);
+  Vector instance = d.Row(1);
+  for (int num_samples : {300, 2100}) {
+    LimeConfig config;
+    config.top_k = 3;
+    config.num_samples = num_samples;
+    LimeExplanation ref = ReferenceLime(d, config, f, instance, 5);
+    int nonzero = 0;
+    for (double a : ref.attributions) nonzero += a != 0.0;
+    EXPECT_EQ(nonzero, 3);
+    LimeExplainer lime(d, config);
     simd::Backend prev = simd::Active();
     int prev_threads = GetNumThreads();
-    simd::SetBackend(simd::Backend::kScalar);
-    SetNumThreads(1);
-    LimeExplanation ref =
-        materialized.Explain(AsPredictFn(model), instance, 7).ValueOrDie();
     for (simd::Backend be : DefaultBackends()) {
       for (int threads : {1, 4, 8}) {
         simd::SetBackend(be);
         SetNumThreads(threads);
-        LimeExplanation got =
-            fused.Explain(AsPredictFn(model), instance, 7).ValueOrDie();
-        EXPECT_TRUE(SameBits(ref.attributions, got.attributions))
-            << "backend=" << simd::BackendName(be) << " threads=" << threads;
-        EXPECT_TRUE(SameBits({ref.intercept, ref.base_value, ref.prediction},
-                             {got.intercept, got.base_value, got.prediction}))
-            << "backend=" << simd::BackendName(be) << " threads=" << threads;
-        // local_r2 is computed algebraically from the accumulated moments
-        // in the fused path — tolerance, not bitwise.
-        EXPECT_NEAR(got.local_r2, ref.local_r2, 1e-9);
+        LimeExplanation got = lime.Explain(f, instance, 5).ValueOrDie();
+        const std::string where =
+            std::string("backend=") + simd::BackendName(be) +
+            " threads=" + std::to_string(threads) +
+            " samples=" + std::to_string(num_samples);
+        EXPECT_TRUE(SameBits(ref.attributions, got.attributions)) << where;
+        EXPECT_TRUE(SameBits({ref.intercept, ref.prediction, ref.local_r2},
+                             {got.intercept, got.prediction, got.local_r2}))
+            << where;
       }
     }
     simd::SetBackend(prev);
     SetNumThreads(prev_threads);
   }
-}
-
-TEST(LimeFusedTest, TopKForwardSelectionFallsBackToMaterialized) {
-  // top_k forward selection needs the full design; the fused flag must not
-  // change its output.
-  Dataset d = MakeLoans(300, 15);
-  auto model = LogisticRegressionModel::Train(d).ValueOrDie();
-  LimeConfig a_cfg;
-  a_cfg.top_k = 3;
-  a_cfg.num_samples = 300;
-  a_cfg.fused = true;
-  LimeConfig b_cfg = a_cfg;
-  b_cfg.fused = false;
-  LimeExplainer a(d, a_cfg), b(d, b_cfg);
-  auto ea = a.Explain(AsPredictFn(model), d.Row(1), 5).ValueOrDie();
-  auto eb = b.Explain(AsPredictFn(model), d.Row(1), 5).ValueOrDie();
-  EXPECT_TRUE(SameBits(ea.attributions, eb.attributions));
 }
 
 TEST(MedianAbsoluteDeviationTest, KnownValues) {

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstring>
 
+#include "xai/core/combinatorics.h"
+#include "xai/core/linalg.h"
 #include "xai/core/parallel.h"
 #include "xai/core/simd.h"
 
@@ -185,61 +187,115 @@ TEST(KernelShapTest, SampledCloseToExact) {
     EXPECT_NEAR(ks.attributions[j], exact[j], 0.05);
 }
 
-TEST(KernelShapTest, FusedBitIdenticalToMaterializedAcrossBackendsAndThreads) {
-  // A game with pairwise interactions so the regression is non-trivial.
-  auto value_fn = [](uint64_t mask) {
-    double vals[] = {1.0, -2.0, 0.5, 3.0, -0.7, 1.3, 0.2, -1.1, 2.4, -0.3,
-                     0.9};
-    double acc = 0;
-    for (int i = 0; i < 11; ++i)
-      if (mask & (1ULL << i)) acc += vals[i];
-    if ((mask & 3ULL) == 3ULL) acc += 1.7;
-    if ((mask & 12ULL) == 12ULL) acc -= 0.9;
-    return acc;
-  };
-  // Exercise both the fully-enumerated regime and the sampled regime
-  // (2^11 - 2 = 2046 coalitions vs a budget of 700).
-  for (int budget : {2048, 700}) {
-    FunctionGame game(11, value_fn);
-    KernelShapConfig materialized_cfg;
-    materialized_cfg.coalition_budget = budget;
-    materialized_cfg.fused = false;
-    KernelShapConfig fused_cfg = materialized_cfg;
-    fused_cfg.fused = true;
+// A game with pairwise interactions, so the regression is non-trivial.
+double InteractionGame11(uint64_t mask) {
+  const double vals[] = {1.0, -2.0, 0.5, 3.0, -0.7, 1.3, 0.2, -1.1, 2.4, -0.3,
+                         0.9};
+  double acc = 0;
+  for (int i = 0; i < 11; ++i)
+    if (mask & (1ULL << i)) acc += vals[i];
+  if ((mask & 3ULL) == 3ULL) acc += 1.7;
+  if ((mask & 12ULL) == 12ULL) acc -= 0.9;
+  return acc;
+}
 
-    simd::Backend prev = simd::Active();
-    int prev_threads = GetNumThreads();
-    simd::SetBackend(simd::Backend::kScalar);
-    SetNumThreads(1);
-    Rng ref_rng(77);
-    auto ref = KernelShap(game, materialized_cfg, &ref_rng).ValueOrDie();
-    std::vector<simd::Backend> backends = {simd::Backend::kScalar};
-    if (simd::MaxSupported() >= simd::Backend::kSse2)
-      backends.push_back(simd::Backend::kSse2);
-    if (simd::MaxSupported() >= simd::Backend::kAvx2)
-      backends.push_back(simd::Backend::kAvx2);
-    for (simd::Backend be : backends) {
-      for (int threads : {1, 4, 8}) {
-        simd::SetBackend(be);
-        SetNumThreads(threads);
-        Rng rng(77);  // Coalition sampling precedes the solve branch.
-        auto got = KernelShap(game, fused_cfg, &rng).ValueOrDie();
-        ASSERT_EQ(got.attributions.size(), ref.attributions.size());
-        for (size_t j = 0; j < ref.attributions.size(); ++j) {
-          EXPECT_EQ(std::memcmp(&ref.attributions[j], &got.attributions[j],
-                                sizeof(double)),
-                    0)
-              << "budget=" << budget << " phi[" << j
-              << "] backend=" << simd::BackendName(be)
-              << " threads=" << threads;
-        }
-        EXPECT_DOUBLE_EQ(got.base_value, ref.base_value);
-        EXPECT_DOUBLE_EQ(got.prediction, ref.prediction);
+std::vector<simd::Backend> DefaultBackends() {
+  std::vector<simd::Backend> backends = {simd::Backend::kScalar};
+  if (simd::MaxSupported() >= simd::Backend::kAvx2)
+    backends.push_back(simd::Backend::kAvx2);
+  return backends;
+}
+
+// Runs KernelSHAP on every default tier at 1, 4 and 8 threads and checks
+// each run's attributions bit for bit against `ref`.
+void ExpectKernelShapBits(const CoalitionGame& game,
+                          const KernelShapConfig& config,
+                          const AttributionExplanation& ref) {
+  simd::Backend prev = simd::Active();
+  int prev_threads = GetNumThreads();
+  for (simd::Backend be : DefaultBackends()) {
+    for (int threads : {1, 4, 8}) {
+      simd::SetBackend(be);
+      SetNumThreads(threads);
+      Rng rng(77);
+      auto got = KernelShap(game, config, &rng).ValueOrDie();
+      ASSERT_EQ(got.attributions.size(), ref.attributions.size());
+      for (size_t j = 0; j < ref.attributions.size(); ++j) {
+        EXPECT_EQ(std::memcmp(&ref.attributions[j], &got.attributions[j],
+                              sizeof(double)),
+                  0)
+            << "budget=" << config.coalition_budget << " phi[" << j
+            << "] backend=" << simd::BackendName(be)
+            << " threads=" << threads;
       }
+      EXPECT_DOUBLE_EQ(got.base_value, ref.base_value);
+      EXPECT_DOUBLE_EQ(got.prediction, ref.prediction);
     }
-    simd::SetBackend(prev);
-    SetNumThreads(prev_threads);
   }
+  simd::SetBackend(prev);
+  SetNumThreads(prev_threads);
+}
+
+TEST(KernelShapTest, EnumeratedMatchesMaterializedConstrainedSolve) {
+  // Budget 2048 >= 2^11 - 2 enumerates every proper coalition. The
+  // test-local reference lists them by size, each size in lexicographic
+  // index order as the library does, weights each with the Shapley kernel
+  // and solves the materialized design with ConstrainedWeightedLeastSquares.
+  constexpr int d = 11;
+  FunctionGame game(d, InteractionGame11);
+  KernelShapConfig config;
+  config.coalition_budget = 2048;
+  const double v0 = game.Value(0);
+  const double vn = game.Value((1ULL << d) - 1);
+  std::vector<uint64_t> masks;
+  Vector weights;
+  for (int s = 1; s < d; ++s) {
+    std::vector<bool> in(d, false);
+    std::fill(in.begin(), in.begin() + s, true);
+    do {
+      uint64_t mask = 0;
+      for (int j = 0; j < d; ++j)
+        if (in[j]) mask |= 1ULL << j;
+      masks.push_back(mask);
+      weights.push_back((d - 1.0) / (BinomialCoefficient(d, s) * s * (d - s)));
+    } while (std::prev_permutation(in.begin(), in.end()));
+  }
+  ASSERT_EQ(masks.size(), (1u << d) - 2);
+  Matrix design(static_cast<int>(masks.size()), d);
+  Vector target(masks.size());
+  for (size_t r = 0; r < masks.size(); ++r) {
+    for (int j = 0; j < d; ++j)
+      design(static_cast<int>(r), j) = (masks[r] >> j) & 1ULL ? 1.0 : 0.0;
+    target[r] = game.Value(masks[r]) - v0;
+  }
+  simd::Backend prev = simd::Active();
+  simd::SetBackend(simd::Backend::kScalar);
+  AttributionExplanation ref;
+  ref.attributions =
+      ConstrainedWeightedLeastSquares(design, target, weights, Vector(d, 1.0),
+                                      vn - v0, config.ridge)
+          .ValueOrDie();
+  ref.base_value = v0;
+  ref.prediction = vn;
+  simd::SetBackend(prev);
+  ExpectKernelShapBits(game, config, ref);
+}
+
+TEST(KernelShapTest, SampledBitIdenticalAcrossTiersAndThreads) {
+  // Budget 700 < 2^11 - 2: the tails are enumerated and the middle sizes
+  // sampled, so the reference is the scalar tier at one thread.
+  FunctionGame game(11, InteractionGame11);
+  KernelShapConfig config;
+  config.coalition_budget = 700;
+  simd::Backend prev = simd::Active();
+  int prev_threads = GetNumThreads();
+  simd::SetBackend(simd::Backend::kScalar);
+  SetNumThreads(1);
+  Rng ref_rng(77);
+  auto ref = KernelShap(game, config, &ref_rng).ValueOrDie();
+  simd::SetBackend(prev);
+  SetNumThreads(prev_threads);
+  ExpectKernelShapBits(game, config, ref);
 }
 
 TEST(KernelShapTest, SinglePlayerGame) {

@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <vector>
 
+#include "xai/causal/scm.h"
 #include "xai/core/parallel.h"
+#include "xai/core/telemetry.h"
 #include "xai/data/synthetic.h"
 #include "xai/explain/shapley/value_function.h"
 #include "xai/model/decision_tree.h"
@@ -193,17 +196,83 @@ TEST(FlatEnsembleTest, AsPredictFnUsesKernelAndMatchesPredict) {
 }
 
 TEST(FlatEnsembleTest, ModelAwareGameBitMatchesPredictFnGame) {
-  Dataset d = MakeLoans(120, 18);
+  // Every built-in game on every mask: the Model overload (one batched
+  // call per coalition) must bit-match the per-row PredictFn overload, and
+  // the coalition memo must count exactly. A first sweep misses every mask
+  // and evaluates the game's rows once per coalition; a second sweep only
+  // hits.
+  Dataset loans = MakeLoans(120, 18);
   GbdtConfig config;
   config.n_trees = 6;
-  auto model = GbdtModel::Train(d, config).ValueOrDie();
-  Vector instance = d.Row(0);
-  MarginalFeatureGame fn_game(AsPredictFn(model), instance, d.x());
-  MarginalFeatureGame batch_game(model, instance, d.x());
-  const uint64_t full = (uint64_t{1} << instance.size()) - 1;
-  for (uint64_t mask : std::vector<uint64_t>{0, 1, 5, full}) {
-    EXPECT_EQ(fn_game.Value(mask), batch_game.Value(mask)) << mask;
+  auto loans_model = GbdtModel::Train(loans, config).ValueOrDie();
+  LinearScm scm = MakeChainScm(1.0, -0.5);
+  Rng rng(19);
+  Dataset chain = scm.SampleDataset(
+      120, &rng, [](const Vector& x) { return x[2] > 0.0 ? 1.0 : 0.0; });
+  auto chain_model = GbdtModel::Train(chain, config).ValueOrDie();
+  const Vector loans_x = loans.Row(0);
+  const Vector chain_x = chain.Row(0);
+  const PredictFn loans_f = AsPredictFn(loans_model);
+  const PredictFn chain_f = AsPredictFn(chain_model);
+
+  struct GamePair {
+    const char* name;
+    std::unique_ptr<CoalitionGame> fn_game;
+    std::unique_ptr<CoalitionGame> batch_game;
+    int64_t rows_per_value;
+  };
+  std::vector<GamePair> games;
+  games.push_back(
+      {"marginal",
+       std::make_unique<MarginalFeatureGame>(loans_f, loans_x, loans.x()),
+       std::make_unique<MarginalFeatureGame>(loans_model, loans_x, loans.x()),
+       120});
+  games.push_back({"conditional",
+                   std::make_unique<ConditionalFeatureGame>(
+                       loans_f, loans_x, loans.x(), 10),
+                   std::make_unique<ConditionalFeatureGame>(
+                       loans_model, loans_x, loans.x(), 10),
+                   10});
+  games.push_back({"interventional_scm",
+                   std::make_unique<InterventionalScmGame>(&scm, chain_f,
+                                                           chain_x, 50, 3),
+                   std::make_unique<InterventionalScmGame>(
+                       &scm, chain_model, chain_x, 50, 3),
+                   50});
+
+  for (const GamePair& g : games) {
+    const int64_t num_masks = int64_t{1} << g.fn_game->num_players();
+    std::vector<Vector> values;
+    for (const CoalitionGame* game : {g.fn_game.get(), g.batch_game.get()}) {
+      Vector first;
+      for (int sweep = 0; sweep < 2; ++sweep) {
+        telemetry::Registry::Global().Reset();
+        Vector got;
+        for (int64_t mask = 0; mask < num_masks; ++mask)
+          got.push_back(game->Value(static_cast<uint64_t>(mask)));
+        auto counters = telemetry::Registry::Global().CounterSnapshot();
+        const int64_t misses = sweep == 0 ? num_masks : 0;
+        if (XAI_TELEMETRY != 0) {
+          EXPECT_EQ(counters["shap/cache_hits"], num_masks - misses)
+              << g.name << " sweep " << sweep;
+          EXPECT_EQ(counters["shap/cache_misses"], misses)
+              << g.name << " sweep " << sweep;
+          EXPECT_EQ(counters["shap/cache_entries"], misses)
+              << g.name << " sweep " << sweep;
+          EXPECT_EQ(counters["model/evals"], misses * g.rows_per_value)
+              << g.name << " sweep " << sweep;
+        }
+        if (sweep == 0) first = got;
+        EXPECT_EQ(got, first) << g.name;
+      }
+      values.push_back(first);
+    }
+    for (int64_t mask = 0; mask < num_masks; ++mask)
+      EXPECT_EQ(values[0][mask], values[1][mask]) << g.name << " " << mask;
   }
+  const auto* marginal =
+      static_cast<const MarginalFeatureGame*>(games[0].batch_game.get());
+  EXPECT_EQ(marginal->num_evaluations(), 256);
 }
 
 TEST(FlatEnsembleDeathTest, GamesRejectMoreThan64Features) {

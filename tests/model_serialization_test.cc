@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "xai/data/synthetic.h"
 
 namespace xai {
@@ -94,14 +96,33 @@ TEST(SerializationTest, RejectsWrongKindAndMalformedInput) {
   EXPECT_FALSE(
       DeserializeLogisticRegression("xai_model v1 logistic_regression\n")
           .ok());  // Truncated.
+  // Counts beyond what the text can hold are refused before anything is
+  // allocated (the first two would ask for 16 GB and 80 GB).
+  EXPECT_FALSE(DeserializeLogisticRegression(
+                   "xai_model v1 logistic_regression\nweights 2000000000\n")
+                   .ok());
+  EXPECT_FALSE(DeserializeDecisionTree(
+                   "xai_model v1 decision_tree regression\ntree 2000000000\n")
+                   .ok());
+  EXPECT_FALSE(DeserializeRandomForest(
+                   "xai_model v1 random_forest regression\ntrees 2000000000\n")
+                   .ok());
 }
 
 TEST(SerializationTest, TreeChildIndexValidation) {
-  std::string bad =
-      "xai_model v1 decision_tree classification\n"
-      "tree 1\n"
-      "node 0 0.5 7 8 0 1\n";  // Children out of range.
-  EXPECT_FALSE(DeserializeDecisionTree(bad).ok());
+  const std::string header = "xai_model v1 decision_tree classification\n";
+  const std::string leaf = "node -1 0 -1 -1 1 1\n";
+  const std::string bad_trees[] = {
+      "tree 1\nnode 0 0.5 7 8 0 1\n",          // Children out of range.
+      "tree 2\nnode 0 0.5 0 1 0 1\n" + leaf,   // Root is its own child.
+      "tree 2\nnode 0 0.5 1 1 0 1\n" + leaf,   // Both children one node.
+      "tree 0\n",                               // No root.
+  };
+  for (const std::string& tree : bad_trees)
+    EXPECT_FALSE(DeserializeDecisionTree(header + tree).ok()) << tree;
+  EXPECT_TRUE(DeserializeDecisionTree(header + "tree 3\nnode 0 0.5 1 2 0 1\n" +
+                                      leaf + leaf)
+                  .ok());
 }
 
 TEST(SerializationTest, FileRoundTrip) {

@@ -134,6 +134,53 @@ TEST_F(ModelRegistryTest, RejectsBadInput) {
             StatusCode::kInvalidArgument);
 }
 
+TEST_F(ModelRegistryTest, RefusesCraftedSnapshots) {
+  // Each snapshot crashed Register or the first Predict: counts that
+  // allocate before anything is read, models wider or narrower than the
+  // 8-feature background, and node graphs that are not trees (a cycle, a
+  // shared node, no node at all).
+  auto logistic = [](int weights) {
+    std::string text = "xai_model v1 logistic_regression\nweights " +
+                       std::to_string(weights);
+    for (int i = 0; i < weights; ++i) text += " 0";
+    return text + "\nbias 0\nl2 0\n";
+  };
+  const std::string leaf = "node -1 0 -1 -1 1 1\n";
+  const std::string wide_tree =
+      "tree 3\nnode 1000000 0.5 1 2 0 1\n" + leaf + leaf;
+  const std::string tree_model = "xai_model v1 decision_tree regression\n";
+  const std::string cases[] = {
+      tree_model + "tree 2000000000\n",
+      "xai_model v1 logistic_regression\nweights 2000000000\n",
+      tree_model + wide_tree,
+      "xai_model v1 random_forest regression\ntrees 1\n" + wide_tree,
+      logistic(2),
+      logistic(64),
+      tree_model + "tree 2\nnode 0 0.5 0 1 0 1\n" + leaf,
+      tree_model + "tree 2\nnode 0 0.5 1 1 0 1\n" + leaf,
+      tree_model + "tree 0\n",
+  };
+  ASSERT_EQ(background_.num_features(), 8);
+  ModelRegistry registry;
+  for (const std::string& text : cases) {
+    EXPECT_EQ(registry.Register("m", text, background_).status().code(),
+              StatusCode::kInvalidArgument)
+        << text.substr(0, 80);
+  }
+  EXPECT_EQ(registry.size(), 0);
+  // The same shapes at the background's width register and serve.
+  const Vector row = background_.Row(0);
+  ASSERT_TRUE(registry.Register("lr", logistic(8), background_).ok());
+  EXPECT_EQ(registry.Find("lr")->model->Predict(row), 0.5);
+  ASSERT_TRUE(registry
+                  .Register("dt", tree_model + "tree 3\nnode 7 0.5 1 2 0 1\n" +
+                                      leaf + "node -1 0 -1 -1 2 1\n",
+                            background_)
+                  .ok());
+  EXPECT_EQ(registry.Find("dt")->model->Predict(row),
+            row[7] <= 0.5 ? 1.0 : 2.0);
+}
+
 }  // namespace
 }  // namespace serve
 }  // namespace xai
