@@ -193,8 +193,8 @@ void RunEndToEnd(int threads, bool smoke, bench::RunReport* report) {
       scalar_phi = KernelShap(game, ks_config, &rng).ValueOrDie().attributions;
     });
     const double flat_sec = BestOf(kReps, [&] {
-      // Model-aware game: one batched call through the flat kernel per
-      // coalition sweep.
+      // Model-aware game: the flat kernel's coalition scorer values each
+      // block of coalitions from precomputed split decisions.
       MarginalFeatureGame game(model, instance, train.x(), 64);
       Rng rng(11);
       flat_phi = KernelShap(game, ks_config, &rng).ValueOrDie().attributions;

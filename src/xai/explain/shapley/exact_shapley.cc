@@ -1,5 +1,7 @@
 #include "xai/explain/shapley/exact_shapley.h"
 
+#include <numeric>
+#include <span>
 #include <vector>
 
 #include "xai/core/combinatorics.h"
@@ -13,17 +15,21 @@ namespace {
 // so the per-chunk accumulation (and its floating-point order) is too.
 constexpr int64_t kMaskGrain = 2048;
 
-// Evaluates every coalition once into a flat table indexed by mask. Each
-// mask is owned by exactly one chunk, so cached games do no duplicate work
-// and num_evaluations() stays exact.
+// Evaluates every coalition once into a flat table indexed by mask, one
+// Values() call per chunk. Each mask is owned by exactly one chunk, so
+// cached games do no duplicate work and num_evaluations() stays exact.
 std::vector<double> EvaluateAllCoalitions(const CoalitionGame& game,
                                           uint64_t limit) {
   XAI_SPAN("exact_shapley/enumerate");
   std::vector<double> values(limit);
   ParallelFor(static_cast<int64_t>(limit), kMaskGrain,
               [&](int64_t begin, int64_t end, int64_t) {
-                for (int64_t mask = begin; mask < end; ++mask)
-                  values[mask] = game.Value(static_cast<uint64_t>(mask));
+                std::vector<uint64_t> masks(static_cast<size_t>(end - begin));
+                std::iota(masks.begin(), masks.end(),
+                          static_cast<uint64_t>(begin));
+                game.Values(masks, std::span(values).subspan(
+                                       static_cast<size_t>(begin),
+                                       masks.size()));
               });
   return values;
 }

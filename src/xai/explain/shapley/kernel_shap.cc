@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -49,17 +51,23 @@ Result<AttributionExplanation> KernelShap(const CoalitionGame& game,
   XAI_SPAN("kernel_shap/explain");
   int d = game.num_players();
   if (d < 1) return Status::InvalidArgument("game has no players");
+  if (d > 64)
+    return Status::InvalidArgument(
+        "KernelSHAP keys coalitions on a 64-bit mask; the game has " +
+        std::to_string(d) + " players");
+  const uint64_t full = d == 64 ? ~0ULL : (1ULL << d) - 1;
+  const uint64_t anchors[2] = {0, full};
+  double anchor_values[2];
+  game.Values(anchors, anchor_values);
+  const double v0 = anchor_values[0];
+  const double vn = anchor_values[1];
   if (d == 1) {
     AttributionExplanation exp;
-    exp.base_value = game.Value(0);
-    exp.prediction = game.Value(1);
-    exp.attributions = {exp.prediction - exp.base_value};
+    exp.base_value = v0;
+    exp.prediction = vn;
+    exp.attributions = {vn - v0};
     return exp;
   }
-
-  double v0 = game.Value(0);
-  uint64_t full = d >= 63 ? ~0ULL : (1ULL << d) - 1;
-  double vn = game.Value(full);
 
   // Collect coalitions and their regression weights.
   std::vector<uint64_t> masks;
@@ -130,11 +138,13 @@ Result<AttributionExplanation> KernelShap(const CoalitionGame& game,
     return Status::InvalidArgument("coalition budget too small");
 
   // Mask→evaluate→weight→accumulate per row block. Each block's rows and
-  // targets are filled in parallel (coalition evaluations dominate — each
-  // is B model calls and the games' memoization is thread-safe), then
-  // folded serially in ascending row order into the streaming constrained
-  // solver, so nothing ever holds the full budget x d design matrix and
-  // the result is identical at any thread count.
+  // targets are filled in parallel, one Values() call per chunk
+  // (coalition evaluations dominate, and a tree game scores a chunk's
+  // coalitions together, so chunks are large; the games' memoization is
+  // thread-safe), then folded serially in ascending row order into the
+  // streaming constrained solver, so nothing ever holds the full budget x d
+  // design matrix and the result is identical at any thread count and
+  // grain.
   const int num_masks = static_cast<int>(masks.size());
   CwlsAccumulator acc(d, Vector(d, 1.0), vn - v0);
   constexpr int kBlockRows = 1024;
@@ -144,12 +154,15 @@ Result<AttributionExplanation> KernelShap(const CoalitionGame& game,
     XAI_SPAN("kernel_shap/eval_coalitions");
     for (int base = 0; base < num_masks; base += kBlockRows) {
       const int bn = std::min(kBlockRows, num_masks - base);
-      ParallelFor(bn, /*grain=*/16, [&](int64_t begin, int64_t end, int64_t) {
+      ParallelFor(bn, /*grain=*/128, [&](int64_t begin, int64_t end, int64_t) {
+        const size_t n = static_cast<size_t>(end - begin);
+        game.Values(std::span(masks).subspan(base + begin, n),
+                    std::span(target).subspan(begin, n));
         for (int64_t r = begin; r < end; ++r) {
           double* row = rows.data() + static_cast<size_t>(r) * d;
           uint64_t mask = masks[base + r];
           for (int j = 0; j < d; ++j) row[j] = (mask >> j) & 1ULL ? 1.0 : 0.0;
-          target[r] = game.Value(mask) - v0;
+          target[r] -= v0;
         }
       });
       acc.AddBlock(rows.data(), target.data(), weights.data() + base, bn);

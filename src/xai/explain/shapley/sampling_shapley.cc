@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "xai/core/parallel.h"
 #include "xai/core/trace.h"
@@ -40,15 +41,31 @@ SamplingShapleyResult SamplingShapley(const CoalitionGame& game,
       static_cast<int64_t>(permutations), kPermutationGrain,
       MarginalSums{Vector(n, 0.0), Vector(n, 0.0)},
       [&](int64_t begin, int64_t end, int64_t) {
-        MarginalSums acc{Vector(n, 0.0), Vector(n, 0.0)};
+        // Collect the chunk's permutations and the coalitions along them,
+        // value every coalition in one Values() call, then take the
+        // marginals in permutation order.
+        std::vector<std::vector<int>> perms;
+        std::vector<uint64_t> masks;
+        perms.reserve(static_cast<size_t>(end - begin));
+        masks.reserve(static_cast<size_t>(end - begin) * n);
         for (int64_t p = begin; p < end; ++p) {
           Rng perm_rng(SplitSeed(base_seed, static_cast<uint64_t>(p)));
-          std::vector<int> perm = perm_rng.Permutation(n);
+          perms.push_back(perm_rng.Permutation(n));
           uint64_t mask = 0;
+          for (int i : perms.back()) {
+            mask |= 1ULL << i;
+            masks.push_back(mask);
+          }
+        }
+        std::vector<double> values(masks.size());
+        game.Values(masks, values);
+
+        MarginalSums acc{Vector(n, 0.0), Vector(n, 0.0)};
+        size_t k = 0;
+        for (const std::vector<int>& perm : perms) {
           double prev = v_empty;
           for (int i : perm) {
-            mask |= 1ULL << i;
-            double cur = game.Value(mask);
+            double cur = values[k++];
             double marginal = cur - prev;
             acc.sum[i] += marginal;
             acc.sum_sq[i] += marginal * marginal;

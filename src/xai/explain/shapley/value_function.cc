@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <vector>
 
 #include "xai/core/check.h"
 #include "xai/core/telemetry.h"
@@ -21,37 +22,81 @@ void CheckCoalitionWidth(const Vector& instance) {
 
 }  // namespace
 
-double CoalitionMemo::Get(uint64_t coalition,
-                          const std::function<double()>& compute) {
+void CoalitionGame::Values(std::span<const uint64_t> masks,
+                           std::span<double> out) const {
+  XAI_CHECK_EQ(masks.size(), out.size());
+  for (size_t i = 0; i < masks.size(); ++i) out[i] = Value(masks[i]);
+}
+
+void CoalitionMemo::Get(std::span<const uint64_t> masks,
+                        std::span<double> out, const BlockFn& compute) {
+  XAI_CHECK_EQ(masks.size(), out.size());
+  // Distinct masks the memo lacks, and for each position the miss that
+  // answers it (-1: answered from the memo; sized at the first miss, so an
+  // all-hit block allocates nothing).
+  std::vector<uint64_t> misses;
+  std::vector<int64_t> miss_of;
+  std::unordered_map<uint64_t, int64_t> first_miss;
+  int64_t hits = 0;
   {
-    std::unique_lock<std::mutex> lock(mu_);
-    auto it = cache_.find(coalition);
-    if (it != cache_.end()) {
-      // Count after dropping the lock: telemetry must not lengthen the
-      // critical section other threads are waiting on.
-      const double cached = it->second;
-      lock.unlock();
-      XAI_COUNTER_INC("shap/cache_hits");
-      return cached;
+    std::lock_guard<std::mutex> lock(mu_);
+    for (size_t i = 0; i < masks.size(); ++i) {
+      auto it = cache_.find(masks[i]);
+      if (it != cache_.end()) {
+        out[i] = it->second;
+        ++hits;
+        continue;
+      }
+      if (miss_of.empty()) miss_of.assign(masks.size(), -1);
+      auto [first, fresh] = first_miss.emplace(
+          masks[i], static_cast<int64_t>(misses.size()));
+      if (fresh) {
+        misses.push_back(masks[i]);
+      } else {
+        ++hits;  // A repeat inside the block, as Value() would have seen it.
+      }
+      miss_of[i] = first->second;
     }
   }
+  // Count after dropping the lock: telemetry must not lengthen the
+  // critical section other threads are waiting on.
+  if (hits > 0) XAI_COUNTER_ADD("shap/cache_hits", hits);
+  if (misses.empty()) return;
+
   // Compute outside the lock: values are deterministic per coalition, so if
   // two threads race on the same mask they produce the same value and the
   // duplicate work is the only cost. entries_ counts cache insertions, i.e.
   // distinct coalitions, which stays deterministic; the miss counter counts
   // computed coalitions (race duplicates included), so hits + misses equals
-  // the number of Get() calls exactly.
-  XAI_COUNTER_INC("shap/cache_misses");
-  const double value = compute();
-  std::unique_lock<std::mutex> lock(mu_);
-  auto [it, inserted] = cache_.emplace(coalition, value);
-  const double stored = it->second;
-  lock.unlock();
-  if (inserted) {
-    entries_.fetch_add(1, std::memory_order_relaxed);
-    XAI_COUNTER_INC("shap/cache_entries");
+  // the number of masks asked for exactly.
+  XAI_COUNTER_ADD("shap/cache_misses", static_cast<int64_t>(misses.size()));
+  std::vector<double> values(misses.size());
+  compute(misses, values);
+  int64_t inserted = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (size_t k = 0; k < misses.size(); ++k) {
+      auto [it, fresh] = cache_.emplace(misses[k], values[k]);
+      values[k] = it->second;
+      inserted += fresh;
+    }
   }
-  return stored;
+  if (inserted > 0) {
+    entries_.fetch_add(inserted, std::memory_order_relaxed);
+    XAI_COUNTER_ADD("shap/cache_entries", inserted);
+  }
+  for (size_t i = 0; i < masks.size(); ++i)
+    if (miss_of[i] >= 0) out[i] = values[miss_of[i]];
+}
+
+double CoalitionMemo::Get(uint64_t coalition,
+                          const std::function<double()>& compute) {
+  double value = 0.0;
+  Get({&coalition, 1}, {&value, 1},
+      [&](std::span<const uint64_t>, std::span<double> out) {
+        out[0] = compute();
+      });
+  return value;
 }
 
 MarginalFeatureGame::MarginalFeatureGame(PredictFn f, Vector instance,
@@ -76,7 +121,11 @@ MarginalFeatureGame::MarginalFeatureGame(const Model& model, Vector instance,
                                          int max_background)
     : MarginalFeatureGame(AsPredictFn(model), std::move(instance),
                           std::move(background), max_background) {
-  batch_f_ = AsBatchPredictFn(model);
+  if (std::shared_ptr<const FlatEnsemble> flat = FlatEnsembleOf(model)) {
+    scorer_.emplace(std::move(flat), background_, instance_);
+  } else {
+    batch_f_ = AsBatchPredictFn(model);
+  }
 }
 
 int MarginalFeatureGame::num_players() const {
@@ -84,35 +133,61 @@ int MarginalFeatureGame::num_players() const {
 }
 
 double MarginalFeatureGame::Value(uint64_t coalition) const {
-  return memo_.Get(coalition, [&] {
-    int d = num_players();
-    double acc = 0.0;
-    if (batch_f_) {
-      // One batched model call for the whole background sweep. Rows are
-      // filled in the same order as the scalar path and the predictions are
-      // summed serially in row order, so the value is bit-identical; the
-      // model's PredictBatch owns the model/evals accounting on this path.
-      Matrix rows(background_.rows(), d);
-      for (int b = 0; b < background_.rows(); ++b) {
+  double value = 0.0;
+  Values({&coalition, 1}, {&value, 1});
+  return value;
+}
+
+void MarginalFeatureGame::Values(std::span<const uint64_t> masks,
+                                 std::span<double> out) const {
+  memo_.Get(masks, out,
+            [this](std::span<const uint64_t> misses, std::span<double> sums) {
+              Compute(misses, sums);
+            });
+}
+
+void MarginalFeatureGame::Compute(std::span<const uint64_t> masks,
+                                  std::span<double> out) const {
+  const int d = num_players();
+  const int rows = background_.rows();
+  if (scorer_) {
+    // The scorer adds each row's leaves in tree order and sums the rows in
+    // background order, as ScoreRows plus the serial sum below would; it
+    // evaluates no model rows itself, so the game counts them here.
+    scorer_->SumOver(masks, out);
+    XAI_COUNTER_ADD("model/evals", static_cast<int64_t>(masks.size()) * rows);
+  } else if (batch_f_) {
+    // One batched model call per coalition's background sweep. Rows are
+    // filled in the same order as the scalar path and the predictions are
+    // summed serially in row order, so the value is bit-identical; the
+    // model's PredictBatch owns the model/evals accounting on this path.
+    Matrix hybrid(rows, d);
+    for (size_t i = 0; i < masks.size(); ++i) {
+      for (int b = 0; b < rows; ++b) {
         const double* bg = background_.RowPtr(b);
-        double* out = rows.RowPtr(b);
+        double* row = hybrid.RowPtr(b);
         for (int j = 0; j < d; ++j)
-          out[j] = (coalition & (1ULL << j)) ? instance_[j] : bg[j];
+          row[j] = (masks[i] & (1ULL << j)) ? instance_[j] : bg[j];
       }
-      const Vector preds = batch_f_(rows);
-      for (double p : preds) acc += p;
-    } else {
-      Vector row(d);
-      for (int b = 0; b < background_.rows(); ++b) {
+      double acc = 0.0;
+      for (double p : batch_f_(hybrid)) acc += p;
+      out[i] = acc;
+    }
+  } else {
+    Vector row(d);
+    for (size_t i = 0; i < masks.size(); ++i) {
+      double acc = 0.0;
+      for (int b = 0; b < rows; ++b) {
         const double* bg = background_.RowPtr(b);
         for (int j = 0; j < d; ++j)
-          row[j] = (coalition & (1ULL << j)) ? instance_[j] : bg[j];
+          row[j] = (masks[i] & (1ULL << j)) ? instance_[j] : bg[j];
         acc += f_(row);
       }
-      XAI_COUNTER_ADD("model/evals", background_.rows());
+      out[i] = acc;
     }
-    return acc / background_.rows();
-  });
+    XAI_COUNTER_ADD("model/evals", static_cast<int64_t>(masks.size()) * rows);
+  }
+  for (double& sum : out) sum /= rows;
 }
 
 ConditionalFeatureGame::ConditionalFeatureGame(PredictFn f, Vector instance,

@@ -5,11 +5,14 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <unordered_map>
 
 #include "xai/causal/scm.h"
 #include "xai/core/matrix.h"
 #include "xai/core/rng.h"
+#include "xai/model/flat_ensemble.h"
 #include "xai/model/model.h"
 
 namespace xai {
@@ -22,11 +25,11 @@ namespace xai {
 /// may cache: Value() is expected to be deterministic per coalition.
 ///
 /// Threading: the parallel explainers (KernelSHAP, sampling Shapley, exact
-/// enumeration; see core/parallel.h) call Value() concurrently from pool
-/// workers. Implementations must be const-reentrant — the built-in games
-/// below guard their memoization caches with a mutex and only capture
-/// const-reentrant PredictFns (see the Model threading contract in
-/// model/model.h).
+/// enumeration; see core/parallel.h) call Value() and Values() concurrently
+/// from pool workers. Implementations must be const-reentrant — the
+/// built-in games below guard their memoization caches with a mutex and
+/// only capture const-reentrant PredictFns (see the Model threading
+/// contract in model/model.h).
 class CoalitionGame {
  public:
   virtual ~CoalitionGame() = default;
@@ -37,6 +40,17 @@ class CoalitionGame {
   virtual int num_players() const = 0;
   /// Worth of a coalition.
   virtual double Value(uint64_t coalition) const = 0;
+  /// Worth of a block of coalitions: the estimators make one call per
+  /// parallel chunk, so a game can share work across the block. Contract:
+  ///   - out[i] is bit-identical to Value(masks[i]);
+  ///   - counters (`shap/cache_hits`, `shap/cache_misses`,
+  ///     `shap/cache_entries`, `model/evals`, a game's num_evaluations())
+  ///     move exactly as if the masks had gone through Value one by one, in
+  ///     order: a mask repeated inside the block is a hit after its first
+  ///     occurrence.
+  /// The default loops over Value. `out` is as long as `masks`.
+  virtual void Values(std::span<const uint64_t> masks,
+                      std::span<double> out) const;
 };
 
 /// \brief The coalition → value memo of the built-in games below. Counts
@@ -44,8 +58,18 @@ class CoalitionGame {
 /// value and `shap/cache_entries` per distinct coalition stored.
 class CoalitionMemo {
  public:
-  /// The memoized value of `coalition`; on a miss, runs `compute` outside
-  /// the lock and stores its result.
+  /// Computes the values of a block of distinct coalitions.
+  using BlockFn =
+      std::function<void(std::span<const uint64_t>, std::span<double>)>;
+
+  /// The memoized values of `masks`. The block is probed under one lock; a
+  /// mask stored already, or repeated inside the block, is a hit. The
+  /// misses run through one `compute` call outside the lock and are stored
+  /// under one lock.
+  void Get(std::span<const uint64_t> masks, std::span<double> out,
+           const BlockFn& compute);
+
+  /// The one-mask case of the block form.
   double Get(uint64_t coalition, const std::function<double()>& compute);
 
   /// Distinct coalitions stored so far. Atomic: exact and safely readable
@@ -72,27 +96,33 @@ class MarginalFeatureGame : public CoalitionGame {
   MarginalFeatureGame(PredictFn f, Vector instance, Matrix background,
                       int max_background = 0);
 
-  /// Model-aware overload: coalition evaluations go through the model's
-  /// batched path (one PredictBatch call per background sweep instead of a
-  /// std::function + virtual call per row), which for tree models runs the
-  /// compiled SoA kernel (model/flat_ensemble.h). Values are bit-identical
-  /// to the PredictFn constructor: the perturbed rows are built in the same
-  /// order and summed serially in row order. The model must outlive the
-  /// game.
+  /// Model-aware overload. Tree models (decision tree, random forest,
+  /// GBDT) score each block of coalitions with a CoalitionScorer
+  /// (model/flat_ensemble.h) from precomputed split decisions, building no
+  /// hybrid row; other models score each coalition's hybrid rows with one
+  /// PredictBatch call. Values are bit-identical to the PredictFn
+  /// constructor either way: every row adds the same leaves in the same
+  /// order, and rows are summed serially in background order. The model
+  /// must outlive the game.
   MarginalFeatureGame(const Model& model, Vector instance, Matrix background,
                       int max_background = 0);
 
   int num_players() const override;
   double Value(uint64_t coalition) const override;
+  void Values(std::span<const uint64_t> masks,
+              std::span<double> out) const override;
 
   /// Number of distinct coalition evaluations so far (for cost accounting);
   /// safely readable while pool workers are inside Value().
   int64_t num_evaluations() const { return memo_.entries(); }
 
  private:
+  /// The memo's miss path: v(S) for a block of distinct coalitions.
+  void Compute(std::span<const uint64_t> masks, std::span<double> out) const;
+
   PredictFn f_;
-  /// Non-null only for the Model overload; the miss path then batches the
-  /// whole background sweep into one model call.
+  /// Model overload only: the tree scorer, or else the batched model call.
+  std::optional<CoalitionScorer> scorer_;
   BatchPredictFn batch_f_;
   Vector instance_;
   Matrix background_;

@@ -1,6 +1,7 @@
 #include "xai/model/flat_ensemble.h"
 
 #include <algorithm>
+#include <bit>
 #include <deque>
 #include <limits>
 #include <utility>
@@ -216,6 +217,202 @@ const FlatEnsemble::TreeShapData& FlatEnsemble::EnsureTreeShapData(
 const FlatEnsemble::TreeShapData* FlatEnsemble::tree_shap_data() const {
   std::lock_guard<std::mutex> lock(*shap_mu_);
   return shap_.get();
+}
+
+CoalitionScorer::CoalitionScorer(std::shared_ptr<const FlatEnsemble> flat,
+                                 const Matrix& background,
+                                 const Vector& instance)
+    : flat_(std::move(flat)), rows_(background.rows()) {
+  XAI_CHECK(flat_ != nullptr);
+  XAI_CHECK_LE(instance.size(), 64u);
+  XAI_CHECK_EQ(background.cols(), static_cast<int>(instance.size()));
+  const FlatEnsemble::NodeView v = flat_->nodes();
+  const int num_nodes = flat_->num_nodes();
+  const int width = static_cast<int>(instance.size());
+  tiles_ = (rows_ + FlatEnsemble::kRowBlock - 1) / FlatEnsemble::kRowBlock;
+  row_right_.assign(static_cast<size_t>(tiles_) * num_nodes, 0);
+  instance_right_.assign(num_nodes, 0);
+  tree_features_.assign(v.num_trees, 0);
+
+  // Slots of tree t are [roots[t], roots[t + 1]), and children always sit
+  // after their parent, so one forward pass sees every node's depth.
+  std::vector<int> depth(num_nodes, 0);
+  for (int t = 0; t < v.num_trees; ++t) {
+    const int32_t end = t + 1 < v.num_trees ? v.roots[t + 1] : num_nodes;
+    for (int32_t n = v.roots[t]; n < end; ++n) {
+      const int32_t f = v.feature[n];
+      if (f < 0) {
+        max_depth_ = std::max(max_depth_, depth[n]);
+        continue;
+      }
+      XAI_CHECK_MSG(f < width,
+                    "tree splits on a feature outside the instance");
+      depth[v.left[n]] = depth[v.left[n] + 1] = depth[n] + 1;
+      tree_features_[t] |= uint64_t{1} << f;
+      const double threshold = v.bits[n];
+      instance_right_[n] = !(instance[f] <= threshold) ? ~uint64_t{0} : 0;
+      for (int tile = 0; tile < tiles_; ++tile) {
+        const int begin = tile * FlatEnsemble::kRowBlock;
+        const int bn = std::min(FlatEnsemble::kRowBlock, rows_ - begin);
+        uint64_t word = 0;
+        for (int b = 0; b < bn; ++b)
+          word |= uint64_t{!(background(begin + b, f) <= threshold)} << b;
+        row_right_[static_cast<size_t>(tile) * num_nodes + n] = word;
+      }
+    }
+  }
+}
+
+void CoalitionScorer::SumOver(std::span<const uint64_t> masks,
+                              std::span<double> out) const {
+  XAI_CHECK_EQ(masks.size(), out.size());
+  // Passes bound the per-call scratch, which grows as 5 x 64 doubles per
+  // mask (about 650 KB at 256 masks), while the estimators' chunks of up
+  // to 2 048 masks keep their one call.
+  constexpr size_t kPass = 256;
+  for (size_t i = 0; i < masks.size(); i += kPass) {
+    const size_t n = std::min(kPass, masks.size() - i);
+    SumPass(masks.subspan(i, n), out.subspan(i, n));
+  }
+}
+
+void CoalitionScorer::SumPass(std::span<const uint64_t> masks,
+                              std::span<double> out) const {
+  constexpr int kTile = FlatEnsemble::kRowBlock;
+  // Trees whose leaves one pass over the accumulators adds. Each row still
+  // adds them one at a time in tree order, so the batch changes no bits;
+  // it only loads and stores each accumulator once per kTrees trees.
+  constexpr int kTrees = 4;
+  const FlatEnsemble::NodeView v = flat_->nodes();
+  const int num_nodes = flat_->num_nodes();
+  const int n = static_cast<int>(masks.size());
+
+  // Per-mask row accumulators of the current tile; per tree of the batch,
+  // each mask's group and one leaf vector per distinct group.
+  std::vector<double> acc(static_cast<size_t>(n) * kTile);
+  std::vector<double> group_leaves(static_cast<size_t>(kTrees) * n * kTile);
+  std::vector<int> group_of(static_cast<size_t>(kTrees) * n);
+  // Open-addressing table from group key to group id, at most half full.
+  // A slot is live when its stamp equals the current (tile, tree) stamp,
+  // so it is never cleared.
+  int log_slots = 1;
+  while ((1 << log_slots) < 2 * n) ++log_slots;
+  const size_t slot_mask = (size_t{1} << log_slots) - 1;
+  std::vector<uint64_t> slot_key(slot_mask + 1);
+  std::vector<int> slot_group(slot_mask + 1);
+  std::vector<uint32_t> slot_stamp(slot_mask + 1, 0);
+  uint32_t stamp = 0;
+  std::vector<uint64_t> group_key;
+  group_key.reserve(n);
+  struct Pending {
+    int32_t node;
+    uint64_t reach;
+  };
+  std::vector<Pending> stack(max_depth_ + 2);
+
+  // Groups the masks by the coalition bits tree t can see, then walks the
+  // tree once per group over the nodes some row of the tile reaches,
+  // writing each row's leaf value into the group's leaf vector.
+  auto group_and_walk = [&](int t, const uint64_t* row_right, uint64_t valid,
+                            int* groups, double* leaves) {
+    const uint64_t features = tree_features_[t];
+    ++stamp;
+    group_key.clear();
+    for (int m = 0; m < n; ++m) {
+      const uint64_t key = masks[m] & features;
+      size_t slot = (key * 0x9E3779B97F4A7C15ULL) >> (64 - log_slots);
+      while (slot_stamp[slot] == stamp && slot_key[slot] != key)
+        slot = (slot + 1) & slot_mask;
+      if (slot_stamp[slot] != stamp) {
+        slot_stamp[slot] = stamp;
+        slot_key[slot] = key;
+        slot_group[slot] = static_cast<int>(group_key.size());
+        group_key.push_back(key);
+      }
+      groups[m] = slot_group[slot];
+    }
+    for (size_t g = 0; g < group_key.size(); ++g) {
+      const uint64_t key = group_key[g];
+      double* group_leaf = leaves + g * kTile;
+      int top = 0;
+      stack[top++] = {v.roots[t], valid};
+      while (top > 0) {
+        Pending p = stack[--top];
+        // Descend while the reaching rows go one way; stack the right part
+        // only where they split.
+        for (int32_t f = v.feature[p.node]; f >= 0; f = v.feature[p.node]) {
+          const uint64_t right =
+              (key >> f) & 1 ? instance_right_[p.node] : row_right[p.node];
+          const int32_t child = v.left[p.node];
+          const uint64_t r = p.reach & right;
+          if (r == p.reach) {
+            p.node = child + 1;
+            continue;
+          }
+          if (r != 0) stack[top++] = {child + 1, r};
+          p = {child, p.reach & ~right};
+        }
+        const double leaf = v.bits[p.node];
+        for (uint64_t r = p.reach; r != 0; r &= r - 1)
+          group_leaf[std::countr_zero(r)] = leaf;
+      }
+    }
+  };
+
+  std::fill(out.begin(), out.end(), 0.0);
+  for (int tile = 0; tile < tiles_; ++tile) {
+    const int bn = std::min(kTile, rows_ - tile * kTile);
+    const uint64_t valid =
+        bn == kTile ? ~uint64_t{0} : (uint64_t{1} << bn) - 1;
+    const uint64_t* row_right =
+        row_right_.data() + static_cast<size_t>(tile) * num_nodes;
+    std::fill(acc.begin(), acc.end(), v.base);
+
+    for (int t0 = 0; t0 < v.num_trees; t0 += kTrees) {
+      const int batch = std::min(kTrees, v.num_trees - t0);
+      for (int j = 0; j < batch; ++j) {
+        const size_t first = static_cast<size_t>(j) * n;
+        group_and_walk(t0 + j, row_right, valid, group_of.data() + first,
+                       group_leaves.data() + first * kTile);
+      }
+
+      // Each mask adds its groups' leaf vectors, one row at a time, exactly
+      // as ScoreRows adds each tree's leaf to a row.
+      const double* s = v.scales + t0;
+      for (int m = 0; m < n; ++m) {
+        double* a = acc.data() + static_cast<size_t>(m) * kTile;
+        const double* l[kTrees];
+        for (int j = 0; j < batch; ++j) {
+          const size_t first = static_cast<size_t>(j) * n;
+          l[j] = group_leaves.data() + (first + group_of[first + m]) * kTile;
+        }
+        if (batch == kTrees) {
+          // The accumulators never overlap the leaf vectors; saying so lets
+          // the compiler vectorize the loop without alias checks. Lanes
+          // are independent, so that changes no bits either.
+          double* __restrict row = a;
+          const double* __restrict l0 = l[0];
+          const double* __restrict l1 = l[1];
+          const double* __restrict l2 = l[2];
+          const double* __restrict l3 = l[3];
+          const double s0 = s[0], s1 = s[1], s2 = s[2], s3 = s[3];
+          for (int b = 0; b < kTile; ++b)
+            row[b] = (((row[b] + s0 * l0[b]) + s1 * l1[b]) + s2 * l2[b]) +
+                     s3 * l3[b];
+        } else {
+          for (int j = 0; j < batch; ++j)
+            for (int b = 0; b < kTile; ++b) a[b] += s[j] * l[j][b];
+        }
+      }
+    }
+
+    for (int m = 0; m < n; ++m) {
+      const double* a = acc.data() + static_cast<size_t>(m) * kTile;
+      double sum = out[m];
+      for (int b = 0; b < bn; ++b) sum += flat_->Finish(a[b]);
+      out[m] = sum;
+    }
+  }
 }
 
 Vector FlatEnsemble::PredictBatch(const Matrix& x) const {

@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "xai/core/matrix.h"
@@ -118,6 +119,10 @@ class FlatEnsemble {
   void ScoreRows(const Matrix& x, int64_t begin, int64_t end,
                  double* out) const;
 
+  /// The post-ops of ScoreRows on one row's raw sum: the divisor, then the
+  /// sigmoid (see the output convention above).
+  double Finish(double acc) const;
+
   /// Per-node covers + per-tree expectations for the exact TreeSHAP kernel
   /// (explain/shapley/flat_tree_shap.h). Built by EnsureTreeShapData.
   struct TreeShapData {
@@ -161,8 +166,6 @@ class FlatEnsemble {
   }
 
  private:
-  double Finish(double acc) const;
-
   // One contiguous SoA block over all trees; see the class comment.
   std::vector<int32_t> feature_;
   std::vector<double> bits_;
@@ -179,6 +182,68 @@ class FlatEnsemble {
   // LazyFlatEnsemble below).
   std::shared_ptr<std::mutex> shap_mu_ = std::make_shared<std::mutex>();
   mutable std::shared_ptr<const TreeShapData> shap_;
+};
+
+/// \brief Scores blocks of marginal-game coalitions on a tree ensemble
+/// without building hybrid rows.
+///
+/// The hybrid row (S, b) of a coalition mask S takes the instance's value
+/// for every feature in S and background row b's value elsewhere. At a
+/// split on feature f it therefore goes the instance's way when f is in S
+/// and row b's way otherwise, and both ways are known before any coalition
+/// is seen (QuickScorer's precomputed split decisions, Lucchese et al.,
+/// SIGIR 2015). Construction stores them once:
+///
+///   - one word per (node, 64-row background tile) whose bit b says whether
+///     row b goes right, by the kernel's own predicate `!(x <= t)` so NaN
+///     still goes right (leaf words stay 0);
+///   - per node, whether the instance goes right (all ones or zero);
+///   - per tree, the mask of features it splits on.
+///
+/// SumOver then never loads a feature. Per tile and tree it groups the
+/// block's masks by `S & features(tree)` in a hash table, walks the tree
+/// once per distinct group for all rows of the tile at once
+/// (`reach(left) = reach & ~right`, `reach(right) = reach & right`, where
+/// `right` is the instance's bit when the split feature is in S and the
+/// background word otherwise), visits only nodes some row reaches, and
+/// adds the group's leaf vector to each of its masks' row accumulators.
+///
+/// Bit identity: every row starts at `base`, adds `scale_t * leaf_t` in
+/// tree order and finishes through Finish, and each mask's rows are summed
+/// in background order — the operations, in order, of ScoreRows over the
+/// hybrid rows followed by a serial sum. The accumulation is a plain loop
+/// in the kernel's translation unit, so it compiles like ScoreRows.
+///
+/// Thread safety: immutable after construction; SumOver is
+/// const-reentrant and keeps its scratch per call.
+class CoalitionScorer {
+ public:
+  /// `flat` is the model's kernel snapshot. Every split feature must lie
+  /// inside the instance (XAI_CHECK), and the background must be as wide as
+  /// the instance, which has at most 64 features.
+  CoalitionScorer(std::shared_ptr<const FlatEnsemble> flat,
+                  const Matrix& background, const Vector& instance);
+
+  /// Background rows each mask's sum runs over.
+  int num_rows() const { return rows_; }
+
+  /// out[i] = the sum over background rows b, ascending, of the ensemble's
+  /// prediction on the hybrid row (masks[i], b).
+  void SumOver(std::span<const uint64_t> masks, std::span<double> out) const;
+
+ private:
+  void SumPass(std::span<const uint64_t> masks, std::span<double> out) const;
+
+  std::shared_ptr<const FlatEnsemble> flat_;
+  int rows_ = 0;
+  int tiles_ = 0;
+  int max_depth_ = 0;
+  /// Background right-words, [tile * num_nodes + node].
+  std::vector<uint64_t> row_right_;
+  /// Instance right-words per node: all ones when the instance goes right.
+  std::vector<uint64_t> instance_right_;
+  /// Features each tree splits on, as a coalition mask.
+  std::vector<uint64_t> tree_features_;
 };
 
 /// \brief Thread-safe lazily built FlatEnsemble cache for model classes.

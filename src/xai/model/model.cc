@@ -30,24 +30,24 @@ int Model::PredictClass(const Vector& row) const {
   return Predict(row) >= 0.5 ? 1 : 0;
 }
 
+std::shared_ptr<const FlatEnsemble> FlatEnsembleOf(const Model& model) {
+  if (const auto* rf = dynamic_cast<const RandomForestModel*>(&model))
+    return rf->shared_flat();
+  if (const auto* gbdt = dynamic_cast<const GbdtModel*>(&model))
+    return gbdt->shared_flat();
+  if (const auto* tree = dynamic_cast<const DecisionTreeModel*>(&model))
+    return tree->shared_flat();
+  return nullptr;
+}
+
 PredictFn AsPredictFn(const Model& model) {
   // Tree-based models get a zero-virtual fast path: the closure owns a
   // shared_ptr snapshot of the compiled SoA kernel and steps it directly,
   // skipping the virtual Predict call and the pointer-chasing AoS traversal
   // on every perturbation an explainer throws at the black box. Each kernel
   // is bit-identical to the model's own Predict.
-  if (const auto* rf = dynamic_cast<const RandomForestModel*>(&model)) {
-    std::shared_ptr<const FlatEnsemble> flat = rf->shared_flat();
+  if (std::shared_ptr<const FlatEnsemble> flat = FlatEnsembleOf(model))
     return [flat](const Vector& row) { return flat->PredictRow(row); };
-  }
-  if (const auto* gbdt = dynamic_cast<const GbdtModel*>(&model)) {
-    std::shared_ptr<const FlatEnsemble> flat = gbdt->shared_flat();
-    return [flat](const Vector& row) { return flat->PredictRow(row); };
-  }
-  if (const auto* tree = dynamic_cast<const DecisionTreeModel*>(&model)) {
-    std::shared_ptr<const FlatEnsemble> flat = tree->shared_flat();
-    return [flat](const Vector& row) { return flat->PredictRow(row); };
-  }
   return [&model](const Vector& row) { return model.Predict(row); };
 }
 

@@ -70,10 +70,16 @@ using PredictFn = std::function<double(const Vector&)>;
 /// (model/flat_ensemble.h) over the batch.
 using BatchPredictFn = std::function<Vector(const Matrix&)>;
 
-/// Adapts a model to the black-box view. The model must outlive the result.
-/// Tree-based models (decision tree, random forest, GBDT) return a
-/// zero-virtual closure over their compiled flat kernel: the shared_ptr
+class FlatEnsemble;
+
+/// The compiled flat kernel (model/flat_ensemble.h) of a decision tree,
+/// random forest or GBDT; nullptr for any other model. The shared_ptr
 /// snapshot keeps the kernel alive independent of later model mutation.
+std::shared_ptr<const FlatEnsemble> FlatEnsembleOf(const Model& model);
+
+/// Adapts a model to the black-box view. The model must outlive the result.
+/// Tree-based models (see FlatEnsembleOf) return a zero-virtual closure over
+/// their compiled flat kernel.
 PredictFn AsPredictFn(const Model& model);
 
 /// Adapts a model to the batched view via its PredictBatch override (which

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <span>
+#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "xai/core/check.h"
 #include "xai/core/rng.h"
@@ -46,25 +49,63 @@ class SessionMemoGame : public CoalitionGame {
   int num_players() const override { return inner_->num_players(); }
 
   double Value(uint64_t coalition) const override {
-    const uint64_t key = KeyFor(coalition);
-    {
-      std::lock_guard<std::mutex> lock(*memo_mu_);
-      auto it = memo_->find(key);
-      if (it != memo_->end()) {
-        ++*hits_;
-        XAI_COUNTER_INC("serve/session_memo_hits");
-        return it->second;
-      }
-    }
-    const double value = inner_->Value(coalition);
-    {
-      std::lock_guard<std::mutex> lock(*memo_mu_);
-      ++*misses_;
-      XAI_COUNTER_INC("serve/session_memo_misses");
-      // Bounded: past the cap the memo stops growing but stays readable.
-      if (memo_->size() < max_entries_) memo_->emplace(key, value);
-    }
+    double value = 0.0;
+    Values({&coalition, 1}, {&value, 1});
     return value;
+  }
+
+  /// Probes the block under one lock, sends the misses to the inner game as
+  /// one block (a tree game scores them together), and stores them under
+  /// one lock. A key already memoized, or repeated inside the block, is a
+  /// hit, as it would be for the masks one by one.
+  void Values(std::span<const uint64_t> masks,
+              std::span<double> out) const override {
+    std::vector<uint64_t> keys(masks.size());
+    for (size_t i = 0; i < masks.size(); ++i) keys[i] = KeyFor(masks[i]);
+    // Distinct missing keys, their masks, and for each position the miss
+    // that answers it (-1: answered from the memo).
+    std::vector<uint64_t> miss_keys, miss_masks;
+    std::vector<int64_t> miss_of(masks.size(), -1);
+    std::unordered_map<uint64_t, int64_t> first_miss;
+    int64_t hits = 0;
+    {
+      std::lock_guard<std::mutex> lock(*memo_mu_);
+      for (size_t i = 0; i < masks.size(); ++i) {
+        auto it = memo_->find(keys[i]);
+        if (it != memo_->end()) {
+          out[i] = it->second;
+          ++hits;
+          continue;
+        }
+        auto [first, fresh] = first_miss.emplace(
+            keys[i], static_cast<int64_t>(miss_keys.size()));
+        if (fresh) {
+          miss_keys.push_back(keys[i]);
+          miss_masks.push_back(masks[i]);
+        } else {
+          ++hits;
+        }
+        miss_of[i] = first->second;
+      }
+      *hits_ += hits;
+    }
+    if (hits > 0) XAI_COUNTER_ADD("serve/session_memo_hits", hits);
+    if (miss_keys.empty()) return;
+
+    std::vector<double> values(miss_keys.size());
+    inner_->Values(miss_masks, values);
+    {
+      std::lock_guard<std::mutex> lock(*memo_mu_);
+      *misses_ += static_cast<int64_t>(miss_keys.size());
+      // Bounded: past the cap the memo stops growing but stays readable.
+      for (size_t k = 0; k < miss_keys.size(); ++k)
+        if (memo_->size() < max_entries_)
+          memo_->emplace(miss_keys[k], values[k]);
+    }
+    XAI_COUNTER_ADD("serve/session_memo_misses",
+                    static_cast<int64_t>(miss_keys.size()));
+    for (size_t i = 0; i < masks.size(); ++i)
+      if (miss_of[i] >= 0) out[i] = values[miss_of[i]];
   }
 
  private:

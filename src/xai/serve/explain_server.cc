@@ -412,8 +412,9 @@ Result<ExplainResponse> ExplainServer::Execute(const BatchJob& job) {
     case ExplainerKind::kExactShapley:
     case ExplainerKind::kKernelShap:
     case ExplainerKind::kSamplingShapley: {
-      // Model-aware game: coalition sweeps run one batched call through the
-      // entry's compiled flat kernel instead of a PredictFn call per row.
+      // Model-aware game: on a tree model it scores each block of
+      // coalitions from the entry's compiled flat kernel with precomputed
+      // split decisions; other models batch each coalition's rows.
       MarginalFeatureGame game(*entry.model, request.instance,
                                entry.background->x());
       XAI_RETURN_NOT_OK(ExplainShapley(job, game, &response));

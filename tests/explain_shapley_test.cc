@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <mutex>
+#include <vector>
 
 #include "xai/core/combinatorics.h"
 #include "xai/core/linalg.h"
@@ -16,7 +18,9 @@
 #include "xai/explain/shapley/qii.h"
 #include "xai/explain/shapley/sampling_shapley.h"
 #include "xai/explain/shapley/value_function.h"
+#include "xai/model/gbdt.h"
 #include "xai/model/logistic_regression.h"
+#include "xai/model/random_forest.h"
 
 namespace xai {
 namespace {
@@ -303,6 +307,113 @@ TEST(KernelShapTest, SinglePlayerGame) {
   Rng rng(15);
   AttributionExplanation ks = KernelShap(game, {}, &rng).ValueOrDie();
   EXPECT_NEAR(ks.attributions[0], 3.0, 1e-12);
+}
+
+// Records every coalition it is asked for; v(S) = |S|.
+class RecordingGame : public CoalitionGame {
+ public:
+  explicit RecordingGame(int n) : n_(n) {}
+  int num_players() const override { return n_; }
+  double Value(uint64_t mask) const override {
+    std::lock_guard<std::mutex> lock(mu_);
+    seen_.push_back(mask);
+    return PopCount(mask);
+  }
+  std::vector<uint64_t> seen() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return seen_;
+  }
+
+ private:
+  int n_;
+  mutable std::mutex mu_;
+  mutable std::vector<uint64_t> seen_;
+};
+
+TEST(KernelShapTest, CoalitionMasksStayInsideThePlayers) {
+  for (int d : {62, 63, 64}) {
+    RecordingGame game(d);
+    KernelShapConfig config;
+    config.coalition_budget = 200;
+    Rng rng(31);
+    AttributionExplanation ks = KernelShap(game, config, &rng).ValueOrDie();
+    const uint64_t outside = d == 64 ? 0 : ~0ULL << d;
+    for (uint64_t mask : game.seen())
+      ASSERT_EQ(mask & outside, 0u) << "d=" << d << " mask=" << mask;
+    EXPECT_EQ(ks.base_value, 0.0);
+    EXPECT_EQ(ks.prediction, d);
+    double sum = 0.0;
+    for (double phi : ks.attributions) sum += phi;
+    EXPECT_NEAR(sum, ks.prediction - ks.base_value, 1e-9) << "d=" << d;
+  }
+}
+
+TEST(KernelShapTest, RefusesMoreThan64Players) {
+  RecordingGame game(65);
+  Rng rng(32);
+  Result<AttributionExplanation> ks = KernelShap(game, {}, &rng);
+  ASSERT_FALSE(ks.ok());
+  EXPECT_EQ(ks.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(game.seen().empty());
+}
+
+// Every estimator on a tree model: the Model game (coalition scorer, one
+// Values() call per chunk) against the PredictFn game (hybrid rows one at
+// a time), bit for bit, at 1, 4 and 8 threads.
+TEST(ModelGameEstimatorsTest, BitEqualToPredictFnGameAtEveryThreadCount) {
+  Dataset train = MakeLoans(300, 33);
+  GbdtConfig gbdt_config;
+  gbdt_config.n_trees = 12;
+  auto gbdt = GbdtModel::Train(train, gbdt_config).ValueOrDie();
+  RandomForestConfig rf_config;
+  rf_config.n_trees = 6;
+  auto forest = RandomForestModel::Train(train, rf_config).ValueOrDie();
+  const Matrix background = MakeLoans(70, 34).x();
+  const Vector x = train.Row(4);
+
+  auto run_all = [&](const CoalitionGame& game) {
+    std::vector<Vector> out;
+    KernelShapConfig enumerated;  // 2^8 - 2 <= 2048: every coalition.
+    KernelShapConfig sampled;
+    sampled.coalition_budget = 60;
+    for (const KernelShapConfig& config : {enumerated, sampled}) {
+      Rng rng(35);
+      AttributionExplanation ks = KernelShap(game, config, &rng).ValueOrDie();
+      out.push_back(ks.attributions);
+      out.push_back({ks.base_value, ks.prediction});
+    }
+    out.push_back(ExactShapley(game).ValueOrDie());
+    out.push_back(ExactBanzhaf(game).ValueOrDie());
+    Rng rng(36);
+    SamplingShapleyResult sampling = SamplingShapley(game, 24, &rng);
+    out.push_back(sampling.values);
+    out.push_back(sampling.std_errors);
+    return out;
+  };
+  auto bits = [](const std::vector<Vector>& values) {
+    std::vector<std::vector<uint64_t>> out;
+    for (const Vector& v : values) {
+      std::vector<uint64_t> row(v.size());
+      std::memcpy(row.data(), v.data(), v.size() * sizeof(double));
+      out.push_back(row);
+    }
+    return out;
+  };
+
+  const int prev_threads = GetNumThreads();
+  for (const Model* model : {static_cast<const Model*>(&gbdt),
+                             static_cast<const Model*>(&forest)}) {
+    SetNumThreads(1);
+    MarginalFeatureGame reference(AsPredictFn(*model), x, background);
+    const auto want = bits(run_all(reference));
+    for (int threads : {1, 4, 8}) {
+      SetNumThreads(threads);
+      MarginalFeatureGame game(*model, x, background);
+      EXPECT_EQ(bits(run_all(game)), want)
+          << model->name() << " threads=" << threads;
+    }
+  }
+  SetNumThreads(prev_threads);
 }
 
 TEST(QiiTest, UnaryQiiZeroForDummyFeature) {

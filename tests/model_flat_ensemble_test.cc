@@ -1,12 +1,17 @@
 // Tests for the compiled SoA tree-ensemble inference kernel
 // (model/flat_ensemble.h): bit-identity against the scalar AoS paths it
 // replaces across every model kind, structural edge cases, cache
-// invalidation, and the 64-feature coalition-mask guard.
+// invalidation, the 64-feature coalition-mask guard, and generated
+// differential tests of the coalition scorer against hybrid rows.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "xai/causal/scm.h"
@@ -275,6 +280,250 @@ TEST(FlatEnsembleTest, ModelAwareGameBitMatchesPredictFnGame) {
   EXPECT_EQ(marginal->num_evaluations(), 256);
 }
 
+// ---- Coalition scorer: generated differential tests ----------------------
+
+uint64_t Bits(double x) {
+  uint64_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+// A seeded random tree over `d` features. Internal nodes split on a random
+// feature, so features repeat along paths, at a threshold from the grid
+// {-1, -0.5, ..., 1} that GridValue also draws from, so rows tie with it.
+// Below the root a node becomes a leaf with probability `leaf_prob`.
+Tree RandomTree(Rng* rng, int d, int depth, double leaf_prob) {
+  std::vector<TreeNode> nodes;
+  std::function<int(int)> grow = [&](int level) {
+    const int id = static_cast<int>(nodes.size());
+    nodes.emplace_back();
+    if (level == depth || (level > 0 && rng->Bernoulli(leaf_prob))) {
+      nodes[id].value = rng->Normal();
+      return id;
+    }
+    nodes[id].feature = rng->UniformInt(d);
+    nodes[id].threshold = 0.5 * rng->UniformInt(-2, 3);
+    const int left = grow(level + 1);
+    const int right = grow(level + 1);
+    nodes[id].left = left;
+    nodes[id].right = right;
+    return id;
+  };
+  grow(0);
+  return Tree(std::move(nodes));
+}
+
+Tree SingleLeaf(double value) {
+  std::vector<TreeNode> nodes(1);
+  nodes[0].value = value;
+  return Tree(std::move(nodes));
+}
+
+int SplitNodes(const Tree& tree) {
+  return tree.num_nodes() - tree.NumLeaves();
+}
+
+// A threshold-grid value, an off-grid value, or (with `nan_prob`) NaN.
+double GridValue(Rng* rng, double nan_prob) {
+  if (rng->Bernoulli(nan_prob)) return std::nan("");
+  return rng->Bernoulli(0.5) ? 0.5 * rng->UniformInt(-3, 4) : rng->Normal();
+}
+
+Matrix RandomRows(Rng* rng, int rows, int d, double nan_prob) {
+  Matrix m(rows, d);
+  for (int i = 0; i < rows; ++i)
+    for (int j = 0; j < d; ++j) m(i, j) = GridValue(rng, nan_prob);
+  return m;
+}
+
+// The reference the scorer replaces: materialized hybrid rows, one
+// PredictBatch, a serial sum in row order.
+double HybridRowSum(const Model& model, uint64_t mask, const Vector& x,
+                    const Matrix& background) {
+  Matrix rows(background.rows(), background.cols());
+  for (int b = 0; b < background.rows(); ++b)
+    for (int j = 0; j < background.cols(); ++j)
+      rows(b, j) = (mask >> j) & 1 ? x[j] : background(b, j);
+  double acc = 0.0;
+  for (double p : model.PredictBatch(rows)) acc += p;
+  return acc;
+}
+
+// A block of `size` masks over d players with repeats; ∅ and the full set
+// lead every block of more than one mask.
+std::vector<uint64_t> RandomBlock(Rng* rng, int size, int d) {
+  const uint64_t full = d == 64 ? ~0ULL : (1ULL << d) - 1;
+  std::vector<uint64_t> block;
+  if (size > 1) block = {0, full};
+  while (static_cast<int>(block.size()) < size) {
+    if (!block.empty() && rng->Bernoulli(0.2)) {
+      block.push_back(block[rng->UniformInt(static_cast<int>(block.size()))]);
+    } else {
+      block.push_back(rng->NextU64() & full);
+    }
+  }
+  return block;
+}
+
+struct NamedModel {
+  std::string name;
+  std::unique_ptr<Model> model;
+  int d;
+};
+
+// Hand-built ensembles over both folds (RF divisor, GBDT base + sigmoid),
+// both tasks, single-leaf trees, and trees deeper than 8 with more than 64
+// split nodes.
+std::vector<NamedModel> RandomEnsembles(Rng* rng) {
+  std::vector<NamedModel> models;
+  {
+    Tree deep = RandomTree(rng, 6, 11, 0.12);
+    EXPECT_GT(deep.Depth(), 8);
+    EXPECT_GT(SplitNodes(deep), 64);
+    models.push_back({"tree/regression",
+                      std::make_unique<DecisionTreeModel>(
+                          DecisionTreeModel::FromTree(
+                              std::move(deep), TaskType::kRegression)),
+                      6});
+  }
+  {
+    std::vector<Tree> trees;
+    for (int t = 0; t < 5; ++t) trees.push_back(RandomTree(rng, 6, 10, 0.1));
+    trees.push_back(SingleLeaf(0.25));
+    models.push_back({"forest/classification",
+                      std::make_unique<RandomForestModel>(
+                          RandomForestModel::FromTrees(
+                              std::move(trees), TaskType::kClassification)),
+                      6});
+  }
+  {
+    std::vector<Tree> trees;
+    trees.push_back(SingleLeaf(-0.75));
+    for (int t = 0; t < 8; ++t) trees.push_back(RandomTree(rng, 6, 4, 0.2));
+    models.push_back({"gbdt/classification",
+                      std::make_unique<GbdtModel>(GbdtModel::FromParts(
+                          std::move(trees), 0.3, TaskType::kClassification)),
+                      6});
+  }
+  {
+    std::vector<Tree> trees;
+    for (int t = 0; t < 8; ++t) trees.push_back(RandomTree(rng, 40, 7, 0.1));
+    models.push_back({"gbdt/regression/d40",
+                      std::make_unique<GbdtModel>(GbdtModel::FromParts(
+                          std::move(trees), -1.25, TaskType::kRegression)),
+                      40});
+  }
+  return models;
+}
+
+TEST(CoalitionScorerTest, BitMatchesHybridRowsOnRandomEnsembles) {
+  Rng rng(20);
+  for (const NamedModel& m : RandomEnsembles(&rng)) {
+    std::shared_ptr<const FlatEnsemble> flat = FlatEnsembleOf(*m.model);
+    ASSERT_NE(flat, nullptr) << m.name;
+    for (int rows : {1, 63, 64, 65, 130}) {
+      const Matrix background = RandomRows(&rng, rows, m.d, 0.1);
+      for (int instance_id = 0; instance_id < 3; ++instance_id) {
+        // The first instance carries NaNs, which must route right.
+        const Vector x =
+            RandomRows(&rng, 1, m.d, instance_id == 0 ? 0.3 : 0.0).Row(0);
+        const CoalitionScorer scorer(flat, background, x);
+        ASSERT_EQ(scorer.num_rows(), rows);
+        for (int size : {1, 7, 128, 300}) {
+          const std::vector<uint64_t> masks = RandomBlock(&rng, size, m.d);
+          std::vector<double> got(masks.size());
+          scorer.SumOver(masks, got);
+          for (size_t i = 0; i < masks.size(); ++i) {
+            const double want =
+                HybridRowSum(*m.model, masks[i], x, background);
+            ASSERT_EQ(Bits(got[i]), Bits(want))
+                << m.name << " rows=" << rows << " instance=" << instance_id
+                << " block=" << size << " mask=" << masks[i] << ": "
+                << got[i] << " vs " << want;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(CoalitionScorerTest, ModelGameBlocksMatchPredictFnGameAndCountAlike) {
+  // Values on the Model game equals Value on the PredictFn game for every
+  // mask, through max_background truncation; a block with repeats moves
+  // every counter exactly as the same masks sent one by one.
+  Rng rng(21);
+  for (const NamedModel& m : RandomEnsembles(&rng)) {
+    if (m.d != 6) continue;
+    const PredictFn f = AsPredictFn(*m.model);
+    const Matrix background = RandomRows(&rng, 130, m.d, 0.1);
+    const Vector x = RandomRows(&rng, 1, m.d, 0.2).Row(0);
+    for (int max_background : {0, 65, 64, 1}) {
+      MarginalFeatureGame fn_game(f, x, background, max_background);
+      MarginalFeatureGame model_game(*m.model, x, background, max_background);
+      std::vector<uint64_t> all(64);
+      for (uint64_t mask = 0; mask < 64; ++mask) all[mask] = mask;
+      std::vector<double> block(64);
+      model_game.Values(all, block);
+      for (uint64_t mask = 0; mask < 64; ++mask)
+        ASSERT_EQ(Bits(block[mask]), Bits(fn_game.Value(mask)))
+            << m.name << " max_background=" << max_background
+            << " mask=" << mask;
+    }
+    if (XAI_TELEMETRY == 0) continue;
+    const std::vector<uint64_t> masks = RandomBlock(&rng, 200, m.d);
+    const int64_t rows = background.rows();
+    for (bool model_aware : {true, false}) {
+      auto make = [&] {
+        return model_aware
+                   ? std::make_unique<MarginalFeatureGame>(*m.model, x,
+                                                           background)
+                   : std::make_unique<MarginalFeatureGame>(f, x, background);
+      };
+      std::map<std::string, int64_t> counts[2];
+      int64_t evaluations[2];
+      for (int blocked = 0; blocked < 2; ++blocked) {
+        const auto game = make();
+        // Warm part of the memo so the block meets stored coalitions too.
+        game->Value(masks[5]);
+        game->Value(masks[9]);
+        telemetry::Registry::Global().Reset();
+        std::vector<double> out(masks.size());
+        if (blocked) {
+          game->Values(masks, out);
+        } else {
+          for (size_t i = 0; i < masks.size(); ++i)
+            out[i] = game->Value(masks[i]);
+        }
+        counts[blocked] = telemetry::Registry::Global().CounterSnapshot();
+        evaluations[blocked] = game->num_evaluations();
+      }
+      EXPECT_EQ(evaluations[0], evaluations[1]) << m.name;
+      for (const char* counter :
+           {"shap/cache_hits", "shap/cache_misses", "shap/cache_entries",
+            "model/evals", "model/flat_predict_rows"}) {
+        EXPECT_EQ(counts[0][counter], counts[1][counter])
+            << m.name << " " << counter << " model_aware=" << model_aware;
+      }
+      const int64_t misses = counts[1]["shap/cache_misses"];
+      EXPECT_EQ(counts[1]["shap/cache_hits"] + misses,
+                static_cast<int64_t>(masks.size()));
+      EXPECT_EQ(counts[1]["model/evals"], misses * rows) << m.name;
+      // The scorer evaluates no model rows of its own.
+      if (model_aware) {
+        EXPECT_EQ(counts[1]["model/flat_predict_rows"], 0);
+      }
+    }
+  }
+}
+
+TEST(CoalitionScorerTest, FlatEnsembleOfKnowsOnlyTreeModels) {
+  Dataset d = MakeLoans(120, 22);
+  auto logistic = LogisticRegressionModel::Train(d).ValueOrDie();
+  EXPECT_EQ(FlatEnsembleOf(logistic), nullptr);
+  auto tree = DecisionTreeModel::Train(d).ValueOrDie();
+  EXPECT_EQ(FlatEnsembleOf(tree), tree.shared_flat());
+}
+
 TEST(FlatEnsembleDeathTest, GamesRejectMoreThan64Features) {
   // 65 features cannot key a uint64_t coalition mask; the game must abort
   // loudly instead of silently truncating attributions.
@@ -283,6 +532,24 @@ TEST(FlatEnsembleDeathTest, GamesRejectMoreThan64Features) {
   PredictFn f = [](const Vector&) { return 0.0; };
   EXPECT_DEATH(MarginalFeatureGame(f, instance, background), "64");
   EXPECT_DEATH(ConditionalFeatureGame(f, instance, background), "64");
+}
+
+TEST(FlatEnsembleDeathTest, ScorerRejectsSplitsOutsideTheInstance) {
+  // A split on feature 3 cannot be decided for a 3-feature instance; the
+  // hybrid-row path would read past the row.
+  std::vector<TreeNode> nodes(3);
+  nodes[0].feature = 3;
+  nodes[0].left = 1;
+  nodes[0].right = 2;
+  Tree tree(std::move(nodes));
+  auto model = DecisionTreeModel::FromTree(std::move(tree),
+                                           TaskType::kRegression);
+  const Vector x(3, 0.0);
+  const Matrix background(4, 3, 0.0);
+  EXPECT_DEATH(CoalitionScorer(FlatEnsembleOf(model), background, x),
+               "outside the instance");
+  EXPECT_DEATH(MarginalFeatureGame(model, x, background),
+               "outside the instance");
 }
 
 TEST(FlatEnsembleDeathTest, BuildRejectsEmptyTree) {

@@ -366,6 +366,26 @@ TEST_F(AsyncFrontEndTest, SessionFollowUpsReuseCoalitionsBitIdentically) {
             StatusCode::kNotFound);
 }
 
+TEST_F(AsyncFrontEndTest, SessionMemoCountsRepeatsInsideABlockAsHits) {
+  // Sampling Shapley values each chunk's permutations as one block, in
+  // which the full coalition (among others) repeats. On one thread every
+  // distinct coalition misses once and every repeat is a hit, as it would
+  // be mask by mask, so the misses are exactly the model's evaluations.
+  SetNumThreads(1);
+  ExplainServer server;
+  RegisterLoans(&server);
+  AsyncFrontEnd frontend(&server);
+  const uint64_t session = frontend.OpenSession().ValueOrDie();
+  const ExplainResponse cold =
+      frontend.Submit(Request(ExplainerKind::kSamplingShapley), session)
+          .Get()
+          .ValueOrDie();
+  const auto stats = frontend.sessions().GetStats();
+  EXPECT_GT(stats.memo_hits, 0);
+  EXPECT_EQ(stats.memo_misses * background_.num_rows(),
+            cold.provenance.used_evals);
+}
+
 TEST_F(AsyncFrontEndTest, SessionCounterfactualPoolAnswersFollowUps) {
   ExplainServer server;
   RegisterLoans(&server);
