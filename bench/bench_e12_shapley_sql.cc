@@ -18,14 +18,16 @@
 #include "xai/core/timer.h"
 #include "xai/dbx/responsibility.h"
 #include "xai/dbx/tuple_shapley.h"
+#include "xai/relational/columnar.h"
+#include "xai/relational/columnar_ops.h"
 #include "xai/relational/expression.h"
-#include "xai/relational/operators.h"
 #include "xai/relational/relation.h"
 
 namespace xai {
 namespace {
 
 using rel::AggFn;
+using rel::ColumnarRelation;
 using rel::Expr;
 using rel::ProvExpr;
 using rel::ProvExprPtr;
@@ -72,15 +74,18 @@ QueryCase BuildCase(int n_orders, uint64_t seed, int n_toys = -1) {
                               next_id++)
                   .ok());
   }
-  auto joined = rel::EquiJoin(orders, products, 1, 0).ValueOrDie();
+  auto joined =
+      rel::EquiJoin(ColumnarRelation::FromRows(orders).ValueOrDie(),
+                    ColumnarRelation::FromRows(products).ValueOrDie(), 1, 0)
+          .ValueOrDie();
   auto toys = rel::Select(joined, Expr::Eq(Expr::Column(3),
                                            Expr::Const(Value::Str("toys"))))
                   .ValueOrDie();
   auto answer = rel::GroupByAggregate(toys, {}, AggFn::kCount, -1, "cnt")
                     .ValueOrDie();
   QueryCase result;
-  result.lineage = answer.num_tuples() > 0 ? answer.annotation(0)
-                                           : ProvExpr::Zero();
+  result.lineage = answer.num_rows() > 0 ? answer.annotation(0)
+                                         : ProvExpr::Zero();
   result.endogenous = endogenous;
   return result;
 }

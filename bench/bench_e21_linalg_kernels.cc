@@ -203,7 +203,7 @@ void Run(int argc, char** argv) {
       "with bit-identical results across the scalar and avx2 backends and "
       "< 1e-9 drift vs the pre-kernel loops; the packed/tiled GEMM adds "
       ">= 2x over the direct kernel at 512^3",
-      "GEMM 256^3 + packed 512^3 (+ opt-in fma tier); WLS 6000x64; LIME "
+      "GEMM 256^3 + packed 512^3; WLS 6000x64; LIME "
       "d=128 n=4000 and KernelSHAP d=64 end-to-end A/B between scalar and "
       "dispatched backends");
   bench::RunReport report(
@@ -310,36 +310,6 @@ void Run(int argc, char** argv) {
                   direct_sec / packed8_sec);
     report.Metric("gemm_packed_gflops", flops / packed8_sec * 1e-9);
     report.Metric("gemm_packed_bit_identical", identical ? 1 : 0);
-
-    // -- Opt-in FMA tier: flop rate plus drift vs the default tier. --------
-    if (simd::FmaSupported()) {
-      SetNumThreads(1);
-      simd::SetBackend(simd::Backend::kFma);
-      Matrix c_fma(n, n);
-      simd::GemmPacked(n, n, n, a.RowPtr(0), n, b.RowPtr(0), n,
-                       c_fma.RowPtr(0), n);
-      double fma_sec = BestOf(kReps, [&] {
-        Matrix c(n, n);
-        simd::GemmPacked(n, n, n, a.RowPtr(0), n, b.RowPtr(0), n,
-                         c.RowPtr(0), n);
-      });
-      double rel = 0.0;
-      for (int i = 0; i < n; ++i)
-        for (int j = 0; j < n; ++j) {
-          double scale = std::max(1.0, std::fabs(c_packed(i, j)));
-          rel = std::max(rel, std::fabs(c_fma(i, j) - c_packed(i, j)) /
-                                  scale);
-        }
-      simd::SetBackend(best);
-      SetNumThreads(threads);
-      std::printf("fma : packed=%.2f ms  %.2f GFLOP/s  "
-                  "max rel drift vs %s=%.3g\n",
-                  fma_sec * 1e3, flops / fma_sec * 1e-9,
-                  simd::BackendName(best), rel);
-      report.Metric("gemm_fma_ms", fma_sec * 1e3);
-      report.Metric("gemm_fma_gflops", flops / fma_sec * 1e-9);
-      report.Metric("gemm_fma_max_rel_drift", rel);
-    }
   }
 
   // -- WLS assembly + solve --------------------------------------------------

@@ -3,8 +3,10 @@
 //
 // Systems claim (§3 of the paper: explanations in databases are *queries*
 // and deserve query-engine treatment): the row-at-a-time interpreter —
-// virtual Expr::Eval per tuple, ToString group keys, tuple-vector copies —
+// an Expr tree walk per tuple, ToString group keys, tuple-vector copies —
 // is the relational analogue of the scalar inference loop E20 replaced.
+// It survives as the test reference (tests/support/relational_reference),
+// which this bench links for its row side.
 // The columnar engine stores relations as typed columns with validity
 // bytes and a provenance side array, compiles predicates once into a
 // batch-of-1024 postorder program, parallelizes scans over row blocks
@@ -32,6 +34,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "support/relational_reference.h"
 #include "xai/core/rng.h"
 #include "xai/core/timer.h"
 #include "xai/dbx/shared_scan.h"
@@ -39,7 +42,6 @@
 #include "xai/relational/agg_kernels.h"
 #include "xai/relational/columnar.h"
 #include "xai/relational/columnar_ops.h"
-#include "xai/relational/operators.h"
 
 namespace xai {
 namespace {
@@ -52,6 +54,7 @@ using rel::ProvExpr;
 using rel::Relation;
 using rel::Tuple;
 using rel::Value;
+namespace reference = rel::reference;
 
 void Ck(const Status& status) {
   if (!status.ok()) {
@@ -195,12 +198,12 @@ void RunOperatorMicro(int threads, bool smoke, bench::RunReport* report) {
       Expr::Gt(Expr::Column(2), Expr::Const(Value::Double(0.0))),
       Expr::Not(Expr::Eq(Expr::Column(0), Expr::Const(Value::Int(3)))));
   {
-    Relation row_out = Select(fact, pred).ValueOrDie();
+    Relation row_out = reference::Select(fact, pred).ValueOrDie();
     ColumnarRelation col_out = Select(cfact, pred).ValueOrDie();
     if (!SameRelation(col_out.ToRows(), row_out))
       std::printf("  filter MISMATCH\n");
     const double row_sec =
-        BestOf(kReps, [&] { Select(fact, pred).ValueOrDie(); });
+        BestOf(kReps, [&] { reference::Select(fact, pred).ValueOrDie(); });
     const double col_sec =
         BestOf(kReps, [&] { Select(cfact, pred).ValueOrDie(); });
     record("filter", row_sec, col_sec);
@@ -209,13 +212,15 @@ void RunOperatorMicro(int threads, bool smoke, bench::RunReport* report) {
   // aggregate: SUM(v) grouped by the int64 key (1024 groups).
   {
     Relation row_out =
-        GroupByAggregate(fact, {0}, AggFn::kSum, 1, "s").ValueOrDie();
+        reference::GroupByAggregate(fact, {0}, AggFn::kSum, 1, "s")
+            .ValueOrDie();
     ColumnarRelation col_out =
         GroupByAggregate(cfact, {0}, AggFn::kSum, 1, "s").ValueOrDie();
     if (!SameRelation(col_out.ToRows(), row_out))
       std::printf("  aggregate MISMATCH\n");
     const double row_sec = BestOf(kReps, [&] {
-      GroupByAggregate(fact, {0}, AggFn::kSum, 1, "s").ValueOrDie();
+      reference::GroupByAggregate(fact, {0}, AggFn::kSum, 1, "s")
+          .ValueOrDie();
     });
     const double col_sec = BestOf(kReps, [&] {
       GroupByAggregate(cfact, {0}, AggFn::kSum, 1, "s").ValueOrDie();
@@ -226,12 +231,12 @@ void RunOperatorMicro(int threads, bool smoke, bench::RunReport* report) {
   // join: fact-to-dim equi-join on the int64 key (both sides kInt64, so
   // the columnar engine takes the raw-key fast path).
   {
-    Relation row_out = EquiJoin(fact, dim, 0, 0).ValueOrDie();
+    Relation row_out = reference::EquiJoin(fact, dim, 0, 0).ValueOrDie();
     ColumnarRelation col_out = EquiJoin(cfact, cdim, 0, 0).ValueOrDie();
     if (!SameRelation(col_out.ToRows(), row_out))
       std::printf("  join MISMATCH\n");
-    const double row_sec =
-        BestOf(kReps, [&] { EquiJoin(fact, dim, 0, 0).ValueOrDie(); });
+    const double row_sec = BestOf(
+        kReps, [&] { reference::EquiJoin(fact, dim, 0, 0).ValueOrDie(); });
     const double col_sec =
         BestOf(kReps, [&] { EquiJoin(cfact, cdim, 0, 0).ValueOrDie(); });
     record("join", row_sec, col_sec);
@@ -251,15 +256,17 @@ void RunPipelineIdentity(int threads, bool smoke, bench::RunReport* report) {
                           Expr::Const(Value::Double(0.4)));
 
   SetNumThreads(1);
-  Relation reference = [&] {
-    Relation j = EquiJoin(fact, dim, 0, 0).ValueOrDie();
-    Relation s = Select(j, pred).ValueOrDie();
-    return GroupByAggregate(s, {0}, AggFn::kSum, 1, "total").ValueOrDie();
+  Relation row_result = [&] {
+    Relation j = reference::EquiJoin(fact, dim, 0, 0).ValueOrDie();
+    Relation s = reference::Select(j, pred).ValueOrDie();
+    return reference::GroupByAggregate(s, {0}, AggFn::kSum, 1, "total")
+        .ValueOrDie();
   }();
   const double row_sec = BestOf(smoke ? 1 : 2, [&] {
-    Relation j = EquiJoin(fact, dim, 0, 0).ValueOrDie();
-    Relation s = Select(j, pred).ValueOrDie();
-    GroupByAggregate(s, {0}, AggFn::kSum, 1, "total").ValueOrDie();
+    Relation j = reference::EquiJoin(fact, dim, 0, 0).ValueOrDie();
+    Relation s = reference::Select(j, pred).ValueOrDie();
+    reference::GroupByAggregate(s, {0}, AggFn::kSum, 1, "total")
+        .ValueOrDie();
   });
 
   ColumnarRelation cfact = ColumnarRelation::FromRows(fact).ValueOrDie();
@@ -271,7 +278,7 @@ void RunPipelineIdentity(int threads, bool smoke, bench::RunReport* report) {
       ColumnarRelation s = Select(j, pred).ValueOrDie();
       return GroupByAggregate(s, {0}, AggFn::kSum, 1, "total").ValueOrDie();
     }();
-    const bool identical = SameRelation(out.ToRows(), reference);
+    const bool identical = SameRelation(out.ToRows(), row_result);
     const double col_sec = BestOf(smoke ? 1 : 2, [&] {
       ColumnarRelation j = EquiJoin(cfact, cdim, 0, 0).ValueOrDie();
       ColumnarRelation s = Select(j, pred).ValueOrDie();
@@ -384,9 +391,10 @@ void RunSharedScanShapley(bool smoke, bench::RunReport* report) {
         if (i >= kEndo || p.count(i))
           Ck(sub.Append(emp.tuple(i), emp.annotation(i)));
       }
-      Relation selected = Select(sub, pred).ValueOrDie();
+      Relation selected = reference::Select(sub, pred).ValueOrDie();
       Relation agg =
-          GroupByAggregate(selected, {}, AggFn::kSum, 1, "s").ValueOrDie();
+          reference::GroupByAggregate(selected, {}, AggFn::kSum, 1, "s")
+              .ValueOrDie();
       return agg.num_tuples() ? agg.tuple(0)[0].AsDouble() : 0.0;
     };
 
@@ -396,7 +404,7 @@ void RunSharedScanShapley(bool smoke, bench::RunReport* report) {
     const double naive_sec = naive_timer.Seconds();
 
     WallTimer fast_timer;
-    Relation result = Select(emp, pred).ValueOrDie();
+    Relation result = reference::Select(emp, pred).ValueOrDie();
     auto scan = SharedScanAggregate::Build(result, AggFn::kSum, 1, endo)
                     .ValueOrDie();
     auto fast = NumericQueryTupleShapley(scan.AsQueryValue(), endo, config)

@@ -1,10 +1,11 @@
 // Microbenchmarks of the computational kernels (google-benchmark):
 // Cholesky solve, TreeSHAP per instance, FP-Growth per database, tuple
-// Shapley per endogenous tuple, LIME per explanation, and the row-vs-
-// columnar relational operator pairs.
+// Shapley per endogenous tuple, LIME per explanation, and the columnar
+// relational operators beside the row reference engine's.
 
 #include <benchmark/benchmark.h>
 
+#include "support/relational_reference.h"
 #include "xai/core/matrix.h"
 #include "xai/core/parallel.h"
 #include "xai/core/rng.h"
@@ -17,7 +18,6 @@
 #include "xai/model/gbdt.h"
 #include "xai/relational/columnar.h"
 #include "xai/relational/columnar_ops.h"
-#include "xai/relational/operators.h"
 #include "xai/rules/fpgrowth.h"
 
 namespace xai {
@@ -99,8 +99,8 @@ BENCHMARK(BM_GemmKernel)
     ->Args({192, 1});
 
 // Packed GEMM flop-rate sweep: range(0) = n (C += A*B at n^3), range(1) =
-// the Backend enum value (0 scalar, 2 avx2, 3 fma — fma is opt-in
-// and skipped when the host lacks it), range(2) = thread count.
+// the Backend enum value (0 scalar, 2 avx2 — skipped when the host lacks
+// it), range(2) = thread count.
 // items_per_second == FLOP/s (2 n^3 per iteration).
 void BM_GemmPackedFlopRate(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
@@ -132,7 +132,7 @@ void BM_GemmPackedFlopRate(benchmark::State& state) {
 }
 void GemmPackedSweepArgs(benchmark::internal::Benchmark* bench) {
   for (int size : {64, 128, 256, 512, 1024})
-    for (int backend : {0, 2, 3})
+    for (int backend : {0, 2})
       for (int threads : {1, 4, 8}) bench->Args({size, backend, threads});
 }
 BENCHMARK(BM_GemmPackedFlopRate)->Apply(GemmPackedSweepArgs);
@@ -277,10 +277,10 @@ void BM_TupleShapleyExact(benchmark::State& state) {
 }
 BENCHMARK(BM_TupleShapleyExact)->Arg(10)->Arg(16);
 
-// Row engine vs columnar engine on the same relational operator — the
-// tuple-at-a-time interpreter against batch-of-1024 kernels. Outputs are
-// bit-identical by contract (bench_e25 checks that; these rows quantify
-// the per-operator throughput gap).
+// Row reference engine vs columnar engine on the same relational operator
+// — the tuple-at-a-time interpreter against batch-of-1024 kernels. Outputs
+// are bit-identical by contract (bench_e25 checks that; these rows
+// quantify the per-operator throughput gap).
 rel::Relation MicroFact(int rows) {
   Rng rng(13);
   rel::Relation fact("fact", {"k", "v"});
@@ -301,7 +301,7 @@ void BM_SelectRowEngine(benchmark::State& state) {
   rel::Relation fact = MicroFact(static_cast<int>(state.range(0)));
   rel::ExprPtr pred = MicroPred();
   for (auto _ : state) {
-    auto out = rel::Select(fact, pred).ValueOrDie();
+    auto out = rel::reference::Select(fact, pred).ValueOrDie();
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -326,7 +326,7 @@ void BM_GroupByRowEngine(benchmark::State& state) {
   rel::Relation fact = MicroFact(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     auto out =
-        rel::GroupByAggregate(fact, {0}, rel::AggFn::kSum, 1, "s")
+        rel::reference::GroupByAggregate(fact, {0}, rel::AggFn::kSum, 1, "s")
             .ValueOrDie();
     benchmark::DoNotOptimize(out);
   }

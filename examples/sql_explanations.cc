@@ -10,8 +10,9 @@
 #include "xai/dbx/repair_shapley.h"
 #include "xai/dbx/responsibility.h"
 #include "xai/dbx/tuple_shapley.h"
+#include "xai/relational/columnar.h"
+#include "xai/relational/columnar_ops.h"
 #include "xai/relational/expression.h"
-#include "xai/relational/operators.h"
 #include "xai/relational/relation.h"
 
 int main(int argc, char** argv) {
@@ -56,11 +57,17 @@ int main(int argc, char** argv) {
   // Query: which customers bought toys?
   //   SELECT DISTINCT customer FROM orders JOIN products USING(product)
   //   WHERE category = 'toys';
-  auto joined = EquiJoin(orders, products, 1, 0).ValueOrDie();
+  // The columnar engine runs it; ToRows() brings the answer back as rows
+  // for printing.
+  auto joined = EquiJoin(ColumnarRelation::FromRows(orders).ValueOrDie(),
+                         ColumnarRelation::FromRows(products).ValueOrDie(),
+                         1, 0)
+                    .ValueOrDie();
   auto toys = Select(joined, Expr::Eq(Expr::Column(3),
                                       Expr::Const(Value::Str("toys"))))
                   .ValueOrDie();
-  auto answer = Project(toys, {0}, /*distinct=*/true).ValueOrDie();
+  const Relation answer =
+      Project(toys, {0}, /*distinct=*/true).ValueOrDie().ToRows();
   std::printf("query answers with provenance polynomials:\n%s\n",
               answer.ToString(true).c_str());
 

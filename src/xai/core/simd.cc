@@ -28,8 +28,6 @@ namespace simd {
 
 const char* BackendName(Backend backend) {
   switch (backend) {
-    case Backend::kFma:
-      return "fma";
     case Backend::kAvx2:
       return "avx2";
     case Backend::kScalar:
@@ -40,26 +38,15 @@ const char* BackendName(Backend backend) {
 
 Backend MaxSupported() {
 #if XAI_SIMD_X86
-  // kFma is opt-in only, so the auto-detected ceiling stops at the
-  // bit-identical tiers even on FMA-capable hardware.
   if (__builtin_cpu_supports("avx2")) return Backend::kAvx2;
 #endif
   return Backend::kScalar;
-}
-
-bool FmaSupported() {
-#if XAI_SIMD_X86
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-#else
-  return false;
-#endif
 }
 
 Backend ParseBackendName(const char* name) {
   XAI_CHECK_MSG(name != nullptr, "XAI_SIMD backend name is null");
   if (std::strcmp(name, "scalar") == 0) return Backend::kScalar;
   if (std::strcmp(name, "avx2") == 0) return Backend::kAvx2;
-  if (std::strcmp(name, "fma") == 0) return Backend::kFma;
   // A typo must not silently fall back to auto-detection: whoever set
   // XAI_SIMD is running an A/B experiment and needs to know it didn't apply.
   XAI_CHECK_MSG(false, name);
@@ -69,8 +56,6 @@ Backend ParseBackendName(const char* name) {
 namespace {
 
 Backend ClampToSupported(Backend backend) {
-  if (backend == Backend::kFma)
-    return FmaSupported() ? Backend::kFma : MaxSupported();
   Backend max = MaxSupported();
   return static_cast<int>(backend) > static_cast<int>(max) ? max : backend;
 }
@@ -84,9 +69,8 @@ Backend InitialBackend() {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Scalar backend: the reference for the 4-wide stripe contract. Every other
-// backend (except the opt-in FMA tier) must reproduce these exact per-lane
-// IEEE operation chains.
+// Scalar backend: the reference for the 4-wide stripe contract. The AVX2
+// backend must reproduce these exact per-lane IEEE operation chains.
 //
 // Auto-vectorization is disabled on these functions: the stripe layout is
 // exactly what the compiler's vectorizer looks for, and letting it fire
@@ -475,187 +459,6 @@ __attribute__((target("avx2"))) void GemmMicroAvx2(int kc, const double* ap,
 #endif  // XAI_SIMD_X86
 
 // ---------------------------------------------------------------------------
-// FMA tier: AVX2 + fused multiply-add. OUTSIDE the bit-identity contract —
-// one rounding per multiply-add instead of two — so these are only reachable
-// through the explicit XAI_SIMD=fma / SetBackend(kFma) opt-in and are
-// validated against a long-double reference by tolerance, never bitwise.
-// ScaledSquaredDistance reuses the AVX2 kernel (its (a-b)^2 * w shape gains
-// nothing from contraction worth a third variant).
-// ---------------------------------------------------------------------------
-
-#if XAI_SIMD_X86
-namespace {
-
-__attribute__((target("avx2,fma"))) double DotFma(const double* a,
-                                                  const double* b, size_t n) {
-  __m256d vacc = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    vacc = _mm256_fmadd_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i),
-                           vacc);
-  }
-  double acc[4];
-  _mm256_storeu_pd(acc, vacc);
-  for (size_t r = 0; i + r < n; ++r) acc[r] += a[i + r] * b[i + r];
-  return (acc[0] + acc[1]) + (acc[2] + acc[3]);
-}
-
-__attribute__((target("avx2,fma"))) void AxpyFma(double s, const double* x,
-                                                 double* y, size_t n) {
-  __m256d vs = _mm256_set1_pd(s);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(y + i, _mm256_fmadd_pd(vs, _mm256_loadu_pd(x + i),
-                                            _mm256_loadu_pd(y + i)));
-  }
-  for (; i < n; ++i) y[i] += s * x[i];
-}
-
-__attribute__((target("avx2,fma"))) void GemmFma(int m, int n, int k,
-                                                 const double* a, int lda,
-                                                 const double* b, int ldb,
-                                                 double* c, int ldc) {
-  const int m2 = m & ~1;
-  const int n8 = n & ~7;
-  for (int i = 0; i < m2; i += 2) {
-    const double* a0 = a + static_cast<size_t>(i) * lda;
-    const double* a1 = a0 + lda;
-    double* c0 = c + static_cast<size_t>(i) * ldc;
-    double* c1 = c0 + ldc;
-    for (int j = 0; j < n8; j += 8) {
-      __m256d c00 = _mm256_loadu_pd(c0 + j);
-      __m256d c01 = _mm256_loadu_pd(c0 + j + 4);
-      __m256d c10 = _mm256_loadu_pd(c1 + j);
-      __m256d c11 = _mm256_loadu_pd(c1 + j + 4);
-      for (int p = 0; p < k; ++p) {
-        const double* brow = b + static_cast<size_t>(p) * ldb + j;
-        __m256d b0 = _mm256_loadu_pd(brow);
-        __m256d b1 = _mm256_loadu_pd(brow + 4);
-        __m256d va0 = _mm256_set1_pd(a0[p]);
-        __m256d va1 = _mm256_set1_pd(a1[p]);
-        c00 = _mm256_fmadd_pd(va0, b0, c00);
-        c01 = _mm256_fmadd_pd(va0, b1, c01);
-        c10 = _mm256_fmadd_pd(va1, b0, c10);
-        c11 = _mm256_fmadd_pd(va1, b1, c11);
-      }
-      _mm256_storeu_pd(c0 + j, c00);
-      _mm256_storeu_pd(c0 + j + 4, c01);
-      _mm256_storeu_pd(c1 + j, c10);
-      _mm256_storeu_pd(c1 + j + 4, c11);
-    }
-    int j = n8;
-    for (; j + 4 <= n; j += 4) {
-      __m256d c00 = _mm256_loadu_pd(c0 + j);
-      __m256d c10 = _mm256_loadu_pd(c1 + j);
-      for (int p = 0; p < k; ++p) {
-        __m256d bv = _mm256_loadu_pd(b + static_cast<size_t>(p) * ldb + j);
-        c00 = _mm256_fmadd_pd(_mm256_set1_pd(a0[p]), bv, c00);
-        c10 = _mm256_fmadd_pd(_mm256_set1_pd(a1[p]), bv, c10);
-      }
-      _mm256_storeu_pd(c0 + j, c00);
-      _mm256_storeu_pd(c1 + j, c10);
-    }
-    if (j < n) GemmEdgeScalar(i, i + 2, j, n, k, a, lda, b, ldb, c, ldc);
-  }
-  if (m2 < m) GemmEdgeScalar(m2, m, 0, n, k, a, lda, b, ldb, c, ldc);
-}
-
-__attribute__((target("avx2,fma"))) void GemmTNFma(int m, int n, int k,
-                                                   const double* a, int lda,
-                                                   const double* b, int ldb,
-                                                   double* c, int ldc) {
-  for (int p = 0; p < k; ++p) {
-    const double* arow = a + static_cast<size_t>(p) * lda;
-    const double* brow = b + static_cast<size_t>(p) * ldb;
-    for (int i = 0; i < m; ++i) {
-      AxpyFma(arow[i], brow, c + static_cast<size_t>(i) * ldc, n);
-    }
-  }
-}
-
-__attribute__((target("avx2,fma"))) void WeightedOuterFma(double w,
-                                                          const double* row,
-                                                          int d, double* g,
-                                                          int stride) {
-  int a = 0;
-  for (; a + 1 < d; a += 2) {
-    double s0 = w * row[a];
-    double s1 = w * row[a + 1];
-    double* g0 = g + static_cast<size_t>(a) * stride;
-    double* g1 = g + static_cast<size_t>(a + 1) * stride;
-    g0[a] += s0 * row[a];
-    g0[a + 1] += s0 * row[a + 1];
-    g1[a + 1] += s1 * row[a + 1];
-    int b = a + 2;
-    __m256d vs0 = _mm256_set1_pd(s0);
-    __m256d vs1 = _mm256_set1_pd(s1);
-    for (; b + 4 <= d; b += 4) {
-      __m256d vb = _mm256_loadu_pd(row + b);
-      _mm256_storeu_pd(g0 + b,
-                       _mm256_fmadd_pd(vs0, vb, _mm256_loadu_pd(g0 + b)));
-      _mm256_storeu_pd(g1 + b,
-                       _mm256_fmadd_pd(vs1, vb, _mm256_loadu_pd(g1 + b)));
-    }
-    for (; b < d; ++b) {
-      double rb = row[b];
-      g0[b] += s0 * rb;
-      g1[b] += s1 * rb;
-    }
-  }
-  if (a < d) {
-    double s = w * row[a];
-    g[static_cast<size_t>(a) * stride + a] += s * row[a];
-  }
-}
-
-__attribute__((target("avx2,fma"))) void GemmMicroFma(int kc,
-                                                      const double* ap,
-                                                      const double* bp,
-                                                      double* c, int ldc) {
-  double* c0 = c;
-  double* c1 = c0 + ldc;
-  double* c2 = c1 + ldc;
-  double* c3 = c2 + ldc;
-  __m256d acc00 = _mm256_loadu_pd(c0);
-  __m256d acc01 = _mm256_loadu_pd(c0 + 4);
-  __m256d acc10 = _mm256_loadu_pd(c1);
-  __m256d acc11 = _mm256_loadu_pd(c1 + 4);
-  __m256d acc20 = _mm256_loadu_pd(c2);
-  __m256d acc21 = _mm256_loadu_pd(c2 + 4);
-  __m256d acc30 = _mm256_loadu_pd(c3);
-  __m256d acc31 = _mm256_loadu_pd(c3 + 4);
-  for (int p = 0; p < kc; ++p) {
-    const double* brow = bp + static_cast<size_t>(p) * kGemmNR;
-    const double* acol = ap + static_cast<size_t>(p) * kGemmMR;
-    __m256d b0 = _mm256_loadu_pd(brow);
-    __m256d b1 = _mm256_loadu_pd(brow + 4);
-    __m256d va = _mm256_set1_pd(acol[0]);
-    acc00 = _mm256_fmadd_pd(va, b0, acc00);
-    acc01 = _mm256_fmadd_pd(va, b1, acc01);
-    va = _mm256_set1_pd(acol[1]);
-    acc10 = _mm256_fmadd_pd(va, b0, acc10);
-    acc11 = _mm256_fmadd_pd(va, b1, acc11);
-    va = _mm256_set1_pd(acol[2]);
-    acc20 = _mm256_fmadd_pd(va, b0, acc20);
-    acc21 = _mm256_fmadd_pd(va, b1, acc21);
-    va = _mm256_set1_pd(acol[3]);
-    acc30 = _mm256_fmadd_pd(va, b0, acc30);
-    acc31 = _mm256_fmadd_pd(va, b1, acc31);
-  }
-  _mm256_storeu_pd(c0, acc00);
-  _mm256_storeu_pd(c0 + 4, acc01);
-  _mm256_storeu_pd(c1, acc10);
-  _mm256_storeu_pd(c1 + 4, acc11);
-  _mm256_storeu_pd(c2, acc20);
-  _mm256_storeu_pd(c2 + 4, acc21);
-  _mm256_storeu_pd(c3, acc30);
-  _mm256_storeu_pd(c3 + 4, acc31);
-}
-
-}  // namespace
-#endif  // XAI_SIMD_X86
-
-// ---------------------------------------------------------------------------
 // Dispatch: one function-pointer table per backend, resolved once per
 // SetBackend() / XAI_SIMD read and published through a single relaxed
 // atomic. Kernel entry points are one indirect call — no per-call backend
@@ -692,17 +495,11 @@ constexpr KernelTable kScalarTable = {
 constexpr KernelTable kAvx2Table = {
     Backend::kAvx2,     DotAvx2,  AxpyAvx2,   SsdAvx2,
     WeightedOuterAvx2, GemmAvx2, GemmTNAvx2, GemmMicroAvx2};
-
-constexpr KernelTable kFmaTable = {
-    Backend::kFma,     DotFma,  AxpyFma,   SsdAvx2,
-    WeightedOuterFma, GemmFma, GemmTNFma, GemmMicroFma};
 #endif
 
 const KernelTable* TableFor(Backend backend) {
 #if XAI_SIMD_X86
   switch (backend) {
-    case Backend::kFma:
-      return &kFmaTable;
     case Backend::kAvx2:
       return &kAvx2Table;
     case Backend::kScalar:
@@ -855,9 +652,6 @@ void GemmPackedImpl(bool transpose_a, bool upper_only, int m, int n, int k,
 void CountGemmFlops(Backend backend, int m, int n, int k) {
   const long long flops = 2LL * m * n * k;
   switch (backend) {
-    case Backend::kFma:
-      XAI_COUNTER_ADD("linalg/gemm_flops_fma", flops);
-      break;
     case Backend::kAvx2:
       XAI_COUNTER_ADD("linalg/gemm_flops_avx2", flops);
       break;

@@ -7,17 +7,16 @@
 /// Portable vectorized math kernels — the dense-linear-algebra core under
 /// Matrix, the WLS solvers, Newton steps, and batch prediction.
 ///
-/// Three backends are compiled into every binary and selected behind one
+/// Two backends are compiled into every binary and selected behind one
 /// dispatch point (a function-pointer table resolved per SetBackend() /
 /// environment read — kernels never branch on the backend internally):
-///   - kFma:    4-wide AVX2 with fused multiply-add (OPT-IN, see below),
-///   - kAvx2:   4-wide AVX2 (+FMA-capable hardware, but FMA unused),
+///   - kAvx2:   4-wide AVX2, multiply then add (no fused multiply-add),
 ///   - kScalar: plain doubles, the reference and the fallback on hosts
 ///              without AVX2.
 /// The active backend is chosen at startup from CPUID, overridable with the
-/// environment variable `XAI_SIMD=fma|avx2|scalar` (for A/B testing and
-/// the scalar/fma CI jobs) and at runtime with SetBackend (tests and benches
-/// only — not thread-safe against concurrent kernel calls). Unknown XAI_SIMD
+/// environment variable `XAI_SIMD=avx2|scalar` (for A/B testing and the
+/// scalar CI job) and at runtime with SetBackend (tests and benches only —
+/// not thread-safe against concurrent kernel calls). Unknown XAI_SIMD
 /// values abort: a typo silently falling back to auto-detection would
 /// invalidate whatever A/B experiment the variable was set for.
 ///
@@ -34,28 +33,18 @@
 /// WeightedOuterAccumulate, Gemm) carry one independent accumulation chain
 /// per output element, ordered by the contraction index. Because each IEEE
 /// lane operation is identical across widths, every kernel is bit-identical
-/// across the scalar and avx2 backends and any thread count — including
-/// the packed, cache-blocked, multithreaded GEMM path: KC blocks are
-/// processed serially in ascending contraction order, row panels partition C
-/// disjointly across threads, and edge micro-kernels only touch valid panel
-/// lanes (never zero padding, which could flip -0.0 to +0.0).
-///
-/// The FMA tier is deliberately OUTSIDE this contract: a fused multiply-add
-/// rounds once where the other backends round twice, so kFma results agree
-/// with the default tiers only to tolerance (~1e-15 relative per operation;
-/// usually closer to the true value). It is therefore never auto-selected —
-/// MaxSupported() tops out at kAvx2 — and must be requested explicitly via
-/// XAI_SIMD=fma or SetBackend(Backend::kFma). Tests validate it against a
-/// long-double reference, not bitwise. Within the fma tier itself, the
-/// packed and direct GEMM paths agree bitwise on full register tiles but
-/// may differ in the last ulp on edge rows/columns (the two paths draw
-/// their fused/scalar region boundaries at different granularities); both
-/// stay inside the long-double tolerance.
+/// across both backends and any thread count — including the packed,
+/// cache-blocked, multithreaded GEMM path: KC blocks are processed serially
+/// in ascending contraction order, row panels partition C disjointly across
+/// threads, and edge micro-kernels only touch valid panel lanes (never zero
+/// padding, which could flip -0.0 to +0.0). The contract has no exception:
+/// a fused multiply-add rounds once where this contract rounds twice, so
+/// no backend uses one.
 namespace xai {
 namespace simd {
 
 /// Values order the tiers by capability; SetBackend clamps by comparing them.
-enum class Backend { kScalar = 0, kAvx2 = 2, kFma = 3 };
+enum class Backend { kScalar = 0, kAvx2 = 2 };
 
 /// Register-tile shape of the packed GEMM micro-kernel: each call updates an
 /// MR x NR block of C over a KC-long contraction. Exposed so tests can probe
@@ -63,20 +52,16 @@ enum class Backend { kScalar = 0, kAvx2 = 2, kFma = 3 };
 inline constexpr int kGemmMR = 4;
 inline constexpr int kGemmNR = 8;
 
-/// Name for logs/benches: "scalar", "avx2", "fma".
+/// Name for logs/benches: "scalar", "avx2".
 const char* BackendName(Backend backend);
 
-/// Best *bit-identical* backend this CPU can execute: kAvx2 when the CPU has
-/// AVX2, else kScalar (always kScalar on non-x86). Never returns kFma — the
-/// FMA tier is opt-in only.
+/// Best backend this CPU can execute: kAvx2 when the CPU has AVX2, else
+/// kScalar (always kScalar on non-x86).
 Backend MaxSupported();
 
-/// True when the CPU can execute the opt-in FMA tier (AVX2 + FMA3).
-bool FmaSupported();
-
-/// Parses an XAI_SIMD value ("scalar" | "avx2" | "fma") into a
-/// Backend. Aborts via XAI_CHECK on nullptr or any other string — a typo'd
-/// backend name must not silently fall back to auto-detection.
+/// Parses an XAI_SIMD value ("scalar" | "avx2") into a Backend. Aborts via
+/// XAI_CHECK on nullptr or any other string — a typo'd backend name must
+/// not silently fall back to auto-detection.
 Backend ParseBackendName(const char* name);
 
 /// The backend all kernels currently dispatch to. Initialized on first use
@@ -85,10 +70,9 @@ Backend ParseBackendName(const char* name);
 Backend Active();
 
 /// Forces the active backend and re-resolves the kernel dispatch table
-/// (returns what was actually applied: kScalar..kAvx2 clamp to
-/// MaxSupported(); kFma falls back to MaxSupported() when the CPU lacks
-/// FMA). For tests and benches; do not call concurrently with running
-/// kernels.
+/// (returns what was actually applied: a request above MaxSupported()
+/// clamps to it). For tests and benches; do not call concurrently with
+/// running kernels.
 Backend SetBackend(Backend backend);
 
 /// \name Kernels
@@ -117,7 +101,7 @@ void WeightedOuterAccumulate(double w, const double* row, int d, double* g,
 /// Each C element accumulates over the contraction index in ascending
 /// order, so the result is independent of the blocking, backend, and thread
 /// count. Routes to GemmPacked above a size threshold and GemmDirect below
-/// it; both produce identical bits on the default tiers.
+/// it; both produce identical bits.
 void Gemm(int m, int n, int k, const double* a, int lda, const double* b,
           int ldb, double* c, int ldc);
 
@@ -143,7 +127,7 @@ void GemmTNDirect(int m, int n, int k, const double* a, int lda,
 /// unit stride regardless of the leading dimensions; KC x NC blocks of B are
 /// shared across a ParallelFor over MC-row blocks of C (disjoint C rows per
 /// chunk — deterministic and race-free at any thread count). Bit-identical
-/// to GemmDirect on the scalar and avx2 tiers.
+/// to GemmDirect.
 void GemmPacked(int m, int n, int k, const double* a, int lda,
                 const double* b, int ldb, double* c, int ldc);
 

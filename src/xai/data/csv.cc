@@ -1,6 +1,7 @@
 #include "xai/data/csv.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <fstream>
 #include <map>
@@ -60,6 +61,14 @@ std::string Trim(const std::string& s) {
   if (b == std::string::npos) return "";
   size_t e = s.find_last_not_of(" \t");
   return s.substr(b, e - b + 1);
+}
+
+// The shortest text strtod reads back as exactly `v` (sign of zero
+// included). RenderCell's "%.4g" is for display and loses digits.
+std::string ExactNumber(double v) {
+  char buf[32];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+  return std::string(buf, r.ptr);
 }
 
 bool ParseDouble(const std::string& s, double* out) {
@@ -191,11 +200,13 @@ std::string WriteCsvString(const Dataset& dataset, char delimiter) {
     out << QuoteIfNeeded(schema.features[f].name, delimiter) << delimiter;
   out << QuoteIfNeeded(schema.target_name, delimiter) << "\n";
   for (int i = 0; i < dataset.num_rows(); ++i) {
-    for (int f = 0; f < schema.num_features(); ++f)
-      out << QuoteIfNeeded(dataset.RenderCell(i, f), delimiter) << delimiter;
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.6g", dataset.Label(i));
-    out << buf << "\n";
+    for (int f = 0; f < schema.num_features(); ++f) {
+      const std::string cell = schema.features[f].is_categorical()
+                                   ? dataset.RenderCell(i, f)
+                                   : ExactNumber(dataset.At(i, f));
+      out << QuoteIfNeeded(cell, delimiter) << delimiter;
+    }
+    out << ExactNumber(dataset.Label(i)) << "\n";
   }
   return out.str();
 }

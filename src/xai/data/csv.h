@@ -31,7 +31,9 @@ Result<Dataset> ReadCsvFile(const std::string& path,
                             const CsvOptions& options = {});
 
 /// Serializes a dataset to CSV text (header + rows; categorical values are
-/// written as their category names).
+/// written as their category names). Numeric cells and labels are written
+/// in the shortest form that reads back as the same double, so
+/// ReadCsvString gives back every number bit for bit.
 std::string WriteCsvString(const Dataset& dataset, char delimiter = ',');
 
 /// Writes a dataset to a CSV file.

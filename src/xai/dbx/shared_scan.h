@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "xai/core/status.h"
-#include "xai/relational/operators.h"
+#include "xai/relational/agg_kernels.h"
 #include "xai/relational/provenance.h"
 #include "xai/relational/relation.h"
 
@@ -142,8 +142,8 @@ class SharedScanAggregate {
                                            const std::vector<int>& endogenous);
 
   /// Aggregate under the coalition; empty-selection aggregates are 0.0
-  /// (count 0, sum 0; min/max/avg of nothing are 0 like the row path's
-  /// zero-initialized group).
+  /// (count 0, sum 0; min/max/avg of nothing are 0, CanonicalMin/Max's
+  /// empty-group value).
   double Eval(uint64_t mask);
 
   /// Adapter for NumericQueryTupleShapley's query_value callback: converts

@@ -5,13 +5,17 @@
 
 namespace xai::rel {
 
-/// \brief Canonical aggregation kernels shared by the row and columnar
-/// GroupByAggregate paths (and the dbx shared-scan Shapley fast path).
+/// Aggregation function of GroupByAggregate and the dbx shared scan.
+enum class AggFn { kCount, kSum, kAvg, kMin, kMax };
+
+/// \brief Canonical aggregation kernels shared by the columnar
+/// GroupByAggregate, the dbx shared-scan Shapley fast path and the row
+/// reference engine the tests check them against.
 ///
-/// Both engines buffer a group's contributing values in row order and
-/// finalize through these functions, so their aggregate values are
-/// bit-identical by construction — there is exactly one summation order in
-/// the codebase, not one per engine.
+/// Each buffers a group's contributing values in row order and finalizes
+/// through these functions, so their aggregate values are bit-identical by
+/// construction — there is exactly one summation order in the codebase,
+/// not one per engine.
 ///
 /// CanonicalSum reduces kBatchRows-sized blocks with simd::Dot against a
 /// ones vector (multiplying by 1.0 is exact, so the fixed striped
@@ -22,7 +26,7 @@ namespace xai::rel {
 
 double CanonicalSum(const double* v, int64_t n);
 
-/// n == 0 returns 0.0 (the row path's zero-initialized Group).
+/// n == 0 returns 0.0 (an empty group's value).
 double CanonicalMin(const double* v, int64_t n);
 double CanonicalMax(const double* v, int64_t n);
 

@@ -50,8 +50,8 @@ void Column::RenderTo(int64_t row, std::string* out) const {
         return;
       }
       {
-        // Must match Value::ToString's "%.6g" byte-for-byte: the row path
-        // merges group/distinct keys on these renderings.
+        // Must match Value::ToString's "%.6g" byte-for-byte: group-by and
+        // distinct merge keys on these renderings.
         char buf[32];
         std::snprintf(buf, sizeof(buf), "%.6g", doubles_[row]);
         out->append(buf);

@@ -76,8 +76,8 @@ class Column {
   Value ValueAt(int64_t row) const;
 
   /// Appends Value::ToString(row)'s rendering to `out` without constructing
-  /// a Value (group-by and distinct keys re-use the row path's rendered-key
-  /// merge semantics, so the renderings must match byte-for-byte).
+  /// a Value (group-by and distinct keys merge on Value::ToString
+  /// renderings, so the renderings must match byte-for-byte).
   void RenderTo(int64_t row, std::string* out) const;
 
   void Reserve(int64_t n);

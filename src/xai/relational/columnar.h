@@ -33,18 +33,20 @@ inline constexpr int64_t kBatchRows = 1024;
 /// reference count. A shared block is never mutated: appending to a
 /// relation whose block is shared starts a new block first.
 ///
-/// The row-oriented Relation stays the API of record; this is the storage
-/// the vectorized operators (columnar_ops.h) and the shared-scan
-/// tuple-Shapley fast path run on. FromRows/ToRows convert losslessly both
-/// ways (see Column for the class rules; heterogeneous string/number
-/// columns are rejected and stay row-oriented).
+/// This is the storage the relational operators (columnar_ops.h), the
+/// library's only executor, run on. The row-oriented Relation is the
+/// container for loading data, printing results and the dbx entry points;
+/// FromRows/ToRows convert losslessly both ways (see Column for the class
+/// rules). A column that mixes strings and numbers has no typed storage:
+/// FromRows rejects it, so such data cannot be queried.
 class ColumnarRelation {
  public:
   ColumnarRelation() = default;
   ColumnarRelation(std::string name, std::vector<std::string> columns);
 
   /// Imports a row relation. Fails (without aborting) on columns the typed
-  /// storage cannot represent exactly — the caller keeps the row path.
+  /// storage cannot represent exactly: string/number mixes, and INT cells
+  /// of magnitude >= 2^53 in a column that also holds DOUBLEs.
   static Result<ColumnarRelation> FromRows(const Relation& rows);
 
   /// Materializes back to the row representation: exact same Values

@@ -15,7 +15,7 @@ namespace {
 
 /// Appends column `c`'s rendered cell for `row` to `*key`, prefixed with
 /// its length, so multi-column keys concatenate injectively (same merge
-/// classes as the row path's vector<string> keys).
+/// classes as a vector of rendered cells).
 void AppendRenderedCell(const Column& col, int64_t row, std::string* cell,
                         std::string* key) {
   cell->clear();
@@ -213,7 +213,7 @@ xai::Result<ColumnarRelation> EquiJoin(const ColumnarRelation& a,
   const Column& kb = b.column(col_b);
 
   // Per-chunk (a-row, b-row) match lists; ascending-chunk concatenation
-  // reproduces the row path's a-major, ascending-b output order.
+  // gives the a-major, ascending-b output order.
   const int64_t na = a.num_rows();
   const int64_t num_chunks = (na + kBatchRows - 1) / kBatchRows;
   std::vector<std::vector<int32_t>> ai(num_chunks), bi(num_chunks);
@@ -222,7 +222,7 @@ xai::Result<ColumnarRelation> EquiJoin(const ColumnarRelation& a,
                     kb.kind() == Column::Kind::kInt64;
   if (fast) {
     // Both key columns are int64: probe by value directly. Raw equality
-    // coincides with the row path's rendered-key-then-Value== protocol
+    // coincides with the general path's rendered-key-then-Value== protocol
     // (to_string is injective; NULL keys join NULL keys).
     std::unordered_map<int64_t, std::vector<int32_t>> index;
     std::vector<int32_t> null_rows;
@@ -252,10 +252,9 @@ xai::Result<ColumnarRelation> EquiJoin(const ColumnarRelation& a,
       }
     });
   } else {
-    // General path: the row path's protocol verbatim — index b on rendered
-    // keys, probe a's renderings, keep pairs whose values actually compare
-    // equal (rendered collisions like INT 1000000 vs DOUBLE 1e+06 behave
-    // identically to the row engine).
+    // General path: index b on rendered keys, probe a's renderings, keep
+    // pairs whose values actually compare equal (rendered collisions like
+    // INT 1000000 vs DOUBLE 1e+06 behave as in the row reference).
     std::unordered_map<std::string, std::vector<int32_t>> index;
     index.reserve(static_cast<size_t>(b.num_rows()));
     {
@@ -359,10 +358,10 @@ xai::Result<ColumnarRelation> GroupByAggregate(
   const KeyedGroups g = BuildGroups(input, group_columns);
   const int ng = g.num_groups();
 
-  // Finalized aggregate values, via the canonical kernels the row path
-  // shares. COUNT needs only group sizes; the single-group numeric case
-  // streams the column payload directly (NULL slots store 0.0, which is
-  // exactly Value::AsDouble's NULL contribution).
+  // Finalized aggregate values, via the canonical kernels. COUNT needs only
+  // group sizes; the single-group numeric case streams the column payload
+  // directly (NULL slots store 0.0, which is exactly Value::AsDouble's NULL
+  // contribution).
   std::vector<double> agg_values(ng, 0.0);
   std::vector<int64_t> counts(ng, 0);
   for (int gi = 0; gi < ng; ++gi) counts[gi] = g.group_size[gi];

@@ -5,25 +5,29 @@
 #include <vector>
 
 #include "xai/core/status.h"
+#include "xai/relational/agg_kernels.h"
 #include "xai/relational/columnar.h"
 #include "xai/relational/expression.h"
-#include "xai/relational/operators.h"
 
 namespace xai::rel {
 
 /// \brief Vectorized relational operators over ColumnarRelation — the
-/// batch-of-kBatchRows engine behind the row operators in operators.h.
+/// library's relational executor, batch-of-kBatchRows at a time.
 ///
-/// Each operator is observationally identical to its row twin: converting
-/// the output with ToRows() yields the same relation name, columns,
-/// tuples (values and order), and provenance structure that the row
-/// operator produces from ToRows() of the inputs. That includes the row
-/// path's rendered-string semantics — group-by/distinct keys merge on
-/// Value::ToString renderings (so "%.6g" collisions merge here too), and
-/// the equi-join probes rendered keys before filtering on actual value
-/// equality (so a match the row path's rendered index misses is missed
-/// here as well). Aggregates finalize through the canonical kernels in
-/// agg_kernels.h, which the row path shares — aggregate values are
+/// The operators work on annotated relations (K-relations). Provenance
+/// combines by the standard rules: selection keeps annotations,
+/// projection-with-dedup adds them, join multiplies them, union adds them.
+///
+/// Each operator is observationally identical to the row-at-a-time
+/// reference engine the tests keep (tests/support): converting the output
+/// with ToRows() yields the same relation name, columns, tuples (values
+/// and order), and provenance structure that the reference produces from
+/// ToRows() of the inputs. That includes rendered-string key semantics —
+/// group-by/distinct keys merge on Value::ToString renderings (so "%.6g"
+/// collisions merge), and the equi-join probes rendered keys before
+/// filtering on actual value equality (so a match whose renderings differ
+/// is missed). Aggregates finalize through the canonical kernels in
+/// agg_kernels.h, which the reference shares — aggregate values are
 /// bit-identical by construction.
 ///
 /// Scans (selection, join probe) are parallelized over kBatchRows-sized
@@ -45,7 +49,7 @@ xai::Result<ColumnarRelation> Project(const ColumnarRelation& input,
 
 /// Equi-join on a.col_a == b.col_b; output columns are a's then b's
 /// (prefixed with b's name), a-major with b matches in ascending row
-/// order. NULL keys join NULL keys, like the row path.
+/// order. NULL keys join NULL keys (NULL == NULL under Value equality).
 xai::Result<ColumnarRelation> EquiJoin(const ColumnarRelation& a,
                                        const ColumnarRelation& b, int col_a,
                                        int col_b);
@@ -55,8 +59,13 @@ xai::Result<ColumnarRelation> EquiJoin(const ColumnarRelation& a,
 xai::Result<ColumnarRelation> Union(const ColumnarRelation& a,
                                     const ColumnarRelation& b);
 
-/// Group-by aggregate; see the row twin for the provenance rules. The
-/// sum/avg inner loops run simd::Dot over the contiguous payload.
+/// Group-by aggregate. Output columns: the group columns followed by one
+/// aggregate column (INT for COUNT, DOUBLE otherwise); groups in
+/// first-appearance order. Provenance of each group row = sum (+) over the
+/// annotations of contributing rows — lineage-accurate, which is what the
+/// tuple-Shapley and responsibility analyses of §3 consume. (Aggregate
+/// *values* over K-relations need semimodules; out of scope.) The sum/avg
+/// inner loops run simd::Dot over the contiguous payload.
 xai::Result<ColumnarRelation> GroupByAggregate(
     const ColumnarRelation& input, const std::vector<int>& group_columns,
     AggFn fn, int agg_column, const std::string& agg_name);

@@ -51,9 +51,10 @@ inline void RowCompare(bool a_str, bool b_str, uint8_t av, uint8_t bv,
   }
 }
 
-/// Combines per-row eq/lt into the requested comparison, matching
-/// Expr::Eval's composition (kLe = lt||eq, kGt = !lt&&!eq, kGe = !lt —
-/// which differ from native >,>=,<= on NaN, so the compositions are kept).
+/// Combines per-row eq/lt into the requested comparison, composed from
+/// Value's == and < like the row reference (kLe = lt||eq, kGt = !lt&&!eq,
+/// kGe = !lt — which differ from native >,>=,<= on NaN, so the
+/// compositions are kept).
 inline bool ComposeCompare(Expr::Op op, bool eq, bool lt) {
   switch (op) {
     case Expr::Op::kEq:
@@ -266,7 +267,7 @@ void CompiledPredicate::EvalNode(const ColumnarRelation& rel, int ni,
     case Expr::Op::kAnd: {
       const Batch& ba = *scratch->slots_[n.child0];
       const Batch& bb = *scratch->slots_[n.child1];
-      // Truthiness is EvalBool: present and numerically non-zero. The
+      // Truthiness: present and numerically non-zero. The
       // `num == 0 where invalid/string` invariant makes `valid && num != 0`
       // exactly that.
       for (int64_t i = 0; i < len; ++i) {
@@ -321,22 +322,6 @@ void CompiledPredicate::EvalNode(const ColumnarRelation& rel, int ni,
       }
       break;
     }
-  }
-}
-
-void CompiledPredicate::EvalBoolInto(const ColumnarRelation& rel,
-                                     int64_t begin, int64_t end,
-                                     Scratch* scratch, uint8_t* out) const {
-  PrepareScratch(scratch);
-  const int num_nodes = static_cast<int>(nodes_.size());
-  for (int64_t b0 = begin; b0 < end; b0 += kBatchRows) {
-    const int64_t len = std::min<int64_t>(kBatchRows, end - b0);
-    for (int ni = 0; ni < num_nodes; ++ni)
-      EvalNode(rel, ni, b0, len, scratch);
-    const Scratch::Batch& root = *scratch->slots_[num_nodes - 1];
-    uint8_t* dst = out + (b0 - begin);
-    for (int64_t i = 0; i < len; ++i)
-      dst[i] = root.valid[i] && root.num[i] != 0.0;
   }
 }
 

@@ -23,12 +23,12 @@ namespace xai::rel {
 /// column arrays — no Value boxing, no variant dispatch, no shared_ptr
 /// chasing per row.
 ///
-/// Semantics are exactly Expr::Eval/EvalBool over the row representation
-/// (SQL-ish two-valued logic: NULL == NULL, NULL sorts first, numbers sort
-/// before strings, arithmetic coerces NULL/STRING to 0.0, booleans are
-/// non-NULL 0/1); the columnar operators' results stay bit-identical to
-/// the row interpreter's because both execute the same IEEE comparisons
-/// and arithmetic on the same doubles.
+/// Semantics are exactly those of Value's operators applied tuple at a
+/// time (SQL-ish two-valued logic: NULL == NULL, NULL sorts first, numbers
+/// sort before strings, arithmetic coerces NULL/STRING to 0.0, booleans
+/// are non-NULL 0/1). The tests keep that tuple interpreter as a reference
+/// (tests/support) and check results bit for bit: both execute the same
+/// IEEE comparisons and arithmetic on the same doubles.
 ///
 /// A CompiledPredicate is immutable after Compile and safe to share across
 /// threads; per-thread mutable state lives in a Scratch, one per
@@ -68,10 +68,6 @@ class CompiledPredicate {
   /// one kBatchRows block; any range works.
   void SelectInto(const ColumnarRelation& rel, int64_t begin, int64_t end,
                   Scratch* scratch, std::vector<int32_t>* out) const;
-
-  /// Writes EvalBool per row of [begin, end) into out[0 .. end-begin).
-  void EvalBoolInto(const ColumnarRelation& rel, int64_t begin, int64_t end,
-                    Scratch* scratch, uint8_t* out) const;
 
  private:
   struct Node {

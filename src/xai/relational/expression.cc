@@ -1,7 +1,5 @@
 #include "xai/relational/expression.h"
 
-#include "xai/core/check.h"
-
 namespace xai::rel {
 
 ExprPtr Expr::Column(int index) {
@@ -28,57 +26,5 @@ ExprPtr Expr::Not(ExprPtr a) { return Make(Op::kNot, {a}); }
 ExprPtr Expr::Add(ExprPtr a, ExprPtr b) { return Make(Op::kAdd, {a, b}); }
 ExprPtr Expr::Sub(ExprPtr a, ExprPtr b) { return Make(Op::kSub, {a, b}); }
 ExprPtr Expr::Mul(ExprPtr a, ExprPtr b) { return Make(Op::kMul, {a, b}); }
-
-Value Expr::Eval(const Tuple& tuple) const {
-  auto boolean = [](bool b) { return Value::Int(b ? 1 : 0); };
-  switch (op_) {
-    case Op::kColumn:
-      XAI_CHECK(column_ >= 0 && column_ < static_cast<int>(tuple.size()));
-      return tuple[column_];
-    case Op::kConst:
-      return constant_;
-    case Op::kEq:
-      return boolean(children_[0]->Eval(tuple) == children_[1]->Eval(tuple));
-    case Op::kNe:
-      return boolean(children_[0]->Eval(tuple) != children_[1]->Eval(tuple));
-    case Op::kLt:
-      return boolean(children_[0]->Eval(tuple) < children_[1]->Eval(tuple));
-    case Op::kLe: {
-      Value a = children_[0]->Eval(tuple), b = children_[1]->Eval(tuple);
-      return boolean(a < b || a == b);
-    }
-    case Op::kGt: {
-      Value a = children_[0]->Eval(tuple), b = children_[1]->Eval(tuple);
-      return boolean(!(a < b) && !(a == b));
-    }
-    case Op::kGe: {
-      Value a = children_[0]->Eval(tuple), b = children_[1]->Eval(tuple);
-      return boolean(!(a < b));
-    }
-    case Op::kAnd:
-      return boolean(children_[0]->EvalBool(tuple) &&
-                     children_[1]->EvalBool(tuple));
-    case Op::kOr:
-      return boolean(children_[0]->EvalBool(tuple) ||
-                     children_[1]->EvalBool(tuple));
-    case Op::kNot:
-      return boolean(!children_[0]->EvalBool(tuple));
-    case Op::kAdd:
-      return Value::Double(children_[0]->Eval(tuple).AsDouble() +
-                           children_[1]->Eval(tuple).AsDouble());
-    case Op::kSub:
-      return Value::Double(children_[0]->Eval(tuple).AsDouble() -
-                           children_[1]->Eval(tuple).AsDouble());
-    case Op::kMul:
-      return Value::Double(children_[0]->Eval(tuple).AsDouble() *
-                           children_[1]->Eval(tuple).AsDouble());
-  }
-  return Value::Null();
-}
-
-bool Expr::EvalBool(const Tuple& tuple) const {
-  Value v = Eval(tuple);
-  return !v.is_null() && v.AsDouble() != 0.0;
-}
 
 }  // namespace xai::rel

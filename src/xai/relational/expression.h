@@ -14,7 +14,8 @@ using ExprPtr = std::shared_ptr<const Expr>;
 
 /// \brief Scalar expression over a tuple: column references, constants,
 /// comparisons, boolean connectives, arithmetic. Used as selection
-/// predicates and projection expressions.
+/// predicates; the columnar Select compiles the tree once
+/// (CompiledPredicate, compiled_expr.h) and evaluates it a batch at a time.
 class Expr {
  public:
   enum class Op {
@@ -48,11 +49,6 @@ class Expr {
   static ExprPtr Add(ExprPtr a, ExprPtr b);
   static ExprPtr Sub(ExprPtr a, ExprPtr b);
   static ExprPtr Mul(ExprPtr a, ExprPtr b);
-
-  /// Evaluates against a tuple. Boolean results are INT 0/1.
-  Value Eval(const Tuple& tuple) const;
-  /// Convenience: Eval() interpreted as a boolean.
-  bool EvalBool(const Tuple& tuple) const;
 
   /// \name Tree introspection (the columnar compiler walks the tree once to
   /// resolve column indices and value classes per node).

@@ -11,6 +11,7 @@
 #include "xai/core/rng.h"
 #include "xai/core/telemetry.h"
 #include "xai/core/timer.h"
+#include "xai/core/trace.h"
 #include "xai/explain/counterfactual/counterfactual.h"
 #include "xai/explain/counterfactual/dice.h"
 #include "xai/explain/shapley/value_function.h"
@@ -212,56 +213,64 @@ Result<ExplainResponse> SessionManager::Explain(
   }
   Session* session = session_ref.get();
 
-  // The stateless pipeline's admission (registry, schema, tier, key), but
-  // no trace id and no accounting: a turn the session answers itself
-  // records no SLO entry or root span.
+  // TreeSHAP / LIME / Anchors have no cross-turn state worth keeping; the
+  // stateless pipeline (with its global cache) serves them.
+  if (request.kind == ExplainerKind::kTreeShap ||
+      request.kind == ExplainerKind::kLime ||
+      request.kind == ExplainerKind::kAnchors)
+    return server_->Explain(request);
+
+  // The stateless pipeline's entry (start time, trace id, admission). The
+  // session's state stands in for the cache and the batcher; every outcome
+  // completes through the server's funnel.
   BatchJob job;
   job.request = request;
-  XAI_RETURN_NOT_OK(server_->Admit(&job, /*hints=*/nullptr));
+  Status admitted = server_->Enter(&job, /*hints=*/nullptr);
+  if (!admitted.ok()) {
+    Result<ExplainResponse> failed = admitted;
+    server_->Finish(job, /*batch=*/nullptr, &failed);
+    return admitted;
+  }
 
   // Exact repeat within the dialogue: answer from the session's own
-  // response memo (the global cache is deliberately not consulted).
+  // response memo (the global cache is deliberately not consulted),
+  // completed like a cache hit.
   if (request.use_cache) {
     auto it = session->responses.find(job.key);
     if (it != session->responses.end()) {
-      ExplainResponse response = *it->second;
-      response.cache_hit = true;
+      Result<ExplainResponse> response = *it->second;
+      response.ValueOrDie().cache_hit = true;
       {
         std::lock_guard<std::mutex> lock(mu_);
         ++reuse_answers_;
       }
       XAI_COUNTER_INC("serve/session_reuse_answers");
+      server_->Finish(job, /*batch=*/nullptr, &response);
       return response;
     }
   }
 
-  const int64_t start_ns = MonotonicNanos();
+  // The turn runs inline and completes as a one-job batch that never
+  // queued, so its evaluations and compute time stay its own.
+  RequestBatcher::CompletionInfo batch;
+  batch.batch_size = 1;
+  batch.enqueue_ns = batch.batch_start_ns = MonotonicNanos();
   Result<ExplainResponse> result = Status::Internal("unreachable");
-  switch (job.plan.algorithm) {
-    case ExplainerKind::kKernelShap:
-    case ExplainerKind::kSamplingShapley:
-    case ExplainerKind::kExactShapley:
-      result = ExplainShapley(session, job);
-      break;
-    case ExplainerKind::kCounterfactual:
-      result = ExplainCounterfactual(session, job);
-      break;
-    default:
-      // TreeSHAP / LIME / Anchors have no cross-turn state worth keeping;
-      // the stateless pipeline (with its global cache) serves them.
-      return server_->Explain(request);
+  {
+    XAI_TRACE_CONTEXT(job.request.trace);
+    result = job.plan.algorithm == ExplainerKind::kCounterfactual
+                 ? ExplainCounterfactual(session, job)
+                 : ExplainShapley(session, job);
   }
-  if (!result.ok()) return result.status();
-
-  ExplainResponse response = std::move(result).ValueOrDie();
-  ExplainServer::FinalizeTiming(request, MonotonicNanos() - start_ns,
-                                &response);
-  // The turn ran inline: its compute time is its whole latency.
-  response.provenance.compute_ms = response.latency_ms;
-  if (request.use_cache)
+  batch.done_ns = MonotonicNanos();
+  if (result.ok())
+    result.ValueOrDie().provenance.compute_ms =
+        static_cast<double>(batch.done_ns - batch.batch_start_ns) / 1e6;
+  server_->Finish(job, &batch, &result);
+  if (result.ok() && request.use_cache)
     session->responses.emplace(
-        job.key, std::make_shared<const ExplainResponse>(response));
-  return response;
+        job.key, std::make_shared<const ExplainResponse>(result.ValueOrDie()));
+  return result;
 }
 
 Result<ExplainResponse> SessionManager::ExplainShapley(Session* session,

@@ -87,7 +87,9 @@ class SessionManager {
 
   /// Serves one turn of the dialogue. Shapley-family and counterfactual
   /// requests run through the session's reuse structures; everything else
-  /// falls through to the server unchanged.
+  /// falls through to the server unchanged. Either way the turn is a
+  /// request like any other: it gets a trace id and completes through the
+  /// server's funnel (one SLO entry, one root span, the deadline verdict).
   Result<ExplainResponse> Explain(uint64_t session_id,
                                   const ExplainRequest& request,
                                   int64_t now_ns);
@@ -134,8 +136,8 @@ class SessionManager {
     int64_t memo_misses = 0;
   };
 
-  /// Turn bodies for an admitted job; SessionManager::Explain finalizes
-  /// their timing.
+  /// Turn bodies for an admitted job; SessionManager::Explain completes
+  /// them through ExplainServer::Finish.
   Result<ExplainResponse> ExplainShapley(Session* session,
                                          const BatchJob& job);
   Result<ExplainResponse> ExplainCounterfactual(Session* session,

@@ -70,6 +70,15 @@ void ExplainServer::AssignTrace(ExplainRequest* request) const {
   request->trace.span_id = telemetry::NextSpanId();
 }
 
+Status ExplainServer::Enter(BatchJob* job, const AsyncHints* hints) const {
+  job->start_ns = MonotonicNanos();
+  XAI_COUNTER_INC("serve/requests");
+  AssignTrace(&job->request);
+  Status status = Admit(job, hints);
+  if (status.ok() && job->degraded) XAI_COUNTER_INC("serve/degraded_requests");
+  return status;
+}
+
 Status ExplainServer::Admit(BatchJob* job, const AsyncHints* hints) const {
   const ExplainRequest& request = job->request;
   job->entry = registry_.Find(request.model);
@@ -149,13 +158,8 @@ Status ExplainServer::ExplainAsync(ExplainRequest request,
                                    RequestBatcher::Callback done,
                                    AsyncHints hints) {
   BatchJob job;
-  job.start_ns = MonotonicNanos();
   job.request = std::move(request);
-  XAI_COUNTER_INC("serve/requests");
-  AssignTrace(&job.request);
-
-  Status status = Admit(&job, &hints);
-  if (status.ok() && job.degraded) XAI_COUNTER_INC("serve/degraded_requests");
+  Status status = Enter(&job, &hints);
   if (status.ok() && job.request.use_cache) {
     if (auto hit = cache_.Get(job.key)) {
       // The wire-format payoff: for a deferred instance this path never
@@ -215,7 +219,12 @@ void ExplainServer::Finish(const BatchJob& job,
       batch != nullptr
           ? static_cast<double>(batch->batch_start_ns - batch->enqueue_ns) / 1e6
           : 0.0;
-  FinalizeTiming(request, latency_ns, &response);
+  response.latency_ms = static_cast<double>(latency_ns) / 1e6;
+  response.deadline_met =
+      request.deadline_ms <= 0.0 || response.latency_ms <= request.deadline_ms;
+  prov.total_ms = response.latency_ms;
+  prov.deadline_met = response.deadline_met;
+  prov.complete = true;
   if (!response.deadline_met) XAI_COUNTER_INC("serve/deadline_misses");
 
   slo_.Record(tenant, request.model, response.latency_ms,
@@ -256,17 +265,6 @@ void ExplainServer::StampProvenance(const BatchJob& job,
   prov->algorithm = ExplainerKindName(job.plan.algorithm);
   prov->degraded = job.degraded;
   prov->planned_evals = job.plan.planned_evals;
-}
-
-void ExplainServer::FinalizeTiming(const ExplainRequest& request,
-                                   int64_t latency_ns,
-                                   ExplainResponse* response) {
-  response->latency_ms = static_cast<double>(latency_ns) / 1e6;
-  response->deadline_met =
-      request.deadline_ms <= 0.0 || response->latency_ms <= request.deadline_ms;
-  response->provenance.total_ms = response->latency_ms;
-  response->provenance.deadline_met = response->deadline_met;
-  response->provenance.complete = true;
 }
 
 Status ExplainServer::ExplainShapley(const BatchJob& job,

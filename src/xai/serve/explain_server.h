@@ -145,18 +145,25 @@ class ExplainServer {
   }
 
  private:
-  /// Session turns share admission, the provenance stamp, the timing
-  /// finalizer and the Shapley dispatch with the stateless pipeline.
+  /// Session turns share the pipeline entry, the provenance stamp, the
+  /// completion funnel and the Shapley dispatch with the stateless
+  /// pipeline.
   friend class async::SessionManager;
 
+  /// Enters `job->request` into the pipeline: its start time (latency and
+  /// the root span start here), the request counter, its trace id, and
+  /// Admit. Every path, session turns included, starts here.
+  Status Enter(BatchJob* job, const AsyncHints* hints) const;
   /// Fills in `job` from `job->request`: registry lookup, validation, tier
   /// choice, cache-key construction. `hints` (nullable) supplies the wire
   /// layer's precomputed instance hash and deferred-payload promise.
   Status Admit(BatchJob* job, const AsyncHints* hints) const;
   /// Runs the chosen plan. Called from pool workers via the batcher.
   Result<ExplainResponse> Execute(const BatchJob& job);
-  /// The one completion funnel. `batch` is null for requests that never
-  /// reached the batcher (cache hits, pipeline errors).
+  /// The one completion funnel: latency, deadline verdict, provenance, SLO
+  /// entry and root span. `batch` is null for requests that never reached
+  /// the batcher (cache hits, pipeline errors); a computed session turn
+  /// passes a one-job batch that never queued.
   void Finish(const BatchJob& job, const RequestBatcher::CompletionInfo* batch,
               Result<ExplainResponse>* result);
 
@@ -171,10 +178,6 @@ class ExplainServer {
   /// coalesced followers); the payload's producing-execution facts stay.
   static void StampProvenance(const BatchJob& job,
                               ExplanationProvenance* provenance);
-  /// The latency, the deadline verdict, and the provenance fields that
-  /// depend on them.
-  static void FinalizeTiming(const ExplainRequest& request, int64_t latency_ns,
-                             ExplainResponse* response);
   /// Runs the plan's Shapley-family algorithm on `game` (the entry's
   /// marginal game, or a session's memo around it) into the attribution.
   static Status ExplainShapley(const BatchJob& job, const CoalitionGame& game,

@@ -90,16 +90,12 @@ TEST(SimdKernelTest, EnvVariableSteersDispatch) {
   if (want == "scalar") EXPECT_EQ(simd::Active(), simd::Backend::kScalar);
   if (want == "avx2" && simd::MaxSupported() >= simd::Backend::kAvx2)
     EXPECT_EQ(simd::Active(), simd::Backend::kAvx2);
-  if (want == "fma" && simd::FmaSupported())
-    EXPECT_EQ(simd::Active(), simd::Backend::kFma);
 }
 
 TEST(SimdKernelTest, ParseBackendNameRoundTrips) {
   EXPECT_EQ(simd::ParseBackendName("scalar"), simd::Backend::kScalar);
   EXPECT_EQ(simd::ParseBackendName("avx2"), simd::Backend::kAvx2);
-  EXPECT_EQ(simd::ParseBackendName("fma"), simd::Backend::kFma);
-  for (simd::Backend be :
-       {simd::Backend::kScalar, simd::Backend::kAvx2, simd::Backend::kFma}) {
+  for (simd::Backend be : {simd::Backend::kScalar, simd::Backend::kAvx2}) {
     EXPECT_EQ(simd::ParseBackendName(simd::BackendName(be)), be);
   }
 }
@@ -111,6 +107,7 @@ TEST(SimdKernelDeathTest, UnknownBackendNameAborts) {
   // local static, so the death test exercises the parse function directly.
   EXPECT_DEATH(simd::ParseBackendName("turbo"), "XAI_CHECK failed");
   EXPECT_DEATH(simd::ParseBackendName("sse2"), "XAI_CHECK failed");
+  EXPECT_DEATH(simd::ParseBackendName("fma"), "XAI_CHECK failed");
   EXPECT_DEATH(simd::ParseBackendName(""), "XAI_CHECK failed");
   EXPECT_DEATH(simd::ParseBackendName(nullptr), "XAI_CHECK failed");
 }
@@ -398,98 +395,6 @@ TEST(SimdKernelTest, PackedGemmTNBitIdenticalAcrossBackendsAndThreads) {
   }
 }
 
-// --- FMA tier: opt-in only, outside the bit-identity contract, validated
-// against a long-double reference by tolerance instead. ---
-
-TEST(SimdFmaTest, FmaIsOptInOnly) {
-  // Auto-detection must never pick fma — it rounds once per multiply-add
-  // and so breaks cross-tier bit identity.
-  EXPECT_LT(simd::MaxSupported(), simd::Backend::kFma);
-  for (simd::Backend be : AvailableBackends())
-    EXPECT_NE(be, simd::Backend::kFma);
-  if (!simd::FmaSupported()) GTEST_SKIP() << "fma not supported";
-  BackendGuard g(simd::Active());
-  EXPECT_EQ(simd::SetBackend(simd::Backend::kFma), simd::Backend::kFma);
-  EXPECT_EQ(simd::Active(), simd::Backend::kFma);
-}
-
-TEST(SimdFmaTest, FmaDotWithinToleranceOfLongDouble) {
-  if (!simd::FmaSupported()) GTEST_SKIP() << "fma not supported";
-  Rng rng(41);
-  BackendGuard g(simd::Backend::kFma);
-  for (size_t n : kSizes) {
-    Vector a = RandomVector(n, &rng), b = RandomVector(n, &rng);
-    long double acc = 0.0L;
-    for (size_t i = 0; i < n; ++i)
-      acc += static_cast<long double>(a[i]) * b[i];
-    double got = simd::Dot(a.data(), b.data(), n);
-    double ref = static_cast<double>(acc);
-    double scale = std::max(1.0, std::abs(ref));
-    EXPECT_NEAR(got, ref, 1e-10 * scale) << "n=" << n;
-  }
-}
-
-TEST(SimdFmaTest, FmaGemmWithinToleranceOfLongDouble) {
-  if (!simd::FmaSupported()) GTEST_SKIP() << "fma not supported";
-  Rng rng(42);
-  BackendGuard g(simd::Backend::kFma);
-  const int m = 33, n = 29, k = 77;
-  Vector a = RandomVector(static_cast<size_t>(m) * k, &rng);
-  Vector b = RandomVector(static_cast<size_t>(k) * n, &rng);
-  Vector c(static_cast<size_t>(m) * n, 0.0);
-  simd::Gemm(m, n, k, a.data(), k, b.data(), n, c.data(), n);
-  for (int i = 0; i < m; ++i)
-    for (int j = 0; j < n; ++j) {
-      long double acc = 0.0L;
-      for (int p = 0; p < k; ++p)
-        acc += static_cast<long double>(a[i * k + p]) * b[p * n + j];
-      double ref = static_cast<double>(acc);
-      double scale = std::max(1.0, std::abs(ref));
-      EXPECT_NEAR(c[i * n + j], ref, 1e-10 * scale) << i << "," << j;
-    }
-}
-
-TEST(SimdFmaTest, FmaPackedGemmBitIdenticalToFmaDirectOnFullTiles) {
-  if (!simd::FmaSupported()) GTEST_SKIP() << "fma not supported";
-  // On full register tiles (m % MR == 0, n % NR == 0) packing reorders
-  // memory, not arithmetic: packed and direct run the same fused chain per
-  // element and must agree bitwise even on the fma tier. (Edge rows and
-  // columns are only tolerance-equal — the two paths draw their
-  // fused/scalar boundaries at different granularities; see simd.h.)
-  Rng rng(43);
-  BackendGuard g(simd::Backend::kFma);
-  const int m = 152, n = 80, k = 280;  // Crosses KC; m % 4 == n % 8 == 0.
-  ASSERT_EQ(m % simd::kGemmMR, 0);
-  ASSERT_EQ(n % simd::kGemmNR, 0);
-  Vector a = RandomVector(static_cast<size_t>(m) * k, &rng);
-  Vector b = RandomVector(static_cast<size_t>(k) * n, &rng);
-  Vector c0 = RandomVector(static_cast<size_t>(m) * n, &rng);
-  Vector direct = c0, packed = c0;
-  simd::GemmDirect(m, n, k, a.data(), k, b.data(), n, direct.data(), n);
-  simd::GemmPacked(m, n, k, a.data(), k, b.data(), n, packed.data(), n);
-  EXPECT_TRUE(BitEqual(direct, packed));
-}
-
-TEST(SimdFmaTest, FmaPackedGemmEdgeShapesWithinToleranceOfLongDouble) {
-  if (!simd::FmaSupported()) GTEST_SKIP() << "fma not supported";
-  Rng rng(44);
-  BackendGuard g(simd::Backend::kFma);
-  const int m = 150, n = 77, k = 280;  // Partial tiles on both axes.
-  Vector a = RandomVector(static_cast<size_t>(m) * k, &rng);
-  Vector b = RandomVector(static_cast<size_t>(k) * n, &rng);
-  Vector c(static_cast<size_t>(m) * n, 0.0);
-  simd::GemmPacked(m, n, k, a.data(), k, b.data(), n, c.data(), n);
-  for (int i = 0; i < m; i += 29)  // Spot-check a grid incl. edge lanes.
-    for (int j = 0; j < n; ++j) {
-      long double acc = 0.0L;
-      for (int p = 0; p < k; ++p)
-        acc += static_cast<long double>(a[i * k + p]) * b[p * n + j];
-      double ref = static_cast<double>(acc);
-      double scale = std::max(1.0, std::abs(ref));
-      ASSERT_NEAR(c[i * n + j], ref, 1e-10 * scale) << i << "," << j;
-    }
-}
-
 // --- Composite paths: solver and batch prediction built on the kernels. ---
 
 Matrix RandomMatrix(int rows, int cols, Rng* rng) {
@@ -537,8 +442,7 @@ TEST(SimdCompositeTest, LogisticBatchBitIdenticalAcrossBackendsAndThreads) {
     ThreadsGuard t(1);
     ref = model.PredictBatch(x);
   }
-  // Batch must equal row-wise Predict bitwise (pinned to the scalar tier:
-  // under XAI_SIMD=fma the ambient backend is outside the bit contract).
+  // Batch must equal row-wise Predict bitwise (pinned to the scalar tier).
   {
     BackendGuard g(simd::Backend::kScalar);
     ThreadsGuard t(1);

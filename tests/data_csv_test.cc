@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+
 namespace xai {
 namespace {
 
@@ -88,17 +92,49 @@ TEST(CsvTest, SkipsBlankLinesAndTrimsSpaces) {
   EXPECT_DOUBLE_EQ(d.At(1, 0), 3);
 }
 
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
 TEST(CsvTest, RoundTripThroughString) {
+  // Values a display format rounds away: more digits than "%.4g" or
+  // "%.6g" keep, the sign of zero, and a small magnitude.
   std::string text =
-      "age,color,label\n"
-      "30,red,0\n"
-      "40,green,1\n";
+      "age,color,score,label\n"
+      "30,red,12345.678,0\n"
+      "40,green,0.30000000000000004,1234567.8\n"
+      "-0.0,blue,1e-7,-0.0\n"
+      "2.5e300,red,-1.7976931348623157e308,0.1\n";
   Dataset d = ReadCsvString(text).ValueOrDie();
   std::string out = WriteCsvString(d);
   Dataset d2 = ReadCsvString(out).ValueOrDie();
-  EXPECT_EQ(d2.num_rows(), d.num_rows());
+  ASSERT_EQ(d2.num_rows(), d.num_rows());
+  ASSERT_EQ(d2.num_features(), d.num_features());
   EXPECT_EQ(d2.RenderCell(1, 1), "green");
-  EXPECT_DOUBLE_EQ(d2.Label(1), d.Label(1));
+  for (int i = 0; i < d.num_rows(); ++i) {
+    for (int f = 0; f < d.num_features(); ++f) {
+      if (d.schema().features[f].is_categorical()) {
+        EXPECT_EQ(d2.RenderCell(i, f), d.RenderCell(i, f));
+      } else {
+        EXPECT_EQ(Bits(d2.At(i, f)), Bits(d.At(i, f)))
+            << "row " << i << " feature " << f << ": " << d.At(i, f)
+            << " came back as " << d2.At(i, f);
+      }
+    }
+    EXPECT_EQ(Bits(d2.Label(i)), Bits(d.Label(i)))
+        << "row " << i << ": label " << d.Label(i) << " came back as "
+        << d2.Label(i);
+  }
+  // The reader itself is exact, so the comparison above is against the
+  // written values.
+  EXPECT_EQ(d.At(0, 2), 12345.678);
+  EXPECT_EQ(d.At(1, 2), 0.30000000000000004);
+  EXPECT_EQ(d.At(2, 2), 1e-7);
+  EXPECT_EQ(d.Label(1), 1234567.8);
+  EXPECT_TRUE(std::signbit(d.At(2, 0)));
+  EXPECT_TRUE(std::signbit(d.Label(2)));
 }
 
 TEST(CsvTest, QuotedFieldsWithDelimiters) {

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "support/relational_reference.h"
 #include "xai/core/parallel.h"
 #include "xai/core/rng.h"
 #include "xai/core/telemetry.h"
@@ -17,7 +18,6 @@
 #include "xai/relational/agg_kernels.h"
 #include "xai/relational/columnar.h"
 #include "xai/relational/columnar_ops.h"
-#include "xai/relational/operators.h"
 
 namespace xai::rel {
 namespace {
@@ -111,9 +111,9 @@ TEST(ColumnarRelationTest, AppendAfterShareLeavesSharersIntact) {
   // appending to one relation must not show up in any of them.
   ColumnarRelation r = Columnar(RandomRelation(20, 19));
   ColumnarRelation copy = r;
-  auto selected =
-      Select(r, Expr::Gt(Expr::Column(3), Expr::Const(Value::Double(-2.0))))
-          .ValueOrDie();
+  const ExprPtr pred =
+      Expr::Gt(Expr::Column(3), Expr::Const(Value::Double(-2.0)));
+  auto selected = Select(r, pred).ValueOrDie();
   ASSERT_EQ(selected.num_rows(), 20);
   const ProvExprPtr first = r.annotation(0);
   ASSERT_TRUE(r.AppendBaseRow({Value::Int(1), Value::Double(0.5),
@@ -130,11 +130,9 @@ TEST(ColumnarRelationTest, AppendAfterShareLeavesSharersIntact) {
   EXPECT_EQ(copy.annotation(20)->ToString(), "1");
   EXPECT_EQ(r.annotation_node(0), first.get());
   EXPECT_EQ(copy.annotation_node(0), first.get());
-  ExpectSameRelation(selected.ToRows(),
-                     Select(RandomRelation(20, 19),
-                            Expr::Gt(Expr::Column(3),
-                                     Expr::Const(Value::Double(-2.0))))
-                         .ValueOrDie());
+  ExpectSameRelation(
+      selected.ToRows(),
+      reference::Select(RandomRelation(20, 19), pred).ValueOrDie());
 }
 
 TEST(ColumnarRelationTest, RejectsStringNumberMix) {
@@ -144,9 +142,9 @@ TEST(ColumnarRelationTest, RejectsStringNumberMix) {
   EXPECT_FALSE(ColumnarRelation::FromRows(r).ok());
 }
 
-// Runs `op` on both engines at 1, 4 and 8 threads and requires every
-// columnar result to be exactly the row result (hence bit-identical
-// across thread counts).
+// Runs `op` on the row reference and, at 1, 4 and 8 threads, on the
+// columnar engine, and requires every columnar result to be exactly the
+// reference result (hence bit-identical across thread counts).
 template <typename RowOp, typename ColOp>
 void ExpectEngineAgreement(const Relation& rows, const RowOp& row_op,
                            const ColOp& col_op) {
@@ -172,7 +170,7 @@ TEST(ColumnarOpsTest, SelectNumericPredicateMatchesRowEngine) {
       Expr::Gt(Expr::Column(3), Expr::Const(Value::Double(0.25))),
       Expr::Not(Expr::Eq(Expr::Column(0), Expr::Const(Value::Int(3)))));
   ExpectEngineAgreement(
-      rows, [&](const Relation& r) { return Select(r, pred); },
+      rows, [&](const Relation& r) { return reference::Select(r, pred); },
       [&](const ColumnarRelation& c) { return Select(c, pred); });
 }
 
@@ -187,7 +185,7 @@ TEST(ColumnarOpsTest, SelectStringAndArithmeticPredicateMatchesRowEngine) {
                          Expr::Const(Value::Double(2.0))),
                Expr::Const(Value::Double(1.5))));
   ExpectEngineAgreement(
-      rows, [&](const Relation& r) { return Select(r, pred); },
+      rows, [&](const Relation& r) { return reference::Select(r, pred); },
       [&](const ColumnarRelation& c) { return Select(c, pred); });
 }
 
@@ -201,7 +199,7 @@ TEST(ColumnarOpsTest, SelectNullComparisonSemanticsMatchRowEngine) {
         Expr::Le(Expr::Column(1), Expr::Column(0)),
         Expr::Ne(Expr::Column(0), Expr::Column(0))}) {
     ExpectEngineAgreement(
-        rows, [&](const Relation& r) { return Select(r, pred); },
+        rows, [&](const Relation& r) { return reference::Select(r, pred); },
         [&](const ColumnarRelation& c) { return Select(c, pred); });
   }
 }
@@ -211,7 +209,9 @@ TEST(ColumnarOpsTest, ProjectBagAndDistinctMatchRowEngine) {
   for (bool distinct : {false, true}) {
     ExpectEngineAgreement(
         rows,
-        [&](const Relation& r) { return Project(r, {2, 0}, distinct); },
+        [&](const Relation& r) {
+          return reference::Project(r, {2, 0}, distinct);
+        },
         [&](const ColumnarRelation& c) {
           return Project(c, {2, 0}, distinct);
         });
@@ -222,7 +222,7 @@ TEST(ColumnarOpsTest, EquiJoinIntKeysMatchesRowEngine) {
   Relation a = RandomRelation(800, 41, "a");
   Relation b = RandomRelation(600, 43, "b");
   ExpectEngineAgreement(
-      a, [&](const Relation& r) { return EquiJoin(r, b, 0, 0); },
+      a, [&](const Relation& r) { return reference::EquiJoin(r, b, 0, 0); },
       [&](const ColumnarRelation& c) {
         return EquiJoin(c, Columnar(b), 0, 0);
       });
@@ -232,7 +232,7 @@ TEST(ColumnarOpsTest, EquiJoinStringKeysMatchesRowEngine) {
   Relation a = RandomRelation(500, 47, "a");
   Relation b = RandomRelation(400, 53, "b");
   ExpectEngineAgreement(
-      a, [&](const Relation& r) { return EquiJoin(r, b, 2, 2); },
+      a, [&](const Relation& r) { return reference::EquiJoin(r, b, 2, 2); },
       [&](const ColumnarRelation& c) {
         return EquiJoin(c, Columnar(b), 2, 2);
       });
@@ -252,7 +252,7 @@ TEST(ColumnarOpsTest, EquiJoinMixedIntDoubleKeysMatchesRowEngine) {
     ASSERT_TRUE(b.AppendBase({Value::Double(k)}, id++).ok());
   }
   ExpectEngineAgreement(
-      a, [&](const Relation& r) { return EquiJoin(r, b, 0, 0); },
+      a, [&](const Relation& r) { return reference::EquiJoin(r, b, 0, 0); },
       [&](const ColumnarRelation& c) {
         return EquiJoin(c, Columnar(b), 0, 0);
       });
@@ -262,7 +262,7 @@ TEST(ColumnarOpsTest, UnionMatchesRowEngine) {
   Relation a = RandomRelation(700, 59, "a");
   Relation b = RandomRelation(300, 61, "b");
   ExpectEngineAgreement(
-      a, [&](const Relation& r) { return Union(r, b); },
+      a, [&](const Relation& r) { return reference::Union(r, b); },
       [&](const ColumnarRelation& c) { return Union(c, Columnar(b)); });
 }
 
@@ -276,7 +276,7 @@ TEST(ColumnarOpsTest, GroupByAllFunctionsMatchRowEngine) {
       ExpectEngineAgreement(
           rows,
           [&](const Relation& r) {
-            return GroupByAggregate(r, group, fn, 1, "agg");
+            return reference::GroupByAggregate(r, group, fn, 1, "agg");
           },
           [&](const ColumnarRelation& c) {
             return GroupByAggregate(c, group, fn, 1, "agg");
@@ -295,7 +295,7 @@ TEST(ColumnarOpsTest, GroupByDoubleKeysMergeOnRenderings) {
   ExpectEngineAgreement(
       r,
       [&](const Relation& rows) {
-        return GroupByAggregate(rows, {0}, AggFn::kSum, 1, "s");
+        return reference::GroupByAggregate(rows, {0}, AggFn::kSum, 1, "s");
       },
       [&](const ColumnarRelation& c) {
         return GroupByAggregate(c, {0}, AggFn::kSum, 1, "s");
@@ -307,11 +307,11 @@ TEST(ColumnarOpsTest, ComposedPipelineMatchesRowEngine) {
   Relation a = RandomRelation(400, 71, "a");
   Relation b = RandomRelation(300, 73, "b");
   auto row_final = [&]() {
-    auto j = EquiJoin(a, b, 0, 0).ValueOrDie();
-    auto s =
-        Select(j, Expr::Gt(Expr::Column(3), Expr::Const(Value::Double(0.0))))
-            .ValueOrDie();
-    return Project(s, {2, 4}, /*distinct=*/true).ValueOrDie();
+    auto j = reference::EquiJoin(a, b, 0, 0).ValueOrDie();
+    auto s = reference::Select(j, Expr::Gt(Expr::Column(3),
+                                           Expr::Const(Value::Double(0.0))))
+                 .ValueOrDie();
+    return reference::Project(s, {2, 4}, /*distinct=*/true).ValueOrDie();
   }();
   ColumnarRelation ca = Columnar(a), cb = Columnar(b);
   for (int threads : {1, 4, 8}) {
@@ -439,7 +439,7 @@ TEST(SharedScanAggregateTest, MatchesRebuildPerCoalitionBitwise) {
   ExprPtr pred =
       Expr::Gt(Expr::Column(1), Expr::Const(Value::Double(85.0)));
   std::vector<int> endo = {0, 1, 2, 3};
-  auto all_rows = Select(emp, pred).ValueOrDie();
+  auto all_rows = reference::Select(emp, pred).ValueOrDie();
 
   for (AggFn fn : {AggFn::kCount, AggFn::kSum, AggFn::kAvg, AggFn::kMin,
                    AggFn::kMax}) {
@@ -452,8 +452,9 @@ TEST(SharedScanAggregateTest, MatchesRebuildPerCoalitionBitwise) {
           ASSERT_TRUE(sub.Append(emp.tuple(i), emp.annotation(i)).ok());
         }
       }
-      auto rows = Select(sub, pred).ValueOrDie();
-      auto agg = GroupByAggregate(rows, {}, fn, 1, "a").ValueOrDie();
+      auto rows = reference::Select(sub, pred).ValueOrDie();
+      auto agg =
+          reference::GroupByAggregate(rows, {}, fn, 1, "a").ValueOrDie();
       double naive =
           agg.num_tuples() ? agg.tuple(0)[0].AsDouble() : 0.0;
       EXPECT_EQ(Bits(shared->Eval(mask)), Bits(naive))
@@ -473,7 +474,7 @@ TEST(SharedScanAggregateTest, DrivesNumericShapleyViaAdapter) {
   ExprPtr pred =
       Expr::Gt(Expr::Column(1), Expr::Const(Value::Double(95.0)));
   std::vector<int> endo = {0, 1, 2, 3, 4};
-  auto rows = Select(emp, pred).ValueOrDie();
+  auto rows = reference::Select(emp, pred).ValueOrDie();
   auto shared =
       SharedScanAggregate::Build(rows, AggFn::kSum, 1, endo).ValueOrDie();
 
@@ -485,9 +486,9 @@ TEST(SharedScanAggregateTest, DrivesNumericShapleyViaAdapter) {
         EXPECT_TRUE(sub.Append(emp.tuple(i), emp.annotation(i)).ok());
       }
     }
-    auto selected = Select(sub, pred).ValueOrDie();
-    auto agg =
-        GroupByAggregate(selected, {}, AggFn::kSum, 1, "a").ValueOrDie();
+    auto selected = reference::Select(sub, pred).ValueOrDie();
+    auto agg = reference::GroupByAggregate(selected, {}, AggFn::kSum, 1, "a")
+                   .ValueOrDie();
     return agg.num_tuples() ? agg.tuple(0)[0].AsDouble() : 0.0;
   };
 
@@ -790,9 +791,9 @@ TEST(GeneratedDifferentialTest, RowAndColumnarPipelinesAgree) {
     const Relation a = GenRelation(rng, "a", key_a, &next_id);
     const Relation b = GenRelation(rng, "b", key_b, &next_id);
 
-    const Relation row_join = EquiJoin(a, b, 0, 0).ValueOrDie();
+    const Relation row_join = reference::EquiJoin(a, b, 0, 0).ValueOrDie();
     const ExprPtr pred = RandomPredicate(rng, row_join);
-    const Relation row_sel = Select(row_join, pred).ValueOrDie();
+    const Relation row_sel = reference::Select(row_join, pred).ValueOrDie();
     const bool group_by = rng.Bernoulli(0.5);
     std::vector<int> cols;
     for (int c = 0; c < row_sel.num_columns(); ++c) {
@@ -810,8 +811,9 @@ TEST(GeneratedDifferentialTest, RowAndColumnarPipelinesAgree) {
     }
     const AggFn used = agg_col < 0 ? AggFn::kCount : fn;
     auto run_row = [&](const Relation& in) {
-      return group_by ? GroupByAggregate(in, cols, used, agg_col, "agg")
-                      : Project(in, cols, /*distinct=*/true);
+      return group_by
+                 ? reference::GroupByAggregate(in, cols, used, agg_col, "agg")
+                 : reference::Project(in, cols, /*distinct=*/true);
     };
     const Relation row_out = run_row(row_sel).ValueOrDie();
 

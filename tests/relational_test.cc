@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "support/relational_reference.h"
+#include "xai/relational/columnar.h"
+#include "xai/relational/columnar_ops.h"
 #include "xai/relational/expression.h"
-#include "xai/relational/operators.h"
 #include "xai/relational/provenance.h"
 #include "xai/relational/relation.h"
 #include "xai/relational/value.h"
@@ -169,116 +174,235 @@ struct TestDb {
                                   ids.Next())
                       .ok());
     };
-    add_emp("ann", "eng", 120);
-    add_emp("bob", "eng", 100);
-    add_emp("cat", "sales", 90);
-    add_emp("dan", "sales", 80);
-    add_dept("eng", 1000);
-    add_dept("sales", 500);
+    add_emp("ann", "eng", 120);   // t0
+    add_emp("bob", "eng", 100);   // t1
+    add_emp("cat", "sales", 90);  // t2
+    add_emp("dan", "sales", 80);  // t3
+    add_dept("eng", 1000);        // t4
+    add_dept("sales", 500);       // t5
   }
 };
 
-TEST(OperatorsTest, SelectFiltersAndKeepsAnnotations) {
-  TestDb db;
-  auto rich = Select(db.employees,
-                     Expr::Gt(Expr::Column(2), Expr::Const(Value::Int(95))))
-                  .ValueOrDie();
-  EXPECT_EQ(rich.num_tuples(), 2);
-  EXPECT_EQ(rich.tuple(0)[0].AsString(), "ann");
-  EXPECT_EQ(rich.annotation(0)->kind(), ProvExpr::Kind::kBase);
+ColumnarRelation Columnar(const Relation& rows) {
+  return ColumnarRelation::FromRows(rows).ValueOrDie();
 }
 
-TEST(OperatorsTest, ProjectBagKeepsDuplicates) {
-  TestDb db;
-  auto depts = Project(db.employees, {1}, /*distinct=*/false).ValueOrDie();
-  EXPECT_EQ(depts.num_tuples(), 4);
+// ---- Golden operator table -----------------------------------------------
+//
+// One row per operator case over TestDb: the operator, the tuples it must
+// produce, and each output tuple's provenance polynomial. Every row runs on
+// the columnar engine (the product) and on the row reference, so the
+// reference that the generated differential tests trust is pinned too.
+
+enum class Op { kSelect, kProject, kEquiJoin, kUnion, kGroupBy };
+
+struct OperatorRow {
+  const char* name = "";
+  Op op = Op::kSelect;
+  ExprPtr predicate = nullptr;    // kSelect, over emp.
+  std::vector<int> columns = {};  // kProject / kGroupBy, over emp.
+  bool distinct = false;          // kProject.
+  AggFn fn = AggFn::kCount;       // kGroupBy; the output column is "agg".
+  int agg_column = -1;            // kGroupBy.
+  // kEquiJoin is emp.dept = dept.dname; kUnion is emp UNION dept.
+  std::vector<std::string> expected_columns = {};
+  std::vector<Tuple> expected_tuples = {};
+  std::vector<std::string> expected_provenance = {};
+  StatusCode expected_error = StatusCode::kOk;
+};
+
+Result<Relation> RunColumnar(const OperatorRow& row, const TestDb& db) {
+  const ColumnarRelation emp = Columnar(db.employees);
+  const ColumnarRelation dept = Columnar(db.departments);
+  Result<ColumnarRelation> out = Status::Internal("unknown operator");
+  switch (row.op) {
+    case Op::kSelect:
+      out = Select(emp, row.predicate);
+      break;
+    case Op::kProject:
+      out = Project(emp, row.columns, row.distinct);
+      break;
+    case Op::kEquiJoin:
+      out = EquiJoin(emp, dept, 1, 0);
+      break;
+    case Op::kUnion:
+      out = Union(emp, dept);
+      break;
+    case Op::kGroupBy:
+      out = GroupByAggregate(emp, row.columns, row.fn, row.agg_column, "agg");
+      break;
+  }
+  if (!out.ok()) return out.status();
+  return out.ValueOrDie().ToRows();
 }
 
-TEST(OperatorsTest, ProjectDistinctMergesWithPlus) {
-  TestDb db;
-  auto depts = Project(db.employees, {1}, /*distinct=*/true).ValueOrDie();
-  EXPECT_EQ(depts.num_tuples(), 2);
-  // "eng" appears via two employees: its annotation is a Plus.
-  EXPECT_EQ(depts.annotation(0)->kind(), ProvExpr::Kind::kPlus);
-  // Counting semiring recovers the duplicate count.
-  EXPECT_EQ(depts.annotation(0)->EvalCount([](int) { return 1; }), 2);
+Result<Relation> RunReference(const OperatorRow& row, const TestDb& db) {
+  const Relation& emp = db.employees;
+  const Relation& dept = db.departments;
+  switch (row.op) {
+    case Op::kSelect:
+      return reference::Select(emp, row.predicate);
+    case Op::kProject:
+      return reference::Project(emp, row.columns, row.distinct);
+    case Op::kEquiJoin:
+      return reference::EquiJoin(emp, dept, 1, 0);
+    case Op::kUnion:
+      return reference::Union(emp, dept);
+    case Op::kGroupBy:
+      return reference::GroupByAggregate(emp, row.columns, row.fn,
+                                         row.agg_column, "agg");
+  }
+  return Status::Internal("unknown operator");
 }
 
-TEST(OperatorsTest, EquiJoinMultipliesAnnotations) {
-  TestDb db;
-  auto joined = EquiJoin(db.employees, db.departments, 1, 0).ValueOrDie();
-  EXPECT_EQ(joined.num_tuples(), 4);  // Every employee matches one dept.
-  EXPECT_EQ(joined.num_columns(), 5);
-  for (int i = 0; i < joined.num_tuples(); ++i)
-    EXPECT_EQ(joined.annotation(i)->kind(), ProvExpr::Kind::kTimes);
+std::vector<OperatorRow> GoldenRows() {
+  auto i = [](int64_t v) { return Value::Int(v); };
+  auto d = [](double v) { return Value::Double(v); };
+  auto s = [](const char* v) { return Value::Str(v); };
+  const std::vector<std::string> group = {"dept", "agg"};
+  return {
+      {.name = "select keeps qualifying tuples and their annotations",
+       .op = Op::kSelect,
+       .predicate = Expr::Gt(Expr::Column(2), Expr::Const(Value::Int(95))),
+       .expected_columns = {"name", "dept", "salary"},
+       .expected_tuples = {{s("ann"), s("eng"), i(120)},
+                           {s("bob"), s("eng"), i(100)}},
+       .expected_provenance = {"t0", "t1"}},
+      {.name = "bag projection keeps duplicates",
+       .op = Op::kProject,
+       .columns = {1},
+       .expected_columns = {"dept"},
+       .expected_tuples = {{s("eng")}, {s("eng")}, {s("sales")}, {s("sales")}},
+       .expected_provenance = {"t0", "t1", "t2", "t3"}},
+      {.name = "distinct projection merges duplicates with +",
+       .op = Op::kProject,
+       .columns = {1},
+       .distinct = true,
+       .expected_columns = {"dept"},
+       .expected_tuples = {{s("eng")}, {s("sales")}},
+       .expected_provenance = {"t0 + t1", "t2 + t3"}},
+      {.name = "equi-join pairs matching keys and multiplies annotations",
+       .op = Op::kEquiJoin,
+       .expected_columns = {"name", "dept", "salary", "dept.dname",
+                            "dept.budget"},
+       .expected_tuples = {{s("ann"), s("eng"), i(120), s("eng"), i(1000)},
+                           {s("bob"), s("eng"), i(100), s("eng"), i(1000)},
+                           {s("cat"), s("sales"), i(90), s("sales"), i(500)},
+                           {s("dan"), s("sales"), i(80), s("sales"), i(500)}},
+       .expected_provenance = {"t0*t4", "t1*t4", "t2*t5", "t3*t5"}},
+      {.name = "union of different arities fails",
+       .op = Op::kUnion,
+       .expected_error = StatusCode::kInvalidArgument},
+      {.name = "group-by COUNT is an INT per group, lineage = members",
+       .op = Op::kGroupBy,
+       .columns = {1},
+       .fn = AggFn::kCount,
+       .expected_columns = group,
+       .expected_tuples = {{s("eng"), i(2)}, {s("sales"), i(2)}},
+       .expected_provenance = {"t0 + t1", "t2 + t3"}},
+      {.name = "group-by SUM",
+       .op = Op::kGroupBy,
+       .columns = {1},
+       .fn = AggFn::kSum,
+       .agg_column = 2,
+       .expected_columns = group,
+       .expected_tuples = {{s("eng"), d(220)}, {s("sales"), d(170)}},
+       .expected_provenance = {"t0 + t1", "t2 + t3"}},
+      {.name = "group-by MAX",
+       .op = Op::kGroupBy,
+       .columns = {1},
+       .fn = AggFn::kMax,
+       .agg_column = 2,
+       .expected_columns = group,
+       .expected_tuples = {{s("eng"), d(120)}, {s("sales"), d(90)}},
+       .expected_provenance = {"t0 + t1", "t2 + t3"}},
+      {.name = "group-by MIN",
+       .op = Op::kGroupBy,
+       .columns = {1},
+       .fn = AggFn::kMin,
+       .agg_column = 2,
+       .expected_columns = group,
+       .expected_tuples = {{s("eng"), d(100)}, {s("sales"), d(80)}},
+       .expected_provenance = {"t0 + t1", "t2 + t3"}},
+      {.name = "group-by AVG",
+       .op = Op::kGroupBy,
+       .columns = {1},
+       .fn = AggFn::kAvg,
+       .agg_column = 2,
+       .expected_columns = group,
+       .expected_tuples = {{s("eng"), d(110)}, {s("sales"), d(85)}},
+       .expected_provenance = {"t0 + t1", "t2 + t3"}},
+  };
 }
 
-TEST(OperatorsTest, JoinProducesCorrectPairs) {
+void ExpectGolden(const OperatorRow& row, const Result<Relation>& result) {
+  if (row.expected_error != StatusCode::kOk) {
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), row.expected_error);
+    return;
+  }
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const Relation& out = result.ValueOrDie();
+  EXPECT_EQ(out.columns(), row.expected_columns);
+  ASSERT_EQ(out.num_tuples(),
+            static_cast<int>(row.expected_tuples.size()));
+  for (int t = 0; t < out.num_tuples(); ++t) {
+    const Tuple& want = row.expected_tuples[t];
+    ASSERT_EQ(out.tuple(t).size(), want.size()) << "tuple " << t;
+    for (size_t c = 0; c < want.size(); ++c) {
+      // Type as well as value: Value== alone merges INT 2 and DOUBLE 2.0.
+      EXPECT_EQ(out.tuple(t)[c].type(), want[c].type())
+          << "tuple " << t << " column " << c;
+      EXPECT_EQ(out.tuple(t)[c], want[c]) << "tuple " << t << " column " << c;
+    }
+    EXPECT_EQ(out.annotation(t)->ToString(), row.expected_provenance[t])
+        << "tuple " << t;
+  }
+}
+
+TEST(OperatorTableTest, ColumnarEngineMatchesEveryRow) {
   TestDb db;
-  auto joined = EquiJoin(db.employees, db.departments, 1, 0).ValueOrDie();
-  for (int i = 0; i < joined.num_tuples(); ++i)
-    EXPECT_EQ(joined.tuple(i)[1].AsString(), joined.tuple(i)[3].AsString());
+  for (const OperatorRow& row : GoldenRows()) {
+    SCOPED_TRACE(row.name);
+    ExpectGolden(row, RunColumnar(row, db));
+  }
+}
+
+TEST(OperatorTableTest, RowReferenceMatchesEveryRow) {
+  TestDb db;
+  for (const OperatorRow& row : GoldenRows()) {
+    SCOPED_TRACE(row.name);
+    ExpectGolden(row, RunReference(row, db));
+  }
 }
 
 TEST(OperatorsTest, UnionConcatenates) {
   TestDb db;
-  auto a = Select(db.employees,
-                  Expr::Eq(Expr::Column(1), Expr::Const(Value::Str("eng"))))
+  const ColumnarRelation emp = Columnar(db.employees);
+  auto a = Select(emp, Expr::Eq(Expr::Column(1),
+                                Expr::Const(Value::Str("eng"))))
                .ValueOrDie();
-  auto b = Select(db.employees, Expr::Eq(Expr::Column(1),
-                                         Expr::Const(Value::Str("sales"))))
+  auto b = Select(emp, Expr::Eq(Expr::Column(1),
+                                Expr::Const(Value::Str("sales"))))
                .ValueOrDie();
-  auto u = Union(a, b).ValueOrDie();
-  EXPECT_EQ(u.num_tuples(), 4);
-  EXPECT_FALSE(Union(a, db.departments).ok());  // Arity mismatch.
-}
-
-TEST(OperatorsTest, GroupByCountAndSum) {
-  TestDb db;
-  auto counts =
-      GroupByAggregate(db.employees, {1}, AggFn::kCount, -1, "cnt")
-          .ValueOrDie();
-  EXPECT_EQ(counts.num_tuples(), 2);
-  EXPECT_EQ(counts.tuple(0)[1].AsInt(), 2);
-
-  auto sums = GroupByAggregate(db.employees, {1}, AggFn::kSum, 2, "total")
-                  .ValueOrDie();
-  // eng: 120+100, sales: 90+80 (order of groups = first appearance).
-  EXPECT_DOUBLE_EQ(sums.tuple(0)[1].AsDouble(), 220);
-  EXPECT_DOUBLE_EQ(sums.tuple(1)[1].AsDouble(), 170);
-}
-
-TEST(OperatorsTest, GroupByMinMaxAvg) {
-  TestDb db;
-  auto mx = GroupByAggregate(db.employees, {1}, AggFn::kMax, 2, "mx")
-                .ValueOrDie();
-  EXPECT_DOUBLE_EQ(mx.tuple(0)[1].AsDouble(), 120);
-  auto mn = GroupByAggregate(db.employees, {1}, AggFn::kMin, 2, "mn")
-                .ValueOrDie();
-  EXPECT_DOUBLE_EQ(mn.tuple(1)[1].AsDouble(), 80);
-  auto avg = GroupByAggregate(db.employees, {1}, AggFn::kAvg, 2, "avg")
-                 .ValueOrDie();
-  EXPECT_DOUBLE_EQ(avg.tuple(0)[1].AsDouble(), 110);
-}
-
-TEST(OperatorsTest, GroupByLineageCoversGroupMembers) {
-  TestDb db;
-  auto counts =
-      GroupByAggregate(db.employees, {1}, AggFn::kCount, -1, "cnt")
-          .ValueOrDie();
-  // eng group: employees 0 and 1.
-  EXPECT_EQ(counts.annotation(0)->Lineage(), (std::set<int>{0, 1}));
+  const Relation u = Union(a, b).ValueOrDie().ToRows();
+  ASSERT_EQ(u.num_tuples(), 4);
+  for (int t = 0; t < u.num_tuples(); ++t)
+    EXPECT_EQ(u.annotation(t)->ToString(), "t" + std::to_string(t));
 }
 
 TEST(OperatorsTest, ComposedQueryProvenance) {
   // SELECT dname FROM emp JOIN dept ON emp.dept = dept.dname
   // WHERE salary > 95 — classic SPJ with polynomial provenance.
   TestDb db;
-  auto joined = EquiJoin(db.employees, db.departments, 1, 0).ValueOrDie();
+  auto joined = EquiJoin(Columnar(db.employees), Columnar(db.departments), 1,
+                         0)
+                    .ValueOrDie();
   auto rich = Select(joined, Expr::Gt(Expr::Column(2),
                                       Expr::Const(Value::Int(95))))
                   .ValueOrDie();
-  auto names = Project(rich, {3}, /*distinct=*/true).ValueOrDie();
+  const Relation names =
+      Project(rich, {3}, /*distinct=*/true).ValueOrDie().ToRows();
   ASSERT_EQ(names.num_tuples(), 1);
   EXPECT_EQ(names.tuple(0)[0].AsString(), "eng");
   // Provenance: ann*eng_dept + bob*eng_dept = t0*t4 + t1*t4.
@@ -316,7 +440,8 @@ TEST(OperatorsTest, EquiJoinNullKeysMatchAndDuplicatesFanOut) {
   ASSERT_TRUE(b.AppendBase({Value::Int(1)}, ids.Next()).ok());   // t4
   ASSERT_TRUE(b.AppendBase({Value::Null()}, ids.Next()).ok());   // t5
   ASSERT_TRUE(b.AppendBase({Value::Int(1)}, ids.Next()).ok());   // t6
-  auto j = EquiJoin(a, b, 0, 0).ValueOrDie();
+  const Relation j =
+      EquiJoin(Columnar(a), Columnar(b), 0, 0).ValueOrDie().ToRows();
   // a0 x {t4,t6}, a1 x {t5}, a2 x {}, a3 x {t4,t6}.
   ASSERT_EQ(j.num_tuples(), 5);
   EXPECT_EQ(j.tuple(0)[1].AsString(), "a0");
@@ -330,31 +455,35 @@ TEST(OperatorsTest, EquiJoinNullKeysMatchAndDuplicatesFanOut) {
 }
 
 TEST(OperatorsTest, GroupByAggregateOnEmptyInput) {
-  Relation empty("e", {"g", "v"});
+  const ColumnarRelation empty = Columnar(Relation("e", {"g", "v"}));
   for (AggFn fn :
        {AggFn::kCount, AggFn::kSum, AggFn::kAvg, AggFn::kMin, AggFn::kMax}) {
     auto out = GroupByAggregate(empty, {0}, fn, 1, "agg").ValueOrDie();
-    EXPECT_EQ(out.num_tuples(), 0);
+    EXPECT_EQ(out.num_rows(), 0);
     ASSERT_EQ(out.num_columns(), 2);
-    EXPECT_EQ(out.columns()[1], "agg");
+    EXPECT_EQ(out.column_names()[1], "agg");
   }
 }
 
 TEST(OperatorsTest, AggregatesOverAllNullColumn) {
   // NULL coerces to 0.0 under Value::AsDouble, so aggregates over an
   // all-NULL column see zeros: count still counts rows, avg/min are 0.
-  Relation r("n", {"g", "v"});
+  Relation rows("n", {"g", "v"});
   TupleIdAllocator ids;
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(
-        r.AppendBase({Value::Str("g"), Value::Null()}, ids.Next()).ok());
+        rows.AppendBase({Value::Str("g"), Value::Null()}, ids.Next()).ok());
   }
-  auto cnt = GroupByAggregate(r, {0}, AggFn::kCount, -1, "c").ValueOrDie();
+  const ColumnarRelation r = Columnar(rows);
+  const Relation cnt =
+      GroupByAggregate(r, {0}, AggFn::kCount, -1, "c").ValueOrDie().ToRows();
   ASSERT_EQ(cnt.num_tuples(), 1);
   EXPECT_EQ(cnt.tuple(0)[1].AsInt(), 3);
-  auto avg = GroupByAggregate(r, {0}, AggFn::kAvg, 1, "a").ValueOrDie();
+  const Relation avg =
+      GroupByAggregate(r, {0}, AggFn::kAvg, 1, "a").ValueOrDie().ToRows();
   EXPECT_DOUBLE_EQ(avg.tuple(0)[1].AsDouble(), 0.0);
-  auto mn = GroupByAggregate(r, {0}, AggFn::kMin, 1, "m").ValueOrDie();
+  const Relation mn =
+      GroupByAggregate(r, {0}, AggFn::kMin, 1, "m").ValueOrDie().ToRows();
   EXPECT_DOUBLE_EQ(mn.tuple(0)[1].AsDouble(), 0.0);
 }
 
@@ -367,7 +496,8 @@ TEST(OperatorsTest, ProjectDistinctAddsAnnotationsAcrossRenderings) {
   ASSERT_TRUE(r.AppendBase({Value::Int(2)}, ids.Next()).ok());
   ASSERT_TRUE(r.AppendBase({Value::Double(2.0)}, ids.Next()).ok());
   ASSERT_TRUE(r.AppendBase({Value::Int(3)}, ids.Next()).ok());
-  auto d = Project(r, {0}, /*distinct=*/true).ValueOrDie();
+  const Relation d =
+      Project(Columnar(r), {0}, /*distinct=*/true).ValueOrDie().ToRows();
   ASSERT_EQ(d.num_tuples(), 2);
   EXPECT_EQ(d.tuple(0)[0].type(), Value::Type::kInt);
   EXPECT_EQ(d.annotation(0)->kind(), ProvExpr::Kind::kPlus);
@@ -377,16 +507,25 @@ TEST(OperatorsTest, ProjectDistinctAddsAnnotationsAcrossRenderings) {
 }
 
 TEST(ExpressionTest, ArithmeticAndLogic) {
-  Tuple t = {Value::Int(10), Value::Int(3)};
+  // Expressions evaluate inside the columnar Select: a predicate holds for
+  // the one tuple (10, 3) iff the selection keeps it.
+  Relation one("t", {"a", "b"});
+  ASSERT_TRUE(one.AppendBase({Value::Int(10), Value::Int(3)}, 0).ok());
+  const ColumnarRelation t = Columnar(one);
+  auto holds = [&](const ExprPtr& predicate) {
+    return Select(t, predicate).ValueOrDie().num_rows() == 1;
+  };
   auto sum = Expr::Add(Expr::Column(0), Expr::Column(1));
-  EXPECT_DOUBLE_EQ(sum->Eval(t).AsDouble(), 13.0);
+  EXPECT_TRUE(holds(Expr::Eq(sum, Expr::Const(Value::Double(13.0)))));
+  EXPECT_FALSE(holds(Expr::Eq(sum, Expr::Const(Value::Double(12.0)))));
   auto logic = Expr::And(
       Expr::Ge(Expr::Column(0), Expr::Const(Value::Int(10))),
       Expr::Not(Expr::Eq(Expr::Column(1), Expr::Const(Value::Int(4)))));
-  EXPECT_TRUE(logic->EvalBool(t));
+  EXPECT_TRUE(holds(logic));
+  EXPECT_FALSE(holds(Expr::Not(logic)));
   auto mul = Expr::Mul(Expr::Sub(Expr::Column(0), Expr::Column(1)),
                        Expr::Const(Value::Double(2.0)));
-  EXPECT_DOUBLE_EQ(mul->Eval(t).AsDouble(), 14.0);
+  EXPECT_TRUE(holds(Expr::Eq(mul, Expr::Const(Value::Double(14.0)))));
 }
 
 }  // namespace

@@ -8,7 +8,8 @@
 
 #include "xai/core/rng.h"
 #include "xai/data/csv.h"
-#include "xai/relational/operators.h"
+#include "xai/relational/columnar.h"
+#include "xai/relational/columnar_ops.h"
 #include "xai/relational/provenance.h"
 #include "xai/relational/relation.h"
 
@@ -86,10 +87,11 @@ TEST(ProvenanceScaleTest, GroupByOverLargeRelation) {
                              i)
                     .ok());
   }
-  auto agg =
-      rel::GroupByAggregate(r, {0}, rel::AggFn::kCount, -1, "cnt")
-          .ValueOrDie();
-  ASSERT_EQ(agg.num_tuples(), 3);
+  auto agg = rel::GroupByAggregate(
+                 rel::ColumnarRelation::FromRows(r).ValueOrDie(), {0},
+                 rel::AggFn::kCount, -1, "cnt")
+                 .ValueOrDie();
+  ASSERT_EQ(agg.num_rows(), 3);
   // Evaluating the counting semiring over the ~67k-term annotation must
   // not overflow the stack.
   EXPECT_GT(agg.annotation(0)->EvalCount([](int) { return 1; }), 60000);

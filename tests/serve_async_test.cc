@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "xai/core/parallel.h"
+#include "xai/core/telemetry.h"
 #include "xai/core/trace.h"
 #include "xai/data/synthetic.h"
 #include "xai/model/gbdt.h"
@@ -426,6 +427,95 @@ TEST_F(AsyncFrontEndTest, SessionCounterfactualPoolAnswersFollowUps) {
     for (const auto& cf : second.counterfactuals) EXPECT_TRUE(cf.valid);
   } else {
     EXPECT_FALSE(second.counterfactuals.empty());
+  }
+}
+
+// Session turns are requests like any other: each completes through the
+// server's funnel, so it adds one SloTracker entry in the right column and
+// one root span, and a turn past its deadline counts one
+// serve/deadline_misses. Every row's turn misses its 100 ns deadline.
+TEST_F(AsyncFrontEndTest, SessionTurnsAccountExactlyOnce) {
+  enum class Turn { kShapley, kCounterfactual, kMemoRepeat, kUnknownModel };
+  const struct {
+    const char* name;
+    Turn turn;
+  } rows[] = {
+      {"computed shapley turn", Turn::kShapley},
+      {"computed counterfactual turn", Turn::kCounterfactual},
+      {"response memo repeat", Turn::kMemoRepeat},
+      {"unknown model", Turn::kUnknownModel},
+  };
+  uint64_t next_trace_id = 7001;
+  for (const auto& row : rows) {
+    SCOPED_TRACE(row.name);
+    ExplainServer server;
+    RegisterLoans(&server);
+    AsyncFrontEnd frontend(&server);
+    const uint64_t session = frontend.OpenSession().ValueOrDie();
+    ExplainRequest request = Request(row.turn == Turn::kCounterfactual
+                                         ? ExplainerKind::kCounterfactual
+                                         : ExplainerKind::kKernelShap);
+    request.deadline_ms = 1e-4;
+    if (row.turn == Turn::kUnknownModel) request.model = "missing";
+    if (row.turn == Turn::kMemoRepeat) {
+      ASSERT_TRUE(frontend.Submit(request, session).Get().ok());
+    }
+    request.trace.trace_id = next_trace_id++;
+    const bool fails = row.turn == Turn::kUnknownModel;
+    const bool hit = row.turn == Turn::kMemoRepeat;
+
+    auto cell = [&] {
+      for (const auto& s : server.slo().Snapshot())
+        if (s.tenant == "acme" && s.model == request.model) return s;
+      return TenantSloStats();
+    };
+    telemetry::Counter* deadline_misses =
+        telemetry::Registry::Global().GetCounter("serve/deadline_misses");
+    const TenantSloStats before = cell();
+    const int64_t misses_before = deadline_misses->Get();
+#if XAI_TELEMETRY
+    telemetry::internal::ClearTraceEvents();
+#endif
+
+    const Result<ExplainResponse> result =
+        frontend.Submit(request, session).Get();
+    ASSERT_EQ(result.ok(), !fails) << result.status().ToString();
+    if (!fails) {
+      const ExplainResponse& response = result.ValueOrDie();
+      EXPECT_FALSE(response.deadline_met);
+      EXPECT_EQ(response.cache_hit, hit);
+      EXPECT_EQ(response.latency_ms, response.provenance.total_ms);
+      EXPECT_EQ(response.provenance.trace_id, request.trace.trace_id);
+      EXPECT_TRUE(response.provenance.complete);
+      if (hit) {
+        EXPECT_EQ(response.provenance.used_evals, 0);
+      } else {
+        EXPECT_GT(response.provenance.used_evals, 0);
+        EXPECT_EQ(response.provenance.batch_size, 1);
+      }
+    }
+
+    const TenantSloStats after = cell();
+    EXPECT_EQ(after.requests - before.requests, 1);
+    EXPECT_EQ(after.errors - before.errors, fails ? 1 : 0);
+    EXPECT_EQ(after.deadline_misses - before.deadline_misses, fails ? 0 : 1);
+    EXPECT_EQ(after.cache_hits - before.cache_hits, hit ? 1 : 0);
+#if XAI_TELEMETRY
+    EXPECT_EQ(deadline_misses->Get() - misses_before, fails ? 0 : 1);
+    std::vector<telemetry::TraceEvent> events;
+    telemetry::internal::CollectTraceEvents(&events);
+    int ok_roots = 0;
+    int error_roots = 0;
+    for (const auto& e : events) {
+      if (e.trace_id != request.trace.trace_id) continue;
+      if (std::string(e.name) == "serve/request") ++ok_roots;
+      if (std::string(e.name) == "serve/request_error") ++error_roots;
+    }
+    EXPECT_EQ(ok_roots, fails ? 0 : 1);
+    EXPECT_EQ(error_roots, fails ? 1 : 0);
+#else
+    (void)misses_before;
+#endif
   }
 }
 
