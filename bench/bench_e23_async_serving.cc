@@ -245,14 +245,10 @@ void RunSessionDialogue(const Workbench& bench, bool smoke,
   }
   const double warm_ms = warm_total_ms / kFollowUps;
   const double speedup = warm_ms > 0 ? cold_ms / warm_ms : 0.0;
-  const auto stats = frontend.sessions().GetStats();
   std::printf("  cold turn %8.2f ms (%lld evals); %d follow-ups avg %8.2f "
               "ms — %.2fx (target >= 2x), bit-identical=%s\n",
               cold_ms, static_cast<long long>(cold.provenance.used_evals),
               kFollowUps, warm_ms, speedup, identical ? "yes" : "NO");
-  std::printf("  memo: %lld hits / %lld misses across the dialogue\n",
-              static_cast<long long>(stats.memo_hits),
-              static_cast<long long>(stats.memo_misses));
 
   // Counterfactual pool: ask for the flip class so the search is
   // non-trivial, then re-ask — the follow-up re-validates pooled
@@ -268,6 +264,14 @@ void RunSessionDialogue(const Workbench& bench, bool smoke,
               "%lld\n",
               static_cast<long long>(cf_first.provenance.used_evals),
               static_cast<long long>(cf_second.provenance.used_evals));
+  // After the counterfactual turns, so the pooled follow-up counts as a
+  // reuse answer.
+  const auto stats = frontend.sessions().GetStats();
+  std::printf("  memo: %lld hits / %lld misses, %lld reuse answers across "
+              "the dialogue\n",
+              static_cast<long long>(stats.memo_hits),
+              static_cast<long long>(stats.memo_misses),
+              static_cast<long long>(stats.reuse_answers));
 
   frontend.Drain();
   report->Metric("session_cold_ms", cold_ms);

@@ -140,6 +140,15 @@ Relation MakeDim(int keys, uint64_t seed) {
   return r;
 }
 
+// A first read of every column and of the annotation block. The columnar
+// operators defer gathers and products to the first read, so a micro that
+// stopped at the operator call would count deferred work as speed against
+// the eager row reference.
+void ReadAll(const ColumnarRelation& r) {
+  for (int c = 0; c < r.num_columns(); ++c) r.column(c);
+  r.annotation_block();
+}
+
 // Operator microbenches: the same logical operator on the same data
 // through both engines. The row engine is tuple-at-a-time and inherently
 // serial; the columnar engine runs in its native mode — SIMD batches at
@@ -205,7 +214,7 @@ void RunOperatorMicro(int threads, bool smoke, bench::RunReport* report) {
     const double row_sec =
         BestOf(kReps, [&] { reference::Select(fact, pred).ValueOrDie(); });
     const double col_sec =
-        BestOf(kReps, [&] { Select(cfact, pred).ValueOrDie(); });
+        BestOf(kReps, [&] { ReadAll(Select(cfact, pred).ValueOrDie()); });
     record("filter", row_sec, col_sec);
   }
 
@@ -237,8 +246,8 @@ void RunOperatorMicro(int threads, bool smoke, bench::RunReport* report) {
       std::printf("  join MISMATCH\n");
     const double row_sec = BestOf(
         kReps, [&] { reference::EquiJoin(fact, dim, 0, 0).ValueOrDie(); });
-    const double col_sec =
-        BestOf(kReps, [&] { EquiJoin(cfact, cdim, 0, 0).ValueOrDie(); });
+    const double col_sec = BestOf(
+        kReps, [&] { ReadAll(EquiJoin(cfact, cdim, 0, 0).ValueOrDie()); });
     record("join", row_sec, col_sec);
   }
   SetNumThreads(threads);
@@ -353,10 +362,12 @@ void RunLineageMicro(bool smoke, bench::RunReport* report) {
 
 // Shared-scan tuple-Shapley end to end: SUM(salary) over qualifying rows,
 // 12 endogenous tuples, Monte-Carlo permutations. The naive baseline
-// rebuilds the sub-instance and re-runs select+aggregate per coalition;
-// the fast path compiles each result row's lineage once and re-aggregates
-// present rows per coalition. Values must agree bit for bit (identical
-// coalition values feed the identical RNG stream).
+// rebuilds the sub-instance and re-runs the reference select+aggregate per
+// coalition; the fast path runs what the query_shapley workload runs — the
+// columnar Select, ToRows, then a shared scan that compiles each result
+// row's lineage once and re-aggregates present rows per coalition. Values
+// must agree bit for bit (identical coalition values feed the identical
+// RNG stream).
 void RunSharedScanShapley(bool smoke, bench::RunReport* report) {
   bench::Section("tuple-Shapley e2e: rebuild-per-coalition vs shared scan");
   const int kEndo = 12;
@@ -403,8 +414,9 @@ void RunSharedScanShapley(bool smoke, bench::RunReport* report) {
         NumericQueryTupleShapley(naive_value, endo, config).ValueOrDie();
     const double naive_sec = naive_timer.Seconds();
 
+    const ColumnarRelation cemp = ColumnarRelation::FromRows(emp).ValueOrDie();
     WallTimer fast_timer;
-    Relation result = reference::Select(emp, pred).ValueOrDie();
+    Relation result = Select(cemp, pred).ValueOrDie().ToRows();
     auto scan = SharedScanAggregate::Build(result, AggFn::kSum, 1, endo)
                     .ValueOrDie();
     auto fast = NumericQueryTupleShapley(scan.AsQueryValue(), endo, config)

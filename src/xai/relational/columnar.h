@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -20,9 +21,34 @@ namespace xai::rel {
 /// of the row count, never of the thread count.
 inline constexpr int64_t kBatchRows = 1024;
 
+/// Row map of a view: output row i reads source row (*map)[i].
+using RowMap = std::vector<int32_t>;
+using RowMapPtr = std::shared_ptr<const RowMap>;
+
 /// \brief Columnar twin of Relation: typed column vectors (int64 / double /
 /// dictionary-encoded string) with per-column validity plus the same
 /// per-tuple N[X] provenance annotation side array.
+///
+/// **Late materialization.** An operator output holds what the operator
+/// computed, not copies of its inputs (Abadi et al., ICDE 2007):
+///  - A column is storage of its own or a *view*: storage of a relation
+///    upstream read through a shared row map. Select and EquiJoin output
+///    views; when an input column is itself a view they compose its map
+///    with theirs, once per distinct map, so a view always reads storage
+///    directly. column(c) gathers a view into storage on its first call
+///    and returns that same Column from then on.
+///  - A join's annotations are *pending products*: (left side array
+///    through the left map) x (right side array through the right map).
+///    The first read — annotation, annotation_node, annotation_nodes,
+///    annotation_block, ToRows, and the operators that read provenance —
+///    builds every row's product into one ProvArena owned by the relation.
+///    Select of a relation whose products are still unbuilt composes the
+///    maps instead; bag Project shares them. Only one level is ever
+///    pending: the side arrays a pending product reads are materialized,
+///    so an EquiJoin builds a pending input's products first.
+/// Each gather and each build happens once per relation, copies share its
+/// result, and both are thread-safe: concurrent first readers wait for one
+/// of them and then see the same storage and the same nodes.
 ///
 /// The side array is one shared immutable block: a node pointer per row
 /// plus the owners that keep those nodes alive (base handles, the arena of
@@ -30,8 +56,9 @@ inline constexpr int64_t kBatchRows = 1024;
 /// Copies of a relation share it, an annotation handle aliases it, and
 /// the arena of every operator output computed from this relation pins it
 /// (ProvArena::Pin), so operators read row nodes without touching a
-/// reference count. A shared block is never mutated: appending to a
-/// relation whose block is shared starts a new block first.
+/// reference count. Nothing shared is ever mutated: appending to a
+/// relation whose block or columns are shared, or whose columns are views,
+/// gives it its own first.
 ///
 /// This is the storage the relational operators (columnar_ops.h), the
 /// library's only executor, run on. The row-oriented Relation is the
@@ -60,16 +87,18 @@ class ColumnarRelation {
   int num_columns() const { return static_cast<int>(columns_.size()); }
   int64_t num_rows() const { return num_rows_; }
 
-  const Column& column(int c) const { return cols_[c]; }
-  Column* mutable_column(int c) { return &cols_[c]; }
+  /// Column c's storage; the first call on a view gathers it.
+  const Column& column(int c) const;
+  /// Column c as storage of this relation's own (copied first when shared
+  /// or a view).
+  Column* mutable_column(int c);
   /// Row i's annotation; the handle shares ownership of the side array.
-  ProvExprPtr annotation(int64_t i) const {
-    return ProvExprPtr(annotations_, annotations_->rows[i]);
-  }
+  ProvExprPtr annotation(int64_t i) const;
   /// Row i's annotation node without a handle, alive as long as the side
   /// array (this relation, a copy, or an arena pinning annotation_block()).
+  /// The same pointer on every call.
   const ProvExpr* annotation_node(int64_t i) const {
-    return annotations_->rows[i];
+    return annotation_nodes()[i];
   }
 
   /// Index of a column by name, or -1 (same contract as Relation).
@@ -81,21 +110,33 @@ class ColumnarRelation {
   /// Appends a base row annotated Base(base_id).
   Status AppendBaseRow(const Tuple& tuple, int base_id);
 
-  /// Gathers the given row indices (in order) into a new relation with the
-  /// same schema; its side array pins this one's.
-  ColumnarRelation GatherRows(const std::vector<int32_t>& rows,
-                              std::string name) const;
+  /// The given row indices (in order) as a new relation with the same
+  /// schema: every column a view through `rows`, the annotations the
+  /// selected nodes (or, while this relation's products are unbuilt, the
+  /// same pending products through composed maps).
+  ColumnarRelation GatherRows(RowMap rows, std::string name) const;
 
   /// \name Operator plumbing (columnar_ops.cc)
   /// @{
-  void SetColumn(int c, Column column) { cols_[c] = std::move(column); }
+  /// a's columns through `a_rows` then b's through `b_rows`, annotated
+  /// with the pending products of the two sides' side arrays.
+  static ColumnarRelation JoinRows(const ColumnarRelation& a,
+                                   const ColumnarRelation& b, RowMap a_rows,
+                                   RowMap b_rows, std::string name,
+                                   std::vector<std::string> columns);
+  void SetColumn(int c, Column column);
+  /// Makes column c share `from`'s column `from_c` (storage or view).
+  void ShareColumn(int c, const ColumnarRelation& from, int from_c);
   /// Installs the side array: one node per row, kept alive by `owners`.
   void SetAnnotations(std::vector<const ProvExpr*> rows,
                       std::vector<std::shared_ptr<const void>> owners);
-  /// Shares `from`'s side array (bag projection keeps every row).
+  /// Shares `from`'s annotations, pending or not (bag projection keeps
+  /// every row).
   void ShareAnnotations(const ColumnarRelation& from);
+  /// Every row's annotation node (the first read builds pending products).
+  std::span<const ProvExpr* const> annotation_nodes() const;
   /// The side array as an owner for an operator arena to pin.
-  std::shared_ptr<const void> annotation_block() const { return annotations_; }
+  std::shared_ptr<const void> annotation_block() const { return Block(); }
   /// @}
 
  private:
@@ -103,15 +144,20 @@ class ColumnarRelation {
     std::vector<const ProvExpr*> rows;
     std::vector<std::shared_ptr<const void>> owners;
   };
+  struct ColumnSlot;
+  struct Annotations;
 
+  /// The materialized side array (built first when pending); null only for
+  /// a default-constructed relation.
+  const std::shared_ptr<AnnotationBlock>& Block() const;
   /// The side array for appending: a new block when another relation, a
-  /// handle or an arena shares the current one.
+  /// handle or an arena shares the current one, or when it is pending.
   AnnotationBlock& MutableAnnotations();
 
   std::string name_;
   std::vector<std::string> columns_;
-  std::vector<Column> cols_;
-  std::shared_ptr<AnnotationBlock> annotations_;
+  std::vector<std::shared_ptr<ColumnSlot>> cols_;
+  std::shared_ptr<Annotations> annotations_;
   int64_t num_rows_ = 0;
 };
 

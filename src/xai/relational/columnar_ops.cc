@@ -1,7 +1,9 @@
 #include "xai/relational/columnar_ops.h"
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <utility>
 
@@ -51,12 +53,14 @@ KeyedGroups BuildGroups(const ColumnarRelation& rel,
   KeyedGroups g;
   g.group_of_row.resize(n);
   const bool raw = AllInt64(rel, cols);
+  std::vector<const Column*> keys;
+  for (int c : cols) keys.push_back(&rel.column(c));
   if (raw && cols.size() == 1) {
     // Single int64 key: hash the value directly. All NULL cells render
     // "NULL" and so form one group; valid cells group by value (NULL
     // payload slots hold 0 but are routed to the NULL group first, so
     // they never collide with a genuine 0).
-    const Column& col = rel.column(cols[0]);
+    const Column& col = *keys[0];
     std::unordered_map<int64_t, int32_t> index;
     index.reserve(256);
     int32_t null_group = -1;
@@ -88,15 +92,14 @@ KeyedGroups BuildGroups(const ColumnarRelation& rel,
   for (int64_t i = 0; i < n; ++i) {
     key.clear();
     if (raw) {
-      for (int c : cols) {
-        const Column& col = rel.column(c);
-        const int64_t v = col.ints()[i];
-        const char valid = static_cast<char>(col.validity()[i]);
+      for (const Column* col : keys) {
+        const int64_t v = col->ints()[i];
+        const char valid = static_cast<char>(col->validity()[i]);
         key.append(reinterpret_cast<const char*>(&v), sizeof(v));
         key.push_back(valid);
       }
     } else {
-      for (int c : cols) AppendRenderedCell(rel.column(c), i, &cell, &key);
+      for (const Column* col : keys) AppendRenderedCell(*col, i, &cell, &key);
     }
     auto [it, inserted] =
         index.try_emplace(key, static_cast<int32_t>(g.first_row.size()));
@@ -120,12 +123,12 @@ void SetGroupAnnotations(const ColumnarRelation& rel, const KeyedGroups& g,
   const int64_t ng = g.num_groups();
   const int64_t n = rel.num_rows();
   auto arena = std::make_shared<ProvArena>(ng, n);
+  const std::span<const ProvExpr* const> nodes = rel.annotation_nodes();
   arena->Pin(rel.annotation_block());
   std::vector<const ProvExpr**> terms(ng), cursor(ng);
   for (int64_t gi = 0; gi < ng; ++gi)
     terms[gi] = cursor[gi] = arena->TermSlots(g.group_size[gi]);
-  for (int64_t i = 0; i < n; ++i)
-    *cursor[g.group_of_row[i]]++ = rel.annotation_node(i);
+  for (int64_t i = 0; i < n; ++i) *cursor[g.group_of_row[i]]++ = nodes[i];
   std::vector<const ProvExpr*> sums(ng);
   for (int64_t gi = 0; gi < ng; ++gi)
     sums[gi] = arena->Sum(terms[gi], g.group_size[gi]);
@@ -154,10 +157,13 @@ xai::Result<ColumnarRelation> Select(const ColumnarRelation& input,
   const int64_t num_chunks = (n + kBatchRows - 1) / kBatchRows;
   std::vector<std::vector<int32_t>> per_chunk(num_chunks);
   // One batch per chunk (grain == kBatchRows); scratch is per worker
-  // thread and fully overwritten each batch, so reuse is benign.
+  // thread and fully overwritten each batch, so reuse is benign. Matches
+  // go to a chunk-local list that is moved into place once.
   ParallelFor(n, kBatchRows, [&](int64_t begin, int64_t end, int64_t chunk) {
     thread_local CompiledPredicate::Scratch scratch;
-    compiled.SelectInto(input, begin, end, &scratch, &per_chunk[chunk]);
+    std::vector<int32_t> local;
+    compiled.SelectInto(input, begin, end, &scratch, &local);
+    per_chunk[chunk] = std::move(local);
   });
   int64_t total = 0;
   for (const auto& v : per_chunk) total += static_cast<int64_t>(v.size());
@@ -166,11 +172,11 @@ xai::Result<ColumnarRelation> Select(const ColumnarRelation& input,
                          100.0 * static_cast<double>(total) /
                              static_cast<double>(n));
   }
-  std::vector<int32_t> matches;
+  RowMap matches;
   matches.reserve(total);
   for (const auto& v : per_chunk)
     matches.insert(matches.end(), v.begin(), v.end());
-  return input.GatherRows(matches, "select(" + input.name() + ")");
+  return input.GatherRows(std::move(matches), "select(" + input.name() + ")");
 }
 
 xai::Result<ColumnarRelation> Project(const ColumnarRelation& input,
@@ -186,7 +192,7 @@ xai::Result<ColumnarRelation> Project(const ColumnarRelation& input,
   ColumnarRelation out("project(" + input.name() + ")", std::move(names));
   if (!distinct) {
     for (size_t k = 0; k < columns.size(); ++k)
-      out.SetColumn(static_cast<int>(k), input.column(columns[k]));
+      out.ShareColumn(static_cast<int>(k), input, columns[k]);
     out.ShareAnnotations(input);
     return out;
   }
@@ -213,10 +219,15 @@ xai::Result<ColumnarRelation> EquiJoin(const ColumnarRelation& a,
   const Column& kb = b.column(col_b);
 
   // Per-chunk (a-row, b-row) match lists; ascending-chunk concatenation
-  // gives the a-major, ascending-b output order.
+  // gives the a-major, ascending-b output order. Each chunk probes into
+  // lists of its own and moves them into place once, so no two workers
+  // grow vectors whose headers share a cache line.
   const int64_t na = a.num_rows();
   const int64_t num_chunks = (na + kBatchRows - 1) / kBatchRows;
-  std::vector<std::vector<int32_t>> ai(num_chunks), bi(num_chunks);
+  struct Pairs {
+    RowMap a, b;
+  };
+  std::vector<Pairs> per_chunk(num_chunks);
 
   const bool fast = ka.kind() == Column::Kind::kInt64 &&
                     kb.kind() == Column::Kind::kInt64;
@@ -236,6 +247,9 @@ xai::Result<ColumnarRelation> EquiJoin(const ColumnarRelation& a,
     }
     ParallelFor(na, kBatchRows, [&](int64_t begin, int64_t end,
                                     int64_t chunk) {
+      Pairs local;
+      local.a.reserve(end - begin);
+      local.b.reserve(end - begin);
       for (int64_t i = begin; i < end; ++i) {
         const std::vector<int32_t>* matches = nullptr;
         if (ka.IsNull(i)) {
@@ -246,10 +260,11 @@ xai::Result<ColumnarRelation> EquiJoin(const ColumnarRelation& a,
         }
         if (!matches) continue;
         for (int32_t j : *matches) {
-          ai[chunk].push_back(static_cast<int32_t>(i));
-          bi[chunk].push_back(j);
+          local.a.push_back(static_cast<int32_t>(i));
+          local.b.push_back(j);
         }
       }
+      per_chunk[chunk] = std::move(local);
     });
   } else {
     // General path: index b on rendered keys, probe a's renderings, keep
@@ -267,6 +282,7 @@ xai::Result<ColumnarRelation> EquiJoin(const ColumnarRelation& a,
     }
     ParallelFor(na, kBatchRows, [&](int64_t begin, int64_t end,
                                     int64_t chunk) {
+      Pairs local;
       std::string key;
       for (int64_t i = begin; i < end; ++i) {
         key.clear();
@@ -275,45 +291,29 @@ xai::Result<ColumnarRelation> EquiJoin(const ColumnarRelation& a,
         if (it == index.end()) continue;
         for (int32_t j : it->second) {
           if (!CellsEqual(ka, i, kb, j)) continue;
-          ai[chunk].push_back(static_cast<int32_t>(i));
-          bi[chunk].push_back(j);
+          local.a.push_back(static_cast<int32_t>(i));
+          local.b.push_back(j);
         }
       }
+      per_chunk[chunk] = std::move(local);
     });
   }
 
+  // The pairs land in one exact-size array per side, which the output's
+  // columns and pending products read as their row maps: the join writes
+  // no column and no product.
   int64_t total = 0;
-  for (const auto& v : ai) total += static_cast<int64_t>(v.size());
-  std::vector<int32_t> arows, brows;
-  arows.reserve(total);
-  brows.reserve(total);
-  for (int64_t c = 0; c < num_chunks; ++c) {
-    arows.insert(arows.end(), ai[c].begin(), ai[c].end());
-    brows.insert(brows.end(), bi[c].begin(), bi[c].end());
+  for (const Pairs& p : per_chunk) total += static_cast<int64_t>(p.a.size());
+  RowMap arows(total), brows(total);
+  int64_t offset = 0;
+  for (const Pairs& p : per_chunk) {
+    std::copy(p.a.begin(), p.a.end(), arows.begin() + offset);
+    std::copy(p.b.begin(), p.b.end(), brows.begin() + offset);
+    offset += static_cast<int64_t>(p.a.size());
   }
-
-  ColumnarRelation out("join(" + a.name() + "," + b.name() + ")",
-                       std::move(names));
-  for (int c = 0; c < a.num_columns(); ++c)
-    out.SetColumn(c, a.column(c).Gather(arows));
-  for (int c = 0; c < b.num_columns(); ++c)
-    out.SetColumn(a.num_columns() + c, b.column(c).Gather(brows));
-  // Every product goes into one arena sized from the match count, which
-  // pins the two inputs' side arrays instead of each product pinning its
-  // operands. Match k owns product slot k, so the blocks fill in parallel
-  // with no reference counting.
-  auto arena = std::make_shared<ProvArena>(total, 2 * total);
-  arena->Pin(a.annotation_block());
-  arena->Pin(b.annotation_block());
-  std::vector<const ProvExpr*> products(total);
-  ParallelFor(total, kBatchRows, [&](int64_t begin, int64_t end, int64_t) {
-    for (int64_t k = begin; k < end; ++k) {
-      products[k] = arena->Product(k, a.annotation_node(arows[k]),
-                                   b.annotation_node(brows[k]));
-    }
-  });
-  out.SetAnnotations(std::move(products), {std::move(arena)});
-  return out;
+  return ColumnarRelation::JoinRows(
+      a, b, std::move(arows), std::move(brows),
+      "join(" + a.name() + "," + b.name() + ")", std::move(names));
 }
 
 xai::Result<ColumnarRelation> Union(const ColumnarRelation& a,
@@ -330,10 +330,8 @@ xai::Result<ColumnarRelation> Union(const ColumnarRelation& a,
   }
   std::vector<const ProvExpr*> rows;
   rows.reserve(a.num_rows() + b.num_rows());
-  for (int64_t i = 0; i < a.num_rows(); ++i)
-    rows.push_back(a.annotation_node(i));
-  for (int64_t i = 0; i < b.num_rows(); ++i)
-    rows.push_back(b.annotation_node(i));
+  for (const ProvExpr* node : a.annotation_nodes()) rows.push_back(node);
+  for (const ProvExpr* node : b.annotation_nodes()) rows.push_back(node);
   out.SetAnnotations(std::move(rows),
                      {a.annotation_block(), b.annotation_block()});
   return out;

@@ -35,9 +35,15 @@ namespace xai::rel {
 /// ascending block order, so output order — and every floating-point
 /// combine — is independent of the thread count (the repo-wide
 /// bit-identity contract).
+///
+/// Select and EquiJoin materialize late (see ColumnarRelation): their
+/// outputs' columns are views through row maps and a join's products are
+/// built on first read, so an operator pays only for the columns and the
+/// provenance its consumers read.
 
 /// sigma_predicate(input): compiles the predicate once, evaluates it
-/// batch-at-a-time, gathers matching rows.
+/// batch-at-a-time over the predicate's columns, and returns a view of
+/// the matching rows.
 xai::Result<ColumnarRelation> Select(const ColumnarRelation& input,
                                      const ExprPtr& predicate);
 
@@ -50,6 +56,8 @@ xai::Result<ColumnarRelation> Project(const ColumnarRelation& input,
 /// Equi-join on a.col_a == b.col_b; output columns are a's then b's
 /// (prefixed with b's name), a-major with b matches in ascending row
 /// order. NULL keys join NULL keys (NULL == NULL under Value equality).
+/// Writes one (a-row, b-row) pair array; the columns are views through it
+/// and the annotations pending products.
 xai::Result<ColumnarRelation> EquiJoin(const ColumnarRelation& a,
                                        const ColumnarRelation& b, int col_a,
                                        int col_b);

@@ -48,19 +48,22 @@ ProvExprPtr ProvExpr::MakeBinary(Kind kind, ProvExprPtr a, ProvExprPtr b) {
   return ProvExprPtr(std::move(block), node);
 }
 
+// Zero and One exist only as the two static nodes: no factory or arena
+// writes a node of either kind. So the rules compare addresses and never
+// load an operand, which keeps a bulk build from touching every base node.
 const ProvExpr* ProvExpr::SimplifiedTimes(const ProvExpr* a,
                                           const ProvExpr* b) {
-  if (a->kind_ == Kind::kZero) return a;
-  if (b->kind_ == Kind::kZero) return b;
-  if (a->kind_ == Kind::kOne) return b;
-  if (b->kind_ == Kind::kOne) return a;
+  if (a == &kZeroNode) return a;
+  if (b == &kZeroNode) return b;
+  if (a == &kOneNode) return b;
+  if (b == &kOneNode) return a;
   return nullptr;
 }
 
 const ProvExpr* ProvExpr::SimplifiedSum(const ProvExpr** terms, int64_t* n) {
   int64_t kept = 0;
   for (int64_t i = 0; i < *n; ++i) {
-    if (terms[i]->kind_ != Kind::kZero) terms[kept++] = terms[i];
+    if (terms[i] != &kZeroNode) terms[kept++] = terms[i];
   }
   *n = kept;
   if (kept == 0) return &kZeroNode;

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <latch>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "support/relational_reference.h"
@@ -880,6 +882,359 @@ TEST(GeneratedDifferentialTest, RowAndColumnarPipelinesAgree) {
   EXPECT_GT(seen.one_term_sums, 0);
   EXPECT_GT(seen.zero_dropped, 0);
   EXPECT_GT(seen.unit_products, 0);
+}
+
+// ---- Late materialization: views, pending products, first reads ----
+
+// The last column of `rel` that holds no string (or -1 when there is
+// none), for an aggregate over it.
+int NumericColumn(const Relation& rel) {
+  for (int c = rel.num_columns() - 1; c >= 0; --c) {
+    bool numeric = true;
+    for (const Tuple& t : rel.tuples())
+      numeric &= t[c].type() != Value::Type::kString;
+    if (numeric) return c;
+  }
+  return -1;
+}
+
+// A non-empty random subset of the column indexes, ascending.
+std::vector<int> RandomColumns(Rng& rng, int num_columns) {
+  std::vector<int> cols;
+  for (int c = 0; c < num_columns; ++c) {
+    if (rng.Bernoulli(0.4)) cols.push_back(c);
+  }
+  if (cols.empty()) cols.push_back(rng.UniformInt(num_columns));
+  return cols;
+}
+
+TEST(GeneratedDifferentialTest, ViewsOfViewsAgreeWithReference) {
+  // Shapes the benchmark pipeline lacks: a select of a select, joins of
+  // joins (left-deep and bushy), a join over a select, and group-by,
+  // distinct, bag projection and union over views, each checked through
+  // ToRows at every stage. Some stages are read before their consumers
+  // run and some after, so a consumer meets both built and unbuilt
+  // products and both gathered and ungathered columns.
+  const int saved = GetNumThreads();
+  int built_first = 0, unbuilt_first = 0, nonempty_select2 = 0,
+      nonempty_bushy = 0, nonempty_select_join = 0;
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed * 104729);
+    const GenKind kind = rng.Bernoulli(0.3) ? GenKind::kStr : GenKind::kInt;
+    // Wide enough a key domain that the bushy join stays small.
+    const GenColumn key{kind, rng.Uniform(0.0, 0.2), 4 + rng.UniformInt(8),
+                        0};
+    int next_id = 0;
+    const Relation a = GenRelation(rng, "a", key, &next_id);
+    const Relation b = GenRelation(rng, "b", key, &next_id);
+    const Relation c = GenRelation(rng, "c", key, &next_id);
+    const Relation d = GenRelation(rng, "d", key, &next_id);
+
+    const Relation r_join = reference::EquiJoin(a, b, 0, 0).ValueOrDie();
+    const ExprPtr p1 = RandomPredicate(rng, r_join);
+    const Relation r_sel = reference::Select(r_join, p1).ValueOrDie();
+    const ExprPtr p2 = RandomPredicate(rng, r_sel);
+    const Relation r_sel2 = reference::Select(r_sel, p2).ValueOrDie();
+    const Relation r_deep = reference::EquiJoin(r_join, c, 0, 0).ValueOrDie();
+    const Relation r_cd = reference::EquiJoin(c, d, 0, 0).ValueOrDie();
+    const Relation r_bushy =
+        reference::EquiJoin(r_join, r_cd, 0, 0).ValueOrDie();
+    const Relation r_sel_join =
+        reference::EquiJoin(r_sel, c, 0, 0).ValueOrDie();
+    const std::vector<int> group = RandomColumns(rng, r_sel2.num_columns());
+    const int agg_col = NumericColumn(r_sel2);
+    const AggFn fn =
+        agg_col < 0 ? AggFn::kCount : static_cast<AggFn>(rng.UniformInt(5));
+    const Relation r_group =
+        reference::GroupByAggregate(r_sel2, group, fn, agg_col, "agg")
+            .ValueOrDie();
+    const std::vector<int> proj = RandomColumns(rng, r_sel.num_columns());
+    const Relation r_distinct =
+        reference::Project(r_sel, proj, /*distinct=*/true).ValueOrDie();
+    const Relation r_bag =
+        reference::Project(r_sel2, proj, /*distinct=*/false).ValueOrDie();
+    const Relation r_union = reference::Union(r_sel, r_sel2).ValueOrDie();
+    const uint64_t early = rng.NextU64();
+
+    const ColumnarRelation ca = Columnar(a), cb = Columnar(b),
+                           cc = Columnar(c), cd = Columnar(d);
+    for (int threads : {1, 4, 8}) {
+      SetNumThreads(threads);
+      auto join = EquiJoin(ca, cb, 0, 0).ValueOrDie();
+      if (early & 1) join.annotation_block();
+      auto sel = Select(join, p1).ValueOrDie();
+      if (early & 2) sel.ToRows();
+      auto sel2 = Select(sel, p2).ValueOrDie();
+      if ((early & 4) && sel2.num_rows() > 0) sel2.annotation_node(0);
+      auto deep = EquiJoin(join, cc, 0, 0).ValueOrDie();
+      auto cjoin = EquiJoin(cc, cd, 0, 0).ValueOrDie();
+      auto bushy = EquiJoin(join, cjoin, 0, 0).ValueOrDie();
+      auto sel_join = EquiJoin(sel, cc, 0, 0).ValueOrDie();
+      auto grouped =
+          GroupByAggregate(sel2, group, fn, agg_col, "agg").ValueOrDie();
+      auto distinct = Project(sel, proj, /*distinct=*/true).ValueOrDie();
+      auto bag = Project(sel2, proj, /*distinct=*/false).ValueOrDie();
+      auto both = Union(sel, sel2).ValueOrDie();
+      if (threads == 1) {
+        ++((early & 1) ? built_first : unbuilt_first);
+        nonempty_select2 += sel2.num_rows() > 0;
+        nonempty_bushy += bushy.num_rows() > 0;
+        nonempty_select_join += sel_join.num_rows() > 0;
+      }
+      for (const auto& [row, col] :
+           {std::pair{&r_join, &join}, std::pair{&r_sel, &sel},
+            std::pair{&r_sel2, &sel2}, std::pair{&r_deep, &deep},
+            std::pair{&r_bushy, &bushy}, std::pair{&r_sel_join, &sel_join},
+            std::pair{&r_group, &grouped}, std::pair{&r_distinct, &distinct},
+            std::pair{&r_bag, &bag}, std::pair{&r_union, &both}}) {
+        const Relation back = col->ToRows();
+        ExpectSameRelation(back, *row);
+        ExpectSameCounts(back, *row);
+      }
+    }
+  }
+  SetNumThreads(saved);
+  EXPECT_GT(built_first, 0);
+  EXPECT_GT(unbuilt_first, 0);
+  EXPECT_GT(nonempty_select2, 10);
+  EXPECT_GT(nonempty_bushy, 10);
+  EXPECT_GT(nonempty_select_join, 10);
+}
+
+TEST(ColumnarOpsTest, JoinPairOrderIsThreadCountFree) {
+  // 5 000 probe rows in five kBatchRows chunks: duplicate build keys fan
+  // out, NULL keys join NULL keys, and no row of the third chunk matches,
+  // so that chunk contributes no pairs. Int keys take the raw fast path,
+  // string keys the rendered-key path; both must keep the a-major,
+  // ascending-b order at every thread count.
+  for (bool strings : {false, true}) {
+    SCOPED_TRACE(strings ? "string keys" : "int keys");
+    auto key = [&](int64_t k) {
+      return strings ? Value::Str("s" + std::to_string(k)) : Value::Int(k);
+    };
+    Relation a("a", {"k", "id"});
+    Relation b("b", {"k", "id"});
+    for (int i = 0; i < 5000; ++i) {
+      const Value k = i / kBatchRows == 2 ? key(100 + i)
+                      : i % 7 == 0        ? Value::Null()
+                                          : key(i % 5);
+      ASSERT_TRUE(a.AppendBase({k, Value::Int(i)}, i).ok());
+    }
+    for (int j = 0; j < 40; ++j) {
+      const Value k = j % 9 == 0 ? Value::Null() : key(j % 5);
+      ASSERT_TRUE(b.AppendBase({k, Value::Int(j)}, 10000 + j).ok());
+    }
+    const Relation expected = reference::EquiJoin(a, b, 0, 0).ValueOrDie();
+    ASSERT_GT(expected.num_tuples(), 5000);
+    for (const Tuple& t : expected.tuples())
+      ASSERT_NE(t[1].AsInt() / kBatchRows, 2);
+    ExpectEngineAgreement(
+        a, [&](const Relation& r) { return reference::EquiJoin(r, b, 0, 0); },
+        [&](const ColumnarRelation& c) {
+          return EquiJoin(c, Columnar(b), 0, 0);
+        });
+  }
+}
+
+TEST(LateMaterializationTest, ConcurrentFirstReadsSeeOneGatherAndOneBuild) {
+  // Eight threads make the first reads of one fresh view at once, each
+  // in its own order: every thread must see the same column storage and
+  // the same annotation nodes, and the same rows.
+  const Relation a = RandomRelation(1200, 91, "a");
+  const Relation b = RandomRelation(120, 93, "b", /*first_id=*/10000);
+  const ExprPtr pred =
+      Expr::Gt(Expr::Column(3), Expr::Const(Value::Double(0.0)));
+  const Relation r_join = reference::EquiJoin(a, b, 0, 0).ValueOrDie();
+  const Relation r_sel = reference::Select(r_join, pred).ValueOrDie();
+  const ColumnarRelation ca = Columnar(a), cb = Columnar(b);
+  for (bool select : {false, true}) {
+    SCOPED_TRACE(select ? "select of a join" : "join");
+    const ColumnarRelation join = EquiJoin(ca, cb, 0, 0).ValueOrDie();
+    const ColumnarRelation view =
+        select ? Select(join, pred).ValueOrDie() : join;
+    const int nc = view.num_columns();
+    const int64_t n = view.num_rows();
+    ASSERT_GT(n, 1000);
+    constexpr int kThreads = 8;
+    std::vector<std::vector<const Column*>> cols(
+        kThreads, std::vector<const Column*>(nc));
+    std::vector<std::vector<const ProvExpr*>> nodes(
+        kThreads, std::vector<const ProvExpr*>(n));
+    std::vector<Relation> rows(kThreads);
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        start.arrive_and_wait();
+        if (t % 3 == 2) rows[t] = view.ToRows();
+        for (int k = 0; k < nc; ++k) {
+          const int c = (k + t) % nc;
+          cols[t][c] = &view.column(c);
+        }
+        for (int64_t k = 0; k < n; ++k) {
+          const int64_t i = t % 2 ? n - 1 - k : k;
+          nodes[t][i] = t % 4 < 2 ? view.annotation(i).get()
+                                  : view.annotation_node(i);
+        }
+        if (t % 3 != 2) rows[t] = view.ToRows();
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (int t = 1; t < kThreads; ++t) {
+      EXPECT_EQ(cols[t], cols[0]) << "thread " << t;
+      EXPECT_EQ(nodes[t], nodes[0]) << "thread " << t;
+      ExpectSameRelation(rows[t], rows[0]);
+    }
+    for (int c = 0; c < nc; ++c) EXPECT_EQ(&view.column(c), cols[0][c]);
+    ExpectSameRelation(rows[0], select ? r_sel : r_join);
+  }
+}
+
+TEST(LateMaterializationTest, MutatingAViewLeavesSharersIntact) {
+  // Appending to a view, or taking one of its columns for writing, gives
+  // it storage of its own: its copies and the storage it read keep their
+  // rows.
+  const Relation a = RandomRelation(200, 99, "a");
+  const Relation b = RandomRelation(100, 101, "b", /*first_id=*/1000);
+  const ExprPtr pred =
+      Expr::Gt(Expr::Column(3), Expr::Const(Value::Double(0.0)));
+  const Relation expected =
+      reference::Select(reference::EquiJoin(a, b, 0, 0).ValueOrDie(), pred)
+          .ValueOrDie();
+  const ColumnarRelation ca = Columnar(a), cb = Columnar(b);
+  ColumnarRelation view =
+      Select(EquiJoin(ca, cb, 0, 0).ValueOrDie(), pred).ValueOrDie();
+  const ColumnarRelation copy = view;
+  ASSERT_TRUE(view.AppendRow(Tuple(view.num_columns(), Value::Null()),
+                             ProvExpr::One())
+                  .ok());
+  ASSERT_EQ(view.num_rows(), expected.num_tuples() + 1);
+  const Relation grown = view.ToRows();
+  EXPECT_EQ(grown.annotation(expected.num_tuples())->ToString(), "1");
+  for (int i = 0; i < expected.num_tuples(); ++i) {
+    ASSERT_EQ(grown.annotation(i)->ToString(),
+              expected.annotation(i)->ToString());
+    for (int c = 0; c < expected.num_columns(); ++c)
+      ASSERT_EQ(grown.tuple(i)[c], expected.tuple(i)[c]);
+  }
+  ExpectSameRelation(copy.ToRows(), expected);
+  ExpectSameRelation(ca.ToRows(), a);
+
+  // A view nothing else shares keeps its gathered rows as its storage.
+  ColumnarRelation fresh =
+      Select(EquiJoin(ca, cb, 0, 0).ValueOrDie(), pred).ValueOrDie();
+  Column* col = fresh.mutable_column(2);
+  EXPECT_EQ(col->size(), fresh.num_rows());
+  EXPECT_EQ(&fresh.column(2), col);
+  ExpectSameRelation(fresh.ToRows(), expected);
+}
+
+TEST(RelationalDecisionRecordTest, CountsFirstReadGathersAndProducts) {
+  // join -> select -> group-by -> select -> ToRows on a star schema, the
+  // shape of the query_shapley benchmark. Under XAI_TELEMETRY=0 the
+  // counters compile away and stay put.
+  constexpr bool kCompiled = XAI_TELEMETRY != 0;
+  telemetry::Registry& registry = telemetry::Registry::Global();
+  telemetry::Counter* gathered =
+      registry.GetCounter("relational/gathered_rows");
+  telemetry::Counter* products =
+      registry.GetCounter("relational/product_nodes");
+  Relation fact("fact", {"id", "k", "amount", "f"});
+  Relation dim("dim", {"k", "region", "w"});
+  Rng rng(103);
+  for (int k = 0; k < 16; ++k) {
+    ASSERT_TRUE(dim.AppendBase({Value::Int(k), Value::Int(k % 4),
+                                Value::Double(rng.Uniform(0.5, 1.5))},
+                               1000 + k)
+                    .ok());
+  }
+  for (int i = 0; i < 400; ++i) {
+    ASSERT_TRUE(fact.AppendBase({Value::Int(i), Value::Int(rng.UniformInt(16)),
+                                 Value::Double(rng.Uniform(1.0, 100.0)),
+                                 Value::Double(rng.Uniform(-1.0, 1.0))},
+                                i)
+                    .ok());
+  }
+  const ColumnarRelation cf = Columnar(fact), cd = Columnar(dim);
+  const int64_t gathered0 = gathered->Get(), products0 = products->Get();
+  auto expect_counts = [&](int64_t rows, int64_t nodes) {
+    EXPECT_EQ(gathered->Get() - gathered0, kCompiled ? rows : 0);
+    EXPECT_EQ(products->Get() - products0, kCompiled ? nodes : 0);
+  };
+
+  // The join writes no column and no product.
+  const ColumnarRelation joined = EquiJoin(cf, cd, 1, 0).ValueOrDie();
+  const int64_t nj = joined.num_rows();
+  ASSERT_EQ(nj, 400);
+  expect_counts(0, 0);
+  // The select gathers its predicate column over the join's rows.
+  const ColumnarRelation selected =
+      Select(joined, Expr::Gt(Expr::Column(3), Expr::Const(Value::Double(0.0))))
+          .ValueOrDie();
+  const int64_t ns = selected.num_rows();
+  ASSERT_GT(ns, 100);
+  ASSERT_LT(ns, 300);
+  expect_counts(nj, 0);
+  // The group-by gathers its key and its measure over the selected rows,
+  // and builds their products.
+  GroupByAggregate(selected, {5}, AggFn::kSum, 2, "total").ValueOrDie();
+  expect_counts(nj + 2 * ns, ns);
+  // The second select reads the gathered key, and takes the built nodes.
+  const ColumnarRelation members =
+      Select(selected,
+             Expr::Eq(Expr::Column(5), Expr::Const(Value::Int(1))))
+          .ValueOrDie();
+  const int64_t nm = members.num_rows();
+  ASSERT_GT(nm, 10);
+  expect_counts(nj + 2 * ns, ns);
+  // ToRows gathers every column over the members' rows.
+  const Relation rows = members.ToRows();
+  expect_counts(nj + 2 * ns + 7 * nm, ns);
+  ASSERT_EQ(rows.num_tuples(), nm);
+  // Second reads are free.
+  members.ToRows();
+  selected.annotation_block();
+  expect_counts(nj + 2 * ns + 7 * nm, ns);
+}
+
+TEST(ProvenanceLifetimeTest, SelectOfJoinHandlesAndRowsOutliveThePipeline) {
+  const ExprPtr pred =
+      Expr::Gt(Expr::Column(3), Expr::Const(Value::Double(0.0)));
+  ProvExprPtr handle;
+  Relation rows;
+  LineageFacts facts;
+  {
+    // The join is a temporary: the select's pending products and views
+    // must keep what they read alive on their own.
+    const ColumnarRelation selected =
+        Select(EquiJoin(Columnar(RandomRelation(300, 105, "a")),
+                        Columnar(RandomRelation(200, 107, "b", 1000)), 0, 0)
+                   .ValueOrDie(),
+               pred)
+            .ValueOrDie();
+    ASSERT_GT(selected.num_rows(), 1);
+    handle = selected.annotation(selected.num_rows() / 2);
+    rows = selected.ToRows();
+    ASSERT_EQ(handle->kind(), ProvExpr::Kind::kTimes);
+    facts = FactsOf(handle);
+  }
+  // Every relation of the pipeline is gone, base rows included; the
+  // expected rows come from fresh copies of the same seeded inputs.
+  const LineageFacts after = FactsOf(handle);
+  EXPECT_EQ(after.text, facts.text);
+  EXPECT_EQ(after.count, facts.count);
+  EXPECT_EQ(after.outcomes, facts.outcomes);
+  handle.reset();
+  const Relation expected =
+      reference::Select(
+          reference::EquiJoin(RandomRelation(300, 105, "a"),
+                              RandomRelation(200, 107, "b", 1000), 0, 0)
+              .ValueOrDie(),
+          pred)
+          .ValueOrDie();
+  ExpectSameRelation(rows, expected);
+  ExpectSameCounts(rows, expected);
 }
 
 // ---- Generated lineage formulas: compiled, shared-scan and
