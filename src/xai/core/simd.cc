@@ -1,6 +1,7 @@
 #include "xai/core/simd.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -236,6 +237,22 @@ XAI_SIMD_NOVEC void GemmMicroEdgeScalar(int kc, int mr, int nr,
   }
 }
 
+// Branch-free compaction: every value is stored at the cursor, which
+// advances only past the kept ones. Both tiers start 64-byte aligned: the
+// dbx numeric game runs this loop once per coalition, and when it lived
+// in SharedScanAggregate::Eval its speed moved by about 20% with the size
+// of unrelated code linked before it.
+__attribute__((aligned(64))) XAI_SIMD_NOVEC size_t CompressScalar(
+    const double* values, const uint64_t* need, uint64_t lacking, size_t n,
+    double* out) {
+  size_t len = 0;
+  for (size_t i = 0; i < n; ++i) {
+    out[len] = values[i];
+    len += (need[i] & lacking) == 0;
+  }
+  return len;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -455,6 +472,53 @@ __attribute__((target("avx2"))) void GemmMicroAvx2(int kc, const double* ap,
   _mm256_storeu_pd(c3 + 4, acc31);
 }
 
+// Row m of the compress permutation: for each lane set in the 4-bit keep
+// mask m, lowest first, the two 32-bit halves of that double, as
+// _mm256_permutevar8x32_epi32 indexes; the rest of the row is don't-care.
+struct alignas(32) CompressPerm {
+  int32_t half[8];
+};
+constexpr auto kCompressPerms = [] {
+  std::array<CompressPerm, 16> perms{};
+  for (int m = 0; m < 16; ++m) {
+    int kept = 0;
+    for (int lane = 0; lane < 4; ++lane) {
+      if (!((m >> lane) & 1)) continue;
+      perms[m].half[2 * kept] = 2 * lane;
+      perms[m].half[2 * kept + 1] = 2 * lane + 1;
+      ++kept;
+    }
+  }
+  return perms;
+}();
+
+// Four rows per step: one compare yields the keep mask, the permutation
+// packs the kept values to the front of the vector, and the full-width
+// store lands at the cursor (len <= i, so it never passes out + n).
+__attribute__((target("avx2"), aligned(64))) size_t CompressAvx2(
+    const double* values, const uint64_t* need, uint64_t lacking, size_t n,
+    double* out) {
+  const __m256i vlacking = _mm256_set1_epi64x(static_cast<long long>(lacking));
+  const __m256i zero = _mm256_setzero_si256();
+  size_t len = 0;
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256i missing = _mm256_and_si256(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(need + i)),
+        vlacking);
+    const int keep = _mm256_movemask_pd(
+        _mm256_castsi256_pd(_mm256_cmpeq_epi64(missing, zero)));
+    const __m256i perm = _mm256_load_si256(
+        reinterpret_cast<const __m256i*>(kCompressPerms[keep].half));
+    const __m256i packed = _mm256_permutevar8x32_epi32(
+        _mm256_castpd_si256(_mm256_loadu_pd(values + i)), perm);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + len), packed);
+    len += static_cast<size_t>(__builtin_popcount(keep));
+  }
+  return len + CompressScalar(values + i, need + i, lacking, n - i,
+                              out + len);
+}
+
 }  // namespace
 #endif  // XAI_SIMD_X86
 
@@ -475,6 +539,8 @@ using WouterFn = void (*)(double, const double*, int, double*, int);
 using GemmFn = void (*)(int, int, int, const double*, int, const double*,
                         int, double*, int);
 using MicroFn = void (*)(int, const double*, const double*, double*, int);
+using CompressFn = size_t (*)(const double*, const uint64_t*, uint64_t,
+                              size_t, double*);
 
 struct KernelTable {
   Backend backend;
@@ -485,16 +551,19 @@ struct KernelTable {
   GemmFn gemm_direct;
   GemmFn gemm_tn_direct;
   MicroFn micro;
+  CompressFn compress;
 };
 
 constexpr KernelTable kScalarTable = {
-    Backend::kScalar, DotScalar,    AxpyScalar,   SsdScalar,
-    WeightedOuterScalar, GemmScalar, GemmTNScalar, GemmMicroScalar};
+    Backend::kScalar,    DotScalar,    AxpyScalar,      SsdScalar,
+    WeightedOuterScalar, GemmScalar,   GemmTNScalar,    GemmMicroScalar,
+    CompressScalar};
 
 #if XAI_SIMD_X86
 constexpr KernelTable kAvx2Table = {
-    Backend::kAvx2,     DotAvx2,  AxpyAvx2,   SsdAvx2,
-    WeightedOuterAvx2, GemmAvx2, GemmTNAvx2, GemmMicroAvx2};
+    Backend::kAvx2,    DotAvx2,  AxpyAvx2,   SsdAvx2,
+    WeightedOuterAvx2, GemmAvx2, GemmTNAvx2, GemmMicroAvx2,
+    CompressAvx2};
 #endif
 
 const KernelTable* TableFor(Backend backend) {
@@ -693,6 +762,11 @@ double ScaledSquaredDistance(const double* a, const double* b, size_t n,
 void WeightedOuterAccumulate(double w, const double* row, int d, double* g,
                              int stride) {
   ActiveTable().wouter(w, row, d, g, stride);
+}
+
+size_t Compress(const double* values, const uint64_t* need, uint64_t lacking,
+                size_t n, double* out) {
+  return ActiveTable().compress(values, need, lacking, n, out);
 }
 
 void GemmDirect(int m, int n, int k, const double* a, int lda,

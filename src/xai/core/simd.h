@@ -2,6 +2,7 @@
 #define XAI_CORE_SIMD_H_
 
 #include <cstddef>
+#include <cstdint>
 
 /// \file
 /// Portable vectorized math kernels — the dense-linear-algebra core under
@@ -145,6 +146,17 @@ void GemmTNPacked(int m, int n, int k, const double* a, int lda,
 /// holds wherever reads are allowed. This is WlsAccumulator's Gram kernel.
 void GemmTNUpper(int dim, int k, const double* a, int lda, const double* b,
                  int ldb, double* c, int ldc);
+
+/// Stream compaction by need words: copies every values[i] (i < n) whose
+/// need[i] shares no bit with `lacking` to out, in order, and returns how
+/// many it copied. Values are moved, never computed on, so NaN payloads
+/// and -0.0 arrive unchanged. `out` must have room for n values (a tier
+/// may write past the returned count, never past n) and must not overlap
+/// `values` or `need`. This is the dbx shared scan's per-coalition gather:
+/// need[i] holds the coalition bits row i needs, `lacking` the bits the
+/// coalition lacks.
+size_t Compress(const double* values, const uint64_t* need, uint64_t lacking,
+                size_t n, double* out);
 
 /// @}
 

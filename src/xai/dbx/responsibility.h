@@ -26,12 +26,13 @@ struct ResponsibilityResult {
   std::map<int, std::vector<int>> contingency;
 };
 
-/// Exact responsibility by subset search over contingency sets (endogenous
-/// count <= 20; the problem is NP-hard in general, §3's point exactly).
-/// Contingency sets are tried smallest first, in lexicographic order of
-/// tuple position, up to `max_contingency_size`. Each probe reads the
-/// lineage's truth table (LineageTruthTable), which evaluates a block of
-/// 64 coalitions in one program pass the first time a probe lands in it.
+/// Exact responsibility by search over contingency sets (endogenous count
+/// <= 20; the problem is NP-hard in general, §3's point exactly). Each
+/// tuple gets its smallest contingency set of at most
+/// `max_contingency_size` tuples, ties going to the lexicographically
+/// first list of tuple positions. The search reads the lineage's truth
+/// table (TruthTableWords, 2^n coalitions, 64 per program pass) one word
+/// of the tuple's swings (ForEachSwingWord) at a time.
 Result<ResponsibilityResult> TupleResponsibility(
     const rel::ProvExprPtr& lineage, const std::vector<int>& endogenous,
     int max_contingency_size = 6);

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "xai/core/check.h"
+#include "xai/core/simd.h"
 #include "xai/core/telemetry.h"
 #include "xai/relational/agg_kernels.h"
 
@@ -196,9 +197,6 @@ uint64_t CompiledLineage::Eval64(uint64_t base_mask, Scratch* scratch) const {
   // Lane j of every word is coalition (base_mask & ~63) + j. Over a
   // 64-aligned block, mask bit b < 6 cycles with period 2^(b+1) — a fixed
   // lane constant — and bit b >= 6 is the same for all 64 lanes.
-  static constexpr uint64_t kLowBitLanes[6] = {
-      0xAAAAAAAAAAAAAAAAULL, 0xCCCCCCCCCCCCCCCCULL, 0xF0F0F0F0F0F0F0F0ULL,
-      0xFF00FF00FF00FF00ULL, 0xFFFF0000FFFF0000ULL, 0xFFFFFFFF00000000ULL};
   std::vector<uint64_t>& vals = scratch->lanes;
   if (vals.size() < nodes_.size()) vals.resize(nodes_.size());
   const int n = static_cast<int>(nodes_.size());
@@ -206,7 +204,7 @@ uint64_t CompiledLineage::Eval64(uint64_t base_mask, Scratch* scratch) const {
     const Node& node = nodes_[i];
     switch (node.op) {
       case Node::Op::kVar:
-        vals[i] = node.bit < 6 ? kLowBitLanes[node.bit]
+        vals[i] = node.bit < 6 ? kLaneBit[node.bit]
                   : ((base_mask >> node.bit) & 1) ? ~0ULL
                                                   : 0ULL;
         break;
@@ -252,12 +250,63 @@ bool CompiledLineage::IsConjunction(uint64_t* bits) const {
   return true;
 }
 
-LineageTruthTable::LineageTruthTable(const CompiledLineage& lineage, int n)
-    : lineage_(lineage) {
+std::vector<uint64_t> TruthTableWords(const CompiledLineage& lineage, int n) {
   XAI_CHECK(n >= 0 && n <= 24);
-  const size_t blocks = ((uint64_t{1} << n) + 63) / 64;
-  words_.resize(blocks);
-  filled_.resize(blocks);
+  std::vector<uint64_t> words(n < 6 ? 1 : size_t{1} << (n - 6));
+  CompiledLineage::Scratch scratch;
+  for (size_t k = 0; k < words.size(); ++k)
+    words[k] = lineage.Eval64(uint64_t{k} << 6, &scratch);
+  // Below 64 coalitions, the lanes past 2^n repeat the table; clear them.
+  if (n < 6) words[0] &= (uint64_t{1} << (1 << n)) - 1;
+  return words;
+}
+
+int SharedScanAggregate::BitOf(int id, size_t* cursor) const {
+  const size_t n = players_.size();
+  for (size_t step = 0, p = *cursor; step < n; ++step, ++p) {
+    if (p == n) p = 0;
+    if (players_[p] == id) {
+      *cursor = p + 1;
+      return first_bit_[p];
+    }
+  }
+  return -1;
+}
+
+bool SharedScanAggregate::ProductNeed(const ProvExpr& root,
+                                      std::vector<const ProvExpr*>* stack,
+                                      uint64_t* need) const {
+  // A product of k base tuples has 2k - 1 nodes. The walk does not
+  // memoize shared subtrees the way Compile does, so a larger annotation
+  // goes to Compile instead.
+  constexpr int kMaxNodes = 64;
+  stack->assign(1, &root);
+  uint64_t bits = 0;
+  for (int visited = 0; !stack->empty(); ++visited) {
+    if (visited == kMaxNodes) return false;
+    const ProvExpr& e = *stack->back();
+    stack->pop_back();
+    switch (e.kind()) {
+      case ProvExpr::Kind::kZero:
+        *need = kNever;  // Zero absorbs the whole product.
+        return true;
+      case ProvExpr::Kind::kOne:
+        break;
+      case ProvExpr::Kind::kBase: {
+        size_t cursor = 0;
+        const int bit = BitOf(e.base_id(), &cursor);
+        if (bit >= 0) bits |= uint64_t{1} << bit;
+        break;
+      }
+      case ProvExpr::Kind::kTimes:
+        stack->insert(stack->end(), e.children().begin(), e.children().end());
+        break;
+      case ProvExpr::Kind::kPlus:
+        return false;
+    }
+  }
+  *need = bits;
+  return true;
 }
 
 Result<SharedScanAggregate> SharedScanAggregate::Build(
@@ -270,16 +319,30 @@ Result<SharedScanAggregate> SharedScanAggregate::Build(
     return Status::Unimplemented("more than 63 endogenous tuples");
   SharedScanAggregate s;
   s.fn_ = fn;
-  for (size_t i = 0; i < endogenous.size(); ++i)
-    s.bit_of_.emplace(endogenous[i], static_cast<int>(i));
+  s.players_ = endogenous;
+  s.first_bit_.resize(endogenous.size());
+  for (size_t p = 0; p < endogenous.size(); ++p) {
+    // First occurrence wins, as in CompiledLineage::Compile.
+    size_t first = 0;
+    while (endogenous[first] != endogenous[p]) ++first;
+    s.first_bit_[p] = static_cast<int>(first);
+  }
 
   const int n = rows.num_tuples();
   s.values_.reserve(n);
   s.need_.reserve(n);
+  std::vector<const ProvExpr*> stack;
   for (int i = 0; i < n; ++i) {
     s.values_.push_back(fn == rel::AggFn::kCount
                             ? 1.0
                             : rows.tuple(i)[agg_column].AsDouble());
+    // A Plus-free annotation is a constant or a conjunction, which is all
+    // Compile would find; only a row with a Plus is compiled.
+    uint64_t need = 0;
+    if (s.ProductNeed(*rows.annotation(i), &stack, &need)) {
+      s.need_.push_back(need);
+      continue;
+    }
     CompiledLineage compiled =
         CompiledLineage::Compile(rows.annotation(i), endogenous);
     bool cval = false;
@@ -300,26 +363,14 @@ Result<SharedScanAggregate> SharedScanAggregate::Build(
   return s;
 }
 
-// Every coalition of the numeric game runs this row loop, and its speed
-// moved by about 20% with the size of unrelated code linked before it;
-// a 64-byte aligned start keeps the loop's placement, and so its speed,
-// independent of the rest of the binary.
-__attribute__((aligned(64))) double SharedScanAggregate::Eval(
-    uint64_t mask) {
+double SharedScanAggregate::Eval(uint64_t mask) {
   for (const ProgramRow& p : programs_)
     need_[p.row] = p.lineage.Eval(mask, &scratch_) ? 0 : kNever;
   // A row is present when it needs no bit the coalition lacks. Bit 63 is
   // no player's, so it counts as lacking whatever the caller passed.
-  const uint64_t lacking = ~mask | kNever;
-  const int64_t n = num_rows();
-  const uint64_t* need = need_.data();
-  const double* values = values_.data();
-  double* out = gather_.data();
-  int64_t len = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    out[len] = values[i];
-    len += (need[i] & lacking) == 0;
-  }
+  const int64_t len = static_cast<int64_t>(
+      simd::Compress(values_.data(), need_.data(), ~mask | kNever,
+                     values_.size(), gather_.data()));
   switch (fn_) {
     case rel::AggFn::kCount:
       return static_cast<double>(len);
@@ -338,10 +389,13 @@ __attribute__((aligned(64))) double SharedScanAggregate::Eval(
 std::function<double(const std::vector<int>&)>
 SharedScanAggregate::AsQueryValue() {
   return [this](const std::vector<int>& present) {
+    // NumericQueryTupleShapley lists the present ids in player order, so
+    // the cursor maps them in one pass over the players.
     uint64_t mask = 0;
+    size_t cursor = 0;
     for (int id : present) {
-      auto it = bit_of_.find(id);
-      if (it != bit_of_.end()) mask |= 1ULL << it->second;
+      const int bit = BitOf(id, &cursor);
+      if (bit >= 0) mask |= uint64_t{1} << bit;
     }
     return Eval(mask);
   };

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "xai/core/status.h"
@@ -82,33 +81,47 @@ class CompiledLineage {
   int root_slot_ = -1;
 };
 
-/// \brief Truth table of a compiled lineage over the masks below 2^n
-/// (n <= 24), filled lazily: the first lookup in a 64-coalition block
-/// evaluates the whole block with one Eval64 pass. Exact boolean
-/// tuple-Shapley reads every entry; the responsibility search reads the
-/// blocks its probes reach, so it never makes more program passes than
-/// probes.
-class LineageTruthTable {
- public:
-  /// Borrows `lineage`: keep it alive while the table is in use.
-  LineageTruthTable(const CompiledLineage& lineage, int n);
+/// Lane bit patterns of the 64-coalition blocks the truth-table helpers
+/// work in: lane j of a word stands for coalition 64k + j, and
+/// kLaneBit[b] (b < 6) has lane j set iff j has bit b.
+inline constexpr uint64_t kLaneBit[6] = {
+    0xAAAAAAAAAAAAAAAAULL, 0xCCCCCCCCCCCCCCCCULL, 0xF0F0F0F0F0F0F0F0ULL,
+    0xFF00FF00FF00FF00ULL, 0xFFFF0000FFFF0000ULL, 0xFFFFFFFF00000000ULL};
 
-  /// CompiledLineage::Eval(mask) for mask < 2^n.
-  bool Holds(uint64_t mask) {
-    const uint64_t block = mask >> 6;
-    if (!filled_[block]) {
-      words_[block] = lineage_.Eval64(mask, &scratch_);
-      filled_[block] = 1;
-    }
-    return (words_[block] >> (mask & 63)) & 1;
+/// Truth table of a compiled lineage over the masks below 2^n (n <= 24),
+/// as max(2^n / 64, 1) words filled by one Eval64 pass each: bit j of
+/// word k is lineage.Eval(64k + j), and bits at or above 2^n (n < 6) are
+/// zero. Exact boolean tuple-Shapley and the responsibility search both
+/// read the game through it.
+std::vector<uint64_t> TruthTableWords(const CompiledLineage& lineage, int n);
+
+/// Visits player i's swings in a TruthTableWords table, in ascending
+/// coalition order, one 64-coalition block at a time: fn(base, up, down)
+/// for every block with a swing, where lane j stands for the coalition
+/// S = base + j, which lacks bit i; `up` has lane j set when the lineage
+/// holds on S with i but not on S, and `down` when it holds on S but not
+/// with i. Lanes whose coalition has bit i (i < 6) are clear in both.
+/// Requires i < n.
+template <typename Fn>
+void ForEachSwingWord(const std::vector<uint64_t>& table, int i, Fn&& fn) {
+  auto visit = [&](size_t k, uint64_t without, uint64_t with,
+                   uint64_t lanes) {
+    const uint64_t up = with & ~without & lanes;
+    const uint64_t down = without & ~with & lanes;
+    if (up | down) fn(uint64_t{k} << 6, up, down);
+  };
+  if (i < 6) {
+    // S and S with i share a word: S with i sits 2^i lanes higher.
+    for (size_t k = 0; k < table.size(); ++k)
+      visit(k, table[k], table[k] >> (1 << i), ~kLaneBit[i]);
+    return;
   }
-
- private:
-  const CompiledLineage& lineage_;
-  CompiledLineage::Scratch scratch_;
-  std::vector<uint64_t> words_;
-  std::vector<uint8_t> filled_;
-};
+  // S with i sits 2^(i-6) words higher.
+  const size_t stride = size_t{1} << (i - 6);
+  for (size_t block = 0; block < table.size(); block += 2 * stride)
+    for (size_t k = block; k < block + stride; ++k)
+      visit(k, table[k], table[k + stride], ~uint64_t{0});
+}
 
 /// \brief Shared-scan evaluator for aggregate coalition games over a query
 /// result: v(S) = aggregate over the result rows whose lineage is
@@ -118,12 +131,14 @@ class LineageTruthTable {
 /// contribution (Value::AsDouble of the aggregate column; 1.0 for COUNT)
 /// and its presence condition as a need mask: the coalition bits the row
 /// needs (0 for a row exogenous tuples derive, the bits of a conjunctive
-/// lineage, or a bit no coalition sets for an underivable row). Rows whose
-/// lineage contains an OR keep a compiled program, which Eval runs first
-/// to set their need word. Eval(mask) then makes one branch-free pass that
-/// gathers the present rows' values *in row order* and finalizes through
-/// the canonical aggregation kernels of rel/agg_kernels.h — the same
-/// kernels GroupByAggregate uses — so the value equals, bit for bit, what
+/// lineage, or a bit no coalition sets for an underivable row). A row
+/// whose annotation has no Plus gets its need word from one walk over its
+/// product; only a row with a Plus is compiled, and one whose compiled
+/// lineage keeps an OR keeps its program, which Eval runs first to set
+/// its need word. Eval(mask) then gathers the present rows' values *in
+/// row order* with simd::Compress and finalizes through the canonical
+/// aggregation kernels of rel/agg_kernels.h — the same kernels
+/// GroupByAggregate uses — so the value equals, bit for bit, what
 /// re-running the query pipeline on the reduced sub-instance produces
 /// (operators preserve relative row order under tuple removal).
 ///
@@ -147,8 +162,9 @@ class SharedScanAggregate {
   double Eval(uint64_t mask);
 
   /// Adapter for NumericQueryTupleShapley's query_value callback: converts
-  /// the present-id list back to a mask. The returned callable borrows
-  /// `this` — keep the evaluator alive while it is in use.
+  /// the present-id list back to a mask (ids that are not endogenous are
+  /// ignored). The returned callable borrows `this` — keep the evaluator
+  /// alive while it is in use.
   std::function<double(const std::vector<int>&)> AsQueryValue();
 
   int64_t num_rows() const { return static_cast<int64_t>(values_.size()); }
@@ -162,12 +178,27 @@ class SharedScanAggregate {
     CompiledLineage lineage;
   };
 
+  /// Mask bit of endogenous tuple `id` (its first position), or -1 when
+  /// it is exogenous. The search starts at *cursor and wraps around; a hit
+  /// at position p leaves *cursor at p + 1, so ids looked up in player
+  /// order cost one pass over the players in all.
+  int BitOf(int id, size_t* cursor) const;
+
+  /// Need word of an annotation without Plus nodes (Times is AND, One and
+  /// exogenous tuples are true, Zero is false), or false when the walk
+  /// meets a Plus or grows past a bounded size; such rows are compiled.
+  bool ProductNeed(const rel::ProvExpr& root,
+                   std::vector<const rel::ProvExpr*>* stack,
+                   uint64_t* need) const;
+
   rel::AggFn fn_ = rel::AggFn::kCount;
   std::vector<double> values_;
   // Row i is present iff (need_[i] & ~(mask & ~kNever)) == 0.
   std::vector<uint64_t> need_;
   std::vector<ProgramRow> programs_;
-  std::unordered_map<int, int> bit_of_;
+  // endogenous[p] and the mask bit of its first occurrence.
+  std::vector<int> players_;
+  std::vector<int> first_bit_;
   CompiledLineage::Scratch scratch_;
   std::vector<double> gather_;
 };

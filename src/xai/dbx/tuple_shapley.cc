@@ -1,6 +1,6 @@
 #include "xai/dbx/tuple_shapley.h"
 
-#include <algorithm>
+#include <bit>
 #include <unordered_map>
 
 #include "xai/core/combinatorics.h"
@@ -10,14 +10,50 @@
 namespace xai {
 namespace {
 
-Status CheckPlayers(int n) {
+bool Exact(int n, const TupleShapleyConfig& config) {
+  return n <= config.exact_limit && n <= 24;
+}
+
+Status CheckGame(int n, const TupleShapleyConfig& config) {
   if (n == 0) return Status::InvalidArgument("no endogenous tuples");
   if (n > 63) return Status::Unimplemented("more than 63 endogenous tuples");
+  if (!Exact(n, config) && config.permutations <= 0)
+    return Status::InvalidArgument(
+        "permutation sampling needs permutations > 0");
   return Status::OK();
 }
 
-bool Exact(int n, const TupleShapleyConfig& config) {
-  return n <= config.exact_limit && n <= 24;
+/// Exact Shapley values of a boolean game from its TruthTableWords table.
+/// ShapleyOfSetFunction adds w[|S|] * (v(S + i) - v(S)) to phi[i] for
+/// every S without i, in ascending order. On a 0/1 game the term is +w at
+/// an up-swing, -w at a down-swing and +0.0 everywhere else, and adding
+/// +0.0 changes only -0.0, which phi never is: it starts at +0.0, adds
+/// nonzero terms, and an exact cancellation rounds to +0.0. Adding +/-w at
+/// the swings alone, in ascending S, therefore performs that same chain
+/// of roundings.
+std::vector<double> BooleanShapley(const std::vector<uint64_t>& table,
+                                   int n) {
+  std::vector<double> w(n);
+  for (int s = 0; s < n; ++s) w[s] = ShapleyWeight(n, s);
+  std::vector<double> phi(n, 0.0);
+  for (int i = 0; i < n; ++i) {
+    double acc = 0.0;
+    ForEachSwingWord(table, i, [&](uint64_t base, uint64_t up,
+                                   uint64_t down) {
+      const int high = std::popcount(base);
+      for (uint64_t lanes = up | down; lanes; lanes &= lanes - 1) {
+        const int j = std::countr_zero(lanes);
+        const double term = w[high + std::popcount(static_cast<unsigned>(j))];
+        if ((up >> j) & 1) {
+          acc += term;
+        } else {
+          acc -= term;
+        }
+      }
+    });
+    phi[i] = acc;
+  }
+  return phi;
 }
 
 /// Shapley values of the coalition game `value` over the players
@@ -66,7 +102,7 @@ TupleShapleyResult Shapley(const std::function<double(uint64_t)>& value,
   // Each permutation visits n + 1 coalitions; all but the first visits
   // of each hit the memo.
   XAI_COUNTER_ADD("dbx/coalition_memo_hits",
-                  int64_t{std::max(config.permutations, 0)} * (n + 1) -
+                  int64_t{config.permutations} * (n + 1) -
                       result.game_evaluations);
   return result;
 }
@@ -77,7 +113,7 @@ Result<TupleShapleyResult> BooleanQueryTupleShapley(
     const rel::ProvExprPtr& lineage, const std::vector<int>& endogenous,
     const TupleShapleyConfig& config) {
   const int n = static_cast<int>(endogenous.size());
-  XAI_RETURN_NOT_OK(CheckPlayers(n));
+  XAI_RETURN_NOT_OK(CheckGame(n, config));
 
   // One compilation replaces the per-evaluation tree walk (which paid a
   // set lookup plus a linear endogenous scan per lineage node); every
@@ -85,12 +121,14 @@ Result<TupleShapleyResult> BooleanQueryTupleShapley(
   const CompiledLineage compiled = CompiledLineage::Compile(lineage,
                                                             endogenous);
   if (Exact(n, config)) {
-    // Exact enumeration visits every coalition in mask order, so the truth
-    // table fills block by block, 64 masks per program pass.
-    LineageTruthTable table(compiled, n);
-    return Shapley(
-        [&](uint64_t mask) { return table.Holds(mask) ? 1.0 : 0.0; },
-        endogenous, config);
+    // Every coalition is evaluated, 64 per program pass.
+    const std::vector<double> phi =
+        BooleanShapley(TruthTableWords(compiled, n), n);
+    TupleShapleyResult result;
+    result.exact = true;
+    for (int i = 0; i < n; ++i) result.values[endogenous[i]] = phi[i];
+    result.game_evaluations = 1 << n;
+    return result;
   }
   CompiledLineage::Scratch scratch;
   return Shapley(
@@ -102,7 +140,7 @@ Result<TupleShapleyResult> NumericQueryTupleShapley(
     const std::function<double(const std::vector<int>& present)>& query_value,
     const std::vector<int>& endogenous, const TupleShapleyConfig& config) {
   const int n = static_cast<int>(endogenous.size());
-  XAI_RETURN_NOT_OK(CheckPlayers(n));
+  XAI_RETURN_NOT_OK(CheckGame(n, config));
   std::vector<int> present;
   present.reserve(n);
   return Shapley(

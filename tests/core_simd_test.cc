@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -252,6 +253,52 @@ TEST(SimdKernelTest, GemmTNBitIdenticalAcrossBackends) {
       EXPECT_TRUE(BitEqual(ref, c))
           << "m=" << s.m << " n=" << s.n << " k=" << s.k
           << " backend=" << simd::BackendName(be);
+    }
+  }
+}
+
+double FromBits(uint64_t bits) {
+  double d;
+  std::memcpy(&d, &bits, sizeof(d));
+  return d;
+}
+
+// Compress moves doubles without computing on them, so every tier keeps
+// the same rows in the same order with the same bits — quiet and
+// signaling NaN payloads and -0.0 included — for every tail of the
+// AVX2 tier's 4-row step, and need words may carry bit 63.
+TEST(SimdKernelTest, CompressBitIdenticalAcrossBackends) {
+  Rng rng(23);
+  const double specials[] = {FromBits(0x7FF8000000000123ULL),
+                             FromBits(0xFFF0000000000001ULL), -0.0, 0.0,
+                             -std::numeric_limits<double>::infinity()};
+  constexpr uint64_t kBit63 = uint64_t{1} << 63;
+  for (size_t n : {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 62, 63, 64, 65,
+                   1025, 1026, 1027, 1028}) {
+    std::vector<double> values(n);
+    std::vector<uint64_t> need(n);
+    for (size_t i = 0; i < n; ++i) {
+      values[i] = rng.Bernoulli(0.3) ? specials[rng.UniformInt(5)]
+                                     : rng.Uniform(-3.0, 3.0);
+      need[i] = rng.NextU64() & rng.NextU64() & rng.NextU64();
+      if (rng.Bernoulli(0.2)) need[i] |= kBit63;
+      if (rng.Bernoulli(0.2)) need[i] = 0;
+    }
+    for (uint64_t lacking : {uint64_t{0}, ~uint64_t{0}, kBit63,
+                             rng.NextU64() | kBit63, rng.NextU64() & ~kBit63}) {
+      std::vector<double> want;
+      for (size_t i = 0; i < n; ++i)
+        if ((need[i] & lacking) == 0) want.push_back(values[i]);
+      for (simd::Backend be : AvailableBackends()) {
+        BackendGuard g(be);
+        std::vector<double> out(n, 7.0);
+        const size_t len = simd::Compress(values.data(), need.data(), lacking,
+                                          n, out.data());
+        ASSERT_EQ(len, want.size())
+            << "n=" << n << " backend=" << simd::BackendName(be);
+        EXPECT_TRUE(BitEqual(want.data(), out.data(), len))
+            << "n=" << n << " backend=" << simd::BackendName(be);
+      }
     }
   }
 }

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <map>
 #include <numeric>
+#include <string>
 
 #include "xai/core/rng.h"
 #include "xai/dbx/responsibility.h"
@@ -71,6 +72,36 @@ TEST(TupleShapleyTest, SamplingMatchesExact) {
 
 TEST(TupleShapleyTest, RejectsEmptyPlayers) {
   EXPECT_FALSE(BooleanQueryTupleShapley(AndOrLineage(), {}).ok());
+}
+
+// Sampling divides by the permutation count, so a non-positive count has
+// no estimate to return; the exact path never reads it.
+TEST(TupleShapleyTest, SamplingRejectsNonPositivePermutations) {
+  auto count = [](const std::vector<int>& present) {
+    return static_cast<double>(present.size());
+  };
+  for (int permutations : {0, -5}) {
+    SCOPED_TRACE("permutations " + std::to_string(permutations));
+    TupleShapleyConfig config;
+    config.permutations = permutations;
+    config.exact_limit = 0;
+    const auto boolean =
+        BooleanQueryTupleShapley(AndOrLineage(), {1, 2, 3}, config);
+    EXPECT_EQ(boolean.status().code(), StatusCode::kInvalidArgument);
+    const auto numeric = NumericQueryTupleShapley(count, {1, 2, 3}, config);
+    EXPECT_EQ(numeric.status().code(), StatusCode::kInvalidArgument);
+
+    config.exact_limit = 20;
+    const auto exact_boolean =
+        BooleanQueryTupleShapley(AndOrLineage(), {1, 2, 3}, config);
+    ASSERT_TRUE(exact_boolean.ok());
+    EXPECT_TRUE(exact_boolean.ValueUnsafe().exact);
+    EXPECT_NEAR(exact_boolean.ValueUnsafe().values.at(3), 2.0 / 3, 1e-12);
+    const auto exact_numeric =
+        NumericQueryTupleShapley(count, {1, 2, 3}, config);
+    ASSERT_TRUE(exact_numeric.ok());
+    EXPECT_NEAR(exact_numeric.ValueUnsafe().values.at(2), 1.0, 1e-12);
+  }
 }
 
 TEST(TupleShapleyTest, CompileRefusesMoreThan64Players) {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "support/relational_reference.h"
+#include "xai/core/combinatorics.h"
 #include "xai/core/parallel.h"
 #include "xai/core/rng.h"
 #include "xai/core/telemetry.h"
@@ -502,6 +503,71 @@ TEST(SharedScanAggregateTest, DrivesNumericShapleyViaAdapter) {
   ASSERT_EQ(fast.values.size(), slow.values.size());
   for (const auto& [id, value] : fast.values)
     EXPECT_EQ(Bits(value), Bits(slow.values.at(id))) << "tuple " << id;
+}
+
+TEST(SharedScanAggregateTest, AdapterMapsIdsInAnyOrder) {
+  // Player 7 repeats (its bit is its first position, 1); id 99 is not a
+  // player and is ignored.
+  Relation rows("r", {"v"});
+  const std::vector<int> endo = {4, 7, 2, 7, 5};
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(rows.Append({Value::Double(1.5 + i)},
+                            ProvExpr::Times(ProvExpr::Base(endo[i]),
+                                            ProvExpr::Base(100 + i)))
+                    .ok());
+  }
+  auto scan =
+      SharedScanAggregate::Build(rows, AggFn::kSum, 0, endo).ValueOrDie();
+  auto value = scan.AsQueryValue();
+  const std::vector<std::pair<std::vector<int>, uint64_t>> cases = {
+      {{}, 0},
+      {{4, 7, 2, 5}, 0b10111},
+      {{5, 2, 7, 4}, 0b10111},
+      {{7, 99, 4}, 0b00011},
+      {{2, 2, 5, 7}, 0b10110},
+      {{99}, 0}};
+  for (const auto& [present, mask] : cases) {
+    EXPECT_EQ(Bits(value(present)), Bits(scan.Eval(mask)))
+        << "mask " << mask;
+  }
+}
+
+TEST(SharedScanAggregateTest, LongAndSharedProductsMatchTheirLineage) {
+  // Products on both sides of the walk's 64-node bound (a product of k
+  // tuples has 2k - 1 nodes) and a product DAG whose tree has 2^30 leaves
+  // all keep their need words, walked or compiled; none keeps a program.
+  const std::vector<int> endo = {0, 1, 2, 3};
+  std::vector<ProvExprPtr> lineages;
+  for (int len : {1, 2, 31, 32, 33, 80}) {
+    ProvExprPtr product = ProvExpr::Base(100);
+    for (int k = 0; k < len; ++k) {
+      const int id = k % 5 == 4 ? 100 + k : k % 4;
+      product = ProvExpr::Times(std::move(product), ProvExpr::Base(id));
+    }
+    lineages.push_back(product);
+  }
+  ProvExprPtr doubled = ProvExpr::Times(ProvExpr::Base(2), ProvExpr::Base(7));
+  for (int level = 0; level < 30; ++level)
+    doubled = ProvExpr::Times(doubled, doubled);
+  lineages.push_back(doubled);
+  lineages.push_back(ProvExpr::Times(doubled, ProvExpr::Zero()));
+
+  Relation rows("r", {"v"});
+  for (size_t i = 0; i < lineages.size(); ++i)
+    ASSERT_TRUE(rows.Append({Value::Double(0.75 * i)}, lineages[i]).ok());
+  telemetry::Counter* program_rows = telemetry::Registry::Global().GetCounter(
+      "dbx/shared_scan_program_rows");
+  const int64_t programs_before = program_rows->Get();
+  auto scan =
+      SharedScanAggregate::Build(rows, AggFn::kCount, 0, endo).ValueOrDie();
+  EXPECT_EQ(program_rows->Get(), programs_before);
+  CompiledLineage::Scratch scratch;
+  for (uint64_t mask = 0; mask < 16; ++mask) {
+    double want = 0.0;
+    for (const ProvExprPtr& lineage : lineages)
+      want += CompiledLineage::Compile(lineage, endo).Eval(mask, &scratch);
+    EXPECT_EQ(scan.Eval(mask), want) << "mask " << mask;
+  }
 }
 
 TEST(SharedScanAggregateTest, RejectsMoreThan63Players) {
@@ -1240,10 +1306,12 @@ TEST(ProvenanceLifetimeTest, SelectOfJoinHandlesAndRowsOutliveThePipeline) {
 // ---- Generated lineage formulas: compiled, shared-scan and
 // responsibility paths vs ProvExpr::EvalBool ----
 
-// 1-9 players, drawn from 12 ids with replacement, so some repeat.
-std::vector<int> RandomPlayers(Rng& rng) {
-  std::vector<int> endo(rng.UniformInt(1, 10));
-  for (int& id : endo) id = rng.UniformInt(12);
+// min_players to max_players players, drawn from `ids` ids with
+// replacement, so some repeat.
+std::vector<int> RandomPlayers(Rng& rng, int min_players = 1,
+                               int max_players = 9, int ids = 12) {
+  std::vector<int> endo(rng.UniformInt(min_players, max_players + 1));
+  for (int& id : endo) id = rng.UniformInt(ids);
   return endo;
 }
 
@@ -1464,12 +1532,24 @@ ResponsibilityResult ExhaustiveResponsibility(const ProvExprPtr& lineage,
 }
 
 TEST(GeneratedLineageTest, ResponsibilityMatchesExhaustiveSearch) {
-  int causes = 0, with_contingency = 0, capped = 0;
-  for (uint64_t seed = 1; seed <= 200; ++seed) {
+  int causes = 0, with_contingency = 0, capped = 0, wide_contingency = 0;
+  for (uint64_t seed = 1; seed <= 260; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(seed * 31337);
-    const std::vector<int> endo = RandomPlayers(rng);
-    const ProvExprPtr lineage = RandomLineage(rng, endo, false);
+    // Seeds past 200 take 10-14 players and a sum of random products, so
+    // many players matter, the search reads swing pairs one to 2^7 words
+    // apart, and ties fall between swings that differ only above bit 6.
+    const bool wide = seed > 200;
+    const std::vector<int> endo =
+        wide ? RandomPlayers(rng, 10, 14, 16) : RandomPlayers(rng);
+    ProvExprPtr lineage;
+    if (wide) {
+      std::vector<ProvExprPtr> terms(rng.UniformInt(3, 7));
+      for (ProvExprPtr& term : terms) term = RandomLineage(rng, endo, true);
+      lineage = ProvExpr::PlusAll(std::move(terms));
+    } else {
+      lineage = RandomLineage(rng, endo, false);
+    }
     const int max_size = rng.UniformInt(0, 8);
     const ResponsibilityResult got =
         TupleResponsibility(lineage, endo, max_size).ValueOrDie();
@@ -1480,12 +1560,160 @@ TEST(GeneratedLineageTest, ResponsibilityMatchesExhaustiveSearch) {
     for (const auto& [id, r] : want.responsibility) {
       causes += r > 0.0;
       with_contingency += r > 0.0 && r < 1.0;
+      wide_contingency += wide && r > 0.0 && r < 1.0;
     }
     capped += max_size < static_cast<int>(endo.size()) - 1;
   }
   EXPECT_GT(causes, 0);
   EXPECT_GT(with_contingency, 0);
   EXPECT_GT(capped, 0);
+  EXPECT_GT(wide_contingency, 0);
+}
+
+TEST(GeneratedLineageTest, ExactBooleanShapleyMatchesShapleyOfSetFunction) {
+  int partial_word = 0, strided = 0, nonzero = 0;
+  for (uint64_t seed = 1; seed <= 64; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed * 6151);
+    // Player counts cycle through 1-16: below 6 the truth table is one
+    // partial word; player i >= 6 pairs words 2^(i-6) apart.
+    const int n = 1 + static_cast<int>(seed % 16);
+    const std::vector<int> endo = RandomPlayers(rng, n, n, n + 3);
+    const ProvExprPtr lineage = RandomLineage(rng, endo, rng.Bernoulli(0.2));
+    const std::vector<bool> truth = TruthTable(lineage, endo);
+    const std::vector<double> phi = ShapleyOfSetFunction(
+        n, [&](uint64_t mask) { return truth[mask] ? 1.0 : 0.0; });
+    std::map<int, double> want;
+    for (int i = 0; i < n; ++i) want[endo[i]] = phi[i];
+
+    const TupleShapleyResult got =
+        BooleanQueryTupleShapley(lineage, endo).ValueOrDie();
+    EXPECT_TRUE(got.exact);
+    EXPECT_EQ(got.game_evaluations, 1 << n);
+    ASSERT_EQ(got.values.size(), want.size());
+    for (const auto& [id, value] : want) {
+      ASSERT_EQ(Bits(got.values.at(id)), Bits(value)) << "tuple " << id;
+      nonzero += value != 0.0;
+    }
+    partial_word += n < 6;
+    strided += n >= 10;
+  }
+  EXPECT_GT(partial_word, 0);
+  EXPECT_GT(strided, 0);
+  EXPECT_GT(nonzero, 0);
+}
+
+// ---- Star schema: query_shapley's question, shared scan vs rebuild ----
+
+// SELECT SUM(amount) FROM fact JOIN dim USING (k) WHERE f > c AND
+// region = g, explained over the group's 12 largest sales and the 4
+// stores most of them came from, as the query_shapley workload asks it:
+// sampled numeric tuple-Shapley through the shared scan must equal
+// rebuilding the sub-instance and re-running the reference pipeline per
+// coalition, bit for bit. The answer groups hold 1 100-3 000 rows, so the
+// gather runs past kBatchRows and leaves every tail of its 4-row steps.
+TEST(StarSchemaShapleyTest, SharedScanMatchesRebuildPerCoalition) {
+  constexpr int kDimBase = 1 << 20;
+  constexpr int kAmount = 2, kF = 3, kDimK = 4, kRegion = 5;
+  std::set<int64_t> tails;
+  // Seeds whose answer groups leave tails of 3, 0, 2 and 1 rows.
+  for (uint64_t seed : {1, 2, 3, 9}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed * 92821);
+    const int dims = 48, regions = 2;
+    Relation fact("fact", {"id", "k", "amount", "f"});
+    const int fact_rows = rng.UniformInt(4400, 8000);
+    for (int i = 0; i < fact_rows; ++i) {
+      ASSERT_TRUE(
+          fact.AppendBase({Value::Int(i), Value::Int(rng.UniformInt(dims)),
+                           Value::Double(rng.Uniform(1.0, 100.0)),
+                           Value::Double(rng.Uniform(-1.0, 1.0))},
+                          i)
+              .ok());
+    }
+    Relation dim("dim", {"k", "region", "w"});
+    for (int k = 0; k < dims; ++k) {
+      ASSERT_TRUE(dim.AppendBase({Value::Int(k), Value::Int(k % regions),
+                                  Value::Double(rng.Uniform(0.5, 1.5))},
+                                 kDimBase + k)
+                      .ok());
+    }
+    const int g = rng.UniformInt(regions);
+    const ExprPtr kept = Expr::And(
+        Expr::Gt(Expr::Column(kF),
+                 Expr::Const(Value::Double(rng.Uniform(-0.5, 0.0)))),
+        Expr::Eq(Expr::Column(kRegion), Expr::Const(Value::Int(g))));
+
+    const Relation rows =
+        Select(EquiJoin(Columnar(fact), Columnar(dim), 1, 0).ValueOrDie(),
+               kept)
+            .ValueOrDie()
+            .ToRows();
+    ASSERT_GT(rows.num_tuples(), kBatchRows);
+    ASSERT_LE(rows.num_tuples(), 3000);
+    tails.insert(rows.num_tuples() % 4);
+
+    std::vector<int> order(rows.num_tuples());
+    for (int i = 0; i < rows.num_tuples(); ++i) order[i] = i;
+    auto amount = [&](int i) { return rows.tuple(i)[kAmount].AsDouble(); };
+    auto id = [&](int i) { return rows.tuple(i)[0].AsInt(); };
+    std::sort(order.begin(), order.end(), [&](int a, int b) {
+      return amount(a) != amount(b) ? amount(a) > amount(b) : id(a) < id(b);
+    });
+    std::vector<int> endo;
+    std::map<int64_t, int> store_count;
+    for (int i = 0; i < 12; ++i) {
+      endo.push_back(static_cast<int>(id(order[i])));
+      ++store_count[rows.tuple(order[i])[kDimK].AsInt()];
+    }
+    std::vector<std::pair<int, int64_t>> stores;  // (-count, store)
+    for (const auto& [store, n] : store_count) stores.emplace_back(-n, store);
+    std::sort(stores.begin(), stores.end());
+    for (int i = 0; i < 4 && i < static_cast<int>(stores.size()); ++i)
+      endo.push_back(kDimBase + static_cast<int>(stores[i].second));
+
+    const std::set<int> questioned(endo.begin(), endo.end());
+    auto rebuild = [&](const std::vector<int>& present) {
+      const std::set<int> in(present.begin(), present.end());
+      auto keep = [&](const Relation& base, int first_id) {
+        Relation sub(base.name(), base.columns());
+        for (int i = 0; i < base.num_tuples(); ++i) {
+          const int tuple_id = first_id + i;
+          if (!questioned.count(tuple_id) || in.count(tuple_id)) {
+            EXPECT_TRUE(sub.Append(base.tuple(i), base.annotation(i)).ok());
+          }
+        }
+        return sub;
+      };
+      const Relation joined =
+          reference::EquiJoin(keep(fact, 0), keep(dim, kDimBase), 1, 0)
+              .ValueOrDie();
+      const Relation agg =
+          reference::GroupByAggregate(
+              reference::Select(joined, kept).ValueOrDie(), {}, AggFn::kSum,
+              kAmount, "s")
+              .ValueOrDie();
+      return agg.num_tuples() ? agg.tuple(0)[0].AsDouble() : 0.0;
+    };
+
+    TupleShapleyConfig config;
+    config.exact_limit = 0;
+    config.permutations = 3;
+    config.seed = seed;
+    auto scan = SharedScanAggregate::Build(rows, AggFn::kSum, kAmount, endo)
+                    .ValueOrDie();
+    const TupleShapleyResult fast =
+        NumericQueryTupleShapley(scan.AsQueryValue(), endo, config)
+            .ValueOrDie();
+    const TupleShapleyResult slow =
+        NumericQueryTupleShapley(rebuild, endo, config).ValueOrDie();
+    EXPECT_EQ(fast.game_evaluations, slow.game_evaluations);
+    ASSERT_EQ(fast.values.size(), slow.values.size());
+    for (const auto& [tuple, value] : slow.values)
+      EXPECT_EQ(Bits(fast.values.at(tuple)), Bits(value)) << "tuple " << tuple;
+  }
+  EXPECT_TRUE(tails.count(1) && tails.count(2) && tails.count(3))
+      << "tails seen: " << ::testing::PrintToString(tails);
 }
 
 }  // namespace
