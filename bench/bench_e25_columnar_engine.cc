@@ -35,6 +35,7 @@
 
 #include "bench_util.h"
 #include "support/relational_reference.h"
+#include "xai/core/parallel.h"
 #include "xai/core/rng.h"
 #include "xai/core/timer.h"
 #include "xai/dbx/shared_scan.h"
@@ -368,8 +369,19 @@ void RunLineageMicro(bool smoke, bench::RunReport* report) {
 // row's lineage once and re-aggregates present rows per coalition. Values
 // must agree bit for bit (identical coalition values feed the identical
 // RNG stream).
+//
+// The pipeline section ends with SetNumThreads, which drops its 8-thread
+// pool, so the first multi-chunk region after it starts the workers. That
+// start is timed here, on its own line, so that each row below times only
+// its own work.
 void RunSharedScanShapley(bool smoke, bench::RunReport* report) {
   bench::Section("tuple-Shapley e2e: rebuild-per-coalition vs shared scan");
+  WallTimer pool_timer;
+  ParallelFor(2 * GetNumThreads(), 1, [](int64_t, int64_t, int64_t) {});
+  const double pool_ms = pool_timer.Seconds() * 1e3;
+  std::printf("pool start at %d thread(s): %.2f ms\n", GetNumThreads(),
+              pool_ms);
+  report->Metric("pool_start_ms", pool_ms);
   const int kEndo = 12;
   TupleShapleyConfig config;
   config.exact_limit = 0;  // Force the sampling estimator at every size.

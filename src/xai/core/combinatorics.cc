@@ -67,12 +67,20 @@ uint64_t IndicesToMask(const std::vector<int>& indices) {
 std::vector<double> ShapleyOfSetFunction(
     int n, const std::function<double(uint64_t)>& v) {
   XAI_CHECK(n >= 0 && n <= 24);
+  if (n == 0) return {};
+  // Cache all 2^n values (each evaluated once).
+  std::vector<double> values(uint64_t{1} << n);
+  for (uint64_t mask = 0; mask < values.size(); ++mask) values[mask] = v(mask);
+  return ShapleyOfValueTable(n, values);
+}
+
+std::vector<double> ShapleyOfValueTable(int n,
+                                        const std::vector<double>& values) {
+  XAI_CHECK(n >= 0 && n <= 24);
+  XAI_CHECK_EQ(values.size(), uint64_t{1} << n);
   std::vector<double> phi(n, 0.0);
   if (n == 0) return phi;
-  // Cache all 2^n values (each evaluated once).
-  uint64_t limit = 1ULL << n;
-  std::vector<double> values(limit);
-  for (uint64_t mask = 0; mask < limit; ++mask) values[mask] = v(mask);
+  const uint64_t limit = values.size();
   std::vector<double> w(n);
   for (int s = 0; s < n; ++s) w[s] = ShapleyWeight(n, s);
   for (uint64_t mask = 0; mask < limit; ++mask) {

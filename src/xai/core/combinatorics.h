@@ -42,6 +42,11 @@ uint64_t IndicesToMask(const std::vector<int>& indices);
 std::vector<double> ShapleyOfSetFunction(
     int n, const std::function<double(uint64_t)>& v);
 
+/// ShapleyOfSetFunction over a table of all 2^n coalition values,
+/// values[mask] = v(mask): the same values, bit for bit.
+std::vector<double> ShapleyOfValueTable(int n,
+                                        const std::vector<double>& values);
+
 }  // namespace xai
 
 #endif  // XAI_CORE_COMBINATORICS_H_

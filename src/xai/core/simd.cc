@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -251,6 +252,35 @@ __attribute__((aligned(64))) XAI_SIMD_NOVEC size_t CompressScalar(
     len += (need[i] & lacking) == 0;
   }
   return len;
+}
+
+// One coalition at a time, as the contract reads: the kept value number
+// `len` goes to stripe lane len % 4 (blocks hold a multiple of 4 values),
+// and a full block folds into the total.
+XAI_SIMD_NOVEC void CompressSumsScalar(const double* values,
+                                       const uint64_t* need,
+                                       const uint64_t* lacking, int k,
+                                       size_t n, size_t block, double* sums,
+                                       size_t* counts) {
+  for (int c = 0; c < k; ++c) {
+    double lane[4] = {0.0, 0.0, 0.0, 0.0};
+    double total = 0.0;
+    size_t len = 0;
+    size_t fill = 0;
+    for (size_t i = 0; i < n; ++i) {
+      if (need[i] & lacking[c]) continue;
+      lane[len & 3] += values[i];
+      ++len;
+      if (++fill == block) {
+        total += (lane[0] + lane[1]) + (lane[2] + lane[3]);
+        lane[0] = lane[1] = lane[2] = lane[3] = 0.0;
+        fill = 0;
+      }
+    }
+    if (fill) total += (lane[0] + lane[1]) + (lane[2] + lane[3]);
+    sums[c] = total;
+    counts[c] = len;
+  }
 }
 
 }  // namespace
@@ -519,6 +549,156 @@ __attribute__((target("avx2"), aligned(64))) size_t CompressAvx2(
                               out + len);
 }
 
+// Row keep | phase << 4 of the rotate-compress permutation: the lanes set
+// in the 4-bit keep mask, lowest first, move to lanes phase, phase + 1,
+// ... (mod 4), and the cleared lanes fill the remaining lanes. The caller
+// zeroes the cleared lanes first, so every lane that receives no kept
+// value holds +0.0.
+constexpr auto kRotatePerms = [] {
+  std::array<CompressPerm, 64> perms{};
+  for (int row = 0; row < 64; ++row) {
+    const int keep = row & 15;
+    const int phase = row >> 4;
+    int kept = 0;
+    int cleared = std::popcount(static_cast<unsigned>(keep));
+    for (int lane = 0; lane < 4; ++lane) {
+      const int dest = (phase + ((keep >> lane) & 1 ? kept++ : cleared++)) & 3;
+      perms[row].half[2 * dest] = 2 * lane;
+      perms[row].half[2 * dest + 1] = 2 * lane + 1;
+    }
+  }
+  return perms;
+}();
+
+// Row p has lanes p..3 set.
+struct alignas(32) LaneMask {
+  uint64_t lane[4];
+};
+constexpr LaneMask kLanesFrom[4] = {{{~0ULL, ~0ULL, ~0ULL, ~0ULL}},
+                                    {{0, ~0ULL, ~0ULL, ~0ULL}},
+                                    {{0, 0, ~0ULL, ~0ULL}},
+                                    {{0, 0, 0, ~0ULL}}};
+
+// (l0 + l1) + (l2 + l3), as DotAvx2 folds its accumulator.
+__attribute__((target("avx2"), always_inline)) inline double FoldStripes(
+    __m256d acc) {
+  double lane[4];
+  _mm256_storeu_pd(lane, acc);
+  return (lane[0] + lane[1]) + (lane[2] + lane[3]);
+}
+
+// One coalition of a CompressSumsAvx2 pass: its lacking bits, the stripe
+// accumulator of its open block, the sum of its closed blocks, how many
+// it closed, and the room left in the open one. Its kept count so far is
+// blocks * block + (block - room), so its lane phase is -room mod 4.
+struct SumWay {
+  __m256i lacking;
+  __m256d acc;
+  double total;
+  size_t room;
+  size_t blocks;
+};
+
+// Adds four rows to one coalition. The kept values are zeroed where they
+// are not kept, then rotated so the next kept value lands on the lane its
+// position in the block gives it; adding +0.0 to the other lanes leaves
+// them unchanged, since an accumulator that starts at +0.0 is never -0.0.
+// `valid` clears the padding lanes of the last, partial step.
+template <bool kTail>
+__attribute__((target("avx2"), always_inline)) inline void SumStep(
+    SumWay& w, __m256i need4, __m256d values4, __m256i valid, size_t block) {
+  __m256i keepv = _mm256_cmpeq_epi64(_mm256_and_si256(need4, w.lacking),
+                                     _mm256_setzero_si256());
+  if constexpr (kTail) keepv = _mm256_and_si256(keepv, valid);
+  const int keep = _mm256_movemask_pd(_mm256_castsi256_pd(keepv));
+  const size_t phase = (0 - w.room) & 3;
+  const __m256i perm = _mm256_load_si256(
+      reinterpret_cast<const __m256i*>(kRotatePerms[keep | phase << 4].half));
+  const __m256d kept_values =
+      _mm256_castsi256_pd(_mm256_permutevar8x32_epi32(
+          _mm256_castpd_si256(
+              _mm256_and_pd(values4, _mm256_castsi256_pd(keepv))),
+          perm));
+  const size_t kept = static_cast<size_t>(__builtin_popcount(keep));
+  if (kept < w.room) [[likely]] {
+    w.acc = _mm256_add_pd(w.acc, kept_values);
+    w.room -= kept;
+    return;
+  }
+  // The step fills the open block: lanes from `phase` up close it, and
+  // lanes below `phase` hold the values past its end, which open the next.
+  const __m256d closing = _mm256_load_pd(
+      reinterpret_cast<const double*>(kLanesFrom[phase].lane));
+  w.acc = _mm256_add_pd(w.acc, _mm256_and_pd(kept_values, closing));
+  w.total += FoldStripes(w.acc);
+  w.acc = _mm256_add_pd(_mm256_setzero_pd(),
+                        _mm256_andnot_pd(closing, kept_values));
+  w.room += block - kept;
+  ++w.blocks;
+}
+
+// K coalitions share each load of four need words and four values.
+template <int K>
+__attribute__((target("avx2"))) void CompressSumsAvx2Ways(
+    const double* values, const uint64_t* need, const uint64_t* lacking,
+    size_t n, size_t block, double* sums, size_t* counts) {
+  SumWay ways[K];
+  for (int c = 0; c < K; ++c) {
+    ways[c] = {_mm256_set1_epi64x(static_cast<long long>(lacking[c])),
+               _mm256_setzero_pd(), 0.0, block, 0};
+  }
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256i need4 =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(need + i));
+    const __m256d values4 = _mm256_loadu_pd(values + i);
+#pragma GCC unroll 4
+    for (int c = 0; c < K; ++c)
+      SumStep<false>(ways[c], need4, values4, need4, block);
+  }
+  if (i < n) {
+    alignas(32) uint64_t need_tail[4] = {};
+    alignas(32) double values_tail[4] = {};
+    alignas(32) uint64_t valid[4] = {};
+    for (size_t r = 0; i + r < n; ++r) {
+      need_tail[r] = need[i + r];
+      values_tail[r] = values[i + r];
+      valid[r] = ~0ULL;
+    }
+    const __m256i need4 =
+        _mm256_load_si256(reinterpret_cast<const __m256i*>(need_tail));
+    const __m256d values4 = _mm256_load_pd(values_tail);
+    const __m256i valid4 =
+        _mm256_load_si256(reinterpret_cast<const __m256i*>(valid));
+    for (int c = 0; c < K; ++c)
+      SumStep<true>(ways[c], need4, values4, valid4, block);
+  }
+  for (int c = 0; c < K; ++c) {
+    if (ways[c].room != block) ways[c].total += FoldStripes(ways[c].acc);
+    sums[c] = ways[c].total;
+    counts[c] = ways[c].blocks * block + (block - ways[c].room);
+  }
+}
+
+__attribute__((target("avx2"))) void CompressSumsAvx2(
+    const double* values, const uint64_t* need, const uint64_t* lacking,
+    int k, size_t n, size_t block, double* sums, size_t* counts) {
+  switch (k) {
+    case 1:
+      return CompressSumsAvx2Ways<1>(values, need, lacking, n, block, sums,
+                                     counts);
+    case 2:
+      return CompressSumsAvx2Ways<2>(values, need, lacking, n, block, sums,
+                                     counts);
+    case 3:
+      return CompressSumsAvx2Ways<3>(values, need, lacking, n, block, sums,
+                                     counts);
+    default:
+      return CompressSumsAvx2Ways<4>(values, need, lacking, n, block, sums,
+                                     counts);
+  }
+}
+
 }  // namespace
 #endif  // XAI_SIMD_X86
 
@@ -541,6 +721,9 @@ using GemmFn = void (*)(int, int, int, const double*, int, const double*,
 using MicroFn = void (*)(int, const double*, const double*, double*, int);
 using CompressFn = size_t (*)(const double*, const uint64_t*, uint64_t,
                               size_t, double*);
+using CompressSumsFn = void (*)(const double*, const uint64_t*,
+                                const uint64_t*, int, size_t, size_t, double*,
+                                size_t*);
 
 struct KernelTable {
   Backend backend;
@@ -552,18 +735,19 @@ struct KernelTable {
   GemmFn gemm_tn_direct;
   MicroFn micro;
   CompressFn compress;
+  CompressSumsFn compress_sums;
 };
 
 constexpr KernelTable kScalarTable = {
     Backend::kScalar,    DotScalar,    AxpyScalar,      SsdScalar,
     WeightedOuterScalar, GemmScalar,   GemmTNScalar,    GemmMicroScalar,
-    CompressScalar};
+    CompressScalar,      CompressSumsScalar};
 
 #if XAI_SIMD_X86
 constexpr KernelTable kAvx2Table = {
     Backend::kAvx2,    DotAvx2,  AxpyAvx2,   SsdAvx2,
     WeightedOuterAvx2, GemmAvx2, GemmTNAvx2, GemmMicroAvx2,
-    CompressAvx2};
+    CompressAvx2,      CompressSumsAvx2};
 #endif
 
 const KernelTable* TableFor(Backend backend) {
@@ -767,6 +951,15 @@ void WeightedOuterAccumulate(double w, const double* row, int d, double* g,
 size_t Compress(const double* values, const uint64_t* need, uint64_t lacking,
                 size_t n, double* out) {
   return ActiveTable().compress(values, need, lacking, n, out);
+}
+
+void CompressSums(const double* values, const uint64_t* need,
+                  const uint64_t* lacking, int k, size_t n, size_t block,
+                  double* sums, size_t* counts) {
+  XAI_CHECK(k >= 1 && k <= kCompressSumsWays);
+  XAI_CHECK(block > 0 && block % 4 == 0);
+  ActiveTable().compress_sums(values, need, lacking, k, n, block, sums,
+                              counts);
 }
 
 void GemmDirect(int m, int n, int k, const double* a, int lda,

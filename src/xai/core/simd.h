@@ -158,6 +158,25 @@ void GemmTNUpper(int dim, int k, const double* a, int lda, const double* b,
 size_t Compress(const double* values, const uint64_t* need, uint64_t lacking,
                 size_t n, double* out);
 
+/// Most coalitions one CompressSums pass serves.
+inline constexpr int kCompressSumsWays = 4;
+
+/// Fused gather-sum: for each c < k (1 <= k <= kCompressSumsWays), in one
+/// pass over the rows, counts[c] is the number of values Compress(values,
+/// need, lacking[c], n) would keep and sums[c] is their blocked striped
+/// sum. The kept values split into consecutive blocks of `block` values
+/// (a positive multiple of 4); each block is reduced the way
+/// Dot(block values, ones) reduces it — stripe lane l takes the block's
+/// values l, l + 4, ... — and the block partials are added in order to
+/// 0.0. With block = rel::kBatchRows, sums[c] is bit-identical to
+/// rel::CanonicalSum over the compressed values (NaN payloads, -0.0 and
+/// infinities included), and no kept value is ever stored. This is the
+/// dbx shared scan's SUM/COUNT/AVG kernel: one coalition's lacking bits
+/// per lacking[c].
+void CompressSums(const double* values, const uint64_t* need,
+                  const uint64_t* lacking, int k, size_t n, size_t block,
+                  double* sums, size_t* counts);
+
 /// @}
 
 }  // namespace simd

@@ -1,12 +1,15 @@
 #include "xai/dbx/shared_scan.h"
 
 #include <algorithm>
+#include <functional>
+#include <unordered_map>
 #include <utility>
 
 #include "xai/core/check.h"
 #include "xai/core/simd.h"
 #include "xai/core/telemetry.h"
 #include "xai/relational/agg_kernels.h"
+#include "xai/relational/columnar.h"
 
 namespace xai {
 namespace {
@@ -250,6 +253,13 @@ bool CompiledLineage::IsConjunction(uint64_t* bits) const {
   return true;
 }
 
+uint64_t CompiledLineage::var_bits() const {
+  uint64_t bits = 0;
+  for (const Node& node : nodes_)
+    if (node.op == Node::Op::kVar) bits |= uint64_t{1} << node.bit;
+  return bits;
+}
+
 std::vector<uint64_t> TruthTableWords(const CompiledLineage& lineage, int n) {
   XAI_CHECK(n >= 0 && n <= 24);
   std::vector<uint64_t> words(n < 6 ? 1 : size_t{1} << (n - 6));
@@ -356,49 +366,120 @@ Result<SharedScanAggregate> SharedScanAggregate::Build(
       s.programs_.push_back({i, std::move(compiled)});
     }
   }
-  s.gather_.resize(n);
+  for (uint64_t need : s.need_)
+    if (need != 0 && !(need & kNever)) s.distinct_needs_.push_back(need);
+  std::sort(s.distinct_needs_.begin(), s.distinct_needs_.end());
+  s.distinct_needs_.erase(
+      std::unique(s.distinct_needs_.begin(), s.distinct_needs_.end()),
+      s.distinct_needs_.end());
+  for (const ProgramRow& p : s.programs_)
+    s.program_vars_ |= p.lineage.var_bits();
+  if (fn == rel::AggFn::kMin || fn == rel::AggFn::kMax) s.gather_.resize(n);
   XAI_COUNTER_ADD("dbx/shared_scan_rows", n);
   XAI_COUNTER_ADD("dbx/shared_scan_program_rows",
                   static_cast<int64_t>(s.programs_.size()));
   return s;
 }
 
-double SharedScanAggregate::Eval(uint64_t mask) {
-  for (const ProgramRow& p : programs_)
-    need_[p.row] = p.lineage.Eval(mask, &scratch_) ? 0 : kNever;
-  // A row is present when it needs no bit the coalition lacks. Bit 63 is
-  // no player's, so it counts as lacking whatever the caller passed.
-  const int64_t len = static_cast<int64_t>(
-      simd::Compress(values_.data(), need_.data(), ~mask | kNever,
-                     values_.size(), gather_.data()));
-  switch (fn_) {
-    case rel::AggFn::kCount:
-      return static_cast<double>(len);
-    case rel::AggFn::kSum:
-      return rel::CanonicalSum(gather_.data(), len);
-    case rel::AggFn::kAvg:
-      return len ? rel::CanonicalSum(gather_.data(), len) / len : 0.0;
-    case rel::AggFn::kMin:
-      return rel::CanonicalMin(gather_.data(), len);
-    case rel::AggFn::kMax:
-      return rel::CanonicalMax(gather_.data(), len);
-  }
-  return 0.0;
+uint64_t SharedScanAggregate::KeyOf(uint64_t mask) const {
+  // The need words the coalition covers decide which plain rows it
+  // admits, and their OR is the largest mask covering exactly those; the
+  // program rows read only the program variables. A key keeps both, and
+  // the key itself is a coalition that admits the same rows.
+  uint64_t key = mask & program_vars_;
+  for (uint64_t need : distinct_needs_)
+    if ((need & ~mask) == 0) key |= need;
+  return key;
 }
 
-std::function<double(const std::vector<int>&)>
-SharedScanAggregate::AsQueryValue() {
-  return [this](const std::vector<int>& present) {
-    // NumericQueryTupleShapley lists the present ids in player order, so
-    // the cursor maps them in one pass over the players.
-    uint64_t mask = 0;
-    size_t cursor = 0;
-    for (int id : present) {
-      const int bit = BitOf(id, &cursor);
-      if (bit >= 0) mask |= uint64_t{1} << bit;
+void SharedScanAggregate::Values(std::span<const uint64_t> masks,
+                                 std::span<double> out) {
+  XAI_CHECK_EQ(masks.size(), out.size());
+  keys_.Clear();
+  key_of_mask_.resize(masks.size());
+  for (size_t j = 0; j < masks.size(); ++j)
+    key_of_mask_[j] = keys_.Intern(KeyOf(masks[j]));
+  const std::vector<uint64_t>& keys = keys_.masks();
+  key_values_.resize(keys.size());
+  // Keys that agree on the program variables agree on every program row,
+  // so a run of them shares one setting of the program rows' need words.
+  for (size_t begin = 0; begin < keys.size();) {
+    const uint64_t vars = keys[begin] & program_vars_;
+    size_t end = begin + 1;
+    while (end < keys.size() && (keys[end] & program_vars_) == vars) ++end;
+    for (const ProgramRow& p : programs_)
+      need_[p.row] = p.lineage.Eval(vars, &scratch_) ? 0 : kNever;
+    EvalKeys(begin, end);
+    begin = end;
+  }
+  for (size_t j = 0; j < masks.size(); ++j)
+    out[j] = key_values_[key_of_mask_[j]];
+  XAI_COUNTER_ADD("dbx/shared_scan_collapsed",
+                  static_cast<int64_t>(masks.size() - keys.size()));
+}
+
+void SharedScanAggregate::EvalKeys(size_t begin, size_t end) {
+  const std::vector<uint64_t>& keys = keys_.masks();
+  const size_t n = values_.size();
+  // A row is present when it needs no bit the coalition lacks. No key has
+  // bit 63, so every key lacks it.
+  if (fn_ == rel::AggFn::kMin || fn_ == rel::AggFn::kMax) {
+    for (size_t id = begin; id < end; ++id) {
+      const int64_t len = static_cast<int64_t>(simd::Compress(
+          values_.data(), need_.data(), ~keys[id], n, gather_.data()));
+      key_values_[id] = fn_ == rel::AggFn::kMin
+                            ? rel::CanonicalMin(gather_.data(), len)
+                            : rel::CanonicalMax(gather_.data(), len);
     }
-    return Eval(mask);
-  };
+    return;
+  }
+  constexpr int kWays = simd::kCompressSumsWays;
+  for (size_t first = begin; first < end; first += kWays) {
+    const int k = static_cast<int>(std::min<size_t>(kWays, end - first));
+    uint64_t lacking[kWays];
+    for (int c = 0; c < k; ++c) lacking[c] = ~keys[first + c];
+    double sums[kWays];
+    size_t counts[kWays];
+    simd::CompressSums(values_.data(), need_.data(), lacking, k, n,
+                       rel::kBatchRows, sums, counts);
+    for (int c = 0; c < k; ++c) {
+      const double len = static_cast<double>(counts[c]);
+      double& value = key_values_[first + c];
+      switch (fn_) {
+        case rel::AggFn::kCount:
+          value = len;
+          break;
+        case rel::AggFn::kAvg:
+          value = counts[c] ? sums[c] / len : 0.0;
+          break;
+        default:
+          value = sums[c];
+          break;
+      }
+    }
+  }
+}
+
+double SharedScanAggregate::Eval(uint64_t mask) {
+  double value = 0.0;
+  Values({&mask, 1}, {&value, 1});
+  return value;
+}
+
+uint64_t SharedScanAggregate::MaskOf(std::span<const int> ids) const {
+  // Present lists usually come in player order, so the cursor maps them
+  // in one pass over the players.
+  uint64_t mask = 0;
+  size_t cursor = 0;
+  for (int id : ids) {
+    const int bit = BitOf(id, &cursor);
+    if (bit >= 0) mask |= uint64_t{1} << bit;
+  }
+  return mask;
+}
+
+SharedScanQuery SharedScanAggregate::AsQueryValue() {
+  return SharedScanQuery(this);
 }
 
 }  // namespace xai

@@ -2,10 +2,11 @@
 #define XAI_DBX_SHARED_SCAN_H_
 
 #include <cstdint>
-#include <functional>
+#include <span>
 #include <vector>
 
 #include "xai/core/status.h"
+#include "xai/dbx/mask_index.h"
 #include "xai/relational/agg_kernels.h"
 #include "xai/relational/provenance.h"
 #include "xai/relational/relation.h"
@@ -67,6 +68,9 @@ class CompiledLineage {
   /// Number of program ops Eval executes (0 when constant).
   int num_ops() const { return static_cast<int>(nodes_.size()); }
 
+  /// The mask bits Eval reads (0 when constant).
+  uint64_t var_bits() const;
+
  private:
   struct Node {
     enum class Op : uint8_t { kVar, kAnd, kOr };
@@ -123,6 +127,8 @@ void ForEachSwingWord(const std::vector<uint64_t>& table, int i, Fn&& fn) {
       visit(k, table[k], table[k + stride], ~uint64_t{0});
 }
 
+class SharedScanQuery;
+
 /// \brief Shared-scan evaluator for aggregate coalition games over a query
 /// result: v(S) = aggregate over the result rows whose lineage is
 /// derivable from S plus the exogenous tuples.
@@ -134,17 +140,29 @@ void ForEachSwingWord(const std::vector<uint64_t>& table, int i, Fn&& fn) {
 /// lineage, or a bit no coalition sets for an underivable row). A row
 /// whose annotation has no Plus gets its need word from one walk over its
 /// product; only a row with a Plus is compiled, and one whose compiled
-/// lineage keeps an OR keeps its program, which Eval runs first to set
-/// its need word. Eval(mask) then gathers the present rows' values *in
-/// row order* with simd::Compress and finalizes through the canonical
-/// aggregation kernels of rel/agg_kernels.h — the same kernels
-/// GroupByAggregate uses — so the value equals, bit for bit, what
-/// re-running the query pipeline on the reduced sub-instance produces
-/// (operators preserve relative row order under tuple removal).
+/// lineage keeps an OR keeps its program, which sets its need word per
+/// coalition. A coalition's value aggregates the present rows' values *in
+/// row order* through the canonical aggregation kernels of
+/// rel/agg_kernels.h — the same kernels GroupByAggregate uses — so it
+/// equals, bit for bit, what re-running the query pipeline on the reduced
+/// sub-instance produces (operators preserve relative row order under
+/// tuple removal).
+///
+/// Values answers a block of coalitions with two kinds of sharing:
+///   - Row-set collapse. A coalition's key is the OR of the distinct need
+///     words it covers, plus its bits among the program rows' variables.
+///     Coalitions with equal keys admit exactly the same rows in the same
+///     order, so each distinct key is evaluated once, at the key itself.
+///     The masks answered by another mask's evaluation are added to the
+///     `dbx/shared_scan_collapsed` counter, once per call.
+///   - Fused passes. SUM, COUNT and AVG sum up to
+///     simd::kCompressSumsWays keys per pass over the rows with
+///     simd::CompressSums, which stores no kept value; MIN and MAX gather
+///     the kept values with simd::Compress, one key per pass.
 ///
 /// This replaces the rebuild-per-coalition pattern (filter the base
 /// relations, re-join, re-aggregate — O(pipeline) per coalition) with
-/// O(result rows) per coalition after a single shared scan.
+/// O(result rows) per distinct key after a single shared scan.
 class SharedScanAggregate {
  public:
   /// `rows` is the materialized query result whose annotations carry the
@@ -156,16 +174,24 @@ class SharedScanAggregate {
                                            rel::AggFn fn, int agg_column,
                                            const std::vector<int>& endogenous);
 
-  /// Aggregate under the coalition; empty-selection aggregates are 0.0
-  /// (count 0, sum 0; min/max/avg of nothing are 0, CanonicalMin/Max's
-  /// empty-group value).
+  /// out[j] = the aggregate under coalition masks[j] (bit i = endogenous
+  /// tuple i present; bits past the players are ignored); `out` is as
+  /// long as `masks`. Empty-selection aggregates are 0.0 (count 0, sum 0;
+  /// min/max/avg of nothing are 0, CanonicalMin/Max's empty-group value).
+  /// Scratch memory is O(masks.size()); it is kept for the next call.
+  void Values(std::span<const uint64_t> masks, std::span<double> out);
+
+  /// The one-mask case of Values.
   double Eval(uint64_t mask);
 
-  /// Adapter for NumericQueryTupleShapley's query_value callback: converts
-  /// the present-id list back to a mask (ids that are not endogenous are
-  /// ignored). The returned callable borrows `this` — keep the evaluator
-  /// alive while it is in use.
-  std::function<double(const std::vector<int>&)> AsQueryValue();
+  /// Mask of the endogenous tuple ids listed in `ids`, in any order: each
+  /// id's first position in `endogenous` (ids that are not endogenous are
+  /// ignored).
+  uint64_t MaskOf(std::span<const int> ids) const;
+
+  /// The query-value handle NumericQueryTupleShapley takes. It borrows
+  /// `this` — keep the evaluator alive while it is in use.
+  SharedScanQuery AsQueryValue();
 
   int64_t num_rows() const { return static_cast<int64_t>(values_.size()); }
 
@@ -191,16 +217,52 @@ class SharedScanAggregate {
                    std::vector<const rel::ProvExpr*>* stack,
                    uint64_t* need) const;
 
+  /// Row-set key of a coalition (see the class comment).
+  uint64_t KeyOf(uint64_t mask) const;
+
+  /// Values of the interned keys numbered [begin, end), which agree on
+  /// the program variables; the program rows' need words are set for them.
+  void EvalKeys(size_t begin, size_t end);
+
   rel::AggFn fn_ = rel::AggFn::kCount;
   std::vector<double> values_;
   // Row i is present iff (need_[i] & ~(mask & ~kNever)) == 0.
   std::vector<uint64_t> need_;
   std::vector<ProgramRow> programs_;
+  // Distinct need words other than 0 and kNever's, and the bits that
+  // program rows read.
+  std::vector<uint64_t> distinct_needs_;
+  uint64_t program_vars_ = 0;
   // endogenous[p] and the mask bit of its first occurrence.
   std::vector<int> players_;
   std::vector<int> first_bit_;
   CompiledLineage::Scratch scratch_;
+  // Per-call scratch: the keys, each mask's key number, the keys' values,
+  // and MIN/MAX's gather buffer.
+  MaskIndex keys_;
+  std::vector<uint32_t> key_of_mask_;
+  std::vector<double> key_values_;
   std::vector<double> gather_;
+};
+
+/// \brief The callable SharedScanAggregate::AsQueryValue returns: a
+/// query-value callback over present-id lists, query(present) =
+/// scan.Eval(scan.MaskOf(present)), so it converts to the
+/// std::function that NumericQueryTupleShapley takes. The overload of
+/// NumericQueryTupleShapley for this type maps the players to scan bits
+/// once per call and evaluates coalitions in blocks through Values.
+class SharedScanQuery {
+ public:
+  explicit SharedScanQuery(SharedScanAggregate* scan) : scan_(scan) {}
+
+  double operator()(const std::vector<int>& present) const {
+    return scan_->Eval(scan_->MaskOf(present));
+  }
+
+  SharedScanAggregate& scan() const { return *scan_; }
+
+ private:
+  SharedScanAggregate* scan_;
 };
 
 }  // namespace xai

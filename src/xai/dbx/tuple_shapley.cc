@@ -1,10 +1,12 @@
 #include "xai/dbx/tuple_shapley.h"
 
+#include <algorithm>
 #include <bit>
-#include <unordered_map>
+#include <span>
 
 #include "xai/core/combinatorics.h"
 #include "xai/core/telemetry.h"
+#include "xai/dbx/mask_index.h"
 #include "xai/dbx/shared_scan.h"
 
 namespace xai {
@@ -56,55 +58,127 @@ std::vector<double> BooleanShapley(const std::vector<uint64_t>& table,
   return phi;
 }
 
-/// Shapley values of the coalition game `value` over the players
-/// `endogenous` (mask bit i = endogenous[i]): subset enumeration when
-/// Exact(), which evaluates every coalition once, else permutation
-/// sampling. Every permutation starts at the empty coalition and ends at
-/// the grand one, and short prefixes recur, so sampling evaluates each
-/// distinct coalition once and memoizes it; the memo returns the very
-/// double the game would, so the estimate is bit-identical to evaluating
-/// every visit.
-TupleShapleyResult Shapley(const std::function<double(uint64_t)>& value,
-                           const std::vector<int>& endogenous,
-                           const TupleShapleyConfig& config) {
-  const int n = static_cast<int>(endogenous.size());
-  TupleShapleyResult result;
-  result.exact = Exact(n, config);
-  if (result.exact) {
-    std::vector<double> phi = ShapleyOfSetFunction(n, value);
-    for (int i = 0; i < n; ++i) result.values[endogenous[i]] = phi[i];
-    result.game_evaluations = 1 << n;
-    return result;
-  }
+/// A coalition game in block form: out[j] = v(masks[j]), with mask bit i
+/// standing for endogenous[i]. The engine passes distinct masks only.
+using BlockGame =
+    std::function<void(std::span<const uint64_t>, std::span<double>)>;
 
-  std::unordered_map<uint64_t, double> memo;
-  auto value_of_mask = [&](uint64_t mask) {
-    auto [it, inserted] = memo.try_emplace(mask);
-    if (inserted) it->second = value(mask);
-    return it->second;
-  };
+/// Permutation visits per sampling chunk. Beyond the distinct coalitions
+/// and their values, the sampler holds one chunk's permutations and visit
+/// numbers.
+constexpr int kChunkVisits = 1 << 15;
+
+/// The sampler's coalition table and buffers. Each thread keeps one and
+/// reuses it, so a stream of questions stops allocating here once it has
+/// grown: on query_shapley, a table and buffers freshly allocated and
+/// freed per question made glibc return the heap top to the system
+/// between relation loads, and each load then faulted in 22 MB more. A
+/// game that asks a question from inside its own evaluation gets a
+/// scratch of its own.
+struct SamplerScratch {
+  MaskIndex index;
+  std::vector<double> values;  // By coalition number.
+  std::vector<int> perms;
+  std::vector<uint32_t> visits;
+  bool in_use = false;
+};
+
+/// Masks per block call while the exact path fills its table.
+constexpr uint64_t kExactBlock = 1 << 12;
+
+/// Exact Shapley values: the 2^n values in ascending blocks of masks, then
+/// ShapleyOfValueTable.
+TupleShapleyResult ExactValues(const BlockGame& game,
+                               const std::vector<int>& endogenous) {
+  const int n = static_cast<int>(endogenous.size());
+  std::vector<double> table(uint64_t{1} << n);
+  std::vector<uint64_t> masks;
+  for (uint64_t base = 0; base < table.size(); base += kExactBlock) {
+    masks.resize(std::min<uint64_t>(kExactBlock, table.size() - base));
+    for (size_t j = 0; j < masks.size(); ++j) masks[j] = base + j;
+    game(masks, std::span<double>(table).subspan(base, masks.size()));
+  }
+  const std::vector<double> phi = ShapleyOfValueTable(n, table);
+  TupleShapleyResult result;
+  result.exact = true;
+  for (int i = 0; i < n; ++i) result.values[endogenous[i]] = phi[i];
+  result.game_evaluations = 1 << n;
+  return result;
+}
+
+/// Permutation-sampling Shapley values. Every permutation starts at the
+/// empty coalition and ends at the grand one, and short prefixes recur, so
+/// the sampler works a chunk of permutations at a time: it draws them,
+/// numbers each visit's coalition in a MaskIndex, evaluates the chunk's
+/// new coalitions in one block call (in first-visit order), and then
+/// replays acc[i] += v(cur) - v(prev) in visit order. That is the chain of
+/// adds that evaluating every visit performs, so the estimate is
+/// bit-identical to it.
+TupleShapleyResult SampledValues(const BlockGame& game,
+                                 const std::vector<int>& endogenous,
+                                 const TupleShapleyConfig& config) {
+  const int n = static_cast<int>(endogenous.size());
+  const int chunk = std::max(1, kChunkVisits / (n + 1));
   Rng rng(config.seed);
+  static thread_local SamplerScratch reused;
+  SamplerScratch fresh;
+  SamplerScratch& scratch = reused.in_use ? fresh : reused;
+  scratch.in_use = true;
+  MaskIndex& index = scratch.index;
+  std::vector<double>& values = scratch.values;
+  std::vector<int>& perms = scratch.perms;
+  std::vector<uint32_t>& visits = scratch.visits;
+  index.Clear();
+  values.clear();
   std::vector<double> acc(n, 0.0);
-  for (int p = 0; p < config.permutations; ++p) {
-    std::vector<int> perm = rng.Permutation(n);
-    uint64_t mask = 0;
-    double prev = value_of_mask(0);
-    for (int i : perm) {
-      mask |= 1ULL << i;
-      double cur = value_of_mask(mask);
-      acc[i] += cur - prev;
-      prev = cur;
+  for (int first = 0; first < config.permutations; first += chunk) {
+    const int count = std::min(chunk, config.permutations - first);
+    perms.clear();
+    visits.clear();
+    for (int p = 0; p < count; ++p) {
+      const std::vector<int> perm = rng.Permutation(n);
+      perms.insert(perms.end(), perm.begin(), perm.end());
+      uint64_t mask = 0;
+      visits.push_back(index.Intern(mask));
+      for (int i : perm) {
+        mask |= uint64_t{1} << i;
+        visits.push_back(index.Intern(mask));
+      }
+    }
+    const size_t done = values.size();
+    values.resize(index.size());
+    game(std::span<const uint64_t>(index.masks()).subspan(done),
+         std::span<double>(values).subspan(done));
+    for (int p = 0; p < count; ++p) {
+      const int* perm = perms.data() + static_cast<size_t>(p) * n;
+      const uint32_t* visit = visits.data() + static_cast<size_t>(p) * (n + 1);
+      double prev = values[visit[0]];
+      for (int j = 0; j < n; ++j) {
+        const double cur = values[visit[j + 1]];
+        acc[perm[j]] += cur - prev;
+        prev = cur;
+      }
     }
   }
+  scratch.in_use = false;
+  TupleShapleyResult result;
   for (int i = 0; i < n; ++i)
     result.values[endogenous[i]] = acc[i] / config.permutations;
-  result.game_evaluations = static_cast<int>(memo.size());
+  result.game_evaluations = static_cast<int>(index.size());
   // Each permutation visits n + 1 coalitions; all but the first visits
-  // of each hit the memo.
+  // of each are memo hits.
   XAI_COUNTER_ADD("dbx/coalition_memo_hits",
                   int64_t{config.permutations} * (n + 1) -
                       result.game_evaluations);
   return result;
+}
+
+TupleShapleyResult Shapley(const BlockGame& game,
+                           const std::vector<int>& endogenous,
+                           const TupleShapleyConfig& config) {
+  return Exact(static_cast<int>(endogenous.size()), config)
+             ? ExactValues(game, endogenous)
+             : SampledValues(game, endogenous, config);
 }
 
 }  // namespace
@@ -131,8 +205,11 @@ Result<TupleShapleyResult> BooleanQueryTupleShapley(
     return result;
   }
   CompiledLineage::Scratch scratch;
-  return Shapley(
-      [&](uint64_t mask) { return compiled.Eval(mask, &scratch) ? 1.0 : 0.0; },
+  return SampledValues(
+      [&](std::span<const uint64_t> masks, std::span<double> out) {
+        for (size_t j = 0; j < masks.size(); ++j)
+          out[j] = compiled.Eval(masks[j], &scratch) ? 1.0 : 0.0;
+      },
       endogenous, config);
 }
 
@@ -144,11 +221,38 @@ Result<TupleShapleyResult> NumericQueryTupleShapley(
   std::vector<int> present;
   present.reserve(n);
   return Shapley(
-      [&](uint64_t mask) {
-        present.clear();
-        for (int i = 0; i < n; ++i)
-          if (mask & (1ULL << i)) present.push_back(endogenous[i]);
-        return query_value(present);
+      [&](std::span<const uint64_t> masks, std::span<double> out) {
+        for (size_t j = 0; j < masks.size(); ++j) {
+          present.clear();
+          for (int i = 0; i < n; ++i)
+            if ((masks[j] >> i) & 1) present.push_back(endogenous[i]);
+          out[j] = query_value(present);
+        }
+      },
+      endogenous, config);
+}
+
+Result<TupleShapleyResult> NumericQueryTupleShapley(
+    const SharedScanQuery& query, const std::vector<int>& endogenous,
+    const TupleShapleyConfig& config) {
+  const int n = static_cast<int>(endogenous.size());
+  XAI_RETURN_NOT_OK(CheckGame(n, config));
+  SharedScanAggregate& scan = query.scan();
+  // Each player's scan bit, mapped once; a player the scan does not know
+  // maps to no bit.
+  std::vector<uint64_t> scan_bit(n);
+  for (int i = 0; i < n; ++i) scan_bit[i] = scan.MaskOf({&endogenous[i], 1});
+  std::vector<uint64_t> mapped;
+  return Shapley(
+      [&](std::span<const uint64_t> masks, std::span<double> out) {
+        mapped.resize(masks.size());
+        for (size_t j = 0; j < masks.size(); ++j) {
+          uint64_t mask = 0;
+          for (uint64_t bits = masks[j]; bits; bits &= bits - 1)
+            mask |= scan_bit[std::countr_zero(bits)];
+          mapped[j] = mask;
+        }
+        scan.Values(mapped, out);
       },
       endogenous, config);
 }

@@ -7,6 +7,7 @@
 
 #include "xai/core/rng.h"
 #include "xai/core/status.h"
+#include "xai/dbx/shared_scan.h"
 #include "xai/relational/provenance.h"
 
 namespace xai {
@@ -33,10 +34,11 @@ struct TupleShapleyConfig {
 /// Result values are keyed by endogenous tuple id.
 struct TupleShapleyResult {
   std::map<int, double> values;
-  /// Distinct coalitions evaluated: 2^n when exact; when sampling, each
-  /// coalition the permutations visit is evaluated once and memoized (the
-  /// memo holds at most permutations·n + 1 values), and revisits add to
-  /// the `dbx/coalition_memo_hits` counter.
+  /// Distinct coalitions the game was asked for: 2^n when exact; when
+  /// sampling, each coalition the permutations visit is asked for once,
+  /// and revisits add to the `dbx/coalition_memo_hits` counter. (A
+  /// SharedScanAggregate may answer several of them with one evaluation;
+  /// see `dbx/shared_scan_collapsed`.)
   int game_evaluations = 0;
   bool exact = false;
 };
@@ -50,14 +52,28 @@ Result<TupleShapleyResult> BooleanQueryTupleShapley(
 
 /// Shapley values for a general numeric query given as a callback:
 /// `query_value(present)` recomputes the answer when exactly the
-/// endogenous tuple ids listed in `present` exist; it must be a function
-/// of `present` alone, since each coalition is asked once. Used for
-/// aggregate queries (e.g. COUNT of qualifying rows). Exact (subset
-/// enumeration) when |endogenous| <= exact_limit (default 20; never above
-/// 24), Monte-Carlo permutation sampling otherwise.
+/// endogenous tuple ids listed in `present` (in `endogenous` order) exist;
+/// it must be a function of `present` alone, since each coalition is asked
+/// once, in the order the estimator first needs it. Used for aggregate
+/// queries (e.g. COUNT of qualifying rows). Exact (subset enumeration,
+/// a 2^n table of values) when |endogenous| <= exact_limit (default 20;
+/// never above 24), Monte-Carlo permutation sampling otherwise. Sampling
+/// works in chunks of permutations: its memory is O(distinct coalitions
+/// visited + one chunk of about 32 768 visits), held in a per-thread
+/// scratch that later questions on the thread reuse.
 Result<TupleShapleyResult> NumericQueryTupleShapley(
     const std::function<double(const std::vector<int>& present)>& query_value,
     const std::vector<int>& endogenous, const TupleShapleyConfig& config = {});
+
+/// The same Shapley values, bit for bit, for the query a SharedScanAggregate
+/// answers (the handle its AsQueryValue returns). The players map to the
+/// scan's mask bits once per call, and the coalitions go to
+/// SharedScanAggregate::Values in blocks: sampling asks for each chunk's
+/// new coalitions in one call, and the exact path fills its table in
+/// blocks of 4 096 masks.
+Result<TupleShapleyResult> NumericQueryTupleShapley(
+    const SharedScanQuery& query, const std::vector<int>& endogenous,
+    const TupleShapleyConfig& config = {});
 
 }  // namespace xai
 

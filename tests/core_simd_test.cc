@@ -16,6 +16,8 @@
 #include "xai/core/rng.h"
 #include "xai/model/logistic_regression.h"
 #include "xai/model/mlp.h"
+#include "xai/relational/agg_kernels.h"
+#include "xai/relational/columnar.h"
 
 namespace xai {
 namespace {
@@ -298,6 +300,104 @@ TEST(SimdKernelTest, CompressBitIdenticalAcrossBackends) {
             << "n=" << n << " backend=" << simd::BackendName(be);
         EXPECT_TRUE(BitEqual(want.data(), out.data(), len))
             << "n=" << n << " backend=" << simd::BackendName(be);
+      }
+    }
+  }
+}
+
+// CompressSums is Compress followed by the canonical blocked sum, for one
+// to four coalitions per pass. Both tiers must give the definition's bits
+// — rel::CanonicalSum over the compressed values at block kBatchRows, and
+// the same blocked Dot chain at smaller blocks — and its kept counts, for
+// kept counts on both sides of the block boundaries, quiet and signaling
+// NaN payloads, -0.0 and infinities, and need words with bit 63 set.
+//
+// Which payload an add of two NaNs returns depends on the operand order
+// the compiler picks, which no C++ source fixes. So an input holds at most
+// one NaN, or infinities of both signs (whose sum is the one default NaN)
+// and no NaN: every NaN result then has a single possible payload.
+TEST(SimdKernelTest, CompressSumsMatchesCompressThenCanonicalSum) {
+  Rng rng(29);
+  const double nans[] = {FromBits(0x7FF8000000000123ULL),
+                         FromBits(0x7FF0000000000456ULL),
+                         FromBits(0xFFF0000000000001ULL)};
+  const double inf = std::numeric_limits<double>::infinity();
+  constexpr uint64_t kBit63 = uint64_t{1} << 63;
+  const std::vector<double> ones(rel::kBatchRows, 1.0);
+  auto blocked_sum = [&](const std::vector<double>& v, size_t block) {
+    double acc = 0.0;
+    for (size_t b = 0; b < v.size(); b += block)
+      acc += simd::Dot(v.data() + b, ones.data(),
+                       std::min(block, v.size() - b));
+    return acc;
+  };
+  for (size_t target : {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 1023, 1024,
+                        1025, 2048, 2049}) {
+    for (int mode = 0; mode < 3; ++mode) {
+      // Coalition 0 keeps exactly `target` rows: those with need bit 0
+      // clear. The others keep what their bits 1-7 allow. Bits 8-62 are
+      // lacked by no coalition, bit 63 by all but the last.
+      const size_t n = target + target / 3 + rng.UniformInt(6);
+      std::vector<uint8_t> kept0(n, 0);
+      std::fill(kept0.begin(), kept0.begin() + target, 1);
+      rng.Shuffle(&kept0);
+      // Mode 0: finite values and signed zeros. Mode 1: one NaN and
+      // infinities of one sign. Mode 2: infinities of both signs.
+      const double sign = rng.Bernoulli(0.5) ? 1.0 : -1.0;
+      std::vector<double> values(n);
+      std::vector<uint64_t> need(n);
+      for (size_t i = 0; i < n; ++i) {
+        const double u = rng.Uniform();
+        if (u < 0.05) {
+          values[i] = -0.0;
+        } else if (u < 0.1) {
+          values[i] = 0.0;
+        } else if (u < 0.12 && mode > 0) {
+          values[i] = mode == 1 || rng.Bernoulli(0.5) ? sign * inf
+                                                     : -sign * inf;
+        } else {
+          values[i] = rng.Uniform(-3.0, 3.0);
+        }
+        need[i] = (rng.NextU64() & 0x7FFFFFFFFFFFFF00ULL) |
+                  (rng.NextU64() & 0xFE) | (kept0[i] ? 0 : 1);
+        if (!kept0[i] && rng.Bernoulli(0.2)) need[i] |= kBit63;
+      }
+      if (mode == 1 && n > 0)
+        values[rng.UniformInt(static_cast<int>(n))] = nans[rng.UniformInt(3)];
+      const uint64_t lacking[4] = {1 | kBit63,
+                                   (rng.NextU64() & 0xFE) | kBit63,
+                                   0x2 | kBit63, rng.NextU64() & 0xFE};
+      for (int k = 1; k <= simd::kCompressSumsWays; ++k) {
+        for (size_t block : {size_t{4}, size_t{8}, size_t(rel::kBatchRows)}) {
+          SCOPED_TRACE("target " + std::to_string(target) + " mode " +
+                       std::to_string(mode) + " k " + std::to_string(k) +
+                       " block " + std::to_string(block));
+          std::vector<double> want_sum(k);
+          std::vector<size_t> want_count(k);
+          for (int c = 0; c < k; ++c) {
+            std::vector<double> kept(n);
+            kept.resize(simd::Compress(values.data(), need.data(),
+                                       lacking[c], n, kept.data()));
+            want_count[c] = kept.size();
+            want_sum[c] = blocked_sum(kept, block);
+            if (block == size_t(rel::kBatchRows)) {
+              const double canonical = rel::CanonicalSum(
+                  kept.data(), static_cast<int64_t>(kept.size()));
+              ASSERT_TRUE(BitEqual(&want_sum[c], &canonical, 1));
+            }
+          }
+          ASSERT_EQ(want_count[0], target);
+          for (simd::Backend be : AvailableBackends()) {
+            BackendGuard g(be);
+            std::vector<double> sums(k, 7.0);
+            std::vector<size_t> counts(k, 7);
+            simd::CompressSums(values.data(), need.data(), lacking, k, n,
+                               block, sums.data(), counts.data());
+            EXPECT_EQ(counts, want_count) << simd::BackendName(be);
+            EXPECT_TRUE(BitEqual(sums.data(), want_sum.data(), k))
+                << simd::BackendName(be);
+          }
+        }
       }
     }
   }

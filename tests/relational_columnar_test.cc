@@ -5,6 +5,7 @@
 #include <cstring>
 #include <latch>
 #include <map>
+#include <numeric>
 #include <set>
 #include <string>
 #include <thread>
@@ -591,6 +592,8 @@ TEST(SharedScanDecisionRecordTest, CountsRowClassesAndMemoHits) {
       registry.GetCounter("dbx/shared_scan_program_rows");
   telemetry::Counter* memo_hits =
       registry.GetCounter("dbx/coalition_memo_hits");
+  telemetry::Counter* collapsed =
+      registry.GetCounter("dbx/shared_scan_collapsed");
 
   // One row of each class: one variable, a conjunction with an exogenous
   // factor, always (exogenous), never (Zero), and one OR program.
@@ -608,20 +611,33 @@ TEST(SharedScanDecisionRecordTest, CountsRowClassesAndMemoHits) {
   const int64_t rows_before = rows_seen->Get();
   const int64_t programs_before = program_rows->Get();
   const int64_t hits_before = memo_hits->Get();
+  const int64_t collapsed_before = collapsed->Get();
   auto scan = SharedScanAggregate::Build(r, AggFn::kSum, 0, endo).ValueOrDie();
   EXPECT_EQ(rows_seen->Get() - rows_before, kCompiled ? 5 : 0);
   EXPECT_EQ(program_rows->Get() - programs_before, kCompiled ? 1 : 0);
 
   TupleShapleyConfig config;
   config.exact_limit = 0;
-  config.permutations = 12;
+  config.permutations = 40;
   auto result =
       NumericQueryTupleShapley(scan.AsQueryValue(), endo, config).ValueOrDie();
-  // Every permutation visits 5 coalitions; each revisit is a hit.
-  const int64_t visits = 12 * 5;
-  EXPECT_LE(result.game_evaluations, 16);
+  // Every permutation visits 5 coalitions; each revisit is a hit. Forty
+  // permutations visit all 16.
+  const int64_t visits = 40 * 5;
+  EXPECT_EQ(result.game_evaluations, 16);
   EXPECT_EQ(memo_hits->Get() - hits_before,
             kCompiled ? visits - result.game_evaluations : 0);
+  // The plain rows need bit 0 or bits 1 and 2; the program reads bits 1
+  // and 3. Bit 2 therefore matters only with bit 1, and the 4 masks with
+  // bit 2 but not bit 1 share their key with the mask without bit 2: the
+  // sampler's one block of 16 coalitions takes 12 evaluations.
+  EXPECT_EQ(collapsed->Get() - collapsed_before, kCompiled ? 4 : 0);
+  // A block with a repeated mask collapses it too.
+  const std::vector<uint64_t> masks = {0b0100, 0b0000, 0b0110, 0b0100};
+  std::vector<double> out(masks.size());
+  scan.Values(masks, out);
+  EXPECT_EQ(collapsed->Get() - collapsed_before, kCompiled ? 6 : 0);
+  EXPECT_EQ(out, (std::vector<double>{2.5, 2.5, 1.25 + 2.5 + 5.0, 2.5}));
 }
 
 // ---- Provenance lifetime: handles outlive their pipeline ----
@@ -1424,18 +1440,28 @@ TEST(GeneratedLineageTest, CompiledEvaluationMatchesEvalBool) {
 }
 
 TEST(GeneratedLineageTest, SharedScanMatchesGatherThenCanonicalKernels) {
+  constexpr bool kCompiled = XAI_TELEMETRY != 0;
+  telemetry::Counter* collapsed =
+      telemetry::Registry::Global().GetCounter("dbx/shared_scan_collapsed");
+  const int64_t collapsed_before = collapsed->Get();
+  int64_t repeats = 0;
   int program_rows = 0;
-  for (uint64_t seed = 1; seed <= 60; ++seed) {
+  for (uint64_t seed = 1; seed <= 62; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(seed * 7907);
     // Odd seeds: every row is a constant or a conjunction, so Eval is the
-    // mask-only scan. Even seeds mix in OR programs.
+    // mask-only scan. Even seeds mix in OR programs. Seeds 61 and 62 hold
+    // thousands of rows over at most six players, so coalitions keep more
+    // than 2 048 rows and the sums cross several block boundaries.
     const bool mixed = seed % 2 == 0;
-    const std::vector<int> endo = RandomPlayers(rng);
+    const bool long_table = seed > 60;
+    const std::vector<int> endo =
+        long_table ? RandomPlayers(rng, 1, 6) : RandomPlayers(rng);
     const int n = static_cast<int>(endo.size());
     Relation rows("r", {"v"});
     std::vector<std::vector<bool>> truth;
-    const int num_rows = rng.UniformInt(0, 40);
+    const int num_rows =
+        long_table ? rng.UniformInt(2049, 2601) : rng.UniformInt(0, 40);
     for (int r = 0; r < num_rows; ++r) {
       // Some repeated small values, some arbitrary ones.
       const double v = rng.Bernoulli(0.2) ? rng.UniformInt(4)
@@ -1458,6 +1484,8 @@ TEST(GeneratedLineageTest, SharedScanMatchesGatherThenCanonicalKernels) {
     for (AggFn fn : {AggFn::kCount, AggFn::kSum, AggFn::kAvg, AggFn::kMin,
                      AggFn::kMax}) {
       auto scan = SharedScanAggregate::Build(rows, fn, 0, endo).ValueOrDie();
+      std::vector<uint64_t> masks;
+      std::vector<double> wants;
       for (uint64_t m = 0; m <= players; ++m) {
         std::vector<double> present;
         for (int r = 0; r < num_rows; ++r)
@@ -1484,11 +1512,39 @@ TEST(GeneratedLineageTest, SharedScanMatchesGatherThenCanonicalKernels) {
         for (uint64_t high : HighBits(n)) {
           ASSERT_EQ(Bits(scan.Eval(m | high)), Bits(want))
               << "fn " << static_cast<int>(fn) << " mask " << (m | high);
+          masks.push_back(m | high);
+          wants.push_back(want);
         }
+      }
+      // The same masks through Values: shuffled, some repeated, in blocks
+      // of 1 to 40. A mask and its copies with high bits always share a
+      // row-set key, and so do many distinct player masks.
+      std::vector<size_t> picks(masks.size());
+      std::iota(picks.begin(), picks.end(), size_t{0});
+      for (int r = rng.UniformInt(static_cast<int>(masks.size()) / 4 + 1);
+           r > 0; --r, ++repeats)
+        picks.push_back(rng.UniformInt(static_cast<int>(masks.size())));
+      rng.Shuffle(&picks);
+      for (size_t first = 0; first < picks.size();) {
+        const size_t len = std::min<size_t>(picks.size() - first,
+                                            rng.UniformInt(1, 41));
+        std::vector<uint64_t> block(len);
+        for (size_t j = 0; j < len; ++j) block[j] = masks[picks[first + j]];
+        std::vector<double> out(len, 7.0);
+        scan.Values(block, out);
+        for (size_t j = 0; j < len; ++j) {
+          ASSERT_EQ(Bits(out[j]), Bits(wants[picks[first + j]]))
+              << "fn " << static_cast<int>(fn) << " mask " << block[j];
+        }
+        first += len;
       }
     }
   }
   EXPECT_GT(program_rows, 0);
+  // Repeats always collapse; distinct masks with one key collapse too.
+  if (kCompiled) {
+    EXPECT_GT(collapsed->Get() - collapsed_before, repeats);
+  }
 }
 
 // Responsibility by exhaustive search from EvalBool: per player t, the
