@@ -12,6 +12,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
+#include "support/explain_reference.h"
 #include "xai/core/combinatorics.h"
 #include "xai/core/timer.h"
 #include "xai/data/synthetic.h"
@@ -65,15 +66,21 @@ void Run() {
     config.min_samples_leaf = 2;
     auto model = GbdtModel::Train(data, config).ValueOrDie();
     const Tree& tree = model.trees()[0];
+    TreeEnsembleView view;
+    view.trees.push_back(&tree);
+    view.scales.push_back(1.0);
     Vector x = data.Row(0);
+    // The first call builds the flat kernel, its side-table and this
+    // thread's path arena; time the second.
+    TreeShap(view, x);
 
     WallTimer fast_timer;
-    Vector fast = TreeShapValues(tree, x, dd);
+    Vector fast = TreeShap(view, x).attributions;
     double fast_us = fast_timer.Micros();
 
     WallTimer slow_timer;
     std::vector<double> slow = ShapleyOfSetFunction(dd, [&](uint64_t mask) {
-      return TreeConditionalExpectation(tree, x, mask);
+      return reference::TreeConditionalExpectation(tree, x, mask);
     });
     double slow_us = slow_timer.Micros();
 

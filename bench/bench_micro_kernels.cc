@@ -170,26 +170,6 @@ void BM_TreeShapPerInstance(benchmark::State& state) {
 }
 BENCHMARK(BM_TreeShapPerInstance)->Arg(10)->Arg(100);
 
-void BM_TreeShapRecursive(benchmark::State& state) {
-  // The recursive AoS reference walk (tree_shap.cc): pointer-chases 48-byte
-  // TreeNode structs and heap-allocates one cold-path copy per internal
-  // node. The row below quantifies what the flat kernel's SoA layout +
-  // path arena buy; outputs are bit-identical by contract.
-  int n_trees = static_cast<int>(state.range(0));
-  Dataset train = MakeLoans(1000, 2);
-  GbdtModel::Config config;
-  config.n_trees = n_trees;
-  auto model = GbdtModel::Train(train, config).ValueOrDie();
-  TreeEnsembleView view = TreeEnsembleView::Of(model);
-  int row = 0;
-  for (auto _ : state) {
-    auto exp = TreeShapLegacy(view, train.Row(row));
-    benchmark::DoNotOptimize(exp);
-    row = (row + 1) % train.num_rows();
-  }
-}
-BENCHMARK(BM_TreeShapRecursive)->Arg(10)->Arg(100);
-
 void BM_TreeShapFlat(benchmark::State& state) {
   // Same workload through the flat iterative kernel (flat_tree_shap.h) on
   // a prebuilt FlatTreeShap, the serving configuration: SoA nodes + cover

@@ -27,25 +27,6 @@ double ShapleyWeight(int n, int subset_size) {
          Factorial(n);
 }
 
-void ForEachSubset(int n, const std::function<void(uint64_t)>& fn) {
-  XAI_CHECK(n >= 0 && n < 63);
-  uint64_t limit = 1ULL << n;
-  for (uint64_t mask = 0; mask < limit; ++mask) fn(mask);
-}
-
-void ForEachSubsetOf(const std::vector<int>& elements,
-                     const std::function<void(uint64_t)>& fn) {
-  int n = static_cast<int>(elements.size());
-  XAI_CHECK(n >= 0 && n < 63);
-  uint64_t limit = 1ULL << n;
-  for (uint64_t sub = 0; sub < limit; ++sub) {
-    uint64_t mask = 0;
-    for (int i = 0; i < n; ++i)
-      if (sub & (1ULL << i)) mask |= 1ULL << elements[i];
-    fn(mask);
-  }
-}
-
 int PopCount(uint64_t mask) { return std::popcount(mask); }
 
 std::vector<int> MaskToIndices(uint64_t mask) {

@@ -19,13 +19,6 @@ double BinomialCoefficient(int n, int k);
 /// The classic Shapley permutation weight |S|! (n - |S| - 1)! / n!.
 double ShapleyWeight(int n, int subset_size);
 
-/// Invokes `fn(mask)` for every subset mask of {0..n-1}; n <= 24 recommended.
-void ForEachSubset(int n, const std::function<void(uint64_t)>& fn);
-
-/// Invokes `fn(mask)` for every subset of the given elements.
-void ForEachSubsetOf(const std::vector<int>& elements,
-                     const std::function<void(uint64_t)>& fn);
-
 /// Number of set bits.
 int PopCount(uint64_t mask);
 

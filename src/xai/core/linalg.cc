@@ -55,59 +55,6 @@ Result<Vector> WeightedRidgeRegression(const Matrix& x, const Vector& y,
   return solution;
 }
 
-Result<Vector> ConstrainedWeightedLeastSquares(const Matrix& x,
-                                               const Vector& y,
-                                               const Vector& sample_weights,
-                                               const Vector& c, double d,
-                                               double l2) {
-  // Eliminate the last variable with non-zero constraint coefficient:
-  //   w_k = (d - sum_{j != k} c_j w_j) / c_k
-  // and solve the reduced unconstrained problem.
-  int dim = x.cols();
-  if (static_cast<int>(c.size()) != dim)
-    return Status::InvalidArgument("constraint dimension mismatch");
-  int k = -1;
-  for (int j = dim - 1; j >= 0; --j) {
-    if (std::fabs(c[j]) > 1e-12) {
-      k = j;
-      break;
-    }
-  }
-  if (k < 0) return Status::InvalidArgument("constraint vector is zero");
-
-  // Reduced design: for each row i,
-  //   pred_i = sum_{j != k} w_j (x_ij - x_ik c_j / c_k) + x_ik d / c_k.
-  // Hoist the per-column constraint ratios so the row loop is a contiguous
-  // gather-subtract over raw spans.
-  Vector ratio(dim);
-  for (int j = 0; j < dim; ++j) ratio[j] = c[j] / c[k];
-  Matrix xr(x.rows(), dim - 1);
-  Vector yr(y.size());
-  for (int i = 0; i < x.rows(); ++i) {
-    const double* src = x.RowPtr(i);
-    double* dst = xr.RowPtr(i);
-    double xik = src[k];
-    int jj = 0;
-    for (int j = 0; j < dim; ++j) {
-      if (j == k) continue;
-      dst[jj++] = src[j] - xik * ratio[j];
-    }
-    yr[i] = y[i] - xik * d / c[k];
-  }
-  XAI_ASSIGN_OR_RETURN(Vector wr,
-                       WeightedRidgeRegression(xr, yr, sample_weights, l2));
-  Vector w(dim);
-  int jj = 0;
-  double acc = 0.0;
-  for (int j = 0; j < dim; ++j) {
-    if (j == k) continue;
-    w[j] = wr[jj++];
-    acc += c[j] * w[j];
-  }
-  w[k] = (d - acc) / c[k];
-  return w;
-}
-
 WlsAccumulator::WlsAccumulator(int dim, bool fit_intercept)
     : dim_(dim),
       pad_((dim + simd::kGemmNR - 1) / simd::kGemmNR * simd::kGemmNR),

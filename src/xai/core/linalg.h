@@ -23,15 +23,6 @@ Result<Vector> WeightedRidgeRegression(const Matrix& x, const Vector& y,
                                        const Vector& sample_weights, double l2,
                                        bool fit_intercept = false);
 
-/// Solves the equality-constrained weighted least squares
-///   min_w sum_i s_i (x_i . w - y_i)^2   s.t.  c . w = d
-/// via variable elimination; used by KernelSHAP's efficiency constraint.
-Result<Vector> ConstrainedWeightedLeastSquares(const Matrix& x,
-                                               const Vector& y,
-                                               const Vector& sample_weights,
-                                               const Vector& c, double d,
-                                               double l2 = 1e-9);
-
 /// Matrix-free conjugate gradient for SPD systems A x = b, where `apply_a`
 /// computes A v. Stops at `tol` relative residual or `max_iter`.
 Result<Vector> ConjugateGradient(
@@ -114,12 +105,15 @@ class WlsAccumulator {
   std::vector<double> compact_;  // Per-block nonzero-weight rows (operand B).
 };
 
-/// \brief Streaming variant of ConstrainedWeightedLeastSquares: eliminates
-/// the pinned variable row-by-row (identical arithmetic to the materialized
-/// elimination) and feeds the reduced rows into a WlsAccumulator, so
-/// KernelSHAP's efficiency-constrained solve never materializes its
-/// coalition design matrix. Same block-order / bit-identity contract as
-/// WlsAccumulator.
+/// \brief Equality-constrained weighted least squares
+///   min_w sum_i s_i (x_i . w - y_i)^2   s.t.  c . w = d
+/// solved streaming: eliminates the pinned variable (the last one with a
+/// nonzero c entry) row-by-row and feeds the reduced rows into a
+/// WlsAccumulator, so KernelSHAP's efficiency-constrained solve never
+/// materializes its coalition design matrix. Same block-order /
+/// bit-identity contract as WlsAccumulator; the materialized elimination
+/// it matches is the test reference
+/// (tests/support/explain_reference.h).
 class CwlsAccumulator {
  public:
   /// Constraint c . w = d over `dim` coefficients. `c` must have a nonzero
@@ -131,8 +125,8 @@ class CwlsAccumulator {
   void AddBlock(const double* rows, const double* y, const double* w, int n);
 
   /// Solves the reduced problem and reconstructs the eliminated
-  /// coefficient. Matches ConstrainedWeightedLeastSquares(X, y, w, c, d,
-  /// l2) bit-for-bit on the default tiers.
+  /// coefficient. Matches the materialized reference solve bit-for-bit on
+  /// the default tiers.
   Result<Vector> Solve(double l2) const;
 
  private:

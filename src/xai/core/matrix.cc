@@ -265,19 +265,6 @@ Result<Vector> CholeskySolve(const Matrix& a, const Vector& b) {
   return CholeskyBackSubstitute(l, b);
 }
 
-Result<Matrix> CholeskySolveMatrix(const Matrix& a, const Matrix& b) {
-  if (a.rows() != b.rows())
-    return Status::InvalidArgument("dimension mismatch in CholeskySolveMatrix");
-  XAI_ASSIGN_OR_RETURN(Matrix l, CholeskyFactor(a));
-  Matrix x(b.rows(), b.cols());
-  for (int c = 0; c < b.cols(); ++c) {
-    Vector col = b.Col(c);
-    Vector sol = CholeskyBackSubstitute(l, col);
-    for (int r = 0; r < b.rows(); ++r) x(r, c) = sol[r];
-  }
-  return x;
-}
-
 Result<Vector> LuSolve(const Matrix& a, const Vector& b) {
   if (a.rows() != a.cols())
     return Status::InvalidArgument("LuSolve requires a square matrix");

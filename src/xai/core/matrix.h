@@ -121,9 +121,6 @@ Result<Matrix> CholeskyFactor(const Matrix& a);
 /// Solves A x = b for SPD A via Cholesky.
 Result<Vector> CholeskySolve(const Matrix& a, const Vector& b);
 
-/// Solves A X = B (multiple right-hand sides) for SPD A.
-Result<Matrix> CholeskySolveMatrix(const Matrix& a, const Matrix& b);
-
 /// Solves A x = b for general square A via partial-pivot LU.
 Result<Vector> LuSolve(const Matrix& a, const Vector& b);
 

@@ -38,9 +38,14 @@
 /// cache-blocked, multithreaded GEMM path: KC blocks are processed serially
 /// in ascending contraction order, row panels partition C disjointly across
 /// threads, and edge micro-kernels only touch valid panel lanes (never zero
-/// padding, which could flip -0.0 to +0.0). The contract has no exception:
-/// a fused multiply-add rounds once where this contract rounds twice, so
-/// no backend uses one.
+/// padding, which could flip -0.0 to +0.0). A fused multiply-add rounds
+/// once where this contract rounds twice, so no backend uses one.
+///
+/// The one exception: a NaN computed from two or more NaN payloads is a
+/// NaN of unspecified payload. Which operand an add of two NaNs returns
+/// depends on an operand order that C++ does not fix, so tiers (and
+/// compilers) may disagree on the payload, never on NaN-ness. A result
+/// with at most one NaN source is bit-identical like any other.
 namespace xai {
 namespace simd {
 
@@ -169,8 +174,10 @@ inline constexpr int kCompressSumsWays = 4;
 /// Dot(block values, ones) reduces it — stripe lane l takes the block's
 /// values l, l + 4, ... — and the block partials are added in order to
 /// 0.0. With block = rel::kBatchRows, sums[c] is bit-identical to
-/// rel::CanonicalSum over the compressed values (NaN payloads, -0.0 and
-/// infinities included), and no kept value is ever stored. This is the
+/// rel::CanonicalSum over the compressed values (-0.0, infinities and a
+/// single NaN payload included; several kept NaNs give a NaN of
+/// unspecified payload, the contract's one exception), and no kept value
+/// is ever stored. This is the
 /// dbx shared scan's SUM/COUNT/AVG kernel: one coalition's lacking bits
 /// per lacking[c].
 void CompressSums(const double* values, const uint64_t* need,

@@ -189,15 +189,4 @@ int64_t KernelShapPlannedEvals(const KernelShapConfig& config,
                       : static_cast<int64_t>(evals);
 }
 
-KernelShapConfig KernelShapForBudget(KernelShapConfig config,
-                                     int64_t max_evals, int num_features,
-                                     int background_rows) {
-  const int floor_budget = 2 * std::max(1, num_features) + 2;
-  if (background_rows < 1) background_rows = 1;
-  int64_t affordable = max_evals / background_rows - 2;
-  config.coalition_budget = static_cast<int>(
-      std::clamp<int64_t>(affordable, floor_budget, config.coalition_budget));
-  return config;
-}
-
 }  // namespace xai

@@ -39,13 +39,6 @@ Result<AttributionExplanation> KernelShap(const CoalitionGame& game,
 /// the two anchors v(0) and v(N)) times `background_rows` model calls each.
 int64_t KernelShapPlannedEvals(const KernelShapConfig& config,
                                int num_features, int background_rows);
-
-/// Shrinks `config.coalition_budget` until the planned cost fits
-/// `max_evals` (floor: 2*num_features + 2 coalitions, below which the
-/// regression is degenerate). Deterministic — pure arithmetic on the config.
-KernelShapConfig KernelShapForBudget(KernelShapConfig config,
-                                     int64_t max_evals, int num_features,
-                                     int background_rows);
 /// @}
 
 }  // namespace xai

@@ -104,16 +104,4 @@ int64_t SamplingShapleyPlannedEvals(int permutations, int num_features,
   return static_cast<int64_t>(permutations) * num_features * background_rows;
 }
 
-int SamplingShapleyPermutationsForBudget(int permutations, int64_t max_evals,
-                                         int num_features,
-                                         int background_rows) {
-  if (num_features < 1) num_features = 1;
-  if (background_rows < 1) background_rows = 1;
-  int64_t affordable =
-      max_evals / (static_cast<int64_t>(num_features) * background_rows);
-  if (affordable < 1) affordable = 1;
-  return static_cast<int>(
-      std::min<int64_t>(affordable, std::max(1, permutations)));
-}
-
 }  // namespace xai

@@ -33,12 +33,6 @@ SamplingShapleyResult SamplingShapley(const CoalitionGame& game,
 /// makes the real cost lower; planning uses the bound).
 int64_t SamplingShapleyPlannedEvals(int permutations, int num_features,
                                     int background_rows);
-
-/// Largest permutation count (>= 1, <= `permutations`) whose planned cost
-/// fits `max_evals`.
-int SamplingShapleyPermutationsForBudget(int permutations, int64_t max_evals,
-                                         int num_features,
-                                         int background_rows);
 /// @}
 
 }  // namespace xai

@@ -1,11 +1,8 @@
 #ifndef XAI_EXPLAIN_SHAPLEY_TREE_SHAP_H_
 #define XAI_EXPLAIN_SHAPLEY_TREE_SHAP_H_
 
-#include <cstdint>
-
 #include "xai/core/matrix.h"
 #include "xai/explain/explanation.h"
-#include "xai/model/tree.h"
 #include "xai/model/tree_ensemble_view.h"
 
 namespace xai {
@@ -13,39 +10,17 @@ namespace xai {
 /// \brief TreeSHAP (Lundberg et al. 2020, §2.1.2): exact Shapley values of
 /// the tree-path-conditional game in O(L D^2) per tree instead of O(2^d)
 /// model evaluations — "exploits properties of the tree structure for faster
-/// and efficient computation".
-
-/// Expected output of a tree: the cover-weighted mean of its leaves.
-double TreeExpectedValue(const Tree& tree);
-
-/// The game TreeSHAP computes Shapley values of:
-///   v(S) = E[tree(x) | x_S] under path-proportion conditioning —
-/// splits on features in S are followed; splits on other features average
-/// both children weighted by cover. Used by tests to cross-check TreeSHAP
-/// against brute-force exact Shapley values.
-double TreeConditionalExpectation(const Tree& tree, const Vector& x,
-                                  uint64_t known_mask);
-
-/// Exact per-feature Shapley values of one tree at `x` (polynomial
-/// algorithm). The returned vector has one entry per feature and sums to
-/// tree(x) - TreeExpectedValue(tree).
-Vector TreeShapValues(const Tree& tree, const Vector& x, int num_features);
+/// and efficient computation". The recursive walk this kernel is checked
+/// against lives in the test reference (tests/support/explain_reference.h).
 
 /// TreeSHAP over an additive tree ensemble view: attributions sum over
 /// trees (scaled); base value = view.base + sum of scaled tree expectations;
 /// prediction = view.Margin(x). Runs on the flat iterative kernel
-/// (explain/shapley/flat_tree_shap.h) — bit-identical to TreeShapLegacy.
-/// Every tree in the view must be non-empty (views over zero trees are
-/// fine); same effective contract as before, since Margin() never
-/// supported empty trees either, but now enforced by a clear CHECK in
-/// FlatEnsemble::Build instead of undefined behavior.
+/// (explain/shapley/flat_tree_shap.h). Every tree in the view must be
+/// non-empty (views over zero trees are fine; FlatEnsemble::Build CHECKs),
+/// and `x` must be at least as wide as the widest split feature + 1
+/// (CHECKed; serving admission rejects narrower rows first).
 AttributionExplanation TreeShap(const TreeEnsembleView& view, const Vector& x);
-
-/// The recursive AoS reference walk TreeShap is validated against. Same
-/// contract and bitwise-identical output; kept as the independent
-/// cross-check for tests and benches.
-AttributionExplanation TreeShapLegacy(const TreeEnsembleView& view,
-                                      const Vector& x);
 
 /// TreeSHAP for every row of a matrix in one call.
 struct TreeShapBatchResult {

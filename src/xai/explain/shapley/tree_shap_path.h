@@ -9,11 +9,11 @@ namespace treeshap {
 /// Ensembles", Algorithm 2). `pweight` holds the proportion of subsets of a
 /// given cardinality flowing down the path.
 ///
-/// These helpers are shared between the legacy recursive walk
-/// (tree_shap.cc) and the flat iterative kernel (flat_tree_shap.cc): both
-/// paths execute the exact same floating-point operations in the same
-/// order, which is what makes the flat kernel bit-identical to the
-/// recursive reference by construction.
+/// These helpers are shared between the flat iterative kernel
+/// (flat_tree_shap.cc) and the recursive test reference
+/// (tests/support/explain_reference.cc): both paths execute the exact same
+/// floating-point operations in the same order, which is what makes the
+/// flat kernel bit-identical to the recursive reference by construction.
 struct PathElement {
   int feature_index = -1;
   double zero_fraction = 0.0;  // Fraction of paths when the feature is absent.
@@ -41,6 +41,9 @@ inline void ExtendPath(PathElement* p, int unique_depth, double zero_fraction,
 
 /// Removes the element at `path_index` (Algorithm 2, UNWIND), restoring the
 /// weights to what they were before that split was extended onto the path.
+/// An element with both fractions 0 (the cold side of a split whose child
+/// has zero cover) zeroed every weight when it was extended, and they stay
+/// 0: dividing them by its zero fraction would make them NaN.
 inline void UnwindPath(PathElement* p, int unique_depth, int path_index) {
   const double one_fraction = p[path_index].one_fraction;
   const double zero_fraction = p[path_index].zero_fraction;
@@ -52,7 +55,7 @@ inline void UnwindPath(PathElement* p, int unique_depth, int path_index) {
           next_one_portion * (unique_depth + 1.0) / ((i + 1) * one_fraction);
       next_one_portion = tmp - p[i].pweight * zero_fraction *
                                    (unique_depth - i) / (unique_depth + 1.0);
-    } else {
+    } else if (zero_fraction != 0.0) {
       p[i].pweight = p[i].pweight * (unique_depth + 1.0) /
                      (zero_fraction * (unique_depth - i));
     }

@@ -31,27 +31,6 @@ TEST(CombinatoricsTest, ShapleyWeightsSumToOne) {
   }
 }
 
-TEST(CombinatoricsTest, ForEachSubsetVisitsAll) {
-  int count = 0;
-  uint64_t xor_acc = 0;
-  ForEachSubset(4, [&](uint64_t mask) {
-    ++count;
-    xor_acc ^= mask;
-  });
-  EXPECT_EQ(count, 16);
-  EXPECT_EQ(xor_acc, 0u);  // Every mask appears exactly once.
-}
-
-TEST(CombinatoricsTest, ForEachSubsetOfElements) {
-  std::vector<uint64_t> masks;
-  ForEachSubsetOf({1, 3}, [&](uint64_t m) { masks.push_back(m); });
-  ASSERT_EQ(masks.size(), 4u);
-  EXPECT_EQ(masks[0], 0u);
-  EXPECT_EQ(masks[1], 1u << 1);
-  EXPECT_EQ(masks[2], 1u << 3);
-  EXPECT_EQ(masks[3], (1u << 1) | (1u << 3));
-}
-
 TEST(CombinatoricsTest, MaskConversions) {
   std::vector<int> idx = {0, 2, 5};
   uint64_t mask = IndicesToMask(idx);

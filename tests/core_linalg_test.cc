@@ -7,10 +7,14 @@
 #include <cstring>
 #include <vector>
 
+#include "support/explain_reference.h"
 #include "xai/core/rng.h"
 
 namespace xai {
 namespace {
+
+// The materialized solve CwlsAccumulator is checked against.
+using reference::ConstrainedWeightedLeastSquares;
 
 // Generates y = X w + b exactly (no noise).
 void MakeExactLinear(int n, int d, uint64_t seed, Matrix* x, Vector* y,

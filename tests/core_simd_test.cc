@@ -90,9 +90,12 @@ TEST(SimdKernelTest, EnvVariableSteersDispatch) {
   const char* env = std::getenv("XAI_SIMD");
   if (env == nullptr) GTEST_SKIP() << "XAI_SIMD not set";
   std::string want(env);
-  if (want == "scalar") EXPECT_EQ(simd::Active(), simd::Backend::kScalar);
-  if (want == "avx2" && simd::MaxSupported() >= simd::Backend::kAvx2)
+  if (want == "scalar") {
+    EXPECT_EQ(simd::Active(), simd::Backend::kScalar);
+  }
+  if (want == "avx2" && simd::MaxSupported() >= simd::Backend::kAvx2) {
     EXPECT_EQ(simd::Active(), simd::Backend::kAvx2);
+  }
 }
 
 TEST(SimdKernelTest, ParseBackendNameRoundTrips) {
@@ -398,6 +401,56 @@ TEST(SimdKernelTest, CompressSumsMatchesCompressThenCanonicalSum) {
                 << simd::BackendName(be);
           }
         }
+      }
+    }
+  }
+}
+
+// The one exception to bit identity (simd.h): a NaN computed from two or
+// more NaN payloads is a NaN of unspecified payload, because which operand
+// an add of two NaNs returns depends on an order C++ does not fix. So with
+// 2-4 NaN sources of distinct payloads (quiet and signaling, both signs)
+// every tier must return a NaN from Dot, rel::CanonicalSum and
+// CompressSums, and nothing more is asked of its bits.
+TEST(SimdKernelTest, SeveralNanSourcesGiveNanOnEveryTier) {
+  Rng rng(31);
+  const double nans[] = {FromBits(0x7FF8000000000123ULL),
+                         FromBits(0x7FF0000000000456ULL),
+                         FromBits(0xFFF8000000000789ULL),
+                         FromBits(0xFFF0000000000001ULL)};
+  const uint64_t lacking[simd::kCompressSumsWays] = {0x2, 0x4, 0x6, 0xFE};
+  for (size_t n : {2, 3, 4, 5, 7, 8, 9, 63, 1023, 1024, 1025, 2100}) {
+    for (int rep = 0; rep < 8; ++rep) {
+      std::vector<double> values(n), other(n);
+      std::vector<uint64_t> need(n);
+      for (size_t i = 0; i < n; ++i) {
+        values[i] = rng.Uniform(-3.0, 3.0);
+        other[i] = rng.Uniform(-3.0, 3.0);
+        need[i] = rng.NextU64() & 0xFE;
+      }
+      // Distinct positions; need 0 keeps a NaN in every coalition.
+      const int sources =
+          std::min(2 + rng.UniformInt(3), static_cast<int>(n));
+      for (int pos :
+           rng.SampleWithoutReplacement(static_cast<int>(n), sources)) {
+        values[pos] = nans[rng.UniformInt(4)];
+        need[pos] = 0;
+      }
+      for (simd::Backend be : AvailableBackends()) {
+        BackendGuard g(be);
+        SCOPED_TRACE("n " + std::to_string(n) + " sources " +
+                     std::to_string(sources) + " " + simd::BackendName(be));
+        EXPECT_TRUE(std::isnan(simd::Dot(values.data(), other.data(), n)));
+        EXPECT_TRUE(std::isnan(simd::Dot(other.data(), values.data(), n)));
+        EXPECT_TRUE(std::isnan(
+            rel::CanonicalSum(values.data(), static_cast<int64_t>(n))));
+        double sums[simd::kCompressSumsWays];
+        size_t counts[simd::kCompressSumsWays];
+        simd::CompressSums(values.data(), need.data(), lacking,
+                           simd::kCompressSumsWays, n, rel::kBatchRows, sums,
+                           counts);
+        for (int c = 0; c < simd::kCompressSumsWays; ++c)
+          EXPECT_TRUE(std::isnan(sums[c])) << "coalition " << c;
       }
     }
   }

@@ -11,6 +11,7 @@
 #include "xai/core/parallel.h"
 #include "xai/core/simd.h"
 
+#include "support/explain_reference.h"
 #include "xai/causal/scm.h"
 #include "xai/data/synthetic.h"
 #include "xai/explain/shapley/exact_shapley.h"
@@ -24,6 +25,10 @@
 
 namespace xai {
 namespace {
+
+// The materialized constrained solve KernelSHAP's streamed solve is
+// checked against.
+using reference::ConstrainedWeightedLeastSquares;
 
 // A deterministic synthetic game for estimator tests.
 class FunctionGame : public CoalitionGame {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "support/explain_reference.h"
 #include "xai/core/combinatorics.h"
 #include "xai/data/synthetic.h"
 #include "xai/model/decision_tree.h"
@@ -24,6 +25,17 @@ Tree HandTree() {
   nodes[4] = {-1, 0.0, -1, -1, 9.0, 5.0};
   return Tree(std::move(nodes));
 }
+
+// The product kernel on a one-tree view (scale 1, base 0).
+Vector SingleTreeShap(const Tree& tree, const Vector& x) {
+  TreeEnsembleView view;
+  view.trees.push_back(&tree);
+  view.scales.push_back(1.0);
+  return TreeShap(view, x).attributions;
+}
+
+using reference::TreeConditionalExpectation;
+using reference::TreeExpectedValue;
 
 TEST(TreeExpectedValueTest, CoverWeightedLeafMean) {
   Tree tree = HandTree();
@@ -54,7 +66,7 @@ TEST(TreeConditionalExpectationTest, PartialMaskAveragesUnknowns) {
 TEST(TreeShapTest, MatchesExactShapleyOnHandTree) {
   Tree tree = HandTree();
   Vector x = {1.0, -1.0};
-  Vector phi = TreeShapValues(tree, x, 2);
+  Vector phi = SingleTreeShap(tree, x);
   std::vector<double> exact = ShapleyOfSetFunction(2, [&](uint64_t mask) {
     return TreeConditionalExpectation(tree, x, mask);
   });
@@ -65,7 +77,7 @@ TEST(TreeShapTest, MatchesExactShapleyOnHandTree) {
 TEST(TreeShapTest, LocalAccuracyOnHandTree) {
   Tree tree = HandTree();
   Vector x = {-1.0, 3.0};
-  Vector phi = TreeShapValues(tree, x, 2);
+  Vector phi = SingleTreeShap(tree, x);
   EXPECT_NEAR(phi[0] + phi[1], tree.PredictRow(x) - TreeExpectedValue(tree),
               1e-9);
 }
@@ -74,7 +86,7 @@ TEST(TreeShapTest, ConstantTreeGivesZeros) {
   std::vector<TreeNode> nodes(1);
   nodes[0] = {-1, 0.0, -1, -1, 4.2, 10.0};
   Tree tree(std::move(nodes));
-  Vector phi = TreeShapValues(tree, {1.0, 2.0}, 2);
+  Vector phi = SingleTreeShap(tree, {1.0, 2.0});
   EXPECT_DOUBLE_EQ(phi[0], 0.0);
   EXPECT_DOUBLE_EQ(phi[1], 0.0);
 }
@@ -93,7 +105,7 @@ TEST_P(TreeShapExactnessTest, MatchesBruteForceOnTrainedTree) {
   int dim = d.num_features();
   for (int row : {0, 17, 55}) {
     Vector x = d.Row(row);
-    Vector phi = TreeShapValues(tree, x, dim);
+    Vector phi = SingleTreeShap(tree, x);
     std::vector<double> exact =
         ShapleyOfSetFunction(dim, [&](uint64_t mask) {
           return TreeConditionalExpectation(tree, x, mask);
@@ -142,7 +154,7 @@ TEST(TreeShapEnsembleTest, EnsembleIsSumOfPerTreeShap) {
   AttributionExplanation exp = TreeShap(view, x);
   Vector manual(d.num_features(), 0.0);
   for (const Tree& tree : model.trees()) {
-    Vector phi = TreeShapValues(tree, x, d.num_features());
+    Vector phi = SingleTreeShap(tree, x);
     for (int j = 0; j < d.num_features(); ++j) manual[j] += phi[j];
   }
   for (int j = 0; j < d.num_features(); ++j)
@@ -152,7 +164,7 @@ TEST(TreeShapEnsembleTest, EnsembleIsSumOfPerTreeShap) {
 TEST(TreeShapTest, UnusedFeatureGetsZeroAttribution) {
   Tree tree = HandTree();  // Only uses features 0 and 1.
   Vector x = {1.0, 1.0, 99.0};
-  Vector phi = TreeShapValues(tree, x, 3);
+  Vector phi = SingleTreeShap(tree, x);
   EXPECT_DOUBLE_EQ(phi[2], 0.0);
 }
 

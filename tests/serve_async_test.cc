@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "xai/core/parallel.h"
+#include "xai/core/rng.h"
 #include "xai/core/telemetry.h"
 #include "xai/core/trace.h"
 #include "xai/data/synthetic.h"
@@ -563,8 +564,9 @@ TEST_F(AsyncFrontEndTest, CloseDuringInFlightTurnIsSafe) {
 
   for (auto& future : futures) {
     const Result<ExplainResponse> result = future.Get();
-    if (!result.ok())
+    if (!result.ok()) {
       EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
+    }
   }
   frontend.Drain();
   for (const auto& [tenant, stats] : frontend.admission().Snapshot()) {
@@ -599,6 +601,70 @@ TEST_F(AsyncFrontEndTest, WirePayloadsAreBitIdenticalAcrossThreadCounts) {
       reference = hashes;
     } else {
       EXPECT_EQ(hashes, reference) << threads << " threads";
+    }
+  }
+}
+
+// Generated dialogues: per seed, one session takes 6-10 random
+// Shapley-family turns (KernelSHAP, sampling Shapley, and exact Shapley
+// where the tier allows it) at random fidelity, on instances that differ
+// from a base row in a random subset of coordinates, with exact repeats.
+// Every turn's payload must equal a stateless Explain of the same request
+// on a second server that never saw the dialogue: the session memo, capped
+// below the dialogue's coalition count on every third seed, trades cost and
+// never content. Counterfactual turns are left out, because answers from
+// the session's candidate pool are meant to differ from a fresh search.
+TEST_F(AsyncFrontEndTest, GeneratedDialoguesMatchStatelessExplain) {
+  const ExplainerKind kinds[] = {ExplainerKind::kKernelShap,
+                                 ExplainerKind::kSamplingShapley,
+                                 ExplainerKind::kExactShapley};
+  for (int threads : {1, 4}) {
+    SetNumThreads(threads);
+    for (uint64_t seed = 1; seed <= 30; ++seed) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + " seed " +
+                   std::to_string(seed));
+      Rng rng(seed);
+      AsyncFrontEnd::Config config;
+      const bool capped = seed % 3 == 0;
+      if (capped) config.sessions.max_memo_entries = 1 + rng.UniformInt(64);
+      ExplainServer server;
+      RegisterLoans(&server);
+      AsyncFrontEnd frontend(&server, config);
+      ExplainServer stateless;
+      RegisterLoans(&stateless);
+      const uint64_t session = frontend.OpenSession().ValueOrDie();
+
+      const Vector base = train_.Row(rng.UniformInt(train_.num_rows()));
+      std::vector<ExplainRequest> turns;
+      const int num_turns = 6 + rng.UniformInt(5);
+      for (int t = 0; t < num_turns; ++t) {
+        ExplainRequest request;
+        if (!turns.empty() && rng.Bernoulli(0.25)) {
+          request = turns[rng.UniformInt(static_cast<int>(turns.size()))];
+        } else {
+          request = Request(kinds[rng.UniformInt(3)]);
+          request.fidelity = static_cast<FidelityTier>(rng.UniformInt(5));
+          request.seed = 17 + rng.UniformInt(2);
+          request.instance = base;
+          for (size_t j = 0; j < base.size(); ++j) {
+            if (rng.Bernoulli(0.3))
+              request.instance[j] =
+                  train_.x()(rng.UniformInt(train_.num_rows()), j);
+          }
+        }
+        turns.push_back(request);
+        const ExplainResponse got =
+            frontend.Submit(request, session).Get().ValueOrDie();
+        const ExplainResponse want = stateless.Explain(request).ValueOrDie();
+        EXPECT_EQ(PayloadHash(got), PayloadHash(want))
+            << "turn " << t << " " << ExplainerKindName(request.kind) << " "
+            << FidelityTierName(request.fidelity);
+      }
+      frontend.Drain();
+      if (capped) {
+        EXPECT_GT(frontend.sessions().GetStats().memo_misses,
+                  static_cast<int64_t>(config.sessions.max_memo_entries));
+      }
     }
   }
 }

@@ -95,6 +95,34 @@ TEST_F(ExplainServerTest, TreeShapMatchesDirectCall) {
   EXPECT_FALSE(response.degraded);
 }
 
+// kTreeShap runs on the registry's prebuilt flat kernel with a per-thread
+// path arena. At one compute thread every request runs on the batch worker,
+// so after one warm-up request each uncached request reuses that arena and
+// none grows it: steady-state TreeSHAP serving allocates no path storage.
+TEST_F(ExplainServerTest, TreeShapArenaIsReusedInSteadyState) {
+  if (!XAI_TELEMETRY) GTEST_SKIP() << "built with XAI_TELEMETRY=0";
+  SetNumThreads(1);
+  ExplainServer server;
+  RegisterGbdt(&server);
+  ExplainRequest request = Request(ExplainerKind::kTreeShap);
+  request.use_cache = false;  // Run every request, never the cache.
+  server.Explain(request).ValueOrDie();
+
+  telemetry::Counter* reuse =
+      telemetry::Registry::Global().GetCounter("tree_shap/arena_reuse");
+  telemetry::Counter* grow =
+      telemetry::Registry::Global().GetCounter("tree_shap/arena_grow");
+  const int64_t reuse_before = reuse->Get();
+  const int64_t grow_before = grow->Get();
+  constexpr int kRequests = 64;
+  for (int i = 0; i < kRequests; ++i) {
+    request.instance = train_.Row(i % train_.num_rows());
+    server.Explain(request).ValueOrDie();
+  }
+  EXPECT_EQ(reuse->Get() - reuse_before, kRequests);
+  EXPECT_EQ(grow->Get() - grow_before, 0);
+}
+
 TEST_F(ExplainServerTest, KernelShapMatchesDirectCall) {
   ExplainServer server;
   RegisterGbdt(&server);

@@ -50,26 +50,6 @@ E23_GATES = {
     "determinism_bit_identical": 1.0,
 }
 
-# bench_e24's acceptance gates. Bit-identity and arena steady-state are
-# exact; the speedups are floors with margin below the numbers measured on
-# the 1-CPU CI container (single ~1.16-1.26x, batch ~1.25x) — the walk is
-# dominated by the Algorithm 2 path arithmetic that bit-identity pins in
-# place, so the structural win is real but bounded, and a 1-CPU host cannot
-# show the batch API's across-rows scaling on top.
-E24_EQ_GATES = {
-    "rf_single_bit_identical": 1.0,
-    "gbdt_single_bit_identical": 1.0,
-    "global_bit_identical_t1": 1.0,
-    "global_bit_identical_t4": 1.0,
-    "global_bit_identical_t8": 1.0,
-    "serving_arena_steady_ok": 1.0,
-}
-E24_FLOOR_GATES = {
-    "rf_single_speedup_serial": 1.03,
-    "gbdt_single_speedup_serial": 1.05,
-    "global_speedup_max": 1.05,
-}
-
 # bench_e25's acceptance gates. The bit-identity metrics are exact — the
 # columnar engine must reproduce the row engine to the last bit (values,
 # types, provenance polynomials) at 1/4/8 threads. The speedup floors sit
@@ -151,12 +131,10 @@ def check_provenance(path):
 
 def main():
     usage = (f"usage: {sys.argv[0]} BENCH_<id>.json [--require-telemetry] "
-             "[--require-empty-trace] [--provenance FILE] [--e23] [--e24] "
-             "[--e25]")
+             "[--require-empty-trace] [--provenance FILE] [--e23] [--e25]")
     require_telemetry = False
     require_empty_trace = False
     check_e23 = False
-    check_e24 = False
     check_e25 = False
     provenance_path = None
     positional = []
@@ -170,8 +148,6 @@ def main():
             require_empty_trace = True
         elif a == "--e23":
             check_e23 = True
-        elif a == "--e24":
-            check_e24 = True
         elif a == "--e25":
             check_e25 = True
         elif a == "--provenance":
@@ -224,8 +200,8 @@ def main():
         # Every bench drives work through the model, a valuation utility,
         # the flat TreeSHAP kernel, or the columnar relational operators;
         # one of these counters must have fired (e08's kNN utility never
-        # touches a Model, e24's tree walks are not model evaluations, and
-        # e25's operators process relations rather than models, so
+        # touches a Model, TreeSHAP's tree walks are not model evaluations,
+        # and e25's operators process relations rather than models, so
         # model/evals alone is too strict).
         work = {name: telemetry["counters"].get(name, 0)
                 for name in ("model/evals", "valuation/utility_calls",
@@ -274,27 +250,6 @@ def main():
                 fail(f"e23 gate {name} = {got}, want {want}")
         if report["metrics"].get("open_loop_shed", 0) <= 0:
             fail("e23 ran without exercising the shed path")
-
-    if check_e24:
-        if report["id"] != "e24":
-            fail(f"--e24 against report id {report['id']!r}")
-        for name, want in E24_EQ_GATES.items():
-            got = report["metrics"].get(name)
-            if got is None:
-                fail(f"e24 gate metric {name!r} missing")
-            if got != want:
-                fail(f"e24 gate {name} = {got}, want {want}")
-        for name, floor in E24_FLOOR_GATES.items():
-            got = report["metrics"].get(name)
-            if got is None:
-                fail(f"e24 gate metric {name!r} missing")
-            if got < floor:
-                fail(f"e24 gate {name} = {got}, want >= {floor}")
-        if report["metrics"].get("serving_treeshap_ms", 0) <= 0:
-            fail("e24 ran without timing the serving kTreeShap path")
-        counters = telemetry["counters"]
-        if counters.get("tree_shap/flat_rows", 0) <= 0:
-            fail("e24 ran without the flat kernel counting rows")
 
     if check_e25:
         if report["id"] != "e25":
