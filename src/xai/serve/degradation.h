@@ -28,9 +28,9 @@ struct CostModel {
   /// Fixed per-request cost (queueing, dispatch, regression solve).
   double overhead_ms = 2.0;
   /// TreeSHAP node visits the flat kernel retires per millisecond.
-  /// Conservative against bench_e24's measured rate (tens of thousands per
-  /// ms) for the same reason evals_per_ms is: "fits on paper" must mean
-  /// "meets the deadline" on the machine.
+  /// Conservative against the flat kernel's measured rate (tens of
+  /// thousands per ms) for the same reason evals_per_ms is: "fits on
+  /// paper" must mean "meets the deadline" on the machine.
   double tree_shap_nodes_per_ms = 5000.0;
 
   /// The evaluation budget a deadline funds (0 when the overhead alone

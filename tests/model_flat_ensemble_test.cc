@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -145,6 +147,20 @@ TEST(FlatEnsembleTest, SingleNodeTreeIsALeaf) {
   EXPECT_EQ(flat.num_nodes(), 1);
   Vector row = {1.0, 2.0};
   EXPECT_EQ(flat.PredictRow(row), 0.75);
+}
+
+TEST(FlatEnsembleTest, MinWidthIsWidestSplitFeaturePlusOne) {
+  Tree leaf({TreeNode{}});
+  EXPECT_EQ(FlatEnsemble::Build({&leaf}, {}).min_width(), 0);
+  // A parsed snapshot may split on feature INT_MAX; its width of 2^31 must
+  // not overflow.
+  std::vector<TreeNode> nodes(3);
+  nodes[0].feature = std::numeric_limits<int>::max();
+  nodes[0].left = 1;
+  nodes[0].right = 2;
+  Tree wide(std::move(nodes));
+  EXPECT_EQ(FlatEnsemble::Build({&leaf, &wide}, {}).min_width(),
+            int64_t{1} << 31);
 }
 
 TEST(FlatEnsembleTest, NanRoutesRightLikeScalarPath) {
