@@ -10,11 +10,6 @@
 namespace xai {
 namespace {
 
-// The walk reads row[feature] and adds into phi[feature] for every split
-// feature, so a narrower row would be read and written past its end.
-constexpr char kNarrowRow[] =
-    "row narrower than the ensemble's widest split feature";
-
 /// One arena per OS thread, grown to the largest (depth, features) it has
 /// served and then reused across trees, rows, batches, and requests — the
 /// steady-state walk performs zero heap allocations. Pool workers persist
@@ -155,7 +150,9 @@ int FlatTreeShap::WalkTree(int32_t root, const double* row,
 AttributionExplanation FlatTreeShap::Shap(const Vector& x) const {
   XAI_CHECK(flat_ != nullptr);
   const int d = static_cast<int>(x.size());
-  XAI_CHECK_MSG(d >= flat_->min_width(), kNarrowRow);
+  // The walk reads row[feature] and adds into phi[feature] for every split
+  // feature, so a narrower row would be read and written past its end.
+  XAI_CHECK_MSG(d >= flat_->min_width(), FlatEnsemble::kNarrowRow);
   AttributionExplanation exp;
   exp.attributions.assign(d, 0.0);
   exp.base_value = base_value_;
@@ -221,7 +218,7 @@ void FlatTreeShap::ShapRows(const Matrix& x, int64_t begin, int64_t end,
 
 Matrix FlatTreeShap::ShapBatch(const Matrix& x) const {
   XAI_CHECK(flat_ != nullptr);
-  XAI_CHECK_MSG(x.cols() >= flat_->min_width(), kNarrowRow);
+  XAI_CHECK_MSG(x.cols() >= flat_->min_width(), FlatEnsemble::kNarrowRow);
   Matrix out(x.rows(), x.cols());
   // Chunk grain equals the row tile so every chunk tiles cleanly; per-row
   // results are independent of the chunking, so output is bit-identical at

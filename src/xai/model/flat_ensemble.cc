@@ -117,6 +117,11 @@ double FlatEnsemble::PredictRow(const double* row) const {
   return sigmoid_ ? Sigmoid(margin) : margin;
 }
 
+double FlatEnsemble::PredictRow(const Vector& row) const {
+  XAI_CHECK_MSG(static_cast<int64_t>(row.size()) >= min_width_, kNarrowRow);
+  return PredictRow(row.data());
+}
+
 double FlatEnsemble::MarginRow(const double* row) const {
   XAI_COUNTER_INC("model/flat_predict_rows");
   const int32_t* feature = feature_.data();
@@ -138,6 +143,7 @@ double FlatEnsemble::MarginRow(const double* row) const {
 
 void FlatEnsemble::ScoreRows(const Matrix& x, int64_t begin, int64_t end,
                              double* out) const {
+  XAI_CHECK_MSG(x.cols() >= min_width_, kNarrowRow);
   const int32_t* feature = feature_.data();
   const double* bits = bits_.data();
   const int32_t* left = left_.data();

@@ -103,11 +103,17 @@ class FlatEnsemble {
   /// may hold, since every kernel reads each split feature of the row.
   /// 64-bit so a parsed split feature of INT_MAX cannot overflow it.
   int64_t min_width() const { return min_width_; }
+  /// The check message of every entry point that rejects a row narrower
+  /// than min_width().
+  static constexpr char kNarrowRow[] =
+      "row narrower than the ensemble's widest split feature";
 
   /// Prediction for one row (pointer to num-features contiguous doubles).
-  /// Bit-identical to the scalar path the build options encode.
+  /// Bit-identical to the scalar path the build options encode. The
+  /// pointer forms read min_width() values unchecked; the Vector form and
+  /// the batch paths check the width.
   double PredictRow(const double* row) const;
-  double PredictRow(const Vector& row) const { return PredictRow(row.data()); }
+  double PredictRow(const Vector& row) const;
 
   /// Raw additive score for one row: divisor applied, sigmoid skipped
   /// (GBDT margin; equals PredictRow for non-sigmoid ensembles).

@@ -62,6 +62,14 @@ struct ColumnarRelation::ColumnSlot {
     return storage;
   }
 
+  /// The storage a read reaches without gathering: a view's source and
+  /// map never change, and `storage` is final once `gathered` is set.
+  ColumnRef Ref() const {
+    if (!map || gathered.load(std::memory_order_acquire))
+      return {&storage, nullptr};
+    return {&source->storage, map->data()};
+  }
+
   /// A view of this column through an operator's row map.
   std::shared_ptr<ColumnSlot> ViewThrough(
       const std::shared_ptr<ColumnSlot>& self, Composer* rows) const {
@@ -163,6 +171,8 @@ Relation ColumnarRelation::ToRows() const {
 const Column& ColumnarRelation::column(int c) const {
   return cols_[c]->Read();
 }
+
+ColumnRef ColumnarRelation::column_ref(int c) const { return cols_[c]->Ref(); }
 
 Column* ColumnarRelation::mutable_column(int c) {
   std::shared_ptr<ColumnSlot>& slot = cols_[c];

@@ -25,6 +25,15 @@ inline constexpr int64_t kBatchRows = 1024;
 using RowMap = std::vector<int32_t>;
 using RowMapPtr = std::shared_ptr<const RowMap>;
 
+/// A column as a kernel reads it in place: row i is row `rows[i]` of
+/// `storage`, or row i itself when `rows` is null (storage, or a view
+/// already gathered, reads contiguously).
+struct ColumnRef {
+  const Column* storage;
+  const int32_t* rows;
+  int64_t row(int64_t i) const { return rows ? rows[i] : i; }
+};
+
 /// \brief Columnar twin of Relation: typed column vectors (int64 / double /
 /// dictionary-encoded string) with per-column validity plus the same
 /// per-tuple N[X] provenance annotation side array.
@@ -36,7 +45,9 @@ using RowMapPtr = std::shared_ptr<const RowMap>;
 ///    views; when an input column is itself a view they compose its map
 ///    with theirs, once per distinct map, so a view always reads storage
 ///    directly. column(c) gathers a view into storage on its first call
-///    and returns that same Column from then on.
+///    and returns that same Column from then on; it is for consumers that
+///    keep the column. A kernel that reads a column once reads it in
+///    place through column_ref(c), which gathers nothing.
 ///  - A join's annotations are *pending products*: (left side array
 ///    through the left map) x (right side array through the right map).
 ///    The first read — annotation, annotation_node, annotation_nodes,
@@ -89,6 +100,10 @@ class ColumnarRelation {
 
   /// Column c's storage; the first call on a view gathers it.
   const Column& column(int c) const;
+  /// Column c as the storage it reads and a view's row map, without
+  /// gathering (the map is null once column(c) has gathered the view).
+  /// Lock-free; the storage and map live as long as this relation.
+  ColumnRef column_ref(int c) const;
   /// Column c as storage of this relation's own (copied first when shared
   /// or a view).
   Column* mutable_column(int c);

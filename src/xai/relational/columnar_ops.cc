@@ -31,11 +31,20 @@ void AppendRenderedCell(const Column& col, int64_t row, std::string* cell,
 /// column, for which raw (payload, validity) bytes induce exactly the
 /// rendered-key merge classes: std::to_string is injective on int64 and
 /// never renders "NULL".
-bool AllInt64(const ColumnarRelation& rel, const std::vector<int>& cols) {
-  for (int c : cols) {
-    if (rel.column(c).kind() != Column::Kind::kInt64) return false;
+bool AllInt64(const std::vector<ColumnRef>& keys) {
+  for (const ColumnRef& key : keys) {
+    if (key.storage->kind() != Column::Kind::kInt64) return false;
   }
   return true;
+}
+
+/// The given rows of a column read in place, as new storage: a view's
+/// source is gathered through the composed rows, not the whole view.
+Column GatherFrom(const ColumnRef& col, const std::vector<int32_t>& rows) {
+  if (!col.rows) return col.storage->Gather(rows);
+  std::vector<int32_t> source_rows(rows.size());
+  for (size_t k = 0; k < rows.size(); ++k) source_rows[k] = col.rows[rows[k]];
+  return col.storage->Gather(source_rows);
 }
 
 /// First-appearance-ordered grouping of rows by rendered key, shared by
@@ -52,21 +61,24 @@ KeyedGroups BuildGroups(const ColumnarRelation& rel,
   const int64_t n = rel.num_rows();
   KeyedGroups g;
   g.group_of_row.resize(n);
-  const bool raw = AllInt64(rel, cols);
-  std::vector<const Column*> keys;
-  for (int c : cols) keys.push_back(&rel.column(c));
+  std::vector<ColumnRef> keys;
+  for (int c : cols) keys.push_back(rel.column_ref(c));
+  const bool raw = AllInt64(keys);
   if (raw && cols.size() == 1) {
     // Single int64 key: hash the value directly. All NULL cells render
     // "NULL" and so form one group; valid cells group by value (NULL
     // payload slots hold 0 but are routed to the NULL group first, so
     // they never collide with a genuine 0).
-    const Column& col = *keys[0];
+    const ColumnRef key = keys[0];
+    const int64_t* ints = key.storage->ints().data();
+    const uint8_t* valid = key.storage->validity().data();
     std::unordered_map<int64_t, int32_t> index;
     index.reserve(256);
     int32_t null_group = -1;
     for (int64_t i = 0; i < n; ++i) {
+      const int64_t r = key.row(i);
       int32_t gi;
-      if (!col.validity()[i]) {
+      if (!valid[r]) {
         if (null_group < 0) {
           null_group = static_cast<int32_t>(g.first_row.size());
           g.first_row.push_back(static_cast<int32_t>(i));
@@ -75,7 +87,7 @@ KeyedGroups BuildGroups(const ColumnarRelation& rel,
         gi = null_group;
       } else {
         auto [it, inserted] = index.try_emplace(
-            col.ints()[i], static_cast<int32_t>(g.first_row.size()));
+            ints[r], static_cast<int32_t>(g.first_row.size()));
         if (inserted) {
           g.first_row.push_back(static_cast<int32_t>(i));
           g.group_size.push_back(0);
@@ -92,14 +104,16 @@ KeyedGroups BuildGroups(const ColumnarRelation& rel,
   for (int64_t i = 0; i < n; ++i) {
     key.clear();
     if (raw) {
-      for (const Column* col : keys) {
-        const int64_t v = col->ints()[i];
-        const char valid = static_cast<char>(col->validity()[i]);
+      for (const ColumnRef& col : keys) {
+        const int64_t r = col.row(i);
+        const int64_t v = col.storage->ints()[r];
+        const char valid = static_cast<char>(col.storage->validity()[r]);
         key.append(reinterpret_cast<const char*>(&v), sizeof(v));
         key.push_back(valid);
       }
     } else {
-      for (const Column* col : keys) AppendRenderedCell(*col, i, &cell, &key);
+      for (const ColumnRef& col : keys)
+        AppendRenderedCell(*col.storage, col.row(i), &cell, &key);
     }
     auto [it, inserted] =
         index.try_emplace(key, static_cast<int32_t>(g.first_row.size()));
@@ -199,7 +213,7 @@ xai::Result<ColumnarRelation> Project(const ColumnarRelation& input,
   const KeyedGroups g = BuildGroups(input, columns);
   for (size_t k = 0; k < columns.size(); ++k)
     out.SetColumn(static_cast<int>(k),
-                  input.column(columns[k]).Gather(g.first_row));
+                  GatherFrom(input.column_ref(columns[k]), g.first_row));
   SetGroupAnnotations(input, g, &out);
   return out;
 }
@@ -215,8 +229,9 @@ xai::Result<ColumnarRelation> EquiJoin(const ColumnarRelation& a,
     names.push_back(b.name() + "." + c);
   XAI_COUNTER_ADD("relational/columnar_rows", a.num_rows() + b.num_rows());
 
-  const Column& ka = a.column(col_a);
-  const Column& kb = b.column(col_b);
+  // Keys are read in place: a view input's key is not gathered.
+  const ColumnRef ka = a.column_ref(col_a);
+  const ColumnRef kb = b.column_ref(col_b);
 
   // Per-chunk (a-row, b-row) match lists; ascending-chunk concatenation
   // gives the a-major, ascending-b output order. Each chunk probes into
@@ -229,8 +244,8 @@ xai::Result<ColumnarRelation> EquiJoin(const ColumnarRelation& a,
   };
   std::vector<Pairs> per_chunk(num_chunks);
 
-  const bool fast = ka.kind() == Column::Kind::kInt64 &&
-                    kb.kind() == Column::Kind::kInt64;
+  const bool fast = ka.storage->kind() == Column::Kind::kInt64 &&
+                    kb.storage->kind() == Column::Kind::kInt64;
   if (fast) {
     // Both key columns are int64: probe by value directly. Raw equality
     // coincides with the general path's rendered-key-then-Value== protocol
@@ -239,10 +254,11 @@ xai::Result<ColumnarRelation> EquiJoin(const ColumnarRelation& a,
     std::vector<int32_t> null_rows;
     index.reserve(static_cast<size_t>(b.num_rows()));
     for (int64_t j = 0; j < b.num_rows(); ++j) {
-      if (kb.IsNull(j)) {
+      const int64_t r = kb.row(j);
+      if (kb.storage->IsNull(r)) {
         null_rows.push_back(static_cast<int32_t>(j));
       } else {
-        index[kb.ints()[j]].push_back(static_cast<int32_t>(j));
+        index[kb.storage->ints()[r]].push_back(static_cast<int32_t>(j));
       }
     }
     ParallelFor(na, kBatchRows, [&](int64_t begin, int64_t end,
@@ -251,11 +267,12 @@ xai::Result<ColumnarRelation> EquiJoin(const ColumnarRelation& a,
       local.a.reserve(end - begin);
       local.b.reserve(end - begin);
       for (int64_t i = begin; i < end; ++i) {
+        const int64_t r = ka.row(i);
         const std::vector<int32_t>* matches = nullptr;
-        if (ka.IsNull(i)) {
+        if (ka.storage->IsNull(r)) {
           matches = &null_rows;
         } else {
-          auto it = index.find(ka.ints()[i]);
+          auto it = index.find(ka.storage->ints()[r]);
           if (it != index.end()) matches = &it->second;
         }
         if (!matches) continue;
@@ -276,7 +293,7 @@ xai::Result<ColumnarRelation> EquiJoin(const ColumnarRelation& a,
       std::string key;
       for (int64_t j = 0; j < b.num_rows(); ++j) {
         key.clear();
-        kb.RenderTo(j, &key);
+        kb.storage->RenderTo(kb.row(j), &key);
         index[key].push_back(static_cast<int32_t>(j));
       }
     }
@@ -286,11 +303,12 @@ xai::Result<ColumnarRelation> EquiJoin(const ColumnarRelation& a,
       std::string key;
       for (int64_t i = begin; i < end; ++i) {
         key.clear();
-        ka.RenderTo(i, &key);
+        const int64_t r = ka.row(i);
+        ka.storage->RenderTo(r, &key);
         auto it = index.find(key);
         if (it == index.end()) continue;
         for (int32_t j : it->second) {
-          if (!CellsEqual(ka, i, kb, j)) continue;
+          if (!CellsEqual(*ka.storage, r, *kb.storage, kb.row(j))) continue;
           local.a.push_back(static_cast<int32_t>(i));
           local.b.push_back(j);
         }
@@ -364,11 +382,11 @@ xai::Result<ColumnarRelation> GroupByAggregate(
   std::vector<int64_t> counts(ng, 0);
   for (int gi = 0; gi < ng; ++gi) counts[gi] = g.group_size[gi];
   if (fn != AggFn::kCount && ng > 0) {
-    const Column& ac = input.column(agg_column);
+    const ColumnRef ac = input.column_ref(agg_column);
     const double* payload = nullptr;
     std::vector<double> values;
-    if (ng == 1 && ac.kind() == Column::Kind::kDouble) {
-      payload = ac.doubles().data();
+    if (ng == 1 && ac.storage->kind() == Column::Kind::kDouble && !ac.rows) {
+      payload = ac.storage->doubles().data();
     } else {
       // Scatter per-row values into per-group slices, preserving row
       // order within each group (min/max NaN folds depend on it).
@@ -378,7 +396,7 @@ xai::Result<ColumnarRelation> GroupByAggregate(
         offset[gi + 1] = offset[gi] + g.group_size[gi];
       std::vector<int64_t> cursor(offset.begin(), offset.end() - 1);
       for (int64_t i = 0; i < n; ++i)
-        values[cursor[g.group_of_row[i]]++] = ac.AsDoubleAt(i);
+        values[cursor[g.group_of_row[i]]++] = ac.storage->AsDoubleAt(ac.row(i));
       // Finalize per group below via the offsets.
       for (int gi = 0; gi < ng; ++gi) {
         const double* v = values.data() + offset[gi];
@@ -424,7 +442,7 @@ xai::Result<ColumnarRelation> GroupByAggregate(
   ColumnarRelation out("agg(" + input.name() + ")", std::move(names));
   for (size_t k = 0; k < group_columns.size(); ++k)
     out.SetColumn(static_cast<int>(k),
-                  input.column(group_columns[k]).Gather(g.first_row));
+                  GatherFrom(input.column_ref(group_columns[k]), g.first_row));
   Column agg_col = Column::OfKind(fn == AggFn::kCount ? Column::Kind::kInt64
                                                       : Column::Kind::kDouble);
   agg_col.Reserve(ng);

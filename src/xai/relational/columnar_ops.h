@@ -39,7 +39,9 @@ namespace xai::rel {
 /// Select and EquiJoin materialize late (see ColumnarRelation): their
 /// outputs' columns are views through row maps and a join's products are
 /// built on first read, so an operator pays only for the columns and the
-/// provenance its consumers read.
+/// provenance its consumers read. Every operator reads an input view's
+/// columns in place (ColumnarRelation::column_ref) and gathers none of
+/// them; only Union and ToRows, which keep columns, gather.
 
 /// sigma_predicate(input): compiles the predicate once, evaluates it
 /// batch-at-a-time over the predicate's columns, and returns a view of

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <type_traits>
 
 #include "xai/core/check.h"
 
@@ -25,6 +26,18 @@ CompiledPredicate::Scratch& CompiledPredicate::Scratch::operator=(
     Scratch&&) noexcept = default;
 
 namespace {
+
+/// dst[i] = src[rows[i]], or src[i] when `rows` is null, for i < len.
+template <typename T, typename U>
+void Load(const T* src, const int32_t* rows, int64_t len, U* dst) {
+  if (rows) {
+    for (int64_t i = 0; i < len; ++i) dst[i] = static_cast<U>(src[rows[i]]);
+  } else if constexpr (std::is_same_v<T, U>) {
+    std::memcpy(dst, src, len * sizeof(T));
+  } else {
+    for (int64_t i = 0; i < len; ++i) dst[i] = static_cast<U>(src[i]);
+  }
+}
 
 /// eq/lt for one row, exactly Value::operator== / operator<: NULL equals
 /// only NULL, NULL sorts before everything, numbers sort before strings,
@@ -52,7 +65,7 @@ inline void RowCompare(bool a_str, bool b_str, uint8_t av, uint8_t bv,
 }
 
 /// Combines per-row eq/lt into the requested comparison, composed from
-/// Value's == and < like the row reference (kLe = lt||eq, kGt = !lt&&!eq,
+/// Value's == and < like the row reference (kLe = lt|eq, kGt = !lt&!eq,
 /// kGe = !lt — which differ from native >,>=,<= on NaN, so the
 /// compositions are kept).
 inline bool ComposeCompare(Expr::Op op, bool eq, bool lt) {
@@ -64,9 +77,9 @@ inline bool ComposeCompare(Expr::Op op, bool eq, bool lt) {
     case Expr::Op::kLt:
       return lt;
     case Expr::Op::kLe:
-      return lt || eq;
+      return lt | eq;
     case Expr::Op::kGt:
-      return !lt && !eq;
+      return !lt & !eq;
     default:  // kGe
       return !lt;
   }
@@ -100,11 +113,11 @@ void CompareInto(Expr::Op op, bool a_str, bool b_str, bool no_nulls,
         return;
       case Expr::Op::kLe:
         for (int64_t i = 0; i < len; ++i)
-          out_num[i] = an[i] < bn[i] || an[i] == bn[i];
+          out_num[i] = (an[i] < bn[i]) | (an[i] == bn[i]);
         return;
       case Expr::Op::kGt:
         for (int64_t i = 0; i < len; ++i)
-          out_num[i] = !(an[i] < bn[i]) && !(an[i] == bn[i]);
+          out_num[i] = !(an[i] < bn[i]) & !(an[i] == bn[i]);
         return;
       default:  // kGe
         for (int64_t i = 0; i < len; ++i) out_num[i] = !(an[i] < bn[i]);
@@ -141,8 +154,11 @@ Result<CompiledPredicate> CompiledPredicate::Compile(
             return -1;
           }
           n.column = c;
-          n.is_string = rel.column(c).kind() == Column::Kind::kString &&
-                        !rel.column(c).all_null();
+          // The class of the storage the column reads: a view's class is
+          // its source's, so nothing is gathered to compile.
+          const Column& col = *rel.column_ref(c).storage;
+          n.is_string =
+              col.kind() == Column::Kind::kString && !col.all_null();
           // Deliberately NOT derived from has_nulls(): a compiled program
           // may be re-run against other relations with the same schema, and
           // those may have NULLs where this one does not.
@@ -209,25 +225,27 @@ void CompiledPredicate::EvalNode(const ColumnarRelation& rel, int ni,
   Batch& out = *scratch->slots_[ni];
   switch (n.op) {
     case Expr::Op::kColumn: {
-      const Column& col = rel.column(n.column);
-      std::memcpy(out.valid, col.validity().data() + begin, len);
+      // A view is read through its row map in place; storage (and a view
+      // already gathered) is copied contiguously.
+      const ColumnRef ref = rel.column_ref(n.column);
+      const Column& col = *ref.storage;
+      const int32_t* rows = ref.rows ? ref.rows + begin : nullptr;
+      const int64_t first = rows ? 0 : begin;
+      Load(col.validity().data() + first, rows, len, out.valid);
       switch (col.kind()) {
-        case Column::Kind::kInt64: {
-          const int64_t* src = col.ints().data() + begin;
-          for (int64_t i = 0; i < len; ++i)
-            out.num[i] = static_cast<double>(src[i]);
+        case Column::Kind::kInt64:
+          Load(col.ints().data() + first, rows, len, out.num);
           break;
-        }
         case Column::Kind::kDouble:
-          std::memcpy(out.num, col.doubles().data() + begin,
-                      len * sizeof(double));
+          Load(col.doubles().data() + first, rows, len, out.num);
           break;
         case Column::Kind::kString: {
-          const int32_t* codes = col.codes().data() + begin;
+          const int32_t* codes = col.codes().data() + first;
           const std::string* dict = col.dict().data();
           for (int64_t i = 0; i < len; ++i) {
             out.num[i] = 0.0;  // Value::AsDouble(STRING) == 0.
-            out.str[i] = out.valid[i] ? &dict[codes[i]] : nullptr;
+            out.str[i] =
+                out.valid[i] ? &dict[codes[rows ? rows[i] : i]] : nullptr;
           }
           break;
         }
@@ -268,11 +286,11 @@ void CompiledPredicate::EvalNode(const ColumnarRelation& rel, int ni,
       const Batch& ba = *scratch->slots_[n.child0];
       const Batch& bb = *scratch->slots_[n.child1];
       // Truthiness: present and numerically non-zero. The
-      // `num == 0 where invalid/string` invariant makes `valid && num != 0`
-      // exactly that.
+      // `num == 0 where invalid/string` invariant makes `valid & num != 0`
+      // exactly that; bitwise, so no row takes a branch.
       for (int64_t i = 0; i < len; ++i) {
-        out.num[i] = (ba.valid[i] && ba.num[i] != 0.0) &&
-                     (bb.valid[i] && bb.num[i] != 0.0);
+        out.num[i] = (ba.valid[i] & (ba.num[i] != 0.0)) &
+                     (bb.valid[i] & (bb.num[i] != 0.0));
         out.valid[i] = 1;
       }
       break;
@@ -281,8 +299,8 @@ void CompiledPredicate::EvalNode(const ColumnarRelation& rel, int ni,
       const Batch& ba = *scratch->slots_[n.child0];
       const Batch& bb = *scratch->slots_[n.child1];
       for (int64_t i = 0; i < len; ++i) {
-        out.num[i] = (ba.valid[i] && ba.num[i] != 0.0) ||
-                     (bb.valid[i] && bb.num[i] != 0.0);
+        out.num[i] = (ba.valid[i] & (ba.num[i] != 0.0)) |
+                     (bb.valid[i] & (bb.num[i] != 0.0));
         out.valid[i] = 1;
       }
       break;
@@ -290,7 +308,7 @@ void CompiledPredicate::EvalNode(const ColumnarRelation& rel, int ni,
     case Expr::Op::kNot: {
       const Batch& ba = *scratch->slots_[n.child0];
       for (int64_t i = 0; i < len; ++i) {
-        out.num[i] = !(ba.valid[i] && ba.num[i] != 0.0);
+        out.num[i] = !(ba.valid[i] & (ba.num[i] != 0.0));
         out.valid[i] = 1;
       }
       break;
@@ -344,7 +362,7 @@ void CompiledPredicate::SelectInto(const ColumnarRelation& rel, int64_t begin,
     int64_t k = 0;
     for (int64_t i = 0; i < len; ++i) {
       dst[k] = static_cast<int32_t>(b0 + i);
-      k += root.valid[i] && root.num[i] != 0.0;
+      k += root.valid[i] & (root.num[i] != 0.0);
     }
     out->resize(base + k);
   }

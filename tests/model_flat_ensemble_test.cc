@@ -568,6 +568,43 @@ TEST(FlatEnsembleDeathTest, ScorerRejectsSplitsOutsideTheInstance) {
                "outside the instance");
 }
 
+// One split on feature 5: a row must hold six values. Rows of ones reach
+// the right leaf (3.0).
+DecisionTreeModel SplitOnFeature5() {
+  std::vector<TreeNode> nodes(3);
+  nodes[0] = {5, 0.0, 1, 2, 0.0, 4.0};
+  nodes[1] = {-1, 0.0, -1, -1, 1.0, 2.0};
+  nodes[2] = {-1, 0.0, -1, -1, 3.0, 2.0};
+  return DecisionTreeModel::FromTree(Tree(std::move(nodes)),
+                                     TaskType::kRegression);
+}
+
+TEST(FlatEnsembleDeathTest, PredictRowRejectsARowNarrowerThanItsSplits) {
+  // The kernel would read row[5] past the end of a two-value row.
+  const DecisionTreeModel model = SplitOnFeature5();
+  const std::shared_ptr<const FlatEnsemble> flat = FlatEnsembleOf(model);
+  ASSERT_EQ(flat->min_width(), 6);
+  EXPECT_DEATH(flat->PredictRow(Vector{1.0, 2.0}), "narrower than");
+  EXPECT_DEATH(AsPredictFn(model)(Vector{1.0, 2.0}), "narrower than");
+  EXPECT_EQ(flat->PredictRow(Vector(6, 1.0)), 3.0);
+}
+
+TEST(FlatEnsembleDeathTest, BatchPathsRejectRowsNarrowerThanTheirSplits) {
+  // PredictBatch and every batch path that reaches it (the tree models,
+  // TreeEnsembleView::MarginBatch) score rows through ScoreRows.
+  const DecisionTreeModel model = SplitOnFeature5();
+  const std::shared_ptr<const FlatEnsemble> flat = FlatEnsembleOf(model);
+  const Matrix narrow(3, 2, 1.0);
+  Vector out(3);
+  EXPECT_DEATH(flat->ScoreRows(narrow, 0, 3, out.data()), "narrower than");
+  EXPECT_DEATH(flat->PredictBatch(narrow), "narrower than");
+  EXPECT_DEATH(model.PredictBatch(narrow), "narrower than");
+  EXPECT_DEATH(TreeEnsembleView::Of(model).MarginBatch(narrow),
+               "narrower than");
+  const Vector wide = flat->PredictBatch(Matrix(3, 6, 1.0));
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(wide[i], 3.0);
+}
+
 TEST(FlatEnsembleDeathTest, BuildRejectsEmptyTree) {
   Tree empty;
   EXPECT_DEATH(FlatEnsemble::Build({&empty}, {}), "empty");
