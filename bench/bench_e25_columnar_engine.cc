@@ -3,8 +3,9 @@
 //
 // Systems claim (§3 of the paper: explanations in databases are *queries*
 // and deserve query-engine treatment): the row-at-a-time interpreter —
-// an Expr tree walk per tuple, ToString group keys, tuple-vector copies —
-// is the relational analogue of the scalar inference loop E20 replaced.
+// an Expr tree walk per tuple, group keys hashed as a string per cell,
+// tuple-vector copies — is the relational analogue of the scalar
+// inference loop E20 replaced.
 // It survives as the test reference (tests/support/relational_reference),
 // which this bench links for its row side.
 // The columnar engine stores relations as typed columns with validity
@@ -17,7 +18,7 @@
 // coalition games with one shared scan instead of rebuilding the query
 // pipeline per coalition.
 // Expected shape: columnar scan/filter/aggregate well past 3x over the
-// row engine serially, join ahead on the int64 fast path, every operator
+// row engine serially, join ahead on int64 key words, every operator
 // output bit-identical to the row engine at 1/4/8 threads (values,
 // types, AND provenance), and shared-scan Shapley several times faster
 // than rebuild-per-coalition with bitwise-equal attributions.
@@ -239,7 +240,7 @@ void RunOperatorMicro(int threads, bool smoke, bench::RunReport* report) {
   }
 
   // join: fact-to-dim equi-join on the int64 key (both sides kInt64, so
-  // the columnar engine takes the raw-key fast path).
+  // the columnar engine probes the integers themselves as key words).
   {
     Relation row_out = reference::EquiJoin(fact, dim, 0, 0).ValueOrDie();
     ColumnarRelation col_out = EquiJoin(cfact, cdim, 0, 0).ValueOrDie();
@@ -473,7 +474,7 @@ void Run(int threads, bool smoke) {
   RunSharedScanShapley(smoke, &report);
 
   std::printf("\nShape check: columnar scan/filter/aggregate >= 3x at the "
-              "configured thread count, join ahead on the int64 fast path, "
+              "configured thread count, join ahead on int64 key words, "
               "pipeline bit-identical at 1/4/8 threads, shared-scan Shapley "
               "faster than rebuild with bitwise-equal values.\n");
   report.Note("smoke", smoke ? "true" : "false");

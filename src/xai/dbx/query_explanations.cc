@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <sstream>
 
 namespace xai {
@@ -20,7 +19,7 @@ Relation Remove(const Relation& input,
   for (int i = 0; i < input.num_tuples(); ++i) {
     bool matches = true;
     for (const auto& [column, value] : predicate)
-      matches = matches && input.tuple(i)[column] == value;
+      matches = matches && input.tuple(i)[column].KeyEquals(value);
     if (matches) {
       ++*removed;
       continue;
@@ -62,15 +61,23 @@ Result<std::vector<PredicateExplanation>> ExplainAggregateAnswer(
 
   double original = query(input);
 
-  // Distinct values per candidate column (rendered for set semantics).
+  // Distinct values per candidate column under the key rule (the first
+  // appearance stands for its class), ordered by rendering; values that
+  // render alike keep their first-appearance order. Scoring a candidate
+  // scans every tuple anyway, so the linear dedupe costs no more.
   std::vector<std::vector<Value>> distinct(candidate_columns.size());
   for (size_t k = 0; k < candidate_columns.size(); ++k) {
-    std::map<std::string, Value> seen;
+    std::vector<Value>& values = distinct[k];
     for (int i = 0; i < input.num_tuples(); ++i) {
       const Value& v = input.tuple(i)[candidate_columns[k]];
-      seen.emplace(v.ToString(), v);
+      if (std::none_of(values.begin(), values.end(),
+                       [&](const Value& seen) { return seen.KeyEquals(v); }))
+        values.push_back(v);
     }
-    for (const auto& [key, value] : seen) distinct[k].push_back(value);
+    std::stable_sort(values.begin(), values.end(),
+                     [](const Value& x, const Value& y) {
+                       return x.ToString() < y.ToString();
+                     });
   }
 
   std::vector<PredicateExplanation> results;

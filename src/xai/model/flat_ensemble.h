@@ -104,9 +104,8 @@ class FlatEnsemble {
   /// 64-bit so a parsed split feature of INT_MAX cannot overflow it.
   int64_t min_width() const { return min_width_; }
   /// The check message of every entry point that rejects a row narrower
-  /// than min_width().
-  static constexpr char kNarrowRow[] =
-      "row narrower than the ensemble's widest split feature";
+  /// than min_width(), the tree walks' message.
+  static constexpr const char* kNarrowRow = Tree::kNarrowRow;
 
   /// Prediction for one row (pointer to num-features contiguous doubles).
   /// Bit-identical to the scalar path the build options encode. The

@@ -37,20 +37,21 @@ class Tree {
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
   bool empty() const { return nodes_.empty(); }
 
-  /// Index of the leaf a row is routed to.
-  int LeafIndexOf(const Vector& row) const { return LeafIndexOf(row.data()); }
+  /// The check message of every entry point that rejects a row narrower
+  /// than a split feature it reads.
+  static constexpr char kNarrowRow[] =
+      "row narrower than the ensemble's widest split feature";
+
+  /// Index of the leaf a row is routed to. CHECKs that the row holds every
+  /// split feature on the path.
+  int LeafIndexOf(const Vector& row) const {
+    return Walk<true>(row.data(), row.size());
+  }
 
   /// Pointer variant: lets batch predictors walk Matrix rows in place
-  /// (Matrix::RowPtr) without materializing a Vector per row.
-  int LeafIndexOf(const double* row) const {
-    XAI_DCHECK(!nodes_.empty());
-    int node = 0;
-    while (!nodes_[node].IsLeaf()) {
-      const TreeNode& n = nodes_[node];
-      node = row[n.feature] <= n.threshold ? n.left : n.right;
-    }
-    return node;
-  }
+  /// (Matrix::RowPtr) without materializing a Vector per row. Reads the
+  /// path's split features unchecked.
+  int LeafIndexOf(const double* row) const { return Walk<false>(row, 0); }
 
   /// Value of the leaf a row is routed to.
   double PredictRow(const Vector& row) const {
@@ -74,6 +75,19 @@ class Tree {
   }
 
  private:
+  template <bool kCheckWidth>
+  int Walk(const double* row, size_t width) const {
+    XAI_DCHECK(!nodes_.empty());
+    int node = 0;
+    while (!nodes_[node].IsLeaf()) {
+      const TreeNode& n = nodes_[node];
+      if constexpr (kCheckWidth)
+        XAI_CHECK_MSG(static_cast<size_t>(n.feature) < width, kNarrowRow);
+      node = row[n.feature] <= n.threshold ? n.left : n.right;
+    }
+    return node;
+  }
+
   int DepthFrom(int node) const {
     if (nodes_.empty() || nodes_[node].IsLeaf()) return 0;
     return 1 + std::max(DepthFrom(nodes_[node].left),

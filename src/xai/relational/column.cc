@@ -1,8 +1,5 @@
 #include "xai/relational/column.h"
 
-#include <cmath>
-#include <cstdio>
-
 #include "xai/core/check.h"
 
 namespace xai::rel {
@@ -33,34 +30,6 @@ Value Column::ValueAt(int64_t row) const {
       return Value::Str(dict_[codes_[row]]);
   }
   return Value::Null();
-}
-
-void Column::RenderTo(int64_t row, std::string* out) const {
-  if (!valid_[row]) {
-    out->append("NULL");
-    return;
-  }
-  switch (kind_) {
-    case Kind::kInt64:
-      out->append(std::to_string(ints_[row]));
-      return;
-    case Kind::kDouble:
-      if (!int_origin_.empty() && int_origin_[row]) {
-        out->append(std::to_string(static_cast<int64_t>(doubles_[row])));
-        return;
-      }
-      {
-        // Must match Value::ToString's "%.6g" byte-for-byte: group-by and
-        // distinct merge keys on these renderings.
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.6g", doubles_[row]);
-        out->append(buf);
-      }
-      return;
-    case Kind::kString:
-      out->append(dict_[codes_[row]]);
-      return;
-  }
 }
 
 void Column::Reserve(int64_t n) {

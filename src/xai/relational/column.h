@@ -75,11 +75,6 @@ class Column {
   /// adapter imported, including INT-origin doubles.
   Value ValueAt(int64_t row) const;
 
-  /// Appends Value::ToString(row)'s rendering to `out` without constructing
-  /// a Value (group-by and distinct keys merge on Value::ToString
-  /// renderings, so the renderings must match byte-for-byte).
-  void RenderTo(int64_t row, std::string* out) const;
-
   void Reserve(int64_t n);
   void AppendNull();
   /// Appends a value, inferring/promoting the storage class. Fails on

@@ -1,7 +1,7 @@
 #include "xai/relational/columnar_ops.h"
 
 #include <algorithm>
-#include <cstring>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <unordered_map>
@@ -15,27 +15,49 @@
 namespace xai::rel {
 namespace {
 
-/// Appends column `c`'s rendered cell for `row` to `*key`, prefixed with
-/// its length, so multi-column keys concatenate injectively (same merge
-/// classes as a vector of rendered cells).
-void AppendRenderedCell(const Column& col, int64_t row, std::string* cell,
-                        std::string* key) {
-  cell->clear();
-  col.RenderTo(row, cell);
-  const uint32_t len = static_cast<uint32_t>(cell->size());
-  key->append(reinterpret_cast<const char*>(&len), sizeof(len));
-  key->append(*cell);
-}
-
-/// True when every key column is a (possibly unfixed all-NULL) int64
-/// column, for which raw (payload, validity) bytes induce exactly the
-/// rendered-key merge classes: std::to_string is injective on int64 and
-/// never renders "NULL".
-bool AllInt64(const std::vector<ColumnRef>& keys) {
-  for (const ColumnRef& key : keys) {
-    if (key.storage->kind() != Column::Kind::kInt64) return false;
+/// Calls `body` with `key`'s cells as 64-bit words under the key rule
+/// (Value::KeyEquals): word(i, &w) reads row i in place and sets `w`, or
+/// returns false for NULL, which no word stands for. The word function is
+/// chosen once per column, so `body`'s row loop is compiled per payload
+/// type: an INT column's integers (their DoubleKeyWord when `as_double`),
+/// a DOUBLE column's DoubleKeyWord, a STRING column's dictionary codes
+/// (`recode`[code] when given: the code of the same string in another
+/// column's dictionary).
+template <typename Body>
+void WithKeyWords(const ColumnRef& key, bool as_double, const int32_t* recode,
+                  Body&& body) {
+  const Column& col = *key.storage;
+  const uint8_t* valid = col.validity().data();
+  auto words = [&](const auto* payload, auto to_word) {
+    body([=](int64_t i, uint64_t* w) {
+      const int64_t r = key.row(i);
+      if (!valid[r]) return false;
+      *w = to_word(payload[r]);
+      return true;
+    });
+  };
+  switch (col.kind()) {
+    case Column::Kind::kInt64:
+      if (as_double) {
+        return words(col.ints().data(), [](int64_t v) {
+          return DoubleKeyWord(static_cast<double>(v));
+        });
+      }
+      return words(col.ints().data(),
+                   [](int64_t v) { return static_cast<uint64_t>(v); });
+    case Column::Kind::kDouble:
+      return words(col.doubles().data(),
+                   [](double v) { return DoubleKeyWord(v); });
+    case Column::Kind::kString:
+      if (recode) {
+        return words(col.codes().data(), [recode](int32_t code) {
+          return static_cast<uint64_t>(static_cast<uint32_t>(recode[code]));
+        });
+      }
+      return words(col.codes().data(), [](int32_t code) {
+        return static_cast<uint64_t>(static_cast<uint32_t>(code));
+      });
   }
-  return true;
 }
 
 /// The given rows of a column read in place, as new storage: a view's
@@ -47,82 +69,82 @@ Column GatherFrom(const ColumnRef& col, const std::vector<int32_t>& rows) {
   return col.storage->Gather(source_rows);
 }
 
-/// First-appearance-ordered grouping of rows by rendered key, shared by
-/// distinct projection and group-by.
+/// Rows numbered by key in first-appearance order, shared by distinct
+/// projection and group-by: row i is in group group_of_row[i], and the
+/// values of row first_row[g] name group g.
 struct KeyedGroups {
   std::vector<int32_t> group_of_row;
-  std::vector<int32_t> first_row;   // Row whose values name the group.
+  std::vector<int32_t> first_row;
   std::vector<int32_t> group_size;
   int num_groups() const { return static_cast<int>(first_row.size()); }
 };
 
+/// Numbers rows 0..n-1 by word(i) into `g`, in first-appearance order;
+/// NULL has a number of its own. word(i) is read before row i's number is
+/// written, so `word` may read g->group_of_row[i].
+template <typename Word>
+void Densify(int64_t n, const Word& word, KeyedGroups* g) {
+  g->group_of_row.resize(n);
+  g->first_row.clear();
+  g->group_size.clear();
+  std::unordered_map<uint64_t, int32_t> index;
+  index.reserve(256);
+  int32_t null_group = -1;
+  for (int64_t i = 0; i < n; ++i) {
+    auto open = [&] {
+      g->first_row.push_back(static_cast<int32_t>(i));
+      g->group_size.push_back(0);
+    };
+    uint64_t w;
+    int32_t gi;
+    if (!word(i, &w)) {
+      if (null_group < 0) {
+        null_group = g->num_groups();
+        open();
+      }
+      gi = null_group;
+    } else {
+      auto [it, inserted] = index.try_emplace(w, g->num_groups());
+      if (inserted) open();
+      gi = it->second;
+    }
+    g->group_of_row[i] = gi;
+    ++g->group_size[gi];
+  }
+}
+
+/// Groups rows by the key rule over `cols`: the first column's codes are
+/// the groups, and each further column folds (group, its code) into one
+/// word and numbers the groups again. With no column, every row is in
+/// group 0.
 KeyedGroups BuildGroups(const ColumnarRelation& rel,
                         const std::vector<int>& cols) {
   const int64_t n = rel.num_rows();
   KeyedGroups g;
-  g.group_of_row.resize(n);
-  std::vector<ColumnRef> keys;
-  for (int c : cols) keys.push_back(rel.column_ref(c));
-  const bool raw = AllInt64(keys);
-  if (raw && cols.size() == 1) {
-    // Single int64 key: hash the value directly. All NULL cells render
-    // "NULL" and so form one group; valid cells group by value (NULL
-    // payload slots hold 0 but are routed to the NULL group first, so
-    // they never collide with a genuine 0).
-    const ColumnRef key = keys[0];
-    const int64_t* ints = key.storage->ints().data();
-    const uint8_t* valid = key.storage->validity().data();
-    std::unordered_map<int64_t, int32_t> index;
-    index.reserve(256);
-    int32_t null_group = -1;
-    for (int64_t i = 0; i < n; ++i) {
-      const int64_t r = key.row(i);
-      int32_t gi;
-      if (!valid[r]) {
-        if (null_group < 0) {
-          null_group = static_cast<int32_t>(g.first_row.size());
-          g.first_row.push_back(static_cast<int32_t>(i));
-          g.group_size.push_back(0);
-        }
-        gi = null_group;
-      } else {
-        auto [it, inserted] = index.try_emplace(
-            ints[r], static_cast<int32_t>(g.first_row.size()));
-        if (inserted) {
-          g.first_row.push_back(static_cast<int32_t>(i));
-          g.group_size.push_back(0);
-        }
-        gi = it->second;
-      }
-      g.group_of_row[i] = gi;
-      ++g.group_size[gi];
-    }
+  if (cols.empty()) {
+    auto zero = [](int64_t, uint64_t* w) {
+      *w = 0;
+      return true;
+    };
+    Densify(n, zero, &g);
     return g;
   }
-  std::unordered_map<std::string, int32_t> index;
-  std::string key, cell;
-  for (int64_t i = 0; i < n; ++i) {
-    key.clear();
-    if (raw) {
-      for (const ColumnRef& col : keys) {
-        const int64_t r = col.row(i);
-        const int64_t v = col.storage->ints()[r];
-        const char valid = static_cast<char>(col.storage->validity()[r]);
-        key.append(reinterpret_cast<const char*>(&v), sizeof(v));
-        key.push_back(valid);
-      }
-    } else {
-      for (const ColumnRef& col : keys)
-        AppendRenderedCell(*col.storage, col.row(i), &cell, &key);
-    }
-    auto [it, inserted] =
-        index.try_emplace(key, static_cast<int32_t>(g.first_row.size()));
-    if (inserted) {
-      g.first_row.push_back(static_cast<int32_t>(i));
-      g.group_size.push_back(0);
-    }
-    g.group_of_row[i] = it->second;
-    ++g.group_size[it->second];
+  auto number = [&](int c, KeyedGroups* out) {
+    WithKeyWords(rel.column_ref(c), /*as_double=*/false, nullptr,
+                 [&](const auto& word) { Densify(n, word, out); });
+  };
+  number(cols[0], &g);
+  KeyedGroups codes;
+  for (size_t k = 1; k < cols.size(); ++k) {
+    number(cols[k], &codes);
+    Densify(
+        n,
+        [&](int64_t i, uint64_t* w) {
+          *w = static_cast<uint64_t>(g.group_of_row[i]) << 32 |
+               static_cast<uint32_t>(codes.group_of_row[i]);
+          return true;
+        },
+        &g);
   }
   return g;
 }
@@ -147,17 +169,6 @@ void SetGroupAnnotations(const ColumnarRelation& rel, const KeyedGroups& g,
   for (int64_t gi = 0; gi < ng; ++gi)
     sums[gi] = arena->Sum(terms[gi], g.group_size[gi]);
   out->SetAnnotations(std::move(sums), {std::move(arena)});
-}
-
-/// Value::operator== between two cells of (possibly different) columns.
-bool CellsEqual(const Column& a, int64_t i, const Column& b, int64_t j) {
-  const bool av = !a.IsNull(i), bv = !b.IsNull(j);
-  if (!av || !bv) return av == bv;
-  const bool as = a.kind() == Column::Kind::kString;
-  const bool bs = b.kind() == Column::Kind::kString;
-  if (as != bs) return false;
-  if (as) return a.dict()[a.codes()[i]] == b.dict()[b.codes()[j]];
-  return a.AsDoubleAt(i) == b.AsDoubleAt(j);
 }
 
 }  // namespace
@@ -244,35 +255,47 @@ xai::Result<ColumnarRelation> EquiJoin(const ColumnarRelation& a,
   };
   std::vector<Pairs> per_chunk(num_chunks);
 
-  const bool fast = ka.storage->kind() == Column::Kind::kInt64 &&
-                    kb.storage->kind() == Column::Kind::kInt64;
-  if (fast) {
-    // Both key columns are int64: probe by value directly. Raw equality
-    // coincides with the general path's rendered-key-then-Value== protocol
-    // (to_string is injective; NULL keys join NULL keys).
-    std::unordered_map<int64_t, std::vector<int32_t>> index;
-    std::vector<int32_t> null_rows;
-    index.reserve(static_cast<size_t>(b.num_rows()));
+  // Both keys read as words of one domain: integers while both columns
+  // are INT, doubles when either is DOUBLE, and b's dictionary codes when
+  // both are STRING (a's codes recoded; a string b lacks matches nothing).
+  // A string never equals a number, so then only NULL keys join.
+  const Column& sa = *ka.storage;
+  const Column& sb = *kb.storage;
+  const bool a_str = sa.kind() == Column::Kind::kString;
+  const bool b_str = sb.kind() == Column::Kind::kString;
+  const bool as_double = sa.kind() == Column::Kind::kDouble ||
+                         sb.kind() == Column::Kind::kDouble;
+  std::vector<int32_t> recode;
+  if (a_str && b_str) {
+    recode.reserve(sa.dict().size());
+    for (const std::string& v : sa.dict()) recode.push_back(sb.DictCode(v));
+  }
+  std::unordered_map<uint64_t, std::vector<int32_t>> index;
+  std::vector<int32_t> null_rows;
+  index.reserve(static_cast<size_t>(b.num_rows()));
+  WithKeyWords(kb, as_double, nullptr, [&](const auto& word) {
     for (int64_t j = 0; j < b.num_rows(); ++j) {
-      const int64_t r = kb.row(j);
-      if (kb.storage->IsNull(r)) {
+      uint64_t w;
+      if (!word(j, &w)) {
         null_rows.push_back(static_cast<int32_t>(j));
-      } else {
-        index[kb.storage->ints()[r]].push_back(static_cast<int32_t>(j));
+      } else if (a_str == b_str) {
+        index[w].push_back(static_cast<int32_t>(j));
       }
     }
+  });
+  WithKeyWords(ka, as_double, recode.data(), [&](const auto& word) {
     ParallelFor(na, kBatchRows, [&](int64_t begin, int64_t end,
                                     int64_t chunk) {
       Pairs local;
       local.a.reserve(end - begin);
       local.b.reserve(end - begin);
       for (int64_t i = begin; i < end; ++i) {
-        const int64_t r = ka.row(i);
+        uint64_t w;
         const std::vector<int32_t>* matches = nullptr;
-        if (ka.storage->IsNull(r)) {
+        if (!word(i, &w)) {
           matches = &null_rows;
         } else {
-          auto it = index.find(ka.storage->ints()[r]);
+          auto it = index.find(w);
           if (it != index.end()) matches = &it->second;
         }
         if (!matches) continue;
@@ -283,39 +306,7 @@ xai::Result<ColumnarRelation> EquiJoin(const ColumnarRelation& a,
       }
       per_chunk[chunk] = std::move(local);
     });
-  } else {
-    // General path: index b on rendered keys, probe a's renderings, keep
-    // pairs whose values actually compare equal (rendered collisions like
-    // INT 1000000 vs DOUBLE 1e+06 behave as in the row reference).
-    std::unordered_map<std::string, std::vector<int32_t>> index;
-    index.reserve(static_cast<size_t>(b.num_rows()));
-    {
-      std::string key;
-      for (int64_t j = 0; j < b.num_rows(); ++j) {
-        key.clear();
-        kb.storage->RenderTo(kb.row(j), &key);
-        index[key].push_back(static_cast<int32_t>(j));
-      }
-    }
-    ParallelFor(na, kBatchRows, [&](int64_t begin, int64_t end,
-                                    int64_t chunk) {
-      Pairs local;
-      std::string key;
-      for (int64_t i = begin; i < end; ++i) {
-        key.clear();
-        const int64_t r = ka.row(i);
-        ka.storage->RenderTo(r, &key);
-        auto it = index.find(key);
-        if (it == index.end()) continue;
-        for (int32_t j : it->second) {
-          if (!CellsEqual(*ka.storage, r, *kb.storage, kb.row(j))) continue;
-          local.a.push_back(static_cast<int32_t>(i));
-          local.b.push_back(j);
-        }
-      }
-      per_chunk[chunk] = std::move(local);
-    });
-  }
+  });
 
   // The pairs land in one exact-size array per side, which the output's
   // columns and pending products read as their row maps: the join writes
@@ -375,63 +366,42 @@ xai::Result<ColumnarRelation> GroupByAggregate(
   const int ng = g.num_groups();
 
   // Finalized aggregate values, via the canonical kernels. COUNT needs only
-  // group sizes; the single-group numeric case streams the column payload
-  // directly (NULL slots store 0.0, which is exactly Value::AsDouble's NULL
-  // contribution).
+  // group sizes. The measure is scattered into per-group slices, keeping
+  // row order within each group (min/max NaN folds depend on it); one
+  // group over storage streams the DOUBLE payload directly (NULL slots
+  // store 0.0, which is exactly Value::AsDouble's NULL contribution).
   std::vector<double> agg_values(ng, 0.0);
-  std::vector<int64_t> counts(ng, 0);
-  for (int gi = 0; gi < ng; ++gi) counts[gi] = g.group_size[gi];
   if (fn != AggFn::kCount && ng > 0) {
     const ColumnRef ac = input.column_ref(agg_column);
-    const double* payload = nullptr;
+    std::vector<int64_t> offset(ng + 1, 0);
+    for (int gi = 0; gi < ng; ++gi)
+      offset[gi + 1] = offset[gi] + g.group_size[gi];
     std::vector<double> values;
+    const double* slices = nullptr;
     if (ng == 1 && ac.storage->kind() == Column::Kind::kDouble && !ac.rows) {
-      payload = ac.storage->doubles().data();
+      slices = ac.storage->doubles().data();
     } else {
-      // Scatter per-row values into per-group slices, preserving row
-      // order within each group (min/max NaN folds depend on it).
       values.resize(n);
-      std::vector<int64_t> offset(ng + 1, 0);
-      for (int gi = 0; gi < ng; ++gi)
-        offset[gi + 1] = offset[gi] + g.group_size[gi];
       std::vector<int64_t> cursor(offset.begin(), offset.end() - 1);
       for (int64_t i = 0; i < n; ++i)
         values[cursor[g.group_of_row[i]]++] = ac.storage->AsDoubleAt(ac.row(i));
-      // Finalize per group below via the offsets.
-      for (int gi = 0; gi < ng; ++gi) {
-        const double* v = values.data() + offset[gi];
-        const int64_t len = g.group_size[gi];
-        switch (fn) {
-          case AggFn::kSum:
-            agg_values[gi] = CanonicalSum(v, len);
-            break;
-          case AggFn::kAvg:
-            agg_values[gi] = len ? CanonicalSum(v, len) / len : 0.0;
-            break;
-          case AggFn::kMin:
-            agg_values[gi] = CanonicalMin(v, len);
-            break;
-          case AggFn::kMax:
-            agg_values[gi] = CanonicalMax(v, len);
-            break;
-          case AggFn::kCount:
-            break;
-        }
-      }
+      slices = values.data();
     }
-    if (payload) {
+    for (int gi = 0; gi < ng; ++gi) {
+      const double* v = slices + offset[gi];
+      const int64_t len = g.group_size[gi];
       switch (fn) {
         case AggFn::kSum:
-          agg_values[0] = CanonicalSum(payload, n);
+          agg_values[gi] = CanonicalSum(v, len);
           break;
         case AggFn::kAvg:
-          agg_values[0] = n ? CanonicalSum(payload, n) / n : 0.0;
+          agg_values[gi] = len ? CanonicalSum(v, len) / len : 0.0;
           break;
         case AggFn::kMin:
-          agg_values[0] = CanonicalMin(payload, n);
+          agg_values[gi] = CanonicalMin(v, len);
           break;
         case AggFn::kMax:
-          agg_values[0] = CanonicalMax(payload, n);
+          agg_values[gi] = CanonicalMax(v, len);
           break;
         case AggFn::kCount:
           break;
@@ -449,7 +419,7 @@ xai::Result<ColumnarRelation> GroupByAggregate(
   for (int gi = 0; gi < ng; ++gi) {
     const Status s =
         agg_col.AppendValue(fn == AggFn::kCount
-                                ? Value::Int(counts[gi])
+                                ? Value::Int(g.group_size[gi])
                                 : Value::Double(agg_values[gi]));
     XAI_RETURN_NOT_OK(s);
   }

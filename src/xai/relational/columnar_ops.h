@@ -22,13 +22,12 @@ namespace xai::rel {
 /// reference engine the tests keep (tests/support): converting the output
 /// with ToRows() yields the same relation name, columns, tuples (values
 /// and order), and provenance structure that the reference produces from
-/// ToRows() of the inputs. That includes rendered-string key semantics —
-/// group-by/distinct keys merge on Value::ToString renderings (so "%.6g"
-/// collisions merge), and the equi-join probes rendered keys before
-/// filtering on actual value equality (so a match whose renderings differ
-/// is missed). Aggregates finalize through the canonical kernels in
-/// agg_kernels.h, which the reference shares — aggregate values are
-/// bit-identical by construction.
+/// ToRows() of the inputs. Group-by and distinct keys merge, and join keys
+/// match, by one key rule, Value::KeyEquals, in both engines: NULL equals
+/// NULL, strings compare by bytes, two INTs exactly, and other numbers as
+/// doubles with −0.0 equal to 0.0 and NaN equal to NaN. Aggregates
+/// finalize through the canonical kernels in agg_kernels.h, which the
+/// reference shares — aggregate values are bit-identical by construction.
 ///
 /// Scans (selection, join probe) are parallelized over kBatchRows-sized
 /// row blocks via ParallelFor; per-block results are concatenated in
@@ -49,15 +48,15 @@ namespace xai::rel {
 xai::Result<ColumnarRelation> Select(const ColumnarRelation& input,
                                      const ExprPtr& predicate);
 
-/// pi_columns(input); with `distinct`, equal (rendered) tuples merge and
-/// annotations combine with +, first-appearance order.
+/// pi_columns(input); with `distinct`, tuples equal under the key rule
+/// merge and annotations combine with +, first-appearance order.
 xai::Result<ColumnarRelation> Project(const ColumnarRelation& input,
                                       const std::vector<int>& columns,
                                       bool distinct);
 
 /// Equi-join on a.col_a == b.col_b; output columns are a's then b's
 /// (prefixed with b's name), a-major with b matches in ascending row
-/// order. NULL keys join NULL keys (NULL == NULL under Value equality).
+/// order. Keys match by the key rule, so NULL keys join NULL keys.
 /// Writes one (a-row, b-row) pair array; the columns are views through it
 /// and the annotations pending products.
 xai::Result<ColumnarRelation> EquiJoin(const ColumnarRelation& a,

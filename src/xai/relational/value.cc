@@ -53,6 +53,14 @@ bool Value::operator==(const Value& other) const {
   return AsString() == other.AsString();
 }
 
+bool Value::KeyEquals(const Value& other) const {
+  Type a = type(), b = other.type();
+  if (a == Type::kInt && b == Type::kInt) return AsInt() == other.AsInt();
+  if (IsNumeric(a) && IsNumeric(b))
+    return DoubleKeyWord(AsDouble()) == DoubleKeyWord(other.AsDouble());
+  return *this == other;
+}
+
 bool Value::operator<(const Value& other) const {
   Type a = type(), b = other.type();
   if (a == Type::kNull || b == Type::kNull) return a < b;

@@ -1,10 +1,12 @@
 #ifndef XAI_RELATIONAL_VALUE_H_
 #define XAI_RELATIONAL_VALUE_H_
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <variant>
-
 #include <vector>
 
 namespace xai::rel {
@@ -39,6 +41,13 @@ class Value {
   bool operator!=(const Value& other) const { return !(*this == other); }
   bool operator<(const Value& other) const;
 
+  /// The key rule group-by, distinct and the equi-join decide by
+  /// (DESIGN.md §15): operator== with two changes — two INTs compare
+  /// exactly, and NaN equals NaN. Other numbers compare as doubles, so
+  /// INT 1 equals DOUBLE 1.0 and −0.0 equals 0.0.
+  bool KeyEquals(const Value& other) const;
+
+  /// For printing; key equality never reads it.
   std::string ToString() const;
 
  private:
@@ -48,6 +57,14 @@ class Value {
 
   std::variant<std::monostate, int64_t, double, std::string> data_;
 };
+
+/// The word the key rule compares a number by once it reads it as a
+/// double: its bits, with −0.0 read as 0.0 and every NaN as one NaN.
+inline uint64_t DoubleKeyWord(double v) {
+  if (v == 0.0) v = 0.0;
+  if (std::isnan(v)) v = std::numeric_limits<double>::quiet_NaN();
+  return std::bit_cast<uint64_t>(v);
+}
 
 }  // namespace xai::rel
 

@@ -21,6 +21,8 @@ bool AllReachableLeavesAgree(const Tree& tree, const Vector& instance,
     return cls == target_class;
   }
   if (mask & (1ULL << n.feature)) {
+    XAI_CHECK_MSG(static_cast<size_t>(n.feature) < instance.size(),
+                  Tree::kNarrowRow);
     int next = instance[n.feature] <= n.threshold ? n.left : n.right;
     return AllReachableLeavesAgree(tree, instance, mask, next, target_class,
                                    threshold);

@@ -134,6 +134,59 @@ TEST(QueryExplanationTest, ToStringReadable) {
   EXPECT_NE(text.find("effect"), std::string::npos);
 }
 
+TEST(QueryExplanationTest, CandidatesAreDistinctUnderTheKeyRule) {
+  // 1.0000001 and 1.0000002 both print "1", and NULL prints like the
+  // string 'NULL', yet each is a candidate of its own that removes
+  // exactly the tuples holding it.
+  Relation t("t", {"x", "tag", "amount"});
+  const struct {
+    Value x, tag;
+    int64_t amount;
+  } rows[] = {
+      {Value::Double(1.0000001), Value::Str("NULL"), 1},
+      {Value::Double(1.0000002), Value::Null(), 2},
+      {Value::Double(1.0000001), Value::Str("b"), 4},
+      {Value::Double(2.0), Value::Str("b"), 8},
+  };
+  int id = 0;
+  for (const auto& row : rows) {
+    ASSERT_TRUE(
+        t.AppendBase({row.x, row.tag, Value::Int(row.amount)}, id++).ok());
+  }
+  QueryExplanationConfig config;
+  config.top_k = 0;
+  const auto explanations =
+      ExplainAggregateAnswer(t, TotalAmount, {0, 1}, config).ValueOrDie();
+  // (column, value, support, effect) of every single-column predicate.
+  struct Want {
+    int column;
+    Value value;
+    int support;
+    double effect;
+  };
+  const std::vector<Want> want = {
+      {1, Value::Str("b"), 2, 12},          {0, Value::Double(2.0), 1, 8},
+      {0, Value::Double(1.0000001), 2, 5}, {0, Value::Double(1.0000002), 1, 2},
+      {1, Value::Null(), 1, 2},            {1, Value::Str("NULL"), 1, 1},
+  };
+  ASSERT_EQ(explanations.size(), want.size());
+  for (const Want& w : want) {
+    SCOPED_TRACE(w.value.ToString());
+    int found = 0;
+    for (const auto& exp : explanations) {
+      ASSERT_EQ(exp.predicate.size(), 1u);
+      const auto& [column, value] = exp.predicate[0];
+      if (column != w.column || value.type() != w.value.type() ||
+          value != w.value)
+        continue;
+      ++found;
+      EXPECT_EQ(exp.support, w.support);
+      EXPECT_DOUBLE_EQ(exp.effect, w.effect);
+    }
+    EXPECT_EQ(found, 1);
+  }
+}
+
 TEST(QueryExplanationTest, RejectsBadInput) {
   Relation sales = SalesRelation();
   Relation empty("empty", {"a"});

@@ -605,6 +605,32 @@ TEST(FlatEnsembleDeathTest, BatchPathsRejectRowsNarrowerThanTheirSplits) {
   for (int i = 0; i < 3; ++i) EXPECT_EQ(wide[i], 3.0);
 }
 
+// The per-row Predict(const Vector&) of each tree model walks its Trees,
+// not the flat kernel, and would read row[5] past the end of a two-value
+// row.
+TEST(TreeModelDeathTest, DecisionTreePredictRejectsANarrowRow) {
+  const DecisionTreeModel model = SplitOnFeature5();
+  EXPECT_DEATH(model.Predict(Vector{1.0, 2.0}), "narrower than");
+  EXPECT_EQ(model.Predict(Vector(6, 1.0)), 3.0);
+}
+
+TEST(TreeModelDeathTest, RandomForestPredictRejectsANarrowRow) {
+  const DecisionTreeModel single = SplitOnFeature5();
+  const Tree& tree = single.tree();
+  const RandomForestModel model =
+      RandomForestModel::FromTrees({tree, tree}, TaskType::kRegression);
+  EXPECT_DEATH(model.Predict(Vector{1.0, 2.0}), "narrower than");
+  EXPECT_EQ(model.Predict(Vector(6, 1.0)), 3.0);
+}
+
+TEST(TreeModelDeathTest, GbdtPredictAndMarginRejectANarrowRow) {
+  const GbdtModel model = GbdtModel::FromParts(
+      {SplitOnFeature5().tree()}, 0.5, TaskType::kRegression);
+  EXPECT_DEATH(model.Predict(Vector{1.0, 2.0}), "narrower than");
+  EXPECT_DEATH(model.Margin(Vector{1.0, 2.0}), "narrower than");
+  EXPECT_EQ(model.Margin(Vector(6, 1.0)), 3.5);
+}
+
 TEST(FlatEnsembleDeathTest, BuildRejectsEmptyTree) {
   Tree empty;
   EXPECT_DEATH(FlatEnsemble::Build({&empty}, {}), "empty");

@@ -245,9 +245,9 @@ TEST(ColumnarOpsTest, EquiJoinStringKeysMatchesRowEngine) {
 }
 
 TEST(ColumnarOpsTest, EquiJoinMixedIntDoubleKeysMatchesRowEngine) {
-  // Int keys on one side, int-valued doubles on the other: the row engine
-  // joins only where the *renderings* collide, and the columnar engine
-  // must reproduce exactly that (including any misses).
+  // Int keys on one side, int-valued doubles on the other: under the key
+  // rule an INT and a DOUBLE compare as doubles, so INT 1000000 joins
+  // DOUBLE 1e6, and both engines must pair exactly the same rows.
   Relation a("a", {"k"});
   Relation b("b", {"k"});
   int id = 0;
@@ -293,7 +293,7 @@ TEST(ColumnarOpsTest, GroupByAllFunctionsMatchRowEngine) {
 
 TEST(ColumnarOpsTest, GroupByDoubleKeysMergeOnRenderings) {
   // Int 2 and Double 2.0 land in one kDouble column and must merge into
-  // one group, exactly like the row path's ToString keys.
+  // one group: the key rule compares them as doubles, in both engines.
   Relation r("m", {"g", "v"});
   ASSERT_TRUE(r.AppendBase({Value::Int(2), Value::Double(1.5)}, 0).ok());
   ASSERT_TRUE(r.AppendBase({Value::Double(2.0), Value::Double(2.5)}, 1).ok());
@@ -786,7 +786,7 @@ Value GenValue(Rng& rng, const GenColumn& c) {
     case GenKind::kInt:
       return Value::Int(v);
     case GenKind::kDouble:
-      // Half the doubles are integral, so they render like int keys.
+      // Half the doubles are integral, so they equal int keys.
       return rng.Bernoulli(0.5) ? Value::Double(v)
                                 : Value::Double(v + rng.Uniform(-0.5, 0.5));
     case GenKind::kStr:
@@ -844,23 +844,6 @@ ExprPtr RandomPredicate(Rng& rng, const Relation& rel) {
                             : Expr::Le(Expr::Column(c), Expr::Const(bound));
 }
 
-// The rows of `input` each output group merges, by the row engine's rule
-// (rendered keys, first-appearance order).
-std::vector<std::vector<int>> GroupRows(const Relation& input,
-                                        const std::vector<int>& cols) {
-  std::map<std::vector<std::string>, int> index;
-  std::vector<std::vector<int>> groups;
-  for (int i = 0; i < input.num_tuples(); ++i) {
-    std::vector<std::string> key;
-    for (int c : cols) key.push_back(input.tuple(i)[c].ToString());
-    auto [it, inserted] =
-        index.try_emplace(key, static_cast<int>(groups.size()));
-    if (inserted) groups.emplace_back();
-    groups[it->second].push_back(i);
-  }
-  return groups;
-}
-
 void ExpectSameCounts(const Relation& a, const Relation& b) {
   ASSERT_EQ(a.num_tuples(), b.num_tuples());
   for (int i = 0; i < a.num_tuples(); ++i) {
@@ -884,9 +867,9 @@ TEST(GeneratedDifferentialTest, RowAndColumnarPipelinesAgree) {
   for (uint64_t seed = 1; seed <= 120; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(seed * 7919);
-    // Join keys: int/int, string/string or int/double (rendering
-    // collisions), with NULLs and duplicates; a few cases shift one side's
-    // domain and drop its NULLs so nothing can match.
+    // Join keys: int/int, string/string or int/double (INTs against
+    // integral DOUBLEs), with NULLs and duplicates; a few cases shift one
+    // side's domain and drop its NULLs so nothing can match.
     const int pair = rng.UniformInt(3);
     const GenKind ka = pair == 1 ? GenKind::kStr : GenKind::kInt;
     const GenKind kb = pair == 0   ? GenKind::kInt
@@ -963,7 +946,7 @@ TEST(GeneratedDifferentialTest, RowAndColumnarPipelinesAgree) {
       }
       // A group whose sum keeps one term is that term's node in both
       // engines: same pointer, no new node.
-      const auto groups = GroupRows(row_sel, cols);
+      const auto groups = reference::GroupRows(row_sel, cols);
       ASSERT_EQ(static_cast<int64_t>(groups.size()), col_out.num_rows());
       for (size_t g = 0; g < groups.size(); ++g) {
         int kept = 0, last = -1;
@@ -1221,7 +1204,7 @@ TEST(GeneratedDifferentialTest, InPlaceKernelsAgreeWithReference) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(seed * 130363);
     // Large seeds key on ints or strings, which match often; the small
-    // ones key on doubles too (the rendered-key join path).
+    // ones key on doubles too.
     const bool big = seed % 2 == 0;
     const GenKind key =
         big ? (rng.Bernoulli(0.5) ? GenKind::kInt : GenKind::kStr)
@@ -1310,11 +1293,193 @@ TEST(GeneratedDifferentialTest, InPlaceKernelsAgreeWithReference) {
   EXPECT_GE(view_joins, 10);
 }
 
+// ---- Key collisions: one key rule in both engines ----
+
+enum class PoolKind { kInt, kDouble, kStr };
+
+// A key cell from a pool of near-collisions, NULL one time in ten. DOUBLE
+// columns hold nextafter neighbours, pairs equal at %.6g, ±0.0, NaNs of
+// both signs and two payloads, ±inf and INTs beside their int-origin
+// DOUBLEs; INT columns hold int64 values at and around ±2^53; STRING
+// columns hold "NULL", "nan", "1" and "".
+Value CollisionValue(Rng& rng, PoolKind kind) {
+  if (rng.Bernoulli(0.1)) return Value::Null();
+  constexpr int64_t p53 = int64_t{1} << 53;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  switch (kind) {
+    case PoolKind::kInt: {
+      const int64_t pool[] = {0,       1,   1000000,     p53 - 1, p53,
+                              p53 + 1, -p53 - 1, -p53, -p53 + 1};
+      return Value::Int(pool[rng.UniformInt(9)]);
+    }
+    case PoolKind::kDouble: {
+      const Value pool[] = {
+          Value::Double(1.0),
+          Value::Double(std::nextafter(1.0, 2.0)),
+          Value::Double(std::nextafter(1.0, 0.0)),
+          Value::Double(1.0000001),
+          Value::Double(1.0000002),
+          Value::Double(1e6),
+          Value::Double(1000000.4),
+          Value::Double(0.0),
+          Value::Double(-0.0),
+          Value::Double(nan),
+          Value::Double(std::copysign(nan, -1.0)),
+          Value::Double(std::bit_cast<double>(uint64_t{0x7ff8000000000001})),
+          Value::Double(inf),
+          Value::Double(-inf),
+          Value::Double(static_cast<double>(p53)),
+          Value::Int(0),
+          Value::Int(1),
+          Value::Int(1000000),
+      };
+      return pool[rng.UniformInt(18)];
+    }
+    case PoolKind::kStr: {
+      const char* pool[] = {"NULL", "nan", "1", ""};
+      return Value::Str(pool[rng.UniformInt(4)]);
+    }
+  }
+  return Value::Null();
+}
+
+// Column 0 is the join key of `key` kind, then `extra` key columns of any
+// pool kind and a DOUBLE measure (NULL one time in ten).
+Relation CollisionRelation(Rng& rng, const std::string& name, PoolKind key,
+                           int extra, int rows, int* next_id) {
+  std::vector<PoolKind> kinds = {key};
+  for (int c = 0; c < extra; ++c)
+    kinds.push_back(static_cast<PoolKind>(rng.UniformInt(3)));
+  std::vector<std::string> names;
+  for (size_t c = 0; c <= kinds.size(); ++c)
+    names.push_back(name + std::to_string(c));
+  Relation r(name, names);
+  for (int i = 0; i < rows; ++i) {
+    Tuple t;
+    for (PoolKind kind : kinds) t.push_back(CollisionValue(rng, kind));
+    t.push_back(rng.Bernoulli(0.1) ? Value::Null()
+                                   : Value::Double(rng.Uniform(-1.0, 1.0)));
+    EXPECT_TRUE(r.AppendBase(std::move(t), (*next_id)++).ok());
+  }
+  return r;
+}
+
+// Same type and, for doubles, the same bits.
+bool SameCell(const Value& x, const Value& y) {
+  if (x.type() != y.type()) return false;
+  if (x.type() == Value::Type::kDouble)
+    return Bits(x.AsDouble()) == Bits(y.AsDouble());
+  return x == y;
+}
+
+TEST(GeneratedDifferentialTest, KeyCollisionsAgreeWithReference) {
+  // Group-by on 0–3 key columns and distinct, over storage and over a
+  // selection's views (gathered first or read in place), and joins of
+  // int–int, int–double, double–double, string–string and string–int
+  // keys, storage and view probe sides, on cells that collide under other
+  // readings of key equality; every output at 1/4/8 threads against
+  // reference::.
+  constexpr PoolKind kJoins[][2] = {{PoolKind::kInt, PoolKind::kInt},
+                                    {PoolKind::kInt, PoolKind::kDouble},
+                                    {PoolKind::kDouble, PoolKind::kDouble},
+                                    {PoolKind::kStr, PoolKind::kStr},
+                                    {PoolKind::kStr, PoolKind::kInt}};
+  const int saved = GetNumThreads();
+  int merged_bits = 0, split_renderings = 0, cross_pairs = 0,
+      multi_column = 0, no_column = 0;
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed * 15485863);
+    const PoolKind* join = kJoins[seed % 5];
+    int next_id = 0;
+    const Relation a =
+        CollisionRelation(rng, "a", join[0], 3, rng.UniformInt(0, 60),
+                          &next_id);
+    const Relation b =
+        CollisionRelation(rng, "b", join[1], 1, rng.UniformInt(1, 20),
+                          &next_id);
+    std::vector<int> order = {0, 1, 2, 3};
+    rng.Shuffle(&order);
+    const std::vector<int> group(order.begin(),
+                                 order.begin() + rng.UniformInt(4));
+    const std::vector<int> distinct(order.begin(),
+                                    order.begin() + rng.UniformInt(1, 4));
+    const AggFn fn = static_cast<AggFn>(rng.UniformInt(5));
+    const ExprPtr keep =
+        Expr::Gt(Expr::Column(4), Expr::Const(Value::Double(0.0)));
+    const bool gather_first = rng.Bernoulli(0.5);
+
+    const Relation r_sel = reference::Select(a, keep).ValueOrDie();
+    std::vector<Relation> expected;
+    for (const Relation* in : {&a, &r_sel}) {
+      expected.push_back(
+          reference::GroupByAggregate(*in, group, fn, 4, "agg").ValueOrDie());
+      expected.push_back(
+          reference::Project(*in, distinct, /*distinct=*/true).ValueOrDie());
+      expected.push_back(reference::EquiJoin(*in, b, 0, 0).ValueOrDie());
+      expected.push_back(reference::EquiJoin(b, *in, 0, 0).ValueOrDie());
+    }
+
+    // The cases the pools exist for: groups that merge cells of other
+    // types or bits, groups apart whose keys render alike, and join pairs
+    // of cells of other types or bits.
+    const auto groups = reference::GroupRows(a, group);
+    for (const std::vector<int>& rows : groups) {
+      for (int r : rows) {
+        bool same = true;
+        for (int c : group)
+          same &= SameCell(a.tuple(r)[c], a.tuple(rows[0])[c]);
+        merged_bits += !same;
+      }
+    }
+    std::set<std::string> renderings;
+    for (const std::vector<int>& rows : groups) {
+      std::string key;
+      for (int c : group) key += a.tuple(rows[0])[c].ToString() + "|";
+      split_renderings += !renderings.insert(key).second;
+    }
+    for (const Tuple& t : expected[2].tuples())
+      cross_pairs += !SameCell(t[0], t[a.num_columns()]);
+    multi_column += group.size() >= 2;
+    no_column += group.empty() && a.num_tuples() > 0;
+
+    const ColumnarRelation ca = Columnar(a), cb = Columnar(b);
+    for (int threads : {1, 4, 8}) {
+      SetNumThreads(threads);
+      const ColumnarRelation sel = Select(ca, keep).ValueOrDie();
+      if (gather_first) {
+        for (int c = 0; c < sel.num_columns(); ++c) sel.column(c);
+      }
+      std::vector<ColumnarRelation> got;
+      for (const ColumnarRelation* in : {&ca, &sel}) {
+        got.push_back(GroupByAggregate(*in, group, fn, 4, "agg").ValueOrDie());
+        got.push_back(Project(*in, distinct, /*distinct=*/true).ValueOrDie());
+        got.push_back(EquiJoin(*in, cb, 0, 0).ValueOrDie());
+        got.push_back(EquiJoin(cb, *in, 0, 0).ValueOrDie());
+      }
+      ASSERT_EQ(got.size(), expected.size());
+      for (size_t k = 0; k < got.size(); ++k) {
+        SCOPED_TRACE("output " + std::to_string(k));
+        const Relation back = got[k].ToRows();
+        ExpectSameRelation(back, expected[k]);
+        ExpectSameCounts(back, expected[k]);
+      }
+    }
+  }
+  SetNumThreads(saved);
+  EXPECT_GT(merged_bits, 10);
+  EXPECT_GT(split_renderings, 10);
+  EXPECT_GT(cross_pairs, 10);
+  EXPECT_GT(multi_column, 10);
+  EXPECT_GT(no_column, 5);
+}
+
 TEST(ColumnarOpsTest, JoinPairOrderIsThreadCountFree) {
   // 5 000 probe rows in five kBatchRows chunks: duplicate build keys fan
   // out, NULL keys join NULL keys, and no row of the third chunk matches,
-  // so that chunk contributes no pairs. Int keys take the raw fast path,
-  // string keys the rendered-key path; both must keep the a-major,
+  // so that chunk contributes no pairs. Int keys probe by value and
+  // string keys by b's dictionary codes; both must keep the a-major,
   // ascending-b order at every thread count.
   for (bool strings : {false, true}) {
     SCOPED_TRACE(strings ? "string keys" : "int keys");

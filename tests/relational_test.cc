@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -376,6 +380,160 @@ TEST(OperatorTableTest, RowReferenceMatchesEveryRow) {
   }
 }
 
+// ---- Key table -----------------------------------------------------------
+//
+// One row per pair of key cells a and b, under the key rule of DESIGN.md
+// §15 (Value::KeyEquals): NULL equals NULL, strings compare by bytes, two
+// INTs exactly, other numbers as doubles with -0.0 equal to 0.0 and NaN
+// equal to NaN, and a string never equals a number or NULL. `groups` are
+// the groups group-by and distinct make of one column holding t0 = a then
+// t1 = b, and `pairs` the pairs the equi-join makes of t0 = a against
+// t1 = b, each written as its provenance polynomial. Every row runs on
+// the columnar engine and on the row reference.
+
+struct KeyRow {
+  const char* name = "";
+  Value a, b;
+  // Empty when no column holds both cells: FromRows rejects a string
+  // beside a number, and an INT beyond 2^53 beside a DOUBLE.
+  std::vector<std::string> groups = {};
+  std::vector<std::string> pairs = {};
+};
+
+std::vector<KeyRow> KeyRows() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const int64_t p53 = int64_t{1} << 53;
+  auto i = [](int64_t v) { return Value::Int(v); };
+  auto d = [](double v) { return Value::Double(v); };
+  auto s = [](const char* v) { return Value::Str(v); };
+  const std::vector<std::string> one = {"t0 + t1"}, two = {"t0", "t1"},
+                                 pair = {"t0*t1"}, none = {};
+  return {
+      {"nextafter neighbours stay apart", d(1.0000001), d(1.0000002), two,
+       none},
+      {"1e6 and 1000000.4 stay apart", d(1e6), d(1000000.4), two, none},
+      {"0.1 + 0.2 is not 0.3", d(0.1 + 0.2), d(0.3), two, none},
+      {"NULL is not the string 'NULL'", Value::Null(), s("NULL"), two, none},
+      {"0.0 equals -0.0", d(0.0), d(-0.0), one, pair},
+      {"NaN equals NaN with the sign bit", d(nan), d(std::copysign(nan, -1.0)),
+       one, pair},
+      {"NaN equals NaN", d(nan), d(nan), one, pair},
+      {"NaN equals NaN with another payload", d(nan),
+       d(std::bit_cast<double>(uint64_t{0x7ff8000000000001})), one, pair},
+      {"INT 1000000 equals DOUBLE 1e6", i(1000000), d(1e6), one, pair},
+      {"INT 1 equals DOUBLE 1.0", i(1), d(1.0), one, pair},
+      {"NULL equals NULL", Value::Null(), Value::Null(), one, pair},
+      {"INT 2^53 is not INT 2^53 + 1", i(p53), i(p53 + 1), two, none},
+      {"INT 2^53 + 1 equals DOUBLE 2^53 as a double", i(p53 + 1),
+       d(static_cast<double>(p53)), {}, pair},
+      {"the string 'nan' is not NaN", s("nan"), d(nan), {}, none},
+      {"the string '1' is not INT 1", s("1"), i(1), {}, none},
+  };
+}
+
+// What a key row runs: SUM and COUNT group-by and distinct over
+// m(k, v) = {t0: (a, 1.0), t1: (b, 2.0)}, and the join of {t0: a} with
+// {t1: b}.
+struct KeyOutputs {
+  Relation sum, count, distinct, join;
+};
+
+struct KeyInputs {
+  Relation m{"m", {"k", "v"}}, a{"a", {"k"}}, b{"b", {"k"}};
+
+  explicit KeyInputs(const KeyRow& row) {
+    if (!row.groups.empty()) {
+      EXPECT_TRUE(m.AppendBase({row.a, Value::Double(1.0)}, 0).ok());
+      EXPECT_TRUE(m.AppendBase({row.b, Value::Double(2.0)}, 1).ok());
+    }
+    EXPECT_TRUE(a.AppendBase({row.a}, 0).ok());
+    EXPECT_TRUE(b.AppendBase({row.b}, 1).ok());
+  }
+};
+
+KeyOutputs RunKeyColumnar(const KeyRow& row) {
+  const KeyInputs in(row);
+  KeyOutputs out;
+  if (!row.groups.empty()) {
+    const ColumnarRelation m = Columnar(in.m);
+    out.sum = GroupByAggregate(m, {0}, AggFn::kSum, 1, "agg")
+                  .ValueOrDie()
+                  .ToRows();
+    out.count = GroupByAggregate(m, {0}, AggFn::kCount, -1, "agg")
+                    .ValueOrDie()
+                    .ToRows();
+    out.distinct = Project(m, {0}, /*distinct=*/true).ValueOrDie().ToRows();
+  }
+  out.join = EquiJoin(Columnar(in.a), Columnar(in.b), 0, 0)
+                 .ValueOrDie()
+                 .ToRows();
+  return out;
+}
+
+KeyOutputs RunKeyReference(const KeyRow& row) {
+  const KeyInputs in(row);
+  KeyOutputs out;
+  if (!row.groups.empty()) {
+    out.sum = reference::GroupByAggregate(in.m, {0}, AggFn::kSum, 1, "agg")
+                  .ValueOrDie();
+    out.count =
+        reference::GroupByAggregate(in.m, {0}, AggFn::kCount, -1, "agg")
+            .ValueOrDie();
+    out.distinct =
+        reference::Project(in.m, {0}, /*distinct=*/true).ValueOrDie();
+  }
+  out.join = reference::EquiJoin(in.a, in.b, 0, 0).ValueOrDie();
+  return out;
+}
+
+// Same type and, for doubles, the same bits (-0.0 and NaN signs count).
+void ExpectSameCell(const Value& got, const Value& want) {
+  ASSERT_EQ(got.type(), want.type());
+  if (want.type() == Value::Type::kDouble) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.AsDouble()),
+              std::bit_cast<uint64_t>(want.AsDouble()));
+  } else {
+    EXPECT_EQ(got, want);
+  }
+}
+
+void ExpectKeyRow(const KeyRow& row, const KeyOutputs& out) {
+  ASSERT_EQ(out.join.num_tuples(), static_cast<int>(row.pairs.size()));
+  if (!row.pairs.empty()) {
+    ExpectSameCell(out.join.tuple(0)[0], row.a);
+    ExpectSameCell(out.join.tuple(0)[1], row.b);
+    EXPECT_EQ(out.join.annotation(0)->ToString(), row.pairs[0]);
+  }
+  const int ng = static_cast<int>(row.groups.size());
+  for (const Relation* r : {&out.sum, &out.count, &out.distinct}) {
+    ASSERT_EQ(r->num_tuples(), ng);
+    for (int g = 0; g < ng; ++g) {
+      SCOPED_TRACE(r->columns().size() == 1 ? "distinct" : "group-by");
+      // The group's first row names it.
+      ExpectSameCell(r->tuple(g)[0], g == 0 ? row.a : row.b);
+      EXPECT_EQ(r->annotation(g)->ToString(), row.groups[g]);
+    }
+  }
+  for (int g = 0; g < ng; ++g) {
+    EXPECT_EQ(out.sum.tuple(g)[1].AsDouble(), ng == 1 ? 3.0 : 1.0 + g);
+    EXPECT_EQ(out.count.tuple(g)[1].AsInt(), ng == 1 ? 2 : 1);
+  }
+}
+
+TEST(KeyTableTest, ColumnarEngineMatchesEveryRow) {
+  for (const KeyRow& row : KeyRows()) {
+    SCOPED_TRACE(row.name);
+    ExpectKeyRow(row, RunKeyColumnar(row));
+  }
+}
+
+TEST(KeyTableTest, RowReferenceMatchesEveryRow) {
+  for (const KeyRow& row : KeyRows()) {
+    SCOPED_TRACE(row.name);
+    ExpectKeyRow(row, RunKeyReference(row));
+  }
+}
+
 TEST(OperatorsTest, UnionConcatenates) {
   TestDb db;
   const ColumnarRelation emp = Columnar(db.employees);
@@ -488,9 +646,9 @@ TEST(OperatorsTest, AggregatesOverAllNullColumn) {
 }
 
 TEST(OperatorsTest, ProjectDistinctAddsAnnotationsAcrossRenderings) {
-  // INT 2 and DOUBLE 2.0 render identically ("2"), so distinct merges
-  // them and their provenance combines with +; the merged tuple keeps the
-  // first appearance's value.
+  // INT 2 and DOUBLE 2.0 are one key under the key rule (they compare as
+  // doubles), so distinct merges them and their provenance combines with
+  // +; the merged tuple keeps the first appearance's value.
   Relation r("m", {"x"});
   TupleIdAllocator ids;
   ASSERT_TRUE(r.AppendBase({Value::Int(2)}, ids.Next()).ok());

@@ -47,6 +47,13 @@ TEST(SufficiencyTest, NegativeCaseNeedsBothFeatures) {
   EXPECT_TRUE(IsSufficientReason(tree, {-1.0, -1.0}, 0b11));
 }
 
+TEST(SufficiencyDeathTest, RejectsAnInstanceNarrowerThanTheTree) {
+  Tree tree = OrTree();
+  // The prediction reads only f0 = 1; fixing f1 would read instance[1].
+  EXPECT_DEATH(IsSufficientReason(tree, {1.0}, 0b10), "narrower than");
+  EXPECT_FALSE(IsSufficientReason(tree, {1.0, -1.0}, 0b10));
+}
+
 TEST(MinimumSufficientReasonTest, OrPositiveCase) {
   Tree tree = OrTree();
   auto reason = MinimumSufficientReason(tree, {1.0, -1.0}, 2).ValueOrDie();

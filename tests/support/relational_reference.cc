@@ -7,6 +7,53 @@
 #include "xai/core/check.h"
 
 namespace xai::rel::reference {
+namespace {
+
+// The hash bucket of a key cell: NULL, a string's bytes, or a number's
+// DoubleKeyWord. Cells the key rule calls equal share a bucket, and
+// Value::KeyEquals decides within it (two INTs of magnitude >= 2^53 that
+// round to one double share one).
+std::string Bucket(const Value& v) {
+  switch (v.type()) {
+    case Value::Type::kNull:
+      return "N";
+    case Value::Type::kString:
+      return "S" + v.AsString();
+    default: {
+      const uint64_t word = DoubleKeyWord(v.AsDouble());
+      return "D" + std::string(reinterpret_cast<const char*>(&word),
+                               sizeof(word));
+    }
+  }
+}
+
+}  // namespace
+
+std::vector<std::vector<int>> GroupRows(const Relation& input,
+                                        const std::vector<int>& columns) {
+  std::map<std::vector<std::string>, std::vector<int>> buckets;
+  std::vector<std::vector<int>> groups;
+  std::vector<std::string> key;
+  for (int i = 0; i < input.num_tuples(); ++i) {
+    const Tuple& t = input.tuple(i);
+    key.clear();
+    for (int c : columns) key.push_back(Bucket(t[c]));
+    std::vector<int>& candidates = buckets[key];
+    auto same = [&](int g) {
+      const Tuple& first = input.tuple(groups[g][0]);
+      return std::all_of(columns.begin(), columns.end(),
+                         [&](int c) { return t[c].KeyEquals(first[c]); });
+    };
+    auto it = std::find_if(candidates.begin(), candidates.end(), same);
+    if (it == candidates.end()) {
+      candidates.push_back(static_cast<int>(groups.size()));
+      groups.emplace_back();
+      it = candidates.end() - 1;
+    }
+    groups[*it].push_back(i);
+  }
+  return groups;
+}
 
 Value Eval(const Expr& expr, const Tuple& tuple) {
   auto boolean = [](bool b) { return Value::Int(b ? 1 : 0); };
@@ -93,29 +140,20 @@ xai::Result<Relation> Project(const Relation& input,
     }
     return out;
   }
-  // Distinct: merge equal tuples; annotations combine into one n-ary
-  // PlusAll node, so huge duplicate groups cannot create deep chains.
-  using Merged = std::pair<Tuple, std::vector<ProvExprPtr>>;
-  std::map<std::vector<std::string>, Merged> merged;
-  std::vector<Merged*> order;  // Map nodes are stable; no finalize re-lookup.
-  std::vector<std::string> key;
-  for (int i = 0; i < input.num_tuples(); ++i) {
-    key.clear();
-    for (int c : columns) key.push_back(input.tuple(i)[c].ToString());
-    auto [it, inserted] = merged.try_emplace(key);
-    if (inserted) {
-      Tuple t;
-      t.reserve(columns.size());
-      for (int c : columns) t.push_back(input.tuple(i)[c]);
-      it->second.first = std::move(t);
-      order.push_back(&it->second);
-    }
-    it->second.second.push_back(input.annotation(i));
-  }
-  out.Reserve(static_cast<int64_t>(order.size()));
-  for (Merged* m : order) {
+  // Distinct: merge tuples equal under the key rule; annotations combine
+  // into one n-ary PlusAll node, so huge duplicate groups cannot create
+  // deep chains.
+  const std::vector<std::vector<int>> groups = GroupRows(input, columns);
+  out.Reserve(static_cast<int64_t>(groups.size()));
+  for (const std::vector<int>& rows : groups) {
+    Tuple t;
+    t.reserve(columns.size());
+    for (int c : columns) t.push_back(input.tuple(rows[0])[c]);
+    std::vector<ProvExprPtr> terms;
+    terms.reserve(rows.size());
+    for (int r : rows) terms.push_back(input.annotation(r));
     XAI_RETURN_NOT_OK(
-        out.Append(m->first, ProvExpr::PlusAll(std::move(m->second))));
+        out.Append(std::move(t), ProvExpr::PlusAll(std::move(terms))));
   }
   return out;
 }
@@ -129,19 +167,19 @@ xai::Result<Relation> EquiJoin(const Relation& a, const Relation& b,
   for (const std::string& c : b.columns()) names.push_back(b.name() + "." + c);
   Relation out("join(" + a.name() + "," + b.name() + ")", names);
 
-  // Hash join on the rendered key; per-key match lists hold b-rows in
-  // ascending order (the insertion order the old multimap preserved).
+  // Hash join on the key's bucket, keeping the pairs the key rule calls
+  // equal; per-bucket match lists hold b-rows in ascending order.
   std::unordered_map<std::string, std::vector<int>> index;
   index.reserve(b.num_tuples());
   for (int j = 0; j < b.num_tuples(); ++j)
-    index[b.tuple(j)[col_b].ToString()].push_back(j);
+    index[Bucket(b.tuple(j)[col_b])].push_back(j);
   const size_t out_width = a.num_columns() + b.num_columns();
   for (int i = 0; i < a.num_tuples(); ++i) {
     const Value& key_a = a.tuple(i)[col_a];
-    auto it = index.find(key_a.ToString());
+    auto it = index.find(Bucket(key_a));
     if (it == index.end()) continue;
     for (int j : it->second) {
-      if (!(key_a == b.tuple(j)[col_b])) continue;
+      if (!key_a.KeyEquals(b.tuple(j)[col_b])) continue;
       Tuple t;
       t.reserve(out_width);
       t.insert(t.end(), a.tuple(i).begin(), a.tuple(i).end());
@@ -185,58 +223,45 @@ xai::Result<Relation> GroupByAggregate(const Relation& input,
   // through the canonical kernels in agg_kernels.h — the same kernels the
   // columnar engine calls — so the two paths' aggregate values are
   // bit-identical by construction.
-  struct Group {
-    Tuple key;
-    std::vector<double> values;
-    std::vector<ProvExprPtr> annotations;
-  };
-  std::map<std::vector<std::string>, Group> groups;
-  std::vector<Group*> order;  // Map nodes are stable; no finalize re-lookup.
-  std::vector<std::string> key_str;
-  for (int i = 0; i < input.num_tuples(); ++i) {
-    key_str.clear();
-    for (int c : group_columns)
-      key_str.push_back(input.tuple(i)[c].ToString());
-    auto [it, inserted] = groups.try_emplace(key_str);
-    if (inserted) {
-      Tuple key;
-      key.reserve(group_columns.size());
-      for (int c : group_columns) key.push_back(input.tuple(i)[c]);
-      it->second.key = std::move(key);
-      order.push_back(&it->second);
+  const std::vector<std::vector<int>> groups = GroupRows(input, group_columns);
+  out.Reserve(static_cast<int64_t>(groups.size()));
+  std::vector<double> values;
+  for (const std::vector<int>& rows : groups) {
+    values.clear();
+    std::vector<ProvExprPtr> terms;
+    terms.reserve(rows.size());
+    for (int r : rows) {
+      values.push_back(fn == AggFn::kCount
+                           ? 1.0
+                           : input.tuple(r)[agg_column].AsDouble());
+      terms.push_back(input.annotation(r));
     }
-    Group& g = it->second;
-    g.values.push_back(
-        fn == AggFn::kCount ? 1.0 : input.tuple(i)[agg_column].AsDouble());
-    g.annotations.push_back(input.annotation(i));
-  }
-  out.Reserve(static_cast<int64_t>(order.size()));
-  for (Group* g : order) {
-    const int64_t count = static_cast<int64_t>(g->values.size());
+    const int64_t count = static_cast<int64_t>(values.size());
     double value = 0.0;
     switch (fn) {
       case AggFn::kCount:
         value = static_cast<double>(count);
         break;
       case AggFn::kSum:
-        value = CanonicalSum(g->values.data(), count);
+        value = CanonicalSum(values.data(), count);
         break;
       case AggFn::kAvg:
-        value = count ? CanonicalSum(g->values.data(), count) / count : 0.0;
+        value = count ? CanonicalSum(values.data(), count) / count : 0.0;
         break;
       case AggFn::kMin:
-        value = CanonicalMin(g->values.data(), count);
+        value = CanonicalMin(values.data(), count);
         break;
       case AggFn::kMax:
-        value = CanonicalMax(g->values.data(), count);
+        value = CanonicalMax(values.data(), count);
         break;
     }
-    Tuple t = std::move(g->key);
+    Tuple t;
+    t.reserve(group_columns.size() + 1);
+    for (int c : group_columns) t.push_back(input.tuple(rows[0])[c]);
     t.push_back(fn == AggFn::kCount ? Value::Int(count)
                                     : Value::Double(value));
-    XAI_RETURN_NOT_OK(out.Append(std::move(t),
-                                 rel::ProvExpr::PlusAll(
-                                     std::move(g->annotations))));
+    XAI_RETURN_NOT_OK(
+        out.Append(std::move(t), ProvExpr::PlusAll(std::move(terms))));
   }
   return out;
 }

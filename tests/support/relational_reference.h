@@ -26,16 +26,24 @@ Value Eval(const Expr& expr, const Tuple& tuple);
 /// Eval() interpreted as a boolean: present and numerically non-zero.
 bool EvalBool(const Expr& expr, const Tuple& tuple);
 
+/// The rows of `input` each group of distinct projection and group-by
+/// over `columns` merges, groups in first-appearance order: rows are in
+/// one group when every key cell is equal under the key rule,
+/// Value::KeyEquals (DESIGN.md §15).
+std::vector<std::vector<int>> GroupRows(const Relation& input,
+                                        const std::vector<int>& columns);
+
 /// sigma_predicate(input).
 xai::Result<Relation> Select(const Relation& input, const ExprPtr& predicate);
 
-/// pi_columns(input). With `distinct`, equal output tuples merge and their
-/// annotations combine with +.
+/// pi_columns(input). With `distinct`, output tuples equal under the key
+/// rule merge and their annotations combine with +.
 xai::Result<Relation> Project(const Relation& input,
                               const std::vector<int>& columns, bool distinct);
 
-/// Equi-join on input_a.col_a == input_b.col_b; output columns are a's
-/// columns followed by b's (join column kept on both sides).
+/// Equi-join on input_a.col_a == input_b.col_b under the key rule; output
+/// columns are a's columns followed by b's (join column kept on both
+/// sides).
 xai::Result<Relation> EquiJoin(const Relation& a, const Relation& b,
                                int col_a, int col_b);
 
