@@ -283,6 +283,24 @@ XAI_SIMD_NOVEC void CompressSumsScalar(const double* values,
   }
 }
 
+// Four rows in one sweep, each element's chain in row order; fewer rows
+// take one Axpy each, which is the same chain.
+XAI_SIMD_NOVEC void AddScaledRowsScalar(const double* s,
+                                        const double* const* rows, int k,
+                                        size_t n, double* acc) {
+  if (k < 4) {
+    for (int j = 0; j < k; ++j) AxpyScalar(s[j], rows[j], acc, n);
+    return;
+  }
+  const double* r0 = rows[0];
+  const double* r1 = rows[1];
+  const double* r2 = rows[2];
+  const double* r3 = rows[3];
+  for (size_t i = 0; i < n; ++i)
+    acc[i] = (((acc[i] + s[0] * r0[i]) + s[1] * r1[i]) + s[2] * r2[i]) +
+             s[3] * r3[i];
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -680,6 +698,35 @@ __attribute__((target("avx2"))) void CompressSumsAvx2Ways(
   }
 }
 
+__attribute__((target("avx2"))) void AddScaledRowsAvx2(
+    const double* s, const double* const* rows, int k, size_t n,
+    double* acc) {
+  if (k < 4) {
+    for (int j = 0; j < k; ++j) AxpyAvx2(s[j], rows[j], acc, n);
+    return;
+  }
+  const double* r0 = rows[0];
+  const double* r1 = rows[1];
+  const double* r2 = rows[2];
+  const double* r3 = rows[3];
+  const __m256d s0 = _mm256_set1_pd(s[0]);
+  const __m256d s1 = _mm256_set1_pd(s[1]);
+  const __m256d s2 = _mm256_set1_pd(s[2]);
+  const __m256d s3 = _mm256_set1_pd(s[3]);
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    __m256d a = _mm256_loadu_pd(acc + i);
+    a = _mm256_add_pd(a, _mm256_mul_pd(s0, _mm256_loadu_pd(r0 + i)));
+    a = _mm256_add_pd(a, _mm256_mul_pd(s1, _mm256_loadu_pd(r1 + i)));
+    a = _mm256_add_pd(a, _mm256_mul_pd(s2, _mm256_loadu_pd(r2 + i)));
+    a = _mm256_add_pd(a, _mm256_mul_pd(s3, _mm256_loadu_pd(r3 + i)));
+    _mm256_storeu_pd(acc + i, a);
+  }
+  for (; i < n; ++i)
+    acc[i] = (((acc[i] + s[0] * r0[i]) + s[1] * r1[i]) + s[2] * r2[i]) +
+             s[3] * r3[i];
+}
+
 __attribute__((target("avx2"))) void CompressSumsAvx2(
     const double* values, const uint64_t* need, const uint64_t* lacking,
     int k, size_t n, size_t block, double* sums, size_t* counts) {
@@ -724,6 +771,8 @@ using CompressFn = size_t (*)(const double*, const uint64_t*, uint64_t,
 using CompressSumsFn = void (*)(const double*, const uint64_t*,
                                 const uint64_t*, int, size_t, size_t, double*,
                                 size_t*);
+using AddScaledRowsFn = void (*)(const double*, const double* const*, int,
+                                 size_t, double*);
 
 struct KernelTable {
   Backend backend;
@@ -736,18 +785,21 @@ struct KernelTable {
   MicroFn micro;
   CompressFn compress;
   CompressSumsFn compress_sums;
+  AddScaledRowsFn add_scaled_rows;
 };
 
 constexpr KernelTable kScalarTable = {
-    Backend::kScalar,    DotScalar,    AxpyScalar,      SsdScalar,
-    WeightedOuterScalar, GemmScalar,   GemmTNScalar,    GemmMicroScalar,
-    CompressScalar,      CompressSumsScalar};
+    Backend::kScalar,    DotScalar,          AxpyScalar,
+    SsdScalar,           WeightedOuterScalar, GemmScalar,
+    GemmTNScalar,        GemmMicroScalar,    CompressScalar,
+    CompressSumsScalar,  AddScaledRowsScalar};
 
 #if XAI_SIMD_X86
 constexpr KernelTable kAvx2Table = {
-    Backend::kAvx2,    DotAvx2,  AxpyAvx2,   SsdAvx2,
-    WeightedOuterAvx2, GemmAvx2, GemmTNAvx2, GemmMicroAvx2,
-    CompressAvx2,      CompressSumsAvx2};
+    Backend::kAvx2,    DotAvx2,          AxpyAvx2,
+    SsdAvx2,           WeightedOuterAvx2, GemmAvx2,
+    GemmTNAvx2,        GemmMicroAvx2,    CompressAvx2,
+    CompressSumsAvx2,  AddScaledRowsAvx2};
 #endif
 
 const KernelTable* TableFor(Backend backend) {
@@ -960,6 +1012,12 @@ void CompressSums(const double* values, const uint64_t* need,
   XAI_CHECK(block > 0 && block % 4 == 0);
   ActiveTable().compress_sums(values, need, lacking, k, n, block, sums,
                               counts);
+}
+
+void AddScaledRows(const double* s, const double* const* rows, int k,
+                   size_t n, double* acc) {
+  XAI_CHECK(k >= 1 && k <= kAddScaledRowsWays);
+  ActiveTable().add_scaled_rows(s, rows, k, n, acc);
 }
 
 void GemmDirect(int m, int n, int k, const double* a, int lda,

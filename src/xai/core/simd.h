@@ -184,6 +184,18 @@ void CompressSums(const double* values, const uint64_t* need,
                   const uint64_t* lacking, int k, size_t n, size_t block,
                   double* sums, size_t* counts);
 
+/// Most rows one AddScaledRows call adds.
+inline constexpr int kAddScaledRowsWays = 4;
+
+/// acc[i] += s[j] * rows[j][i] for j = 0, 1, ..., k - 1 in turn and every
+/// i < n (1 <= k <= kAddScaledRowsWays): each element carries one chain in
+/// row order, so the result is bit-identical to k Axpy calls in a row,
+/// while each accumulator is loaded and stored once. No row may overlap
+/// `acc`. This is the coalition scorer's leaf accumulate
+/// (model/flat_ensemble.h): one row of leaf values per tree, in tree order.
+void AddScaledRows(const double* s, const double* const* rows, int k,
+                   size_t n, double* acc);
+
 /// @}
 
 }  // namespace simd

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -56,30 +57,29 @@ Result<AttributionExplanation> KernelShap(const CoalitionGame& game,
         "KernelSHAP keys coalitions on a 64-bit mask; the game has " +
         std::to_string(d) + " players");
   const uint64_t full = d == 64 ? ~0ULL : (1ULL << d) - 1;
-  const uint64_t anchors[2] = {0, full};
-  double anchor_values[2];
-  game.Values(anchors, anchor_values);
-  const double v0 = anchor_values[0];
-  const double vn = anchor_values[1];
   if (d == 1) {
+    const uint64_t anchors[2] = {0, full};
+    double anchor_values[2];
+    game.Values(anchors, anchor_values);
     AttributionExplanation exp;
-    exp.base_value = v0;
-    exp.prediction = vn;
-    exp.attributions = {vn - v0};
+    exp.base_value = anchor_values[0];
+    exp.prediction = anchor_values[1];
+    exp.attributions = {anchor_values[1] - anchor_values[0]};
     return exp;
   }
 
-  // Collect coalitions and their regression weights.
-  std::vector<uint64_t> masks;
+  // Collect coalitions and their regression weights. The two anchors, the
+  // empty and the full coalition, lead the mask list (slots 0 and 1), so
+  // the first block's Values calls evaluate them too; weights[i] belongs
+  // to masks[2 + i].
+  constexpr int kAnchors = 2;
+  std::vector<uint64_t> masks = {0, full};
   std::vector<double> weights;
   double total_coalitions = std::pow(2.0, d) - 2.0;
   if (total_coalitions <= config.coalition_budget) {
     for (int s = 1; s < d; ++s) {
-      size_t before = masks.size();
       EnumerateSize(d, s, &masks);
-      double w = KernelWeight(d, s);
-      weights.resize(masks.size(), w);
-      (void)before;
+      weights.resize(masks.size() - kAnchors, KernelWeight(d, s));
     }
   } else {
     // Fill size pairs (s, d-s) from the extremes inward while they fit.
@@ -91,10 +91,10 @@ Result<AttributionExplanation> KernelShap(const CoalitionGame& game,
       if (other != s) count *= 2.0;
       if (count > budget) break;
       EnumerateSize(d, s, &masks);
-      weights.resize(masks.size(), KernelWeight(d, s));
+      weights.resize(masks.size() - kAnchors, KernelWeight(d, s));
       if (other != s) {
         EnumerateSize(d, other, &masks);
-        weights.resize(masks.size(), KernelWeight(d, other));
+        weights.resize(masks.size() - kAnchors, KernelWeight(d, other));
       }
       enumerated[s] = enumerated[other] = true;
       budget -= static_cast<int>(count);
@@ -134,42 +134,58 @@ Result<AttributionExplanation> KernelShap(const CoalitionGame& game,
     }
   }
 
-  if (masks.empty())
+  if (weights.empty())
     return Status::InvalidArgument("coalition budget too small");
 
-  // Mask→evaluate→weight→accumulate per row block. Each block's rows and
-  // targets are filled in parallel, one Values() call per chunk
-  // (coalition evaluations dominate, and a tree game scores a chunk's
-  // coalitions together, so chunks are large; the games' memoization is
-  // thread-safe), then folded serially in ascending row order into the
-  // streaming constrained solver, so nothing ever holds the full budget x d
-  // design matrix and the result is identical at any thread count and
-  // grain.
-  const int num_masks = static_cast<int>(masks.size());
-  CwlsAccumulator acc(d, Vector(d, 1.0), vn - v0);
+  // Mask→evaluate→weight→accumulate per row block. Each block's targets
+  // come from Values() calls, block 0's with the anchors in front; then
+  // its rows are filled and folded serially in ascending row order into
+  // the streaming constrained solver, so nothing ever holds the full
+  // budget x d design matrix. Where the region runs inline (nested in a
+  // parallel region, or a one-thread pool), a block is one Values() call,
+  // so a tree game scores it in as few passes as it can; otherwise it
+  // splits into 128-mask chunks that the pool runs in parallel (the
+  // games' memoization is thread-safe). Values() returns per mask what
+  // Value() would, targets are written by index and the fold is serial,
+  // so the result is identical at any thread count, grain and nesting.
+  const int num_masks = static_cast<int>(weights.size());
   constexpr int kBlockRows = 1024;
+  const bool inline_region = InParallelRegion() || GetNumThreads() == 1;
   std::vector<double> rows(static_cast<size_t>(kBlockRows) * d);
-  Vector target(kBlockRows);
+  std::vector<double> values(kAnchors + kBlockRows);
+  const double* target = values.data() + kAnchors;
+  std::optional<CwlsAccumulator> acc;
+  double v0 = 0.0, vn = 0.0;
   {
     XAI_SPAN("kernel_shap/eval_coalitions");
     for (int base = 0; base < num_masks; base += kBlockRows) {
       const int bn = std::min(kBlockRows, num_masks - base);
-      ParallelFor(bn, /*grain=*/128, [&](int64_t begin, int64_t end, int64_t) {
-        const size_t n = static_cast<size_t>(end - begin);
-        game.Values(std::span(masks).subspan(base + begin, n),
-                    std::span(target).subspan(begin, n));
-        for (int64_t r = begin; r < end; ++r) {
-          double* row = rows.data() + static_cast<size_t>(r) * d;
-          uint64_t mask = masks[base + r];
-          for (int j = 0; j < d; ++j) row[j] = (mask >> j) & 1ULL ? 1.0 : 0.0;
-          target[r] -= v0;
-        }
-      });
-      acc.AddBlock(rows.data(), target.data(), weights.data() + base, bn);
+      const int lead = base == 0 ? kAnchors : 0;
+      const std::span<const uint64_t> in =
+          std::span(masks).subspan(kAnchors + base - lead, bn + lead);
+      const std::span<double> out =
+          std::span(values).subspan(kAnchors - lead, bn + lead);
+      ParallelFor(bn + lead, inline_region ? bn + lead : 128,
+                  [&](int64_t begin, int64_t end, int64_t) {
+                    const size_t n = static_cast<size_t>(end - begin);
+                    game.Values(in.subspan(begin, n), out.subspan(begin, n));
+                  });
+      if (base == 0) {
+        v0 = values[0];
+        vn = values[1];
+        acc.emplace(d, Vector(d, 1.0), vn - v0);
+      }
+      for (int r = 0; r < bn; ++r) {
+        double* row = rows.data() + static_cast<size_t>(r) * d;
+        const uint64_t mask = masks[kAnchors + base + r];
+        for (int j = 0; j < d; ++j) row[j] = (mask >> j) & 1ULL ? 1.0 : 0.0;
+        values[kAnchors + r] -= v0;
+      }
+      acc->AddBlock(rows.data(), target, weights.data() + base, bn);
     }
   }
   XAI_SPAN("kernel_shap/solve");
-  XAI_ASSIGN_OR_RETURN(Vector phi, acc.Solve(config.ridge));
+  XAI_ASSIGN_OR_RETURN(Vector phi, acc->Solve(config.ridge));
   AttributionExplanation exp;
   exp.attributions = std::move(phi);
   exp.base_value = v0;

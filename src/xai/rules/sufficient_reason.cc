@@ -11,7 +11,8 @@ namespace {
 
 // Does every leaf reachable under the partial assignment classify to
 // `target_class`? Features in `mask` follow the instance; others explore
-// both branches.
+// both branches. The 64-bit mask names features 0..63 only, so a split on
+// a later feature is never fixed.
 bool AllReachableLeavesAgree(const Tree& tree, const Vector& instance,
                              uint64_t mask, int node, int target_class,
                              double threshold) {
@@ -20,7 +21,7 @@ bool AllReachableLeavesAgree(const Tree& tree, const Vector& instance,
     int cls = n.value >= threshold ? 1 : 0;
     return cls == target_class;
   }
-  if (mask & (1ULL << n.feature)) {
+  if (n.feature < 64 && ((mask >> n.feature) & 1)) {
     XAI_CHECK_MSG(static_cast<size_t>(n.feature) < instance.size(),
                   Tree::kNarrowRow);
     int next = instance[n.feature] <= n.threshold ? n.left : n.right;

@@ -422,7 +422,7 @@ Result<ExplainResponse> ExplainServer::Execute(const BatchJob& job) {
     case ExplainerKind::kLime: {
       LimeExplainer lime(*entry.background, plan.lime_config);
       XAI_ASSIGN_OR_RETURN(LimeExplanation explanation,
-                           lime.Explain(predict, request.instance,
+                           lime.Explain(*entry.model, request.instance,
                                         request.seed));
       response.attribution = std::move(explanation);
       // LIME's sampling loop runs exactly its configured budget.

@@ -456,6 +456,66 @@ TEST(SimdKernelTest, SeveralNanSourcesGiveNanOnEveryTier) {
   }
 }
 
+// AddScaledRows adds k scaled rows to each accumulator in row order: the
+// chain of k Axpy calls in a row. Both tiers must give the bits of that
+// chain as the scalar Axpy computes it, for k = 1..4, lengths around the
+// 4-lane stride and the scorer's 64-row tile, and elements holding -0.0,
+// subnormals, an infinity or one NaN source (quiet or signaling, either
+// sign). An element gets at most one non-finite operand, so every NaN it
+// produces has a single possible payload (the contract's one exception).
+TEST(SimdKernelTest, AddScaledRowsIsAxpyInRowOrderOnEveryTier) {
+  Rng rng(43);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double finite_specials[] = {-0.0, 0.0, tiny, -3 * tiny,
+                                    std::numeric_limits<double>::min() / 4};
+  const double non_finite[] = {inf, -inf, FromBits(0x7FF8000000000123ULL),
+                               FromBits(0x7FF0000000000456ULL),
+                               FromBits(0xFFF8000000000789ULL)};
+  auto finite = [&] {
+    return rng.Bernoulli(0.2) ? finite_specials[rng.UniformInt(5)]
+                              : rng.Uniform(-3.0, 3.0);
+  };
+  std::vector<size_t> sizes;
+  for (size_t n = 0; n <= 9; ++n) sizes.push_back(n);
+  for (size_t n : {63, 64, 65, 127, 128, 129}) sizes.push_back(n);
+  for (size_t n : sizes) {
+    for (int k = 1; k <= simd::kAddScaledRowsWays; ++k) {
+      for (int rep = 0; rep < 4; ++rep) {
+        double s[simd::kAddScaledRowsWays];
+        for (int j = 0; j < k; ++j) s[j] = finite();
+        std::vector<std::vector<double>> rows(k, std::vector<double>(n));
+        std::vector<double> acc0(n);
+        for (size_t i = 0; i < n; ++i) {
+          acc0[i] = finite();
+          for (int j = 0; j < k; ++j) rows[j][i] = finite();
+          if (rng.Bernoulli(0.3)) {
+            const double v = non_finite[rng.UniformInt(5)];
+            const int at = rng.UniformInt(k + 1);
+            (at == k ? acc0[i] : rows[at][i]) = v;
+          }
+        }
+        const double* row_ptrs[simd::kAddScaledRowsWays];
+        for (int j = 0; j < k; ++j) row_ptrs[j] = rows[j].data();
+        std::vector<double> want = acc0;
+        {
+          BackendGuard scalar(simd::Backend::kScalar);
+          for (int j = 0; j < k; ++j)
+            simd::Axpy(s[j], row_ptrs[j], want.data(), n);
+        }
+        for (simd::Backend be : AvailableBackends()) {
+          BackendGuard g(be);
+          std::vector<double> got = acc0;
+          simd::AddScaledRows(s, row_ptrs, k, n, got.data());
+          EXPECT_TRUE(BitEqual(want.data(), got.data(), n))
+              << "n=" << n << " k=" << k << " rep=" << rep
+              << " backend=" << simd::BackendName(be);
+        }
+      }
+    }
+  }
+}
+
 TEST(SimdKernelTest, GemmMatchesNaiveTripleLoop) {
   Rng rng(18);
   int m = 9, n = 14, k = 11;

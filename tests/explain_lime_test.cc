@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -10,6 +11,7 @@
 #include "xai/core/linalg.h"
 #include "xai/core/parallel.h"
 #include "xai/core/simd.h"
+#include "xai/core/telemetry.h"
 #include "xai/data/synthetic.h"
 #include "xai/model/gbdt.h"
 #include "xai/model/linear_regression.h"
@@ -415,6 +417,90 @@ TEST(LimeStreamedTest, TopKMatchesReferenceAcrossTiersAndThreads) {
     simd::SetBackend(prev);
     SetNumThreads(prev_threads);
   }
+}
+
+// Every output of a LIME run, as bits.
+std::vector<uint64_t> LimeBits(const LimeExplanation& e) {
+  std::vector<uint64_t> out;
+  for (double v : e.attributions) out.push_back(std::bit_cast<uint64_t>(v));
+  for (double v : {e.intercept, e.base_value, e.prediction, e.local_r2})
+    out.push_back(std::bit_cast<uint64_t>(v));
+  return out;
+}
+
+// The Model entry point (one PredictBatch per block, serving's path)
+// against the PredictFn entry point (rows through f one at a time), bit
+// for bit: both strategies over the loans data's numeric and categorical
+// features, with and without forward selection, for neighborhoods of one
+// row and just under, at and over one and two 1 024-row blocks, at 1 and
+// 4 threads and nested in a 2-thread ParallelFor the way
+// RequestBatcher::ExecuteBatch runs a batch. Both entry points count one
+// model/evals per neighborhood row.
+TEST(LimeModelEntryTest, MatchesPredictFnEntryBitForBit) {
+  Dataset d = MakeLoans(300, 16);
+  GbdtConfig gbdt_config;
+  gbdt_config.n_trees = 15;
+  auto gbdt = GbdtModel::Train(d, gbdt_config).ValueOrDie();
+  auto logistic = LogisticRegressionModel::Train(d).ValueOrDie();
+  const Vector instance = d.Row(3);
+  const int prev_threads = GetNumThreads();
+  for (const Model* model : {static_cast<const Model*>(&gbdt),
+                             static_cast<const Model*>(&logistic)}) {
+    const PredictFn f = AsPredictFn(*model);
+    for (auto strategy : {Perturber::Strategy::kDiscretized,
+                          Perturber::Strategy::kGaussian}) {
+      for (int top_k : {-1, 3}) {
+        for (int num_samples : {1, 1023, 1024, 1025, 2049}) {
+          LimeConfig config;
+          config.strategy = strategy;
+          config.top_k = top_k;
+          config.num_samples = num_samples;
+          const LimeExplainer lime(d, config);
+          const std::string where =
+              model->name() + " discretized=" +
+              std::to_string(strategy == Perturber::Strategy::kDiscretized) +
+              " top_k=" + std::to_string(top_k) +
+              " samples=" + std::to_string(num_samples);
+          SetNumThreads(1);
+          telemetry::Registry::Global().Reset();
+          const std::vector<uint64_t> want =
+              LimeBits(lime.Explain(f, instance, 11).ValueOrDie());
+          if (XAI_TELEMETRY) {
+            EXPECT_EQ(telemetry::Registry::Global().CounterSnapshot()
+                          ["model/evals"],
+                      num_samples + 1)
+                << where;
+          }
+          for (int threads : {1, 4}) {
+            SetNumThreads(threads);
+            telemetry::Registry::Global().Reset();
+            EXPECT_EQ(LimeBits(lime.Explain(*model, instance, 11)
+                                   .ValueOrDie()),
+                      want)
+                << where << " threads=" << threads;
+            if (XAI_TELEMETRY) {
+              EXPECT_EQ(telemetry::Registry::Global().CounterSnapshot()
+                            ["model/evals"],
+                        num_samples + 1)
+                  << where << " threads=" << threads;
+            }
+          }
+          SetNumThreads(2);
+          std::vector<std::vector<uint64_t>> nested(2);
+          ParallelFor(2, 1, [&](int64_t begin, int64_t end, int64_t) {
+            for (int64_t k = begin; k < end; ++k) {
+              nested[k] = LimeBits(
+                  k == 0 ? lime.Explain(*model, instance, 11).ValueOrDie()
+                         : lime.Explain(f, instance, 11).ValueOrDie());
+            }
+          });
+          EXPECT_EQ(nested[0], want) << where << " nested, Model entry";
+          EXPECT_EQ(nested[1], want) << where << " nested, PredictFn entry";
+        }
+      }
+    }
+  }
+  SetNumThreads(prev_threads);
 }
 
 TEST(MedianAbsoluteDeviationTest, KnownValues) {

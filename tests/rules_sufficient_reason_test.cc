@@ -54,6 +54,23 @@ TEST(SufficiencyDeathTest, RejectsAnInstanceNarrowerThanTheTree) {
   EXPECT_FALSE(IsSufficientReason(tree, {1.0, -1.0}, 0b10));
 }
 
+TEST(SufficiencyTest, FeaturesPastTheMaskAreNeverFixed) {
+  // One split on feature 70, which a 64-bit mask cannot name: even the
+  // all-ones mask leaves it free, so both leaves stay reachable. (A shift
+  // by the feature index would be undefined here, and on x86 it would test
+  // bit 70 mod 64 = 6 and fix the feature.)
+  std::vector<TreeNode> nodes(3);
+  nodes[0] = {70, 0.0, 1, 2, 0.0, 2.0};
+  nodes[1] = {-1, 0.0, -1, -1, 0.0, 1.0};
+  nodes[2] = {-1, 0.0, -1, -1, 1.0, 1.0};
+  Tree tree(std::move(nodes));
+  Vector instance(71, 0.0);
+  EXPECT_FALSE(IsSufficientReason(tree, instance, ~0ULL));
+  EXPECT_FALSE(IsSufficientReason(tree, instance, 0));
+  instance[70] = 1.0;
+  EXPECT_FALSE(IsSufficientReason(tree, instance, ~0ULL));
+}
+
 TEST(MinimumSufficientReasonTest, OrPositiveCase) {
   Tree tree = OrTree();
   auto reason = MinimumSufficientReason(tree, {1.0, -1.0}, 2).ValueOrDie();
