@@ -259,8 +259,9 @@ BENCHMARK(BM_TupleShapleyExact)->Arg(10)->Arg(16);
 
 // Row reference engine vs columnar engine on the same relational operator
 // — the tuple-at-a-time interpreter against batch-of-1024 kernels. Outputs
-// are bit-identical by contract (bench_e25 checks that; these rows
-// quantify the per-operator throughput gap).
+// are bit-identical by contract (relational_columnar_test's generated
+// differential tests check that; these rows quantify the per-operator
+// throughput gap).
 rel::Relation MicroFact(int rows) {
   Rng rng(13);
   rel::Relation fact("fact", {"k", "v"});

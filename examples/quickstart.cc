@@ -2,9 +2,15 @@
 // of its predictions with TreeSHAP, LIME and an Anchors-style view of the
 // features (see README.md).
 //
-//   ./quickstart
+//   ./quickstart [--telemetry]
+//
+// With --telemetry it also writes quickstart.trace.json (Chrome trace) and
+// quickstart.provenance.jsonl (one provenance record per served request)
+// into the current directory, for tools/analyze_trace.py.
 
 #include <cstdio>
+#include <fstream>
+
 #include "xai/core/telemetry.h"
 
 #include "xai/data/synthetic.h"
@@ -15,6 +21,7 @@
 #include "xai/model/metrics.h"
 #include "xai/model/serialization.h"
 #include "xai/serve/explain_server.h"
+#include "xai/serve/provenance.h"
 
 int main(int argc, char** argv) {
   const bool show_telemetry = xai::telemetry::TelemetryFlag(argc, argv);
@@ -102,7 +109,15 @@ int main(int argc, char** argv) {
               serve::FidelityTierName(rushed.served_tier),
               rushed.degraded ? " (degraded)" : "", rushed.latency_ms,
               rushed.deadline_met ? "met" : "MISSED");
-  if (show_telemetry)
+  if (show_telemetry) {
     std::printf("%s\n", xai::telemetry::SummaryLine().c_str());
+    std::ofstream trace("quickstart.trace.json");
+    telemetry::Registry::Global().WriteChromeTrace(trace);
+    std::ofstream provenance("quickstart.provenance.jsonl");
+    for (const auto* response : {&cold, &warm, &rushed})
+      serve::WriteProvenanceJsonl(provenance, response->provenance);
+    std::printf("wrote quickstart.trace.json and "
+                "quickstart.provenance.jsonl\n");
+  }
   return 0;
 }

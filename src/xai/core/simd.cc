@@ -77,8 +77,8 @@ Backend InitialBackend() {
 // Auto-vectorization is disabled on these functions: the stripe layout is
 // exactly what the compiler's vectorizer looks for, and letting it fire
 // would silently turn the "scalar" backend into an unlabeled vector backend —
-// the XAI_SIMD=scalar CI job and the scalar-vs-dispatched A/B in bench_e21
-// both need a genuinely scalar baseline. Results are unaffected either way
+// the XAI_SIMD=scalar CI job and bench_micro_kernels' scalar-vs-dispatched
+// rows both need a genuinely scalar baseline. Results are unaffected either way
 // (same IEEE operations in the same order).
 // ---------------------------------------------------------------------------
 

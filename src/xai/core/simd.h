@@ -120,7 +120,7 @@ void GemmTN(int m, int n, int k, const double* a, int lda, const double* b,
 
 /// The unpacked register-tiled GEMM (the pre-packing code path): streams B
 /// rows straight from memory with no copy. Wins below the packing threshold
-/// and serves as the A/B baseline for bench_e21's packed-vs-direct row.
+/// and is the reference core_simd_test pins the packed path to, bit for bit.
 void GemmDirect(int m, int n, int k, const double* a, int lda,
                 const double* b, int ldb, double* c, int ldc);
 

@@ -43,23 +43,7 @@ double WeightedR2(const Vector& pred, const Vector& target, const Vector& w) {
 Result<LimeExplanation> LimeExplainer::Explain(const PredictFn& f,
                                                const Vector& instance,
                                                uint64_t seed) const {
-  // The block's rows fan out over the runtime, one f call each; f must be
-  // const-reentrant (see the Model threading contract).
-  auto predict_rows = [&f](const Matrix& rows) {
-    Vector out(rows.rows());
-    ParallelFor(rows.rows(), /*grain=*/64,
-                [&](int64_t begin, int64_t end, int64_t) {
-                  XAI_COUNTER_ADD("model/evals", end - begin);
-                  Vector row(rows.cols());
-                  for (int64_t i = begin; i < end; ++i) {
-                    const double* r = rows.RowPtr(static_cast<int>(i));
-                    std::copy(r, r + rows.cols(), row.begin());
-                    out[i] = f(row);
-                  }
-                });
-    return out;
-  };
-  return ExplainBlocks(predict_rows, instance, seed);
+  return ExplainBlocks(AsBatchPredictFn(f), instance, seed);
 }
 
 Result<LimeExplanation> LimeExplainer::Explain(const Model& model,

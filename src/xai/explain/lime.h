@@ -51,9 +51,9 @@ class LimeExplainer {
   /// used for model fitting.
   LimeExplainer(const Dataset& train, const LimeConfig& config = {});
 
-  /// Explains `f` at `instance`. Deterministic for a fixed `seed`. The
-  /// rows of each block go through `f` one at a time, fanned out over the
-  /// runtime; `f` must be const-reentrant.
+  /// Explains `f` at `instance`. Deterministic for a fixed `seed`. Each
+  /// block goes through AsBatchPredictFn(f): one `f` call per row, fanned
+  /// out over the runtime; `f` must be const-reentrant.
   Result<LimeExplanation> Explain(const PredictFn& f, const Vector& instance,
                                   uint64_t seed) const;
 

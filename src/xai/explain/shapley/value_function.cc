@@ -1,6 +1,7 @@
 #include "xai/explain/shapley/value_function.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <map>
 #include <vector>
@@ -19,6 +20,9 @@ void CheckCoalitionWidth(const Vector& instance) {
                 "coalition games key on a 64-bit mask; instances with more "
                 "than 64 features are not representable");
 }
+
+/// Row budget of one batched call in MarginalFeatureGame::Compute.
+constexpr int kRowsPerCall = 1024;
 
 }  // namespace
 
@@ -102,7 +106,8 @@ double CoalitionMemo::Get(uint64_t coalition,
 MarginalFeatureGame::MarginalFeatureGame(PredictFn f, Vector instance,
                                          Matrix background,
                                          int max_background)
-    : f_(std::move(f)), instance_(std::move(instance)) {
+    : batch_f_(AsBatchPredictFn(std::move(f))),
+      instance_(std::move(instance)) {
   CheckCoalitionWidth(instance_);
   XAI_CHECK_GT(background.rows(), 0);
   XAI_CHECK_EQ(background.cols(), static_cast<int>(instance_.size()));
@@ -156,36 +161,27 @@ void MarginalFeatureGame::Compute(std::span<const uint64_t> masks,
     // evaluates no model rows itself, so the game counts them here.
     scorer_->SumOver(masks, out);
     XAI_COUNTER_ADD("model/evals", static_cast<int64_t>(masks.size()) * rows);
-  } else if (batch_f_) {
-    // One batched model call per coalition's background sweep. Rows are
-    // filled in the same order as the scalar path and the predictions are
-    // summed serially in row order, so the value is bit-identical; the
-    // model's PredictBatch owns the model/evals accounting on this path.
+  } else {
+    // One batched call per coalition's background sweep, summed serially in
+    // row order, so the value does not depend on how batch_f_ (a model's
+    // PredictBatch or the per-row adapter) chunks its rows; batch_f_ owns
+    // the model/evals accounting on this path. A hybrid row is the
+    // background row with the coalition's features overwritten from the
+    // instance: one copy and one store per member, no branch per cell.
+    const uint64_t players = d == 64 ? ~uint64_t{0} : (uint64_t{1} << d) - 1;
     Matrix hybrid(rows, d);
     for (size_t i = 0; i < masks.size(); ++i) {
       for (int b = 0; b < rows; ++b) {
         const double* bg = background_.RowPtr(b);
         double* row = hybrid.RowPtr(b);
-        for (int j = 0; j < d; ++j)
-          row[j] = (masks[i] & (1ULL << j)) ? instance_[j] : bg[j];
+        std::copy(bg, bg + d, row);
+        for (uint64_t s = masks[i] & players; s != 0; s &= s - 1)
+          row[std::countr_zero(s)] = instance_[std::countr_zero(s)];
       }
       double acc = 0.0;
       for (double p : batch_f_(hybrid)) acc += p;
       out[i] = acc;
     }
-  } else {
-    Vector row(d);
-    for (size_t i = 0; i < masks.size(); ++i) {
-      double acc = 0.0;
-      for (int b = 0; b < rows; ++b) {
-        const double* bg = background_.RowPtr(b);
-        for (int j = 0; j < d; ++j)
-          row[j] = (masks[i] & (1ULL << j)) ? instance_[j] : bg[j];
-        acc += f_(row);
-      }
-      out[i] = acc;
-    }
-    XAI_COUNTER_ADD("model/evals", static_cast<int64_t>(masks.size()) * rows);
   }
   for (double& sum : out) sum /= rows;
 }
@@ -193,7 +189,7 @@ void MarginalFeatureGame::Compute(std::span<const uint64_t> masks,
 ConditionalFeatureGame::ConditionalFeatureGame(PredictFn f, Vector instance,
                                                Matrix background,
                                                int k_neighbors)
-    : f_(std::move(f)),
+    : batch_f_(AsBatchPredictFn(std::move(f))),
       instance_(std::move(instance)),
       background_(std::move(background)),
       k_(k_neighbors) {
@@ -252,31 +248,17 @@ double ConditionalFeatureGame::Value(uint64_t coalition) const {
     std::nth_element(by_dist.begin(), by_dist.begin() + (k - 1),
                      by_dist.end());
 
-    double acc = 0.0;
-    if (batch_f_) {
-      // Batched: same k rows in the same neighbor order, summed serially
-      // (bit-identical to the scalar loop); PredictBatch counts model/evals.
-      Matrix rows(k, d);
-      for (int q = 0; q < k; ++q) {
-        int i = by_dist[q].second;
-        double* out = rows.RowPtr(q);
-        for (int j = 0; j < d; ++j)
-          out[j] = (coalition & (1ULL << j)) ? instance_[j]
-                                             : background_(i, j);
-      }
-      const Vector preds = batch_f_(rows);
-      for (double p : preds) acc += p;
-    } else {
-      Vector row(d);
-      for (int q = 0; q < k; ++q) {
-        int i = by_dist[q].second;
-        for (int j = 0; j < d; ++j)
-          row[j] = (coalition & (1ULL << j)) ? instance_[j]
-                                             : background_(i, j);
-        acc += f_(row);
-      }
-      XAI_COUNTER_ADD("model/evals", k);
+    // One batched call over the k rows in neighbor order, summed serially;
+    // batch_f_ counts model/evals.
+    Matrix rows(k, d);
+    for (int q = 0; q < k; ++q) {
+      int i = by_dist[q].second;
+      double* out = rows.RowPtr(q);
+      for (int j = 0; j < d; ++j)
+        out[j] = (coalition & (1ULL << j)) ? instance_[j] : background_(i, j);
     }
+    double acc = 0.0;
+    for (double p : batch_f_(rows)) acc += p;
     return acc / k;
   });
 }
@@ -285,7 +267,7 @@ InterventionalScmGame::InterventionalScmGame(const LinearScm* scm,
                                              PredictFn f, Vector instance,
                                              int mc_samples, uint64_t seed)
     : scm_(scm),
-      f_(std::move(f)),
+      batch_f_(AsBatchPredictFn(std::move(f))),
       instance_(std::move(instance)),
       mc_samples_(mc_samples),
       seed_(seed) {
@@ -316,17 +298,10 @@ double InterventionalScmGame::Value(uint64_t coalition) const {
     Rng rng(seed_);
     Matrix samples =
         scm_->SampleInterventional(interventions, mc_samples_, &rng);
+    // Score the sampled matrix in one batched call and sum serially in
+    // sample order; batch_f_ counts model/evals.
     double acc = 0.0;
-    if (batch_f_) {
-      // The sampled matrix is already materialized: score it in one batched
-      // model call and sum serially in sample order (bit-identical to the
-      // scalar loop); PredictBatch counts model/evals.
-      const Vector preds = batch_f_(samples);
-      for (double p : preds) acc += p;
-    } else {
-      for (int i = 0; i < samples.rows(); ++i) acc += f_(samples.Row(i));
-      XAI_COUNTER_ADD("model/evals", samples.rows());
-    }
+    for (double p : batch_f_(samples)) acc += p;
     return acc / mc_samples_;
   });
 }

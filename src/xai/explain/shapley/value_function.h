@@ -93,6 +93,8 @@ class MarginalFeatureGame : public CoalitionGame {
  public:
   /// `background` rows supply the off-coalition feature values. If
   /// `max_background` > 0 only the first `max_background` rows are used.
+  /// Each coalition's rows go through AsBatchPredictFn(f), one `f` call
+  /// per row.
   MarginalFeatureGame(PredictFn f, Vector instance, Matrix background,
                       int max_background = 0);
 
@@ -120,8 +122,9 @@ class MarginalFeatureGame : public CoalitionGame {
   /// The memo's miss path: v(S) for a block of distinct coalitions.
   void Compute(std::span<const uint64_t> masks, std::span<double> out) const;
 
-  PredictFn f_;
-  /// Model overload only: the tree scorer, or else the batched model call.
+  /// Model overload on a tree model only: the tree scorer. Otherwise every
+  /// coalition's rows go through batch_f_: the model's PredictBatch, or
+  /// AsBatchPredictFn(f) for the PredictFn constructor.
   std::optional<CoalitionScorer> scorer_;
   BatchPredictFn batch_f_;
   Vector instance_;
@@ -156,8 +159,7 @@ class ConditionalFeatureGame : public CoalitionGame {
   double Value(uint64_t coalition) const override;
 
  private:
-  PredictFn f_;
-  BatchPredictFn batch_f_;  // Non-null only for the Model overload.
+  BatchPredictFn batch_f_;  // PredictBatch, or AsBatchPredictFn(f).
   Vector instance_;
   Matrix background_;
   int k_;
@@ -188,8 +190,7 @@ class InterventionalScmGame : public CoalitionGame {
 
  private:
   const LinearScm* scm_;
-  PredictFn f_;
-  BatchPredictFn batch_f_;  // Non-null only for the Model overload.
+  BatchPredictFn batch_f_;  // PredictBatch, or AsBatchPredictFn(f).
   Vector instance_;
   int mc_samples_;
   uint64_t seed_;

@@ -1,6 +1,8 @@
 #include "xai/model/model.h"
 
+#include <algorithm>
 #include <memory>
+#include <utility>
 
 #include "xai/core/parallel.h"
 #include "xai/core/telemetry.h"
@@ -14,16 +16,9 @@ namespace xai {
 
 Vector Model::PredictBatch(const Matrix& x) const {
   XAI_SPAN_IF(x.rows() >= kPredictSpanMinRows, "model/predict_batch");
-  XAI_COUNTER_ADD("model/evals", x.rows());
-  Vector out(x.rows());
-  // Each output slot is written by exactly one chunk; Predict is
-  // const-reentrant per the Model threading contract.
-  ParallelFor(x.rows(), /*grain=*/256,
-              [&](int64_t begin, int64_t end, int64_t) {
-                for (int64_t i = begin; i < end; ++i)
-                  out[i] = Predict(x.Row(static_cast<int>(i)));
-              });
-  return out;
+  const BatchPredictFn per_row =
+      AsBatchPredictFn([this](const Vector& row) { return Predict(row); });
+  return per_row(x);
 }
 
 int Model::PredictClass(const Vector& row) const {
@@ -53,6 +48,25 @@ PredictFn AsPredictFn(const Model& model) {
 
 BatchPredictFn AsBatchPredictFn(const Model& model) {
   return [&model](const Matrix& x) { return model.PredictBatch(x); };
+}
+
+BatchPredictFn AsBatchPredictFn(PredictFn f) {
+  return [f = std::move(f)](const Matrix& x) {
+    XAI_COUNTER_ADD("model/evals", x.rows());
+    Vector out(x.rows());
+    // Each output slot is written by exactly one chunk, through one row
+    // buffer per chunk.
+    ParallelFor(x.rows(), /*grain=*/64,
+                [&](int64_t begin, int64_t end, int64_t) {
+                  Vector row(x.cols());
+                  for (int64_t i = begin; i < end; ++i) {
+                    const double* r = x.RowPtr(static_cast<int>(i));
+                    std::copy(r, r + x.cols(), row.begin());
+                    out[i] = f(row);
+                  }
+                });
+    return out;
+  };
 }
 
 }  // namespace xai

@@ -50,9 +50,9 @@ class Model {
   /// Must be safe to call concurrently (see the threading contract).
   virtual double Predict(const Vector& row) const = 0;
 
-  /// Batch prediction. The default parallelizes row-at-a-time Predict
-  /// calls over the runtime; models with cheaper vectorized paths
-  /// (trees, ensembles, linear models) override it.
+  /// Batch prediction. The default runs Predict row at a time through
+  /// AsBatchPredictFn; models with cheaper vectorized paths (trees,
+  /// ensembles, linear models) override it.
   virtual Vector PredictBatch(const Matrix& x) const;
 
   /// Hard class decision; the default thresholds Predict() at 0.5.
@@ -85,6 +85,13 @@ PredictFn AsPredictFn(const Model& model);
 /// Adapts a model to the batched view via its PredictBatch override (which
 /// also owns the model/evals accounting). The model must outlive the result.
 BatchPredictFn AsBatchPredictFn(const Model& model);
+
+/// Adapts a per-row black box to the batched view: each call scores every
+/// row through `f`, one call per row in one ParallelFor (grain 64), and
+/// counts the rows as model/evals. Output i is f(row i) whatever the thread
+/// count, so a caller that sums the outputs in row order gets the bits of a
+/// serial per-row loop. `f` must be const-reentrant.
+BatchPredictFn AsBatchPredictFn(PredictFn f);
 
 }  // namespace xai
 

@@ -42,7 +42,7 @@
 /// memo/pool state while explainer-internal ParallelFor still fans out.
 ///
 /// Every shed is recorded three ways: a shed ExplanationProvenance record
-/// (DrainShedRecords, for bench/audit JSONL), a RecordShed charge against
+/// (DrainShedRecords, for an audit JSONL), a RecordShed charge against
 /// the tenant's SLO deadline budget, and a typed Overloaded error frame to
 /// the caller. Nothing is silently dropped.
 

@@ -26,8 +26,8 @@
 ///    cannot poison a cache entry.
 ///  - Response frames carry PayloadHash(response) computed at encode time.
 ///    A receiver recomputes the hash over the decoded payload; any
-///    mismatch is a torn response (bench_e23 counts exactly this, and must
-///    count zero).
+///    mismatch is a torn response (serve_async_test's open-loop test checks
+///    every frame for exactly this).
 ///
 /// The format is symmetric within one build of the library (enum byte
 /// values are the in-memory enumerators); it is a serving-plane protocol,

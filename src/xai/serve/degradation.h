@@ -19,7 +19,8 @@ namespace serve {
 /// produce the bit-identical response on an idle box and an overloaded one,
 /// at any thread count — so tiers are priced against this static model
 /// rather than against measured wall-clock state. Calibrate `evals_per_ms`
-/// per deployment (bench_e19 reports the measured rate); keep it
+/// per deployment (perfbench's serve_miss `explain.evals.kernel_shap` over
+/// `explain.direct_ms.kernel_shap` is the measured rate); keep it
 /// conservative so that "fits the budget" on paper means "meets the
 /// deadline" on the machine.
 struct CostModel {

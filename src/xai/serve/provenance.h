@@ -13,10 +13,10 @@
 /// XAI_TELEMETRY=0 builds (the fields are assignments the server makes
 /// anyway; only the span *events* compile out).
 ///
-/// The record is deliberately flat and JSONL-serializable so bench/CI can
-/// schema-validate coverage (tools/validate_bench_report.py --provenance)
-/// and join it against the Chrome trace by trace_id
-/// (tools/analyze_trace.py --provenance).
+/// The record is deliberately flat and JSONL-serializable: serve_async_test
+/// (ProvenanceJsonlCarriesTheSchemaForEveryOutcome) pins the export's
+/// schema, and tools/analyze_trace.py --provenance joins it against the
+/// Chrome trace by trace_id (CI runs it on `quickstart --telemetry`).
 
 namespace xai {
 namespace serve {
@@ -75,9 +75,10 @@ struct ExplanationProvenance {
   /// error budget. Shed records carry complete = false by construction —
   /// there was no execution to account for.
   bool shed = false;
-  /// Set last, once every field above is final: the coverage bit bench_e22
-  /// and the validator count. A response with complete == false means the
-  /// serving path lost provenance somewhere — a bug.
+  /// Set last, once every field above is final: the coverage bit
+  /// serve_server_test asserts on misses, hits and coalesced followers. A
+  /// response with complete == false means the serving path lost
+  /// provenance somewhere — a bug.
   bool complete = false;
 };
 

@@ -119,8 +119,9 @@ const std::string& TenantOf(std::string&& tenant) = delete;
 
 /// Stable 64-bit digest of a response's deterministic content (payload,
 /// kind, tier, fingerprint — not latency or cache flags). Two responses to
-/// the same request must digest identically at any thread count; tests and
-/// bench_e19 assert exactly that.
+/// the same request must digest identically at any thread count;
+/// serve_server_test's ResponsesAreBitIdenticalAcrossThreadCounts asserts
+/// exactly that.
 uint64_t PayloadHash(const ExplainResponse& response);
 
 /// Approximate heap footprint of a response, used for the cache's byte

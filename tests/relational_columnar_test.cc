@@ -863,6 +863,9 @@ struct EdgeCases {
 
 TEST(GeneratedDifferentialTest, RowAndColumnarPipelinesAgree) {
   const int saved = GetNumThreads();
+  telemetry::Counter* columnar_rows =
+      telemetry::Registry::Global().GetCounter("relational/columnar_rows");
+  const int64_t columnar_rows_before = columnar_rows->Get();
   EdgeCases seen;
   for (uint64_t seed = 1; seed <= 120; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
@@ -974,6 +977,10 @@ TEST(GeneratedDifferentialTest, RowAndColumnarPipelinesAgree) {
   EXPECT_GT(seen.one_term_sums, 0);
   EXPECT_GT(seen.zero_dropped, 0);
   EXPECT_GT(seen.unit_products, 0);
+  // The operators count the rows they process.
+  if (XAI_TELEMETRY != 0) {
+    EXPECT_GT(columnar_rows->Get(), columnar_rows_before);
+  }
 }
 
 // ---- Late materialization: views, pending products, first reads ----

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdlib>
+#include <map>
 #include <set>
+#include <sstream>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <vector>
 
 #include "xai/core/parallel.h"
@@ -16,6 +22,7 @@
 #include "xai/serve/async/event_loop.h"
 #include "xai/serve/async/future.h"
 #include "xai/serve/async/wire.h"
+#include "xai/serve/provenance.h"
 
 namespace xai {
 namespace serve {
@@ -603,6 +610,274 @@ TEST_F(AsyncFrontEndTest, WirePayloadsAreBitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(hashes, reference) << threads << " threads";
     }
   }
+}
+
+// Open-loop arrivals on a virtual clock: a seeded Zipfian schedule of
+// tenants, explainer kinds and instances, one arrival every 50 us of
+// virtual time, sent as wire frames. The pending bound is off and the
+// batcher queue holds every arrival, so the token buckets alone decide
+// admission, each decision a pure function of (tenant, arrival time).
+// Every response frame must carry an intact payload (its embedded hash
+// verifies) equal to a stateless Explain of the same request; every other
+// frame must be a typed Overloaded shed; and each tenant's admit/shed
+// sequence must equal a sequential AdmissionController replay of the
+// schedule, at 1, 4 and 8 compute threads.
+TEST_F(AsyncFrontEndTest, OpenLoopZipfianArrivalsShedDeterministically) {
+  constexpr int kArrivals = 300;
+  constexpr int64_t kGapNs = 50'000;
+  const char* const kTenants[] = {"alpha", "beta",    "gamma",
+                                  "delta", "epsilon", "zeta"};
+  const ExplainerKind kKinds[] = {ExplainerKind::kTreeShap,
+                                  ExplainerKind::kKernelShap,
+                                  ExplainerKind::kLime};
+  auto zipf = [](int n) {
+    std::vector<double> w(n);
+    for (int i = 0; i < n; ++i) w[i] = 1.0 / (i + 1);
+    return w;
+  };
+  const std::vector<double> tenant_w = zipf(6);
+  const std::vector<double> kind_w = zipf(3);
+  const std::vector<double> instance_w = zipf(8);
+
+  Rng rng(2023);
+  std::vector<ExplainRequest> schedule;
+  for (int i = 0; i < kArrivals; ++i) {
+    ExplainRequest request = Request(kKinds[rng.Categorical(kind_w)]);
+    request.instance = train_.Row(rng.Categorical(instance_w));
+    request.tenant = kTenants[rng.Categorical(tenant_w)];
+    request.fidelity = FidelityTier::kReduced;
+    request.trace.trace_id = static_cast<uint64_t>(i) + 1;
+    schedule.push_back(request);
+  }
+
+  AsyncFrontEnd::Config config;
+  config.admission.tokens_per_sec = 2000.0;
+  config.admission.burst = 10.0;
+  config.admission.max_pending_per_tenant = 0;
+  config.max_shed_records = kArrivals;
+
+  // What the schedule must produce: one sequential replay of the decisions,
+  // and a stateless payload for every request it admits.
+  AdmissionController replay(config.admission);
+  ExplainServer stateless;
+  RegisterLoans(&stateless);
+  std::map<std::string, std::vector<bool>> want_admitted;
+  std::vector<uint64_t> want_hash(kArrivals, 0);
+  int want_shed = 0;
+  for (int i = 0; i < kArrivals; ++i) {
+    const bool admitted =
+        replay.Admit(schedule[i].tenant, i * kGapNs) ==
+        AdmissionController::Outcome::kAdmitted;
+    want_admitted[schedule[i].tenant].push_back(admitted);
+    if (admitted) {
+      want_hash[i] = PayloadHash(stateless.Explain(schedule[i]).ValueOrDie());
+    } else {
+      ++want_shed;
+    }
+  }
+  ASSERT_GT(want_shed, 0);
+  ASSERT_LT(want_shed, kArrivals * 6 / 10);
+
+  for (int threads : {1, 4, 8}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    SetNumThreads(threads);
+    ExplainServer::Config server_config;
+    server_config.batcher.max_queue = kArrivals;
+    ExplainServer server(server_config);
+    RegisterLoans(&server);
+    VirtualClock clock;
+    config.clock = &clock;
+    AsyncFrontEnd frontend(&server, config);
+
+    std::vector<FrameFuture> futures;
+    for (int i = 0; i < kArrivals; ++i) {
+      clock.AdvanceTo(i * kGapNs);
+      futures.push_back(frontend.SubmitWire(EncodeRequest(schedule[i])));
+    }
+    frontend.Drain();
+
+    std::map<std::string, std::vector<bool>> got_admitted;
+    int shed = 0;
+    for (int i = 0; i < kArrivals; ++i) {
+      const std::string& frame = futures[i].Get();
+      const FrameType type = PeekFrameType(frame).ValueOrDie();
+      got_admitted[schedule[i].tenant].push_back(type ==
+                                                 FrameType::kResponse);
+      if (type == FrameType::kResponse) {
+        const WireResponse wire = DecodeResponse(frame).ValueOrDie();
+        EXPECT_EQ(PayloadHash(wire.response), wire.payload_hash)
+            << "torn frame " << i;
+        EXPECT_EQ(wire.payload_hash, want_hash[i]) << "arrival " << i;
+      } else {
+        ASSERT_EQ(type, FrameType::kError) << "arrival " << i;
+        EXPECT_EQ(DecodeError(frame).ValueOrDie().code,
+                  StatusCode::kOverloaded)
+            << "arrival " << i;
+        ++shed;
+      }
+    }
+    EXPECT_EQ(shed, want_shed);
+    EXPECT_EQ(got_admitted, want_admitted);
+    EXPECT_EQ(frontend.DrainShedRecords().size(),
+              static_cast<size_t>(want_shed));
+  }
+}
+
+// A minimal reader for one line of WriteProvenanceJsonl: a flat JSON object
+// of string, number and boolean values.
+enum class JsonType { kString, kInt, kReal, kBool };
+struct JsonField {
+  JsonType type;
+  std::string text;  // Unquoted string, or the number or boolean literal.
+};
+
+bool ParseFlatJsonObject(std::string_view line,
+                         std::map<std::string, JsonField>* fields) {
+  size_t i = 0;
+  auto at = [&](char c) { return i < line.size() && line[i] == c; };
+  auto read_string = [&](std::string* out) {
+    if (!at('"')) return false;
+    for (++i; i < line.size() && line[i] != '"'; ++i) {
+      if (line[i] == '\\' && ++i == line.size()) return false;
+      out->push_back(line[i]);
+    }
+    return i++ < line.size();
+  };
+  if (!at('{')) return false;
+  ++i;
+  while (true) {
+    std::string key;
+    JsonField field{JsonType::kString, ""};
+    if (!read_string(&key) || !at(':')) return false;
+    ++i;
+    if (at('"')) {
+      if (!read_string(&field.text)) return false;
+    } else if (line.substr(i, 4) == "true" || line.substr(i, 5) == "false") {
+      field.type = JsonType::kBool;
+      field.text = line[i] == 't' ? "true" : "false";
+      i += field.text.size();
+    } else {
+      const size_t end = line.find_first_of(",}", i);
+      if (end == std::string_view::npos || end == i) return false;
+      field.text = std::string(line.substr(i, end - i));
+      char* parsed_to = nullptr;
+      std::strtod(field.text.c_str(), &parsed_to);
+      if (*parsed_to != '\0' ||
+          field.text.find_first_not_of("-+.0123456789eE") !=
+              std::string::npos) {
+        return false;  // Not a JSON number (inf and nan included).
+      }
+      field.type = field.text.find_first_of(".eE") == std::string::npos
+                       ? JsonType::kInt
+                       : JsonType::kReal;
+      i = end;
+    }
+    if (!fields->emplace(key, field).second) return false;  // Repeated key.
+    if (at(',')) {
+      ++i;
+    } else if (at('}')) {
+      return ++i == line.size();
+    } else {
+      return false;
+    }
+  }
+}
+
+// The provenance export, line by line, for each kind of record the serving
+// path emits: an executed miss, its coalesced follower, a cache hit and an
+// admission shed. Every line is one object holding exactly the schema's 22
+// keys with their JSON types; ids are decimal strings; a shed record is
+// never complete and every other record is; counts and timings are never
+// negative; and a coalesced record names its leader.
+TEST_F(AsyncFrontEndTest, ProvenanceJsonlCarriesTheSchemaForEveryOutcome) {
+  ExplainServer server;
+  RegisterLoans(&server);
+  AsyncFrontEnd::Config config;
+  config.admission.tokens_per_sec = 1e-9;  // Effectively no refill.
+  config.admission.burst = 3.0;            // Miss, follower, hit; then shed.
+  VirtualClock clock;
+  config.clock = &clock;
+  AsyncFrontEnd frontend(&server, config);
+
+  const ExplainRequest request = Request(ExplainerKind::kKernelShap);
+  server.batcher()->Pause();
+  ResponseFuture leader = frontend.Submit(request);
+  ResponseFuture follower = frontend.Submit(request);
+  while (server.batcher()->queue_depth() < 2)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  server.batcher()->Resume();
+  std::vector<ExplanationProvenance> records = {
+      leader.Get().ValueOrDie().provenance,
+      follower.Get().ValueOrDie().provenance,
+      frontend.Submit(request).Get().ValueOrDie().provenance};
+  EXPECT_EQ(frontend.Submit(request).Get().status().code(),
+            StatusCode::kOverloaded);
+  frontend.Drain();
+  for (ExplanationProvenance& shed : frontend.DrainShedRecords())
+    records.push_back(shed);
+  ASSERT_EQ(records.size(), 4u);
+  EXPECT_FALSE(records[0].cache_hit || records[0].coalesced);
+  EXPECT_TRUE(records[1].coalesced);
+  EXPECT_TRUE(records[2].cache_hit);
+  EXPECT_TRUE(records[3].shed);
+
+  std::ostringstream os;
+  for (const ExplanationProvenance& p : records) WriteProvenanceJsonl(os, p);
+  const std::string jsonl = os.str();
+  ASSERT_FALSE(jsonl.empty());
+  ASSERT_EQ(jsonl.back(), '\n');
+
+  using T = JsonType;
+  const std::map<std::string, std::set<JsonType>> kSchema = {
+      {"trace_id", {T::kString}},      {"root_span_id", {T::kString}},
+      {"tenant", {T::kString}},        {"model", {T::kString}},
+      {"kind", {T::kString}},          {"requested_tier", {T::kString}},
+      {"served_tier", {T::kString}},   {"algorithm", {T::kString}},
+      {"degraded", {T::kBool}},        {"cache_hit", {T::kBool}},
+      {"coalesced", {T::kBool}},       {"coalesced_onto", {T::kString}},
+      {"planned_evals", {T::kInt}},    {"used_evals", {T::kInt}},
+      {"simd_backend", {T::kString}},  {"batch_size", {T::kInt}},
+      {"queue_ms", {T::kInt, T::kReal}},
+      {"compute_ms", {T::kInt, T::kReal}},
+      {"total_ms", {T::kInt, T::kReal}},
+      {"deadline_met", {T::kBool}},    {"shed", {T::kBool}},
+      {"complete", {T::kBool}},
+  };
+  ASSERT_EQ(kSchema.size(), 22u);
+  auto decimal = [](const std::string& s) {
+    return !s.empty() &&
+           s.find_first_not_of("0123456789") == std::string::npos;
+  };
+
+  std::istringstream lines(jsonl);
+  std::string line;
+  size_t n = 0;
+  while (std::getline(lines, line)) {
+    SCOPED_TRACE("line " + std::to_string(n + 1) + ": " + line);
+    std::map<std::string, JsonField> f;
+    ASSERT_TRUE(ParseFlatJsonObject(line, &f));
+    ASSERT_EQ(f.size(), kSchema.size());
+    for (const auto& [key, types] : kSchema) {
+      ASSERT_EQ(f.count(key), 1u) << key;
+      EXPECT_EQ(types.count(f.at(key).type), 1u) << key;
+    }
+    for (const char* id : {"trace_id", "root_span_id", "coalesced_onto"})
+      EXPECT_TRUE(decimal(f.at(id).text)) << id;
+    const bool shed = f.at("shed").text == "true";
+    EXPECT_EQ(f.at("complete").text, shed ? "false" : "true");
+    if (!shed) {
+      EXPECT_NE(f.at("trace_id").text, "0");
+    }
+    for (const char* key : {"planned_evals", "used_evals", "batch_size",
+                            "queue_ms", "compute_ms", "total_ms"})
+      EXPECT_GE(std::strtod(f.at(key).text.c_str(), nullptr), 0.0) << key;
+    if (f.at("coalesced").text == "true") {
+      EXPECT_EQ(f.at("coalesced_onto").text,
+                std::to_string(records[0].trace_id));
+    }
+    ++n;
+  }
+  EXPECT_EQ(n, records.size());
 }
 
 // Generated dialogues: per seed, one session takes 6-10 random

@@ -365,18 +365,24 @@ TEST_F(ExplainServerTest, ConcurrentClientsGetConsistentAnswers) {
   constexpr int kClients = 8;
   std::vector<std::thread> clients;
   std::atomic<int> consistent{0};
+  std::atomic<int> complete{0};
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&] {
       for (int i = 0; i < 4; ++i) {
         auto result = server.Explain(request);
-        if (result.ok() &&
-            PayloadHash(result.ValueOrDie()) == expected)
-          ++consistent;
+        if (!result.ok()) continue;
+        const ExplainResponse& response = result.ValueOrDie();
+        if (PayloadHash(response) == expected) ++consistent;
+        // Misses, coalesced followers and hits alike carry a complete
+        // provenance record.
+        if (response.provenance.complete && response.provenance.trace_id != 0)
+          ++complete;
       }
     });
   }
   for (auto& t : clients) t.join();
   EXPECT_EQ(consistent, kClients * 4);
+  EXPECT_EQ(complete, kClients * 4);
   // Coalescing + caching: far fewer executions than requests.
   auto stats = server.cache().GetStats();
   EXPECT_GE(stats.hits, 1);
@@ -489,6 +495,50 @@ TEST_F(ExplainServerTest, TenantSloAccountsMissesDegradationAndErrors) {
   EXPECT_EQ(missing.errors, 1);
   // Errors count against the deadline budget.
   EXPECT_GT(missing.deadline_budget_used, 1.0);
+}
+
+// Tail retention through the server: at head-sampling rate 0.0 no request
+// is sampled, yet a request that misses its deadline and a request that
+// fails still leave their root spans (serve/request, serve/request_error),
+// while an on-time request leaves no event at all.
+TEST_F(ExplainServerTest, UnsampledMissedAndFailedRequestsKeepTheirRootSpans) {
+  if (!XAI_TELEMETRY) GTEST_SKIP() << "built with XAI_TELEMETRY=0";
+  ExplainServer server;
+  RegisterGbdt(&server);
+  // TreeSHAP never degrades, so the missed request is retained for its
+  // missed deadline alone.
+  ExplainRequest missed = Request(ExplainerKind::kTreeShap);
+  missed.use_cache = false;
+  missed.deadline_ms = 1e-4;
+  missed.trace.trace_id = 501;
+  ExplainRequest on_time = Request(ExplainerKind::kTreeShap);
+  on_time.use_cache = false;
+  on_time.trace.trace_id = 502;
+  ExplainRequest failed = Request(ExplainerKind::kTreeShap);
+  failed.model = "missing";
+  failed.trace.trace_id = 503;
+
+  const double rate = telemetry::TraceSampleRate();
+  telemetry::SetTraceSampleRate(0.0);
+  telemetry::internal::ClearTraceEvents();
+  EXPECT_FALSE(server.Explain(missed).ValueOrDie().deadline_met);
+  EXPECT_TRUE(server.Explain(on_time).ValueOrDie().deadline_met);
+  EXPECT_FALSE(server.Explain(failed).ok());
+  std::vector<telemetry::TraceEvent> events;
+  telemetry::internal::CollectTraceEvents(&events);
+  telemetry::SetTraceSampleRate(rate);
+
+  auto count = [&](uint64_t trace_id, const char* name) {
+    int n = 0;
+    for (const auto& e : events) {
+      if (e.trace_id != trace_id) continue;
+      if (name == nullptr || std::string(e.name) == name) ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(count(501, "serve/request"), 1);
+  EXPECT_EQ(count(503, "serve/request_error"), 1);
+  EXPECT_EQ(count(502, nullptr), 0);
 }
 
 // ---- One accounting rule for every entry point and outcome ---------------
