@@ -1,6 +1,6 @@
 #include "xai/serve/async/event_loop.h"
 
-#include <chrono>
+#include <utility>
 
 #include "xai/core/check.h"
 #include "xai/core/telemetry.h"
@@ -30,11 +30,7 @@ void VirtualClock::AdvanceTo(int64_t now_ns) {
   if (now_ns > now_ns_) now_ns_ = now_ns;
 }
 
-EventLoop::EventLoop(Clock* clock)
-    : clock_(clock != nullptr ? clock : &owned_clock_),
-      virtual_time_(dynamic_cast<VirtualClock*>(clock_) != nullptr) {
-  thread_ = std::thread([this] { Run(); });
-}
+EventLoop::EventLoop() { thread_ = std::thread([this] { Run(); }); }
 
 EventLoop::~EventLoop() { Shutdown(); }
 
@@ -51,35 +47,12 @@ Status EventLoop::Post(Task fn) {
   return Status::OK();
 }
 
-Status EventLoop::PostAt(int64_t when_ns, Task fn) {
-  Task bound = telemetry::BindTraceContext(std::move(fn));
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) return Status::Internal("event loop is shutting down");
-    timers_.push(Timer{when_ns, next_seq_++, std::move(bound)});
-  }
-  work_cv_.notify_one();
-  return Status::OK();
-}
-
-Status EventLoop::PostAfter(int64_t delay_ns, Task fn) {
-  return PostAt(clock_->NowNanos() + delay_ns, std::move(fn));
-}
-
-int64_t EventLoop::Now() { return clock_->NowNanos(); }
-
 void EventLoop::Drain() {
   XAI_CHECK_MSG(!OnLoopThread(), "Drain() from the loop thread deadlocks");
   std::unique_lock<std::mutex> lock(mu_);
-  ++drain_waiters_;
-  // Wake the loop: with a VirtualClock it only auto-advances time while a
-  // drain waiter is present, and it may currently be parked on work_cv_.
-  work_cv_.notify_all();
   idle_cv_.wait(lock, [this] {
-    return (ready_.empty() && timers_.empty() && !running_task_) ||
-           stopping_;
+    return (ready_.empty() && !running_task_) || stopping_;
   });
-  --drain_waiters_;
 }
 
 void EventLoop::Shutdown() {
@@ -98,20 +71,9 @@ bool EventLoop::OnLoopThread() const {
   return std::this_thread::get_id() == thread_.get_id();
 }
 
-void EventLoop::PromoteDueTimersLocked(int64_t now_ns) {
-  while (!timers_.empty() && timers_.top().when_ns <= now_ns) {
-    // priority_queue::top is const; the move is safe because pop()
-    // immediately discards the slot.
-    ready_.push_back(std::move(const_cast<Timer&>(timers_.top()).fn));
-    timers_.pop();
-  }
-}
-
 void EventLoop::Run() {
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
-    PromoteDueTimersLocked(clock_->NowNanos());
-
     if (!ready_.empty()) {
       Task task = std::move(ready_.front());
       ready_.pop_front();
@@ -120,39 +82,12 @@ void EventLoop::Run() {
       task();
       lock.lock();
       running_task_ = false;
-      if (ready_.empty() && timers_.empty()) idle_cv_.notify_all();
       continue;
     }
-
-    // Queue empty. Stop once asked (unexpired timers are dropped — Drain
-    // first if they matter).
+    // Queue empty: stop once asked, otherwise wake any drainer and park.
     if (stopping_) break;
-
-    if (timers_.empty()) {
-      idle_cv_.notify_all();
-      work_cv_.wait(lock);
-      continue;
-    }
-
-    if (virtual_time_) {
-      // Nothing runnable but timers pending. Only jump time forward while a
-      // Drain() caller is waiting: advancing the moment the loop goes idle
-      // could consume a half-registered schedule between two PostAt calls
-      // from another thread, breaking the one-order determinism contract.
-      if (drain_waiters_ == 0) {
-        work_cv_.wait(lock);
-        continue;
-      }
-      const int64_t when = timers_.top().when_ns;
-      lock.unlock();
-      static_cast<VirtualClock*>(clock_)->AdvanceTo(when);
-      lock.lock();
-      continue;
-    }
-
-    const int64_t wait_ns = timers_.top().when_ns - clock_->NowNanos();
-    if (wait_ns > 0)
-      work_cv_.wait_for(lock, std::chrono::nanoseconds(wait_ns));
+    idle_cv_.notify_all();
+    work_cv_.wait(lock);
   }
 }
 

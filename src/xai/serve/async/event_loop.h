@@ -6,47 +6,35 @@
 #include <deque>
 #include <functional>
 #include <mutex>
-#include <queue>
 #include <thread>
-#include <utility>
-#include <vector>
 
 #include "xai/core/status.h"
 
 /// \file
-/// Single-threaded event-loop executor with a swappable clock.
+/// The async front end's time source and its single-threaded FIFO executor.
 ///
-/// The async front end runs its control plane (wire decode, cache probe,
-/// admission bookkeeping, response encode) on one dispatcher thread and
-/// pushes all heavy compute to the batcher / ParallelFor pool. One thread
-/// is deliberate: control-plane state (admission cells, session tables,
-/// timer wheel) then needs no locking discipline beyond the loop's own
-/// queue, and every request observes a single serialized order of
-/// control-plane events — which is what makes the admit/shed sequence
-/// replayable bit-for-bit in tests.
+/// Clock: admission and session expiry read time only through this
+/// interface. RealClock forwards to the shared monotonic clock;
+/// VirtualClock starts at zero and moves only when a test tells it to, so
+/// a fixed schedule of (time, request) pairs yields one admit/shed
+/// sequence at any thread count.
 ///
-/// Determinism under test: the loop reads time only through the Clock
-/// interface. RealClock forwards to the shared monotonic clock; VirtualClock
-/// starts at zero and advances only when told — or while a Drain() caller is
-/// waiting, in which case the idle loop jumps straight to the next timer
-/// deadline. Gating the auto-advance on a drain waiter matters: if the loop
-/// advanced whenever it went idle, it could consume a half-registered timer
-/// schedule between two PostAt calls from another thread. A fixed schedule
-/// of Post/PostAt calls against a VirtualClock followed by Drain() therefore
-/// executes in exactly one order, independent of machine load or thread
-/// count.
+/// EventLoop: one thread draining a FIFO task queue. The front end runs
+/// session turns on it (the session lane), which serializes each
+/// dialogue's turns against its memo and candidate pool while the
+/// explainers' own ParallelFor regions still fan out. Stateless requests
+/// never pass through it: they are served on the submitting thread.
 ///
-/// Trace propagation: Post/PostAt wrap tasks with
-/// telemetry::BindTraceContext, so work hopping onto the loop keeps the
-/// submitting request's causal identity (satellite: spans opened inside a
-/// posted task parent-link to the request's trace).
+/// Trace propagation: Post wraps tasks with telemetry::BindTraceContext,
+/// so spans opened inside a posted task parent-link to the submitting
+/// request's trace.
 
 namespace xai {
 namespace serve {
 namespace async {
 
-/// Time source for the loop and everything scheduled on it. Nanoseconds on
-/// an arbitrary epoch; only differences matter.
+/// Time source for admission and session expiry. Nanoseconds on an
+/// arbitrary epoch; only differences matter.
 class Clock {
  public:
   virtual ~Clock() = default;
@@ -59,10 +47,7 @@ class RealClock : public Clock {
   int64_t NowNanos() override;
 };
 
-/// Starts at zero, moves only via Advance/AdvanceTo (thread-safe). While a
-/// Drain() caller waits, the idle loop auto-advances it to the earliest
-/// timer deadline, so timed schedules run to completion without wall-clock
-/// waits.
+/// Starts at zero, moves only via Advance/AdvanceTo (thread-safe).
 class VirtualClock : public Clock {
  public:
   int64_t NowNanos() override;
@@ -74,74 +59,39 @@ class VirtualClock : public Clock {
   int64_t now_ns_ = 0;
 };
 
-/// \brief One dispatcher thread draining a FIFO task queue plus a timer
-/// heap. Tasks must not block (shed, don't park — the batcher side is
-/// always try-enqueue from loop context).
+/// \brief One thread draining a FIFO task queue.
 class EventLoop {
  public:
   using Task = std::function<void()>;
 
-  /// `clock` may be null (the loop then owns a RealClock). A non-null clock
-  /// must outlive the loop; passing a VirtualClock makes the loop
-  /// deterministic (see file comment).
-  explicit EventLoop(Clock* clock = nullptr);
-  /// Drains nothing: queued tasks that never ran are dropped after the
-  /// stop task. Call Drain() first if completion matters.
+  EventLoop();
+  /// Shutdown(): queued tasks still run, then the thread is joined.
   ~EventLoop();
+
+  EventLoop(const EventLoop&) = delete;
+  EventLoop& operator=(const EventLoop&) = delete;
 
   /// Enqueues `fn` (FIFO), bound to the caller's current TraceContext.
   /// Returns Internal after Shutdown.
   Status Post(Task fn);
 
-  /// Runs `fn` once the clock reaches `when_ns` (absolute, this loop's
-  /// clock). Ties execute in Post order. Same trace binding as Post.
-  Status PostAt(int64_t when_ns, Task fn);
-
-  /// Convenience: PostAt(Now() + delay).
-  Status PostAfter(int64_t delay_ns, Task fn);
-
-  /// Current time on the loop's clock.
-  int64_t Now();
-
-  /// Blocks the caller until both queues are empty and no task is running.
-  /// With a VirtualClock this drives time forward through every pending
-  /// timer. Must not be called from the loop thread.
+  /// Blocks the caller until the queue is empty and no task is running.
+  /// Must not be called from the loop thread.
   void Drain();
 
-  /// Stops accepting tasks, finishes the currently queued immediate tasks,
-  /// drops unexpired timers, joins the thread. Idempotent.
+  /// Stops accepting tasks, runs the ones already queued, joins the
+  /// thread. Idempotent.
   void Shutdown();
 
   bool OnLoopThread() const;
 
  private:
-  struct Timer {
-    int64_t when_ns;
-    uint64_t seq;  // Post-order tiebreak: earlier registration runs first.
-    Task fn;
-    bool operator>(const Timer& other) const {
-      if (when_ns != other.when_ns) return when_ns > other.when_ns;
-      return seq > other.seq;
-    }
-  };
-
   void Run();
-  /// Pops every timer due at `now_ns` into the immediate queue (in
-  /// registration order). Caller holds mu_.
-  void PromoteDueTimersLocked(int64_t now_ns);
-
-  RealClock owned_clock_;
-  Clock* const clock_;
-  const bool virtual_time_;
 
   std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable idle_cv_;
   std::deque<Task> ready_;
-  std::priority_queue<Timer, std::vector<Timer>, std::greater<Timer>>
-      timers_;
-  uint64_t next_seq_ = 0;
-  int drain_waiters_ = 0;
   bool stopping_ = false;
   bool running_task_ = false;
 

@@ -14,20 +14,17 @@ AsyncFrontEnd::AsyncFrontEnd(ExplainServer* server, const Config& config)
       config_(config),
       clock_(config.clock != nullptr ? config.clock : &real_clock_),
       admission_(config.admission),
-      sessions_(server, config.sessions),
-      loop_(std::make_unique<EventLoop>(clock_)),
-      session_lane_(std::make_unique<EventLoop>(clock_)) {
+      sessions_(server, config.sessions) {
   XAI_CHECK_MSG(server != nullptr, "AsyncFrontEnd requires a server");
   server_->AttachAdmission(&admission_);
   server_->AttachSessions(&sessions_);
 }
 
 AsyncFrontEnd::~AsyncFrontEnd() {
-  // Stop the control planes first (queued immediate tasks still run), then
-  // wait out every admitted request: its completion callback may be parked
-  // in the batcher, and it touches admission state on delivery.
-  loop_->Shutdown();
-  session_lane_->Shutdown();
+  // Stop the session lane first (queued turns still run), then wait out
+  // every admitted request: its completion callback may be parked in the
+  // batcher, and it touches admission state on delivery.
+  session_lane_.Shutdown();
   {
     std::unique_lock<std::mutex> lock(inflight_mu_);
     inflight_cv_.wait(lock, [this] { return in_flight_ == 0; });
@@ -37,8 +34,7 @@ AsyncFrontEnd::~AsyncFrontEnd() {
 }
 
 void AsyncFrontEnd::Drain() {
-  loop_->Drain();
-  session_lane_->Drain();
+  session_lane_.Drain();
   std::unique_lock<std::mutex> lock(inflight_mu_);
   inflight_cv_.wait(lock, [this] { return in_flight_ == 0; });
 }
@@ -131,26 +127,26 @@ void AsyncFrontEnd::RunStateless(ExplainRequest request,
 }
 
 template <typename Reply>
-void AsyncFrontEnd::RunSessionTurn(uint64_t session_id,
-                                   const Result<ExplainRequest>& request,
+void AsyncFrontEnd::RunSessionTurn(uint64_t session_id, ExplainRequest request,
                                    const Reply& reply) {
-  if (!request.ok()) {
-    reply(request.status());
-    return;
-  }
-  const int64_t now_ns = clock_->NowNanos();
-  sessions_.ExpireIdle(now_ns);
-  reply(sessions_.Explain(session_id, request.ValueUnsafe(), now_ns));
+  Status posted = session_lane_.Post(
+      [this, session_id, request = std::move(request), reply] {
+        const int64_t now_ns = clock_->NowNanos();
+        sessions_.ExpireIdle(now_ns);
+        reply(sessions_.Explain(session_id, request, now_ns));
+      });
+  // Refused only after Shutdown: the task, and its copy of `reply`, never
+  // ran.
+  if (!posted.ok()) reply(posted);
 }
 
 FrameFuture AsyncFrontEnd::SubmitWire(std::string frame) {
-  // Header decode and admission on the submitting thread: a malformed or
-  // shed request never costs a loop hop (and never decodes its instance).
+  // A malformed or shed request never decodes its instance.
   Result<WireRequestHeader> header_or = DecodeRequestHeader(frame);
   if (!header_or.ok()) {
     return FrameFuture::Ready(EncodeError(header_or.status(), 0));
   }
-  WireRequestHeader header = std::move(header_or).ValueUnsafe();
+  const WireRequestHeader header = std::move(header_or).ValueUnsafe();
   const std::string tenant = TenantOf(header.tenant);
 
   Status admitted = AdmitOrShed(tenant, header.model, header.kind,
@@ -169,37 +165,31 @@ FrameFuture AsyncFrontEnd::SubmitWire(std::string frame) {
     Complete(tenant);
     promise.Set(std::move(out));
   };
-  auto shared = std::make_shared<const std::string>(std::move(frame));
-  Status posted =
-      header.session_id != 0
-          ? session_lane_->Post([this, shared, header = std::move(header),
-                                 reply = std::move(reply)] {
-              // Session turns consult per-session state keyed on the
-              // instance, so the payload is materialized (and
-              // integrity-checked) up front.
-              RunSessionTurn(header.session_id,
-                             DecodeRequestBody(*shared, header), reply);
-            })
-          : loop_->Post([this, shared, header = std::move(header),
-                         reply = std::move(reply)] {
-              // The instance stays encoded until the server proves it
-              // needs the bytes (cache miss).
-              ExplainServer::AsyncHints hints;
-              hints.instance_hash = header.instance_hash;
-              hints.deferred_count =
-                  static_cast<int64_t>(header.instance_count);
-              hints.materialize = [shared, header](Vector* out) -> Status {
-                XAI_ASSIGN_OR_RETURN(ExplainRequest decoded,
-                                     DecodeRequestBody(*shared, header));
-                *out = std::move(decoded.instance);
-                return Status::OK();
-              };
-              RunStateless(RequestFromHeader(header), std::move(hints), reply);
-            });
-  if (!posted.ok()) {
-    Complete(tenant);
-    return FrameFuture::Ready(EncodeError(posted, trace_id));
+  if (header.session_id != 0) {
+    // Session turns consult per-session state keyed on the instance, so the
+    // payload is materialized (and integrity-checked) up front.
+    Result<ExplainRequest> request = DecodeRequestBody(frame, header);
+    if (!request.ok()) {
+      reply(request.status());
+    } else {
+      RunSessionTurn(header.session_id, std::move(request).ValueUnsafe(),
+                     reply);
+    }
+    return future;
   }
+  // The instance stays encoded until the server proves it needs the bytes
+  // (cache miss). ExplainAsync calls `materialize`, if at all, before it
+  // returns, so the materializer may borrow the frame.
+  ExplainServer::AsyncHints hints;
+  hints.instance_hash = header.instance_hash;
+  hints.deferred_count = static_cast<int64_t>(header.instance_count);
+  hints.materialize = [&frame, &header](Vector* out) -> Status {
+    XAI_ASSIGN_OR_RETURN(ExplainRequest decoded,
+                         DecodeRequestBody(frame, header));
+    *out = std::move(decoded.instance);
+    return Status::OK();
+  };
+  RunStateless(RequestFromHeader(header), std::move(hints), reply);
   return future;
 }
 
@@ -219,20 +209,10 @@ ResponseFuture AsyncFrontEnd::Submit(ExplainRequest request,
     Complete(tenant);
     promise.Set(std::move(result));
   };
-  Status posted =
-      session_id != 0
-          ? session_lane_->Post([this, session_id, request = std::move(request),
-                                 reply = std::move(reply)]() mutable {
-              RunSessionTurn(session_id, std::move(request), reply);
-            })
-          : loop_->Post([this, request = std::move(request),
-                         reply = std::move(reply)]() mutable {
-              RunStateless(std::move(request), ExplainServer::AsyncHints(),
-                           reply);
-            });
-  if (!posted.ok()) {
-    Complete(tenant);
-    return ResponseFuture::Ready(Result<ExplainResponse>(posted));
+  if (session_id != 0) {
+    RunSessionTurn(session_id, std::move(request), reply);
+  } else {
+    RunStateless(std::move(request), ExplainServer::AsyncHints(), reply);
   }
   return future;
 }

@@ -4,7 +4,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -23,22 +22,24 @@
 ///
 /// Request path (one wire frame):
 ///
-///   caller thread            control loop               batcher workers
-///   ------------------       ------------------------   ----------------
+///   caller thread                           batcher worker + pool
+///   -------------------------------------   ---------------------
 ///   decode header
-///   admission (tokens,
-///     pending bound) --shed--> [typed Overloaded frame]
-///        |
-///        +--Post--------->  cache probe via header
-///                            hashes (hit: respond
-///                            without decoding the
-///                            instance payload)
-///                            miss: materialize+verify
-///                            instance, try-enqueue  --->  explain, encode,
-///                            (full queue => shed)         fulfill future
+///   admission (tokens, pending bound)
+///     --shed--> [typed Overloaded frame]
+///   cache probe via header hashes (hit:
+///     respond without decoding the
+///     instance payload)
+///   miss: materialize + verify instance,
+///     try-enqueue (full queue => shed) --->  explain, encode,
+///                                            fulfill future
 ///
-/// Session turns (session_id != 0 in the frame) run on a second loop — the
-/// session lane — which serializes each dialogue's turns against its
+/// No explainer runs on the caller's thread: it does the bookkeeping up to
+/// the batcher's try-enqueue, so a cache hit, a shed or a pipeline error
+/// resolves before SubmitWire/Submit returns.
+///
+/// Session turns (session_id != 0 in the frame) run on the session lane,
+/// one EventLoop thread that serializes each dialogue's turns against its
 /// memo/pool state while explainer-internal ParallelFor still fans out.
 ///
 /// Every shed is recorded three ways: a shed ExplanationProvenance record
@@ -55,7 +56,7 @@ class AsyncFrontEnd {
   struct Config {
     AdmissionController::Config admission;
     SessionManager::Config sessions;
-    /// Swappable time source for both loops and the admission buckets
+    /// Swappable time source for the admission buckets and session expiry
     /// (VirtualClock under test). Must outlive the front end; null = real
     /// monotonic clock.
     Clock* clock = nullptr;
@@ -76,12 +77,13 @@ class AsyncFrontEnd {
 
   /// Serves one encoded request frame. The future resolves with a
   /// response frame (FrameType::kResponse) or a typed error frame
-  /// (FrameType::kError — Overloaded for sheds). Malformed frames and
-  /// admission sheds resolve immediately on the calling thread.
+  /// (FrameType::kError — Overloaded for sheds). Malformed frames, sheds,
+  /// cache hits and pipeline errors resolve on the calling thread before
+  /// this returns; a computed miss resolves on the batcher worker.
   FrameFuture SubmitWire(std::string frame);
 
   /// Struct-level entry (tests, in-process clients): same admission and
-  /// loop hop, no wire encoding. session_id 0 = stateless.
+  /// runners, no wire encoding. session_id 0 = stateless.
   ResponseFuture Submit(ExplainRequest request, uint64_t session_id = 0);
 
   /// Opens an interactive dialogue (idle sessions past their TTL are
@@ -90,7 +92,7 @@ class AsyncFrontEnd {
   Result<uint64_t> OpenSession();
   Status CloseSession(uint64_t session_id);
 
-  /// Blocks until both loops are empty and every admitted request has
+  /// Blocks until the session lane is empty and every admitted request has
   /// delivered its response or error (tests/bench).
   void Drain();
 
@@ -99,7 +101,6 @@ class AsyncFrontEnd {
 
   const AdmissionController& admission() const { return admission_; }
   const SessionManager& sessions() const { return sessions_; }
-  EventLoop& loop() { return *loop_; }
 
  private:
   /// Admission on the submitting thread. Returns OK and occupies a
@@ -125,15 +126,13 @@ class AsyncFrontEnd {
   // calls it exactly once, now or later. (Templates, so a reply is
   // type-erased only where the server takes it.)
 
-  /// Stateless execution on the control loop (cache probe -> batcher).
+  /// Stateless execution on the calling thread (cache probe -> batcher).
   template <typename Reply>
   void RunStateless(ExplainRequest request, ExplainServer::AsyncHints hints,
                     const Reply& reply);
-  /// One dialogue turn on the session lane; `request` carries the body
-  /// decode's error, if any.
+  /// One dialogue turn, posted to the session lane.
   template <typename Reply>
-  void RunSessionTurn(uint64_t session_id,
-                      const Result<ExplainRequest>& request,
+  void RunSessionTurn(uint64_t session_id, ExplainRequest request,
                       const Reply& reply);
 
   ExplainServer* const server_;
@@ -142,8 +141,6 @@ class AsyncFrontEnd {
   Clock* const clock_;
   AdmissionController admission_;
   SessionManager sessions_;
-  std::unique_ptr<EventLoop> loop_;
-  std::unique_ptr<EventLoop> session_lane_;
 
   /// Admitted-but-unanswered requests. Drain() (and the destructor) wait
   /// for this to reach zero so no completion callback can outlive the
@@ -155,6 +152,9 @@ class AsyncFrontEnd {
   std::mutex shed_mu_;
   std::deque<ExplanationProvenance> shed_records_;
   int64_t shed_records_dropped_ = 0;
+
+  /// Last member: its thread runs turns that touch everything above.
+  EventLoop session_lane_;
 };
 
 }  // namespace async

@@ -18,12 +18,13 @@
 /// Completion-callback futures for the async serving front end.
 ///
 /// std::future has no continuation hook: a caller can only block on it,
-/// which is exactly what an event loop must never do. This Future<T> adds
-/// `Then(fn)` — the continuation runs immediately if the value is already
-/// there, or on whichever thread fulfills the promise otherwise. That keeps
-/// the whole serving path event-driven: the wire layer decodes on the loop,
-/// the batcher computes on pool workers, and the response encoder runs as a
-/// continuation wherever the result lands, with zero parked threads.
+/// which is exactly what a serving thread must never do. This Future<T>
+/// adds `Then(fn)` — the continuation runs immediately if the value is
+/// already there, or on whichever thread fulfills the promise otherwise.
+/// That keeps the whole serving path event-driven: the wire layer decodes
+/// and probes the cache on the caller's thread, the batcher computes on
+/// pool workers, and the response encoder runs as a continuation wherever
+/// the result lands, with zero parked threads.
 ///
 /// Trace propagation: Then() captures the caller's TraceContext at
 /// registration and installs it around the continuation (the same contract
@@ -32,7 +33,7 @@
 /// be produced on a foreign thread.
 ///
 /// Blocking `Wait()`/`Get()` exist for tests and the bench driver only —
-/// production loop code must use Then().
+/// production serving code must use Then().
 
 namespace xai {
 namespace serve {
@@ -111,8 +112,8 @@ class Future {
   explicit Future(std::shared_ptr<SharedState<T>> state)
       : state_(std::move(state)) {}
 
-  /// Makes an already-completed future (admission sheds resolve without
-  /// ever touching the loop).
+  /// Makes an already-completed future (admission sheds and malformed
+  /// frames resolve without a promise).
   static Future Ready(T value) {
     auto state = std::make_shared<SharedState<T>>();
     state->Set(std::move(value));

@@ -49,8 +49,8 @@ struct BatchJob {
 /// Backpressure: the queue is bounded at `max_queue` and `Submit` is
 /// try-enqueue only — a full queue returns a typed Overloaded status at
 /// once, and the caller converts it into a shed. No submitter ever parks on
-/// queue space (an event loop must not), and load sheds at admission, not
-/// mid-flight.
+/// queue space (a continuation submitting from this worker would deadlock),
+/// and load sheds at admission, not mid-flight.
 ///
 /// Telemetry: serve/batches, serve/batched_requests,
 /// serve/coalesced_requests; histograms serve/batch_size,

@@ -4,6 +4,7 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <future>
 #include <map>
 #include <set>
 #include <sstream>
@@ -64,33 +65,10 @@ TEST(EventLoopTest, PostPropagatesTraceContextAcrossTheHop) {
   EXPECT_EQ(seen_after, 0u);
 }
 
-TEST(EventLoopTest, VirtualClockTimersFireInDeadlineOrderUnderDrain) {
-  VirtualClock clock;
-  EventLoop loop(&clock);
-  std::vector<std::pair<int, int64_t>> fired;  // (label, loop time).
-  ASSERT_TRUE(loop.PostAt(300, [&] { fired.push_back({3, loop.Now()}); }).ok());
-  ASSERT_TRUE(loop.PostAt(100, [&] { fired.push_back({1, loop.Now()}); }).ok());
-  // Ties run in registration order.
-  ASSERT_TRUE(loop.PostAt(200, [&] { fired.push_back({20, loop.Now()}); }).ok());
-  ASSERT_TRUE(loop.PostAt(200, [&] { fired.push_back({21, loop.Now()}); }).ok());
-  // Drain auto-advances the virtual clock through every deadline — no
-  // wall-clock waiting.
-  loop.Drain();
-  ASSERT_EQ(fired.size(), 4u);
-  EXPECT_EQ(fired[0].first, 1);
-  EXPECT_EQ(fired[1].first, 20);
-  EXPECT_EQ(fired[2].first, 21);
-  EXPECT_EQ(fired[3].first, 3);
-  EXPECT_GE(fired[0].second, 100);
-  EXPECT_GE(fired[3].second, 300);
-  EXPECT_GE(loop.Now(), 300);
-}
-
 TEST(EventLoopTest, PostAfterShutdownIsRefused) {
   EventLoop loop;
   loop.Shutdown();
   EXPECT_FALSE(loop.Post([] {}).ok());
-  EXPECT_FALSE(loop.PostAfter(10, [] {}).ok());
 }
 
 // ---- Futures -------------------------------------------------------------
@@ -290,6 +268,9 @@ TEST_F(AsyncFrontEndTest, FullBatcherQueueIsAShedLikeAnyOther) {
   const ExplainRequest request = Request(ExplainerKind::kTreeShap);
   FrameFuture queued = frontend.SubmitWire(EncodeRequest(request));
   FrameFuture shed = frontend.SubmitWire(EncodeRequest(request));
+  // EXPECT, not ASSERT: returning here would leave the batcher paused and
+  // the front end's destructor waiting on the queued request.
+  EXPECT_TRUE(shed.Ready());
 
   const std::string& shed_frame = shed.Get();
   ASSERT_EQ(PeekFrameType(shed_frame).ValueOrDie(), FrameType::kError);
@@ -327,6 +308,185 @@ TEST_F(AsyncFrontEndTest, AdmissionErrorsDoNotLeakPendingSlots) {
   frontend.Drain();
   for (const auto& [tenant, stats] : frontend.admission().Snapshot()) {
     EXPECT_EQ(stats.pending, 0) << tenant;
+  }
+}
+
+// Stateless requests are served on the submitting thread up to the
+// batcher's try-enqueue, so whatever needs no explainer (a cache hit, an
+// unknown model, a corrupt deferred instance or a schema mismatch)
+// resolves before SubmitWire or Submit returns, its pending slot already
+// released — no Drain() involved.
+TEST_F(AsyncFrontEndTest, StatelessRequestsResolveBeforeTheCallReturns) {
+  ExplainServer server;
+  RegisterLoans(&server);
+  AsyncFrontEnd frontend(&server);
+  ExplainServer cold;
+  RegisterLoans(&cold);
+  AsyncFrontEnd cold_frontend(&cold);
+  auto pending = [](const AsyncFrontEnd& fe) {
+    int total = 0;
+    for (const auto& [tenant, stats] : fe.admission().Snapshot())
+      total += stats.pending;
+    return total;
+  };
+
+  const ExplainRequest request = Request(ExplainerKind::kKernelShap);
+  ASSERT_TRUE(frontend.Submit(request).Get().ok());  // Warms the cache.
+  ExplainRequest unknown = request;
+  unknown.model = "nonexistent";
+  std::string corrupt = EncodeRequest(request);
+  corrupt[DecodeRequestHeader(corrupt).ValueOrDie().instance_offset + 1] ^=
+      0x7F;
+  ExplainRequest too_wide = request;
+  too_wide.instance.push_back(0.0);
+
+  FrameFuture hit = frontend.SubmitWire(EncodeRequest(request));
+  ASSERT_TRUE(hit.Ready());
+  EXPECT_TRUE(DecodeResponse(hit.Get()).ValueOrDie().response.cache_hit);
+  FrameFuture missing = frontend.SubmitWire(EncodeRequest(unknown));
+  ASSERT_TRUE(missing.Ready());
+  EXPECT_EQ(DecodeError(missing.Get()).ValueOrDie().code,
+            StatusCode::kNotFound);
+  FrameFuture rejected = cold_frontend.SubmitWire(corrupt);
+  ASSERT_TRUE(rejected.Ready());
+  EXPECT_EQ(DecodeError(rejected.Get()).ValueOrDie().code,
+            StatusCode::kInvalidArgument);
+
+  ResponseFuture struct_hit = frontend.Submit(request);
+  ASSERT_TRUE(struct_hit.Ready());
+  EXPECT_TRUE(struct_hit.Get().ValueOrDie().cache_hit);
+  ResponseFuture struct_missing = frontend.Submit(unknown);
+  ASSERT_TRUE(struct_missing.Ready());
+  EXPECT_EQ(struct_missing.Get().status().code(), StatusCode::kNotFound);
+  ResponseFuture struct_rejected = cold_frontend.Submit(too_wide);
+  ASSERT_TRUE(struct_rejected.Ready());
+  EXPECT_EQ(struct_rejected.Get().status().code(),
+            StatusCode::kInvalidArgument);
+
+  EXPECT_EQ(pending(frontend), 0);
+  EXPECT_EQ(pending(cold_frontend), 0);
+}
+
+// Several client threads run the front end's stateless path at once: four
+// threads each send the same 24 frames (TreeSHAP, KernelSHAP and LIME over
+// 8 instances), so cache hits, computed misses and coalesced followers mix
+// while ExplainAsync, Complete and the shed buffer run on every caller
+// thread. Every frame is an un-torn response equal to a stateless Explain,
+// nothing is shed, and every pending slot is released.
+TEST_F(AsyncFrontEndTest, ConcurrentSubmittersGetStatelessAnswers) {
+  constexpr int kClients = 4;
+  std::vector<ExplainRequest> requests;
+  for (ExplainerKind kind : {ExplainerKind::kTreeShap,
+                             ExplainerKind::kKernelShap, ExplainerKind::kLime}) {
+    for (int row = 0; row < 8; ++row) {
+      ExplainRequest request = Request(kind);
+      request.instance = train_.Row(row);
+      requests.push_back(request);
+    }
+  }
+  std::vector<std::string> frames;
+  std::vector<uint64_t> want;
+  ExplainServer stateless;
+  RegisterLoans(&stateless);
+  for (const ExplainRequest& request : requests) {
+    frames.push_back(EncodeRequest(request));
+    want.push_back(PayloadHash(stateless.Explain(request).ValueOrDie()));
+  }
+
+  AsyncFrontEnd::Config config;
+  config.admission.tokens_per_sec = 0.0;  // Both gates off: nothing sheds.
+  config.admission.max_pending_per_tenant = 0;
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    SetNumThreads(threads);
+    ExplainServer server;
+    RegisterLoans(&server);
+    AsyncFrontEnd frontend(&server, config);
+
+    std::vector<std::vector<std::string>> got(kClients);
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        std::vector<FrameFuture> futures;
+        for (const std::string& frame : frames)
+          futures.push_back(frontend.SubmitWire(frame));
+        for (FrameFuture& future : futures) got[c].push_back(future.Get());
+      });
+    }
+    for (std::thread& client : clients) client.join();
+
+    for (int c = 0; c < kClients; ++c) {
+      ASSERT_EQ(got[c].size(), frames.size());
+      for (size_t i = 0; i < frames.size(); ++i) {
+        ASSERT_EQ(PeekFrameType(got[c][i]).ValueOrDie(), FrameType::kResponse)
+            << "client " << c << " frame " << i;
+        const WireResponse wire = DecodeResponse(got[c][i]).ValueOrDie();
+        EXPECT_EQ(PayloadHash(wire.response), wire.payload_hash)
+            << "torn: client " << c << " frame " << i;
+        EXPECT_EQ(wire.payload_hash, want[i])
+            << "client " << c << " frame " << i;
+      }
+    }
+    frontend.Drain();
+    for (const auto& [tenant, stats] : frontend.admission().Snapshot()) {
+      EXPECT_EQ(stats.pending, 0) << tenant;
+    }
+    EXPECT_TRUE(frontend.DrainShedRecords().empty());
+  }
+}
+
+// A continuation of a computed miss runs on the batcher worker and submits
+// from there: the same frame again (a cache hit, answered inline on that
+// worker) and a new instance (a miss, queued behind the batch being
+// delivered). Both resolve and Drain() returns.
+TEST_F(AsyncFrontEndTest, ContinuationsMaySubmitFromTheBatcherWorker) {
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    SetNumThreads(threads);
+    ExplainServer server;
+    RegisterLoans(&server);
+    AsyncFrontEnd frontend(&server);
+    const std::string frame =
+        EncodeRequest(Request(ExplainerKind::kKernelShap));
+    ExplainRequest next = Request(ExplainerKind::kKernelShap);
+    next.instance = train_.Row(1);
+    const std::string next_frame = EncodeRequest(next);
+
+    struct Resubmitted {
+      std::thread::id thread;
+      FrameFuture hit;
+      bool hit_ready_on_return = false;
+      FrameFuture miss;
+    };
+    std::promise<Resubmitted> resubmitted;
+    // Hold the worker so the continuation is registered before the miss
+    // resolves, and so runs on the thread that resolves it.
+    server.batcher()->Pause();
+    FrameFuture first = frontend.SubmitWire(frame);
+    first.Then([&](const std::string&) {
+      Resubmitted r;
+      r.thread = std::this_thread::get_id();
+      r.hit = frontend.SubmitWire(frame);
+      r.hit_ready_on_return = r.hit.Ready();
+      r.miss = frontend.SubmitWire(next_frame);
+      resubmitted.set_value(std::move(r));
+    });
+    server.batcher()->Resume();
+
+    Resubmitted r = resubmitted.get_future().get();
+    EXPECT_NE(r.thread, std::this_thread::get_id());
+    EXPECT_TRUE(r.hit_ready_on_return);
+    const WireResponse hit = DecodeResponse(r.hit.Get()).ValueOrDie();
+    EXPECT_TRUE(hit.response.cache_hit);
+    EXPECT_EQ(hit.payload_hash,
+              DecodeResponse(first.Get()).ValueOrDie().payload_hash);
+    const WireResponse miss = DecodeResponse(r.miss.Get()).ValueOrDie();
+    EXPECT_FALSE(miss.response.cache_hit);
+    EXPECT_EQ(PayloadHash(miss.response), miss.payload_hash);
+    frontend.Drain();
+    for (const auto& [tenant, stats] : frontend.admission().Snapshot()) {
+      EXPECT_EQ(stats.pending, 0) << tenant;
+    }
   }
 }
 
